@@ -187,8 +187,7 @@ def _pf_jacobian(net, v, ns, pq):
     return np.block([[j11, j12], [j21, j22]])
 
 
-def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
-             tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
+def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None):
     """Polar Newton-Raphson power flow.
 
     p_set / q_set are target net bus injections; the active targets bind
@@ -226,8 +225,8 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
     norm = float(np.abs(f_val).max()) if f_val.size else 0.0
     iterations = 0
     message = ""
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(MAX_NEWTON_ITER):
+        if norm <= NEWTON_TOL:
             break
         v = vmag * np.exp(1j * theta)
         jac = _pf_jacobian(net, v, ns, pq)
@@ -256,9 +255,9 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
             message = f"step rejected at mismatch {norm:.3e}"
             break
         iterations += 1
-    solved = norm <= tol
+    solved = norm <= NEWTON_TOL
     if not solved and not message:
-        message = (f"no convergence in {max_iter} iterations "
+        message = (f"no convergence in {MAX_NEWTON_ITER} iterations "
                    f"(mismatch {norm:.3e})")
     return _make_state(net, vmag, theta, solved, iterations, norm, message)
 
@@ -712,7 +711,7 @@ def linearize_cc_system(case, fleet, state, dispatch, *, sens_rows=None,
     return cc
 
 
-def loss_balance_equality(case, fleet, state, dispatch, sens=None):
+def loss_balance_equality(case, fleet, state, dispatch):
     """Total-generation equality with losses linearized at the state.
 
     sum(x) = total load - total forecast + L(x), with L replaced by its
@@ -721,7 +720,7 @@ def loss_balance_equality(case, fleet, state, dispatch, sens=None):
     """
     _require_solved(state, "loss linearization needs a solved state")
     dispatch = np.asarray(dispatch, dtype=float)
-    sens = sens if sens is not None else _Sensitivity(case, state)
+    sens = _Sensitivity(case, state)
     du_x = sens.du_d_setpoint(sens.gen_columns())
     grad = sens.dp_du[case.slack] @ du_x
     grad[~case.slack_gen_mask()] += 1.0
@@ -850,8 +849,7 @@ def _state_distance(case, w_new, w_old):
 
 
 def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
-                      include_slack_rows=False, eta=OUTER_TOL,
-                      max_outer=MAX_OUTER_ITER):
+                      include_slack_rows=False):
     """Alternate between error-sensitivity freezing and selection solves.
 
     Stage zero solves the deterministic problem (no scenario blocks); each
@@ -859,8 +857,8 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     operating point, solves the k-of-S selection program (inner
     linearization loop included), and measures the distance between
     consecutive operating points over the controlled subvector.  Stops
-    when the distance falls to eta; raises FixedPointError with the full
-    distance trail otherwise.
+    when the distance falls to OUTER_TOL; raises FixedPointError with the
+    full distance trail otherwise.
     """
     xi = np.atleast_2d(np.asarray(getattr(scenarios, "xi", scenarios),
                                   dtype=float))
@@ -881,7 +879,7 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
                              include_slack_rows=include_slack_rows)
     d_history = []
     obj_history = []
-    for t in range(1, max_outer + 1):
+    for t in range(1, MAX_OUTER_ITER + 1):
         frozen = response_jacobian(case, fleet, w_t, rows=rows)
         x_new, w_new, sel = _inner_slp(
             case, fleet, cost, rows, x_t, w_t, xi=xi, k=params.k,
@@ -891,14 +889,14 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
         d_history.append(d)
         obj_history.append(sel.objective)
         x_t, w_t = x_new, w_new
-        if d <= eta:
+        if d <= OUTER_TOL:
             return FixedPointResult(state=w_t, selection=sel,
                                     outer_iterations=t,
                                     d_history=tuple(d_history),
                                     obj_history=tuple(obj_history))
     raise FixedPointError(
         "operating point still moving after "
-        f"{max_outer} outer iterations: distances "
+        f"{MAX_OUTER_ITER} outer iterations: distances "
         + ", ".join(f"{d:.3e}" for d in d_history),
         d_history=d_history)
 

@@ -22,9 +22,6 @@ identical files.
 
 Exit codes: 0 solved/success, 1 configuration or input error, 2 infeasible,
 3 numerical failure or no proof of optimality.
-
-The ``CCOPF_WORKERS`` environment variable supplies the default worker
-count; ``solve.workers`` in a config or on ``--set`` takes precedence.
 """
 
 import argparse
@@ -264,17 +261,7 @@ def _choose_params(cfg, s):
 
 
 def _solver_options(cfg):
-    workers = _get_typed(cfg, "solve", "workers", int)
-    if workers is None:
-        raw = os.environ.get("CCOPF_WORKERS", "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise CliError(
-                    f"CCOPF_WORKERS must be an integer, got {raw!r}"
-                ) from None
-    kwargs = {"workers": workers if workers is not None else 1}
+    kwargs = {}
     node_limit = _get_typed(cfg, "solve", "node_limit", int)
     if node_limit is not None:
         kwargs["node_limit"] = node_limit
@@ -791,8 +778,8 @@ def build_parser():
         description="Joint chance-constrained OPF by exact scenario "
                     "selection: solve, sweep, and score dispatch problems.",
         epilog="Exit codes: 0 solved/success, 1 configuration or input "
-               "error, 2 infeasible, 3 numerical failure.  CCOPF_WORKERS "
-               "sets the default worker count.")
+               "error, 2 infeasible, 3 numerical failure or no proof of "
+               "optimality.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 

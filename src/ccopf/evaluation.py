@@ -28,7 +28,6 @@ from .dc_model import (
 from .scenario_mip import (
     INFEASIBLE,
     OPTIMAL,
-    LinearSystem,
     SelectionSolution,
     SolverOptions,
     build_selection_from_ccopf,
@@ -119,8 +118,8 @@ def ro_baseline(case, fleet, training_set, *, cc=None,
                 include_slack_rows=False):
     """Robust dispatch: every training scenario enforced (k = S).
 
-    Solved as the single QP over all blocks; infeasibility names the
-    scenarios owning the conflicting aggregated rows.
+    Solved as the single QP of the all-enforced node system; infeasibility
+    names the scenarios that the Farkas certificate weighs.
     """
     if cc is None:
         cc = assemble_cc_system(case, fleet,
@@ -129,28 +128,15 @@ def ro_baseline(case, fleet, training_set, *, cc=None,
     problem = build_selection_from_ccopf(
         cc, training_set.xi, make_cost(case), s,
         equalities=balance_equality(case, fleet))
-    shared = problem.shared_lhs()
-    b_stack = np.stack([b for _, b in problem.blocks])
-    b_min = b_stack.min(axis=0)
-    system = LinearSystem(
-        np.vstack([problem.base.a_ineq, shared]),
-        np.concatenate([problem.base.b_ineq, b_min]),
-        problem.base.a_eq, problem.base.b_eq)
     t0 = time.perf_counter()
-    result = qp_solve(problem.cost, system)
+    result = qp_solve(problem.cost, problem.node_system(range(s)))
     if result.status == INFEASIBLE:
         detail = ""
         if result.certificate is not None:
-            y = result.certificate["y_ineq"]
-            n_base = problem.base.a_ineq.shape[0]
-            owners = np.argmin(b_stack, axis=0)
-            weights = np.zeros(s)
-            for row, w in enumerate(y[n_base:]):
-                if w > 0:
-                    weights[owners[row]] += w
-            offenders = np.flatnonzero(weights > 0)
+            weights = problem.scenario_weights(
+                range(s), result.certificate["y_ineq"])
             detail = (" scenarios driving the conflict: "
-                      f"{offenders.tolist()}")
+                      f"{np.flatnonzero(weights > 0).tolist()}")
         raise ValueError("robust baseline infeasible:" + detail)
     if result.status != OPTIMAL:
         raise RuntimeError(f"robust baseline failed: {result.status} "

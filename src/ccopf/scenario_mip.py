@@ -2,10 +2,11 @@
 
 The master problem: minimize a convex quadratic cost subject to a base
 linear system that always holds plus at least k of S scenario blocks
-A_j x <= b_j.  Indicator semantics are handled combinatorially — each
-branch-and-bound node partitions scenarios into (Enforced, Relaxed,
-Undecided) and bounds the node by the QP over base plus Enforced blocks —
-so no big-M constant is ever materialized.
+A x <= b_j, which share one LHS A and differ only in the RHS.  Indicator
+semantics are handled combinatorially — each branch-and-bound node
+partitions scenarios into (Enforced, Relaxed, Undecided) and bounds the
+node by the QP over base plus Enforced blocks — so no big-M constant is
+ever materialized.
 
 The continuous engine is a dense primal active-set method (null-space
 steps, PSD and singular Hessians supported, equalities pinned in the
@@ -141,29 +142,37 @@ def _lp_solve(g, system, c0):
             duals_ineq=np.maximum(lam, 0.0), duals_eq=mu, kkt_residual=kkt,
         )
     if res.status == 2:
-        return _infeasibility_certificate(system)
+        return _infeasibility_certificate(system, _elastic_lp(system))
     if res.status == 3:
         return QpSubproblemResult(status=UNBOUNDED,
                                   message="objective unbounded below")
     return QpSubproblemResult(status=NUMERICAL_FAILURE, message=res.message)
 
 
-def _infeasibility_certificate(system):
-    """Farkas combination from the elastic feasibility LP's duals."""
+def _elastic_lp(system):
+    """Solve min 1's  s.t.  A x - s <= b, s >= 0, E x = f  with HiGHS.
+
+    The optimum is zero exactly when the system is feasible; its duals
+    carry the Farkas certificate when it is not.
+    """
     m, n = system.a_ineq.shape
     p = system.a_eq.shape[0]
-    # min 1's  s.t.  A x - s <= b, s >= 0, E x = f
-    a_ub = np.block([[system.a_ineq, -np.eye(m)],
-                     [np.zeros((m, n)), -np.eye(m)]]) if m else None
-    b_ub = np.concatenate([system.b_ineq, np.zeros(m)]) if m else None
-    res = linprog(
+    return linprog(
         np.concatenate([np.zeros(n), np.ones(m)]),
-        A_ub=a_ub, b_ub=b_ub,
+        A_ub=np.block([[system.a_ineq, -np.eye(m)],
+                       [np.zeros((m, n)), -np.eye(m)]]) if m else None,
+        b_ub=np.concatenate([system.b_ineq, np.zeros(m)]) if m else None,
         A_eq=np.hstack([system.a_eq, np.zeros((p, m))]) if p else None,
         b_eq=system.b_eq if p else None,
         bounds=[(None, None)] * n + [(0, None)] * m,
         method="highs",
     )
+
+
+def _infeasibility_certificate(system, res):
+    """Farkas combination from the solved elastic LP's duals."""
+    m = system.a_ineq.shape[0]
+    p = system.a_eq.shape[0]
     cert = None
     if res.status == 0 and res.fun > 1e-9:
         y_ineq = np.maximum(-res.ineqlin.marginals[:m], 0.0) if m else np.zeros(0)
@@ -203,26 +212,17 @@ def _phase1_point(system):
             x0, *_ = np.linalg.lstsq(system.a_eq, system.b_eq, rcond=None)
             if np.max(np.abs(system.a_eq @ x0 - system.b_eq),
                       initial=0.0) > 1e-8:
-                return None, _infeasibility_certificate(system)
+                return None, _infeasibility_certificate(
+                    system, _elastic_lp(system))
             return x0, None
         return np.zeros(n), None
-    res = linprog(
-        np.concatenate([np.zeros(n), np.ones(m)]),
-        A_ub=np.block([[system.a_ineq, -np.eye(m)],
-                       [np.zeros((m, n)), -np.eye(m)]]),
-        b_ub=np.concatenate([system.b_ineq, np.zeros(m)]),
-        A_eq=(np.hstack([system.a_eq, np.zeros((system.a_eq.shape[0], m))])
-              if system.a_eq.shape[0] else None),
-        b_eq=system.b_eq if system.a_eq.shape[0] else None,
-        bounds=[(None, None)] * n + [(0, None)] * m,
-        method="highs",
-    )
+    res = _elastic_lp(system)
     if res.status != 0:
         return None, QpSubproblemResult(
             status=NUMERICAL_FAILURE,
             message=f"phase-1 LP failed: {res.message}")
     if res.fun > 1e-9:
-        return None, _infeasibility_certificate(system)
+        return None, _infeasibility_certificate(system, res)
     return res.x[:n], None
 
 
@@ -271,7 +271,7 @@ def _independent_active(system, x):
     return working
 
 
-def qp_solve(cost, system, *, max_iter=None, warm_start=None):
+def qp_solve(cost, system, *, warm_start=None):
     """Minimize a convex QP over a linear system with a KKT certificate.
 
     Dense primal active-set method: equalities stay in the working set,
@@ -286,7 +286,8 @@ def qp_solve(cost, system, *, max_iter=None, warm_start=None):
     independent rows active there, which is where branch-and-bound spends
     its time.  An infeasible warm point is ignored.
     """
-    system = _as_system(system, cost.n)
+    if not isinstance(system, LinearSystem):
+        raise TypeError("system must be a LinearSystem")
     h, g, c0 = cost.h, cost.g, cost.c0
     n = cost.n
     if not np.any(h):
@@ -316,8 +317,7 @@ def qp_solve(cost, system, *, max_iter=None, warm_start=None):
         x = x + corr
 
     working = _independent_active(system, x)
-    if max_iter is None:
-        max_iter = 50 * (n + m + 10)
+    max_iter = 50 * (n + m + 10)
 
     for _ in range(max_iter):
         rows = [a_eq] if a_eq.shape[0] else []
@@ -409,58 +409,92 @@ def _blocking_step(a_ineq, b_ineq, x, direction, working):
     return alpha, j_enter
 
 
-def _as_system(system, n):
-    if isinstance(system, LinearSystem):
-        return system
-    raise TypeError("system must be a LinearSystem")
-
-
 @dataclass(frozen=True, eq=False)
 class SelectionProblem:
-    """k-of-S selection instance.
+    """k-of-S selection instance with one LHS shared by every scenario.
 
-    blocks is a tuple of (A_j, b_j) pairs; base always holds.  When every
-    block shares one LHS matrix (the chance-constraint construction —
-    blocks differ only through the scenario shift on the RHS), nodes are
-    bounded by a single QP whose block rows take the rowwise minimum RHS
-    over enforced scenarios.
+    base always holds.  Scenario block j is a x <= b[j]: a is the shared
+    (m, n) LHS and b the (S, m) RHS matrix, because in the chance-
+    constraint construction a scenario only shifts the right-hand side.
+    Any set of enforced blocks therefore collapses to the single row set
+    a x <= (row-wise minimum of their b[j]).
     """
 
     cost: QuadraticCost
     base: LinearSystem
-    blocks: tuple
+    a: np.ndarray
+    b: np.ndarray
     k: int
 
     def __post_init__(self):
-        if not (1 <= self.k <= len(self.blocks)):
-            raise ValueError(
-                f"k={self.k} outside [1, {len(self.blocks)}]")
-        n = self.cost.n
-        for j, (a, b) in enumerate(self.blocks):
-            if a.shape != (b.size, n):
-                raise ValueError(f"block {j}: shape mismatch")
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        if a.ndim != 2 or a.shape[1] != self.cost.n:
+            raise ValueError(f"a must be (m, {self.cost.n}), got {a.shape}")
+        if b.ndim != 2 or b.shape[1] != a.shape[0]:
+            raise ValueError(f"b must be (S, {a.shape[0]}), got {b.shape}")
+        if not (1 <= self.k <= b.shape[0]):
+            raise ValueError(f"k={self.k} outside [1, {b.shape[0]}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def n_scenarios(self):
-        return len(self.blocks)
+        return self.b.shape[0]
 
-    def shared_lhs(self):
-        """The common LHS matrix if all blocks share one, else None."""
-        first = self.blocks[0][0]
-        for a, _ in self.blocks[1:]:
-            if a is not first and not np.array_equal(a, first):
-                return None
-        return first
+    @property
+    def blocks(self):
+        """The scenario blocks as (A_j, b_j) pairs."""
+        return tuple((self.a, b_j) for b_j in self.b)
+
+    def node_system(self, enforced, *, undecided=None, budget=None):
+        """Constraint system bounding a branch-and-bound node from below.
+
+        Base rows plus the shared rows at the row-wise minimum RHS over
+        the enforced scenarios.  When the undecided scenarios and the
+        remaining relaxation budget r are supplied, each row is also capped
+        by the (r+1)-th smallest undecided RHS: any completion discards at
+        most r undecided blocks, so at least one of the r+1 tightest per
+        row survives.  The system stays a relaxation of every completion
+        while being far tighter than the enforced rows alone.
+        """
+        b_min = self.b[list(enforced)].min(axis=0) if len(enforced) else None
+        if undecided is not None and len(undecided) > budget:
+            rows = self.b[undecided]
+            if budget == 0:
+                stat = rows.min(axis=0)
+            else:
+                stat = np.partition(rows, budget, axis=0)[budget]
+            b_min = stat if b_min is None else np.minimum(b_min, stat)
+        base = self.base
+        if b_min is None:
+            return base
+        return LinearSystem(np.vstack([base.a_ineq, self.a]),
+                            np.concatenate([base.b_ineq, b_min]),
+                            base.a_eq, base.b_eq)
+
+    def scenario_weights(self, enforced, row_weights):
+        """Weight per scenario from nonnegative multipliers on the rows of
+        node_system(enforced) (KKT duals or a Farkas certificate).
+
+        Each shared row's weight goes to the enforced scenario attaining
+        that row's minimum RHS (lowest index on ties); scenarios that are
+        not enforced get zero.
+        """
+        enforced = np.asarray(list(enforced), dtype=int)
+        if not enforced.size:
+            return np.zeros(self.n_scenarios)
+        lam = np.asarray(row_weights)[self.base.a_ineq.shape[0]:]
+        owner = enforced[np.argmin(self.b[enforced], axis=0)]
+        return np.bincount(owner, weights=np.maximum(lam, 0.0),
+                           minlength=self.n_scenarios)
 
 
 @dataclass
 class SolverOptions:
-    feas_tol: float = _FEAS_TOL
     node_limit: int | None = None
     time_limit: float | None = None
     rel_gap: float = 0.0
-    workers: int = 1  # accepted for interface stability; this build is
-    # single-threaded so node order and tie resolution are reproducible
 
 
 @dataclass
@@ -478,80 +512,7 @@ class SelectionSolution:
     duals_eq: np.ndarray | None = None
 
 
-def _node_system(problem, enforced, shared, *, undecided=None, budget=None,
-                 b_stack=None):
-    """Constraint system bounding a node from below.
-
-    Base rows plus the enforced blocks, row-wise aggregated when all
-    blocks share one LHS.  When the undecided index list and remaining
-    relaxation budget r are supplied (shared LHS only), each row is
-    additionally capped by the (r+1)-th smallest undecided RHS: any
-    completion may discard at most r undecided blocks, so at least one
-    of the r+1 tightest per row survives.  That keeps the system a valid
-    relaxation of every completion while being far tighter than the
-    enforced rows alone.
-    """
-    base = problem.base
-    if shared is not None:
-        b_min = None
-        if enforced:
-            b_min = problem.blocks[enforced[0]][1].copy()
-            for j in enforced[1:]:
-                np.minimum(b_min, problem.blocks[j][1], out=b_min)
-        if undecided is not None and len(undecided) > budget:
-            rows = b_stack[undecided]
-            if budget == 0:
-                stat = rows.min(axis=0)
-            else:
-                stat = np.partition(rows, budget, axis=0)[budget]
-            b_min = stat if b_min is None else np.minimum(b_min, stat)
-        if b_min is None:
-            a, b = base.a_ineq, base.b_ineq
-        else:
-            a = np.vstack([base.a_ineq, shared])
-            b = np.concatenate([base.b_ineq, b_min])
-        return LinearSystem(a, b, base.a_eq, base.b_eq)
-    parts_a = [base.a_ineq] + [problem.blocks[j][0] for j in enforced]
-    parts_b = [base.b_ineq] + [problem.blocks[j][1] for j in enforced]
-    return LinearSystem(np.vstack(parts_a), np.concatenate(parts_b),
-                        base.a_eq, base.b_eq)
-
-
-def _block_violation(problem, x, j):
-    a, b = problem.blocks[j]
-    if not b.size:
-        return 0.0
-    return float(np.max(a @ x - b))
-
-
-def _scenario_dual_weights(problem, enforced, shared, result):
-    """Aggregate dual weight per enforced scenario at a node optimum.
-
-    With a shared LHS the node carries one row set; each row's dual is
-    attributed to the enforced scenario attaining that row's minimum RHS
-    (lowest index on ties).
-    """
-    weights = {j: 0.0 for j in enforced}
-    n_base = problem.base.a_ineq.shape[0]
-    if shared is not None:
-        duals = result.duals_ineq[n_base:]
-        if not enforced:
-            return weights
-        b_stack = np.stack([problem.blocks[j][1] for j in enforced])
-        owner = np.argmin(b_stack, axis=0)  # first minimum = lowest index
-        for row, lam in enumerate(duals):
-            if lam > 0.0:
-                weights[enforced[int(owner[row])]] += float(lam)
-        return weights
-    offset = n_base
-    for j in enforced:
-        rows = problem.blocks[j][1].size
-        weights[j] = float(np.sum(result.duals_ineq[offset:offset + rows]))
-        offset += rows
-    return weights
-
-
-def greedy_incumbent(problem, options=None, *, _all_enforced=None):
+def greedy_incumbent(problem, *, _all_enforced=None):
     """Feasible warm start: repeatedly relax the enforced scenario with the
     largest aggregate dual weight, S - k times.
 
@@ -559,27 +520,23 @@ def greedy_incumbent(problem, options=None, *, _all_enforced=None):
     _all_enforced lets the caller pass an already-solved all-enforced
     result so the work is not repeated.
     """
-    options = options or SolverOptions()
-    shared = problem.shared_lhs()
     s = problem.n_scenarios
     enforced = list(range(s))
     best = None
     result = _all_enforced
     if result is None:
-        result = qp_solve(problem.cost,
-                          _node_system(problem, enforced, shared))
+        result = qp_solve(problem.cost, problem.node_system(enforced))
     if result.status != OPTIMAL:
         return None
     best = (result.x, enforced.copy(), result.value)
     for _ in range(s - problem.k):
-        weights = _scenario_dual_weights(problem, enforced, shared, result)
+        weights = problem.scenario_weights(enforced, result.duals_ineq)
         # max weight, ties to the lowest scenario index
         drop = max(enforced, key=lambda j: (weights[j], -j))
         trial = [j for j in enforced if j != drop]
         # dropping a block only loosens the system, so the current point
         # stays feasible and warm-starts the trial
-        trial_result = qp_solve(problem.cost,
-                                _node_system(problem, trial, shared),
+        trial_result = qp_solve(problem.cost, problem.node_system(trial),
                                 warm_start=result.x)
         if trial_result.status != OPTIMAL:
             break  # fall back to the last feasible iterate
@@ -595,8 +552,9 @@ def solve_selection(problem, options=None):
     """Globally optimal k-of-S selection by best-bound branch-and-bound.
 
     Nodes are (Enforced, Relaxed, Undecided) partitions bounded by the QP
-    of _node_system: enforced row minima capped per row by the (r+1)-th
-    smallest undecided RHS for the remaining relaxation budget r — a valid
+    of SelectionProblem.node_system: the shared rows at the enforced
+    row-wise minimum RHS, capped per row by the (r+1)-th smallest
+    undecided RHS for the remaining relaxation budget r — a valid
     relaxation of every completion that tightens monotonically down the
     tree.  Children inherit the parent bound as a placeholder and are
     solved lazily when popped, re-queued if the refined bound is no longer
@@ -610,13 +568,9 @@ def solve_selection(problem, options=None):
     options = options or SolverOptions()
     t0 = time.perf_counter()
     s = problem.n_scenarios
-    shared = problem.shared_lhs()
-    feas_tol = options.feas_tol
     stats = {"nodes": 0, "qp": 0}
     anchor = {"x": None}  # all-enforced optimum: feasible for every node
     budget = s - problem.k
-    b_stack = (np.stack([b for _, b in problem.blocks])
-               if shared is not None else None)
 
     def finish(status, x=None, z=None, value=np.nan, enforced=(), gap=np.nan,
                duals=None):
@@ -629,9 +583,8 @@ def solve_selection(problem, options=None):
 
     def solve_node(enforced, undecided=None, relaxed_count=0):
         stats["qp"] += 1
-        system = _node_system(
-            problem, sorted(enforced), shared, undecided=undecided,
-            budget=budget - relaxed_count, b_stack=b_stack)
+        system = problem.node_system(sorted(enforced), undecided=undecided,
+                                     budget=budget - relaxed_count)
         return qp_solve(problem.cost, system, warm_start=anchor["x"])
 
     if problem.k == s:
@@ -646,7 +599,7 @@ def solve_selection(problem, options=None):
     all_enforced = solve_node(range(s))
     if all_enforced.status == OPTIMAL:
         anchor["x"] = all_enforced.x
-    warm = greedy_incumbent(problem, options, _all_enforced=all_enforced)
+    warm = greedy_incumbent(problem, _all_enforced=all_enforced)
     if warm is not None:
         x_w, z_w, v_w = warm
         incumbent = (v_w, x_w, z_w, tuple(np.flatnonzero(z_w == 0)))
@@ -707,15 +660,11 @@ def solve_selection(problem, options=None):
             return finish(result.status)
         if result.status == OPTIMAL:
             x = result.x
-            if shared is not None and undecided:
-                viol = (shared @ x)[None, :] - b_stack[undecided]
-                viol = viol.max(axis=1) if viol.size else np.zeros(
-                    len(undecided))
-                violations = dict(zip(undecided, viol))
-            else:
-                violations = {j: _block_violation(problem, x, j)
-                              for j in undecided}
-            satisfied = [j for j in undecided if violations[j] <= feas_tol]
+            viol = (problem.a @ x)[None, :] - problem.b[undecided]
+            viol = viol.max(axis=1) if viol.size else np.zeros(
+                len(undecided))
+            violations = dict(zip(undecided, viol))
+            satisfied = [j for j in undecided if violations[j] <= _FEAS_TOL]
             if len(enforced) + len(satisfied) >= problem.k:
                 if incumbent is None or result.value < incumbent[0] - 1e-12 * max(
                         1.0, abs(incumbent[0])):
@@ -754,9 +703,11 @@ def build_selection_from_ccopf(cc, xi, cost, k, *, equalities=None):
 
     cc provides affine row values base_lin @ x + base_const with error
     sensitivity sens and bounds rhs; scenario block j is
-    base_lin @ x <= rhs - base_const - sens @ xi_j.  The base system is the
-    deterministic block (xi = 0) plus the supplied equalities (power
-    balance).  Rows with infinite bounds are dropped once, here.
+    base_lin @ x <= rhs - base_const - sens @ xi_j, so base_lin is the
+    shared LHS and row j of the RHS matrix is the shifted bound.  The base
+    system is the deterministic block (xi = 0) plus the supplied
+    equalities (power balance).  Rows with infinite bounds are dropped
+    once, here.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     finite = np.isfinite(cc.rhs)
@@ -769,5 +720,5 @@ def build_selection_from_ccopf(cc, xi, cost, k, *, equalities=None):
         a_eq, b_eq = None, None
     base = LinearSystem.make(a_ineq=a, b_ineq=r0, a_eq=a_eq, b_eq=b_eq,
                              n=cost.n)
-    blocks = tuple((a, r0 - sens @ xi_j) for xi_j in xi)
-    return SelectionProblem(cost=cost, base=base, blocks=blocks, k=k)
+    b = np.array([r0 - sens @ xi_j for xi_j in xi])
+    return SelectionProblem(cost=cost, base=base, a=a, b=b, k=k)

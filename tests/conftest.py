@@ -1,6 +1,8 @@
 """Shared fixtures: the packaged 14-bus case and the tutorial VRE fleet."""
 
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,19 @@ from ccopf.case_io import (
     parse_matpower,
     to_network,
 )
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env():
+    """os.environ with the absolute src directory first on PYTHONPATH, so
+    ``python -m ccopf.cli`` imports this checkout from any working
+    directory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    return env
+
 
 # Tutorial cost override: stock coefficients except generator 1's quadratic
 # term is zeroed, making all-load-on-gen-1 the unique deterministic optimum

@@ -41,6 +41,7 @@ from ccopf.scenario_mip import (
     solve_selection,
 )
 from ccopf.scenarios import GaussianSpec, sample
+from conftest import subprocess_env
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,7 +55,8 @@ def verdict(number, ok, detail):
 def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "ccopf.cli", *[str(a) for a in args]],
-        cwd=cwd, capture_output=True, text=True, timeout=600)
+        cwd=cwd, capture_output=True, text=True, timeout=600,
+        env=subprocess_env())
 
 
 def read_rows(path):
@@ -107,21 +109,18 @@ def _random_selection_problem(rng):
     base = LinearSystem.make(a_ineq=np.vstack([np.eye(n), -np.eye(n)]),
                              b_ineq=np.full(2 * n, 5.0))
     shared = rng.normal(size=(int(rng.integers(1, 4)), n))
-    blocks = tuple(
-        (shared,
-         shared @ rng.normal(size=n) * 0.3 + rng.normal(size=shared.shape[0]))
-        for _ in range(s))
-    return SelectionProblem(cost=cost, base=base, blocks=blocks, k=k)
+    b = np.array([
+        shared @ rng.normal(size=n) * 0.3 + rng.normal(size=shared.shape[0])
+        for _ in range(s)])
+    return SelectionProblem(cost=cost, base=base, a=shared, b=b, k=k)
 
 
 def _enumeration_value(problem):
     best = None
     for subset in itertools.combinations(range(problem.n_scenarios),
                                          problem.k):
-        parts_a = [problem.base.a_ineq] + [problem.blocks[j][0]
-                                           for j in subset]
-        parts_b = [problem.base.b_ineq] + [problem.blocks[j][1]
-                                           for j in subset]
+        parts_a = [problem.base.a_ineq] + [problem.a] * len(subset)
+        parts_b = [problem.base.b_ineq] + [problem.b[j] for j in subset]
         system = LinearSystem(np.vstack(parts_a), np.concatenate(parts_b),
                               problem.base.a_eq, problem.base.b_eq)
         res = qp_solve(problem.cost, system)

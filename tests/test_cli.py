@@ -10,19 +10,16 @@ from pathlib import Path
 import pytest
 
 from ccopf.cli import CliError, _exit_code_for, _parse_k_values, _read_config
+from conftest import subprocess_env
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def run_cli(args, cwd, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "ccopf.cli", *[str(a) for a in args]],
-        cwd=cwd, capture_output=True, text=True, timeout=600, env=env)
+        cwd=cwd, capture_output=True, text=True, timeout=600,
+        env=subprocess_env())
 
 
 def read_table(path):
@@ -243,20 +240,6 @@ class TestSolveDc:
             "[solve]\nk = 10\n")
         result = run_cli(["solve", "dc", "--config", cfg], cwd=tmp_path)
         assert result.returncode == 2
-
-    def test_worker_env_accepted(self, tmp_path):
-        result = run_cli(
-            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
-             "--set", "scenarios.test_s=200", "--set", "solve.report_ro=no"],
-            cwd=tmp_path, env_extra={"CCOPF_WORKERS": "2"})
-        assert result.returncode == 0
-
-    def test_worker_env_must_be_integer(self, tmp_path):
-        result = run_cli(
-            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini"],
-            cwd=tmp_path, env_extra={"CCOPF_WORKERS": "many"})
-        assert result.returncode == 1
-        assert "CCOPF_WORKERS" in result.stderr
 
 
 class TestSolveAc:

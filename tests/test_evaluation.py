@@ -111,6 +111,10 @@ class TestCostNesting:
             assert sol.objective <= ro.objective + 1e-9 * abs(ro.objective)
             assert sol.objective >= last - 1e-9 * abs(last)
             last = sol.objective
+            if k == train.s:
+                # k = S is the robust problem itself, solved the same way.
+                assert sol.objective == ro.objective
+                assert np.array_equal(sol.x_star, ro.x_star)
         assert ro.objective > det.cost + 1e-6  # robustness costs something
 
     def test_infeasible_robust_names_offenders(self):

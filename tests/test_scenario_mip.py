@@ -68,10 +68,8 @@ def selection_oracle(problem):
     s = problem.n_scenarios
     best = None
     for subset in itertools.combinations(range(s), problem.k):
-        parts_a = [problem.base.a_ineq] + [problem.blocks[j][0]
-                                           for j in subset]
-        parts_b = [problem.base.b_ineq] + [problem.blocks[j][1]
-                                           for j in subset]
+        parts_a = [problem.base.a_ineq] + [problem.a] * len(subset)
+        parts_b = [problem.base.b_ineq] + [problem.b[j] for j in subset]
         system = LinearSystem(np.vstack(parts_a), np.concatenate(parts_b),
                               problem.base.a_eq, problem.base.b_eq)
         res = qp_solve(problem.cost, system)
@@ -146,6 +144,28 @@ class TestQpSolve:
         assert res.status == INFEASIBLE
         assert res.certificate is not None
 
+    def test_phase1_infeasibility_solves_one_elastic_lp(self, monkeypatch):
+        from ccopf import scenario_mip
+
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return real_linprog(*args, **kwargs)
+
+        real_linprog = scenario_mip.linprog
+        monkeypatch.setattr(scenario_mip, "linprog", counting_linprog)
+        cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
+        system = LinearSystem.make(a_ineq=[[1.0], [-1.0]],
+                                   b_ineq=[0.0, -1.0])  # x <= 0 and x >= 1
+        res = qp_solve(cost, system)
+        assert res.status == INFEASIBLE
+        assert len(calls) == 1
+        y = res.certificate["y_ineq"]
+        assert np.all(y >= 0.0)
+        np.testing.assert_allclose(y @ system.a_ineq, 0.0, atol=1e-9)
+        assert y @ system.b_ineq < 0.0
+
     def test_unbounded_lp(self):
         cost = QuadraticCost(h=np.zeros((1, 1)), g=np.array([1.0]))
         system = LinearSystem.make(a_ineq=[[1.0]], b_ineq=[5.0])  # x <= 5
@@ -201,9 +221,9 @@ def make_threshold_problem(a_values, k, *, quadratic=False):
     h = np.array([[1.0]]) if quadratic else np.zeros((1, 1))
     cost = QuadraticCost(h=h, g=np.array([1.0]))
     base = LinearSystem.make(n=1)
-    lhs = np.array([[-1.0]])
-    blocks = tuple((lhs, np.array([-float(a)])) for a in a_values)
-    return SelectionProblem(cost=cost, base=base, blocks=blocks, k=k)
+    b = -np.asarray(a_values, dtype=float)[:, None]
+    return SelectionProblem(cost=cost, base=base, a=np.array([[-1.0]]), b=b,
+                            k=k)
 
 
 def random_selection_problem(rng, *, n_max=4, s_max=12):
@@ -217,10 +237,73 @@ def random_selection_problem(rng, *, n_max=4, s_max=12):
         a_ineq=np.vstack([np.eye(n), -np.eye(n)]),
         b_ineq=np.full(2 * n, 5.0))
     shared = rng.normal(size=(int(rng.integers(1, 4)), n))
-    blocks = tuple(
-        (shared, shared @ rng.normal(size=n) * 0.3 + rng.normal(size=shared.shape[0]))
-        for _ in range(s))
-    return SelectionProblem(cost=cost, base=base, blocks=blocks, k=k)
+    b = np.array([
+        shared @ rng.normal(size=n) * 0.3 + rng.normal(size=shared.shape[0])
+        for _ in range(s)])
+    return SelectionProblem(cost=cost, base=base, a=shared, b=b, k=k)
+
+
+class TestSelectionProblem:
+    def shaped(self, a, b, k=1):
+        cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
+        return SelectionProblem(cost=cost, base=LinearSystem.make(n=2),
+                                a=a, b=b, k=k)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((3, 1)), np.zeros((4, 3))),   # a has the wrong width
+        (np.ones(2), np.zeros((4, 1))),         # a is not a matrix
+        (np.ones((3, 2)), np.zeros((4, 2))),   # b rows do not match a
+        (np.ones((3, 2)), np.zeros(3)),         # b is not a matrix
+    ])
+    def test_rejects_misshaped_lhs_or_rhs(self, a, b):
+        with pytest.raises(ValueError):
+            self.shaped(a, b)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_rejects_k_outside_one_to_s(self, k):
+        with pytest.raises(ValueError, match="outside"):
+            self.shaped(np.ones((3, 2)), np.zeros((4, 3)), k=k)
+
+    def test_node_system_takes_rowwise_minimum_rhs(self):
+        problem = self.shaped([[1.0, 0.0], [0.0, 1.0]],
+                              [[3.0, 1.0], [2.0, 4.0], [5.0, 0.5]])
+        assert problem.node_system([]) is problem.base
+        system = problem.node_system([0, 1])
+        np.testing.assert_array_equal(system.a_ineq, problem.a)
+        np.testing.assert_array_equal(system.b_ineq, [2.0, 1.0])
+        # Relaxation budget 1 over undecided {0, 2}: the cap per row is
+        # the second smallest undecided RHS.
+        capped = problem.node_system([1], undecided=[0, 2], budget=1)
+        np.testing.assert_array_equal(capped.b_ineq, [2.0, 1.0])
+        np.testing.assert_array_equal(problem.blocks[2][1], [5.0, 0.5])
+
+    def test_scenario_weights_go_to_the_row_owner(self):
+        problem = self.shaped([[1.0, 0.0], [0.0, 1.0]],
+                              [[2.0, 1.0], [2.0, 4.0], [5.0, 0.5]])
+        # Row 0 ties between scenarios 0 and 1 (lowest index owns it);
+        # row 1 is owned by scenario 2; scenario 1 is left with nothing.
+        weights = problem.scenario_weights([0, 1, 2], [3.0, 0.25])
+        np.testing.assert_array_equal(weights, [3.0, 0.0, 0.25])
+        weights = problem.scenario_weights([1, 2], [3.0, 0.25])
+        np.testing.assert_array_equal(weights, [0.0, 3.0, 0.25])
+
+    def test_scenario_weights_match_a_row_by_row_loop(self):
+        rng = np.random.default_rng(5)
+        problem = random_selection_problem(rng, s_max=12)
+        problem = SelectionProblem(
+            cost=problem.cost, base=problem.base, a=problem.a,
+            b=np.round(problem.b, 1), k=problem.k)  # rounding makes ties
+        enforced = [0, 2, 3, 4]
+        system = problem.node_system(enforced)
+        lam = np.abs(rng.normal(size=system.b_ineq.size))
+        lam[::3] = 0.0
+        expected = np.zeros(problem.n_scenarios)
+        n_base = problem.base.b_ineq.size
+        for row in range(problem.a.shape[0]):
+            rhs = [problem.b[j][row] for j in enforced]
+            expected[enforced[rhs.index(min(rhs))]] += lam[n_base + row]
+        np.testing.assert_array_equal(
+            problem.scenario_weights(enforced, lam), expected)
 
 
 class TestSolveSelection:
@@ -244,11 +327,11 @@ class TestSolveSelection:
         rng = np.random.default_rng(3)
         problem = random_selection_problem(rng)
         all_k = SelectionProblem(cost=problem.cost, base=problem.base,
-                                 blocks=problem.blocks,
+                                 a=problem.a, b=problem.b,
                                  k=problem.n_scenarios)
         sol = solve_selection(all_k)
-        parts_a = [problem.base.a_ineq] + [a for a, _ in problem.blocks]
-        parts_b = [problem.base.b_ineq] + [b for _, b in problem.blocks]
+        parts_a = [problem.base.a_ineq] + [problem.a] * problem.n_scenarios
+        parts_b = [problem.base.b_ineq] + list(problem.b)
         direct = qp_solve(problem.cost,
                           LinearSystem(np.vstack(parts_a),
                                        np.concatenate(parts_b),
@@ -277,8 +360,8 @@ class TestSolveSelection:
     def test_infeasible_base_detected(self):
         cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
         base = LinearSystem.make(a_ineq=[[1.0], [-1.0]], b_ineq=[0.0, -1.0])
-        blocks = ((np.array([[1.0]]), np.array([5.0])),)
-        problem = SelectionProblem(cost=cost, base=base, blocks=blocks, k=1)
+        problem = SelectionProblem(cost=cost, base=base, a=[[1.0]],
+                                   b=[[5.0]], k=1)
         sol = solve_selection(problem)
         assert sol.status == INFEASIBLE
 
@@ -287,32 +370,13 @@ class TestSolveSelection:
         # infeasible, k = S - 1 may drop the bad block.
         cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
         base = LinearSystem.make(a_ineq=[[1.0]], b_ineq=[0.0])
-        blocks = ((np.array([[-1.0]]), np.array([-1.0])),
-                  (np.array([[-1.0]]), np.array([0.5])))
+        blocks = dict(a=[[-1.0]], b=[[-1.0], [0.5]])
         assert solve_selection(SelectionProblem(
-            cost=cost, base=base, blocks=blocks, k=2)).status == INFEASIBLE
+            cost=cost, base=base, k=2, **blocks)).status == INFEASIBLE
         sol = solve_selection(SelectionProblem(
-            cost=cost, base=base, blocks=blocks, k=1))
+            cost=cost, base=base, k=1, **blocks))
         assert sol.status == OPTIMAL
         np.testing.assert_array_equal(sol.z_star, [1, 0])
-
-    def test_shared_and_distinct_lhs_paths_agree(self):
-        rng = np.random.default_rng(19)
-        problem = random_selection_problem(rng, s_max=8)
-        sol_shared = solve_selection(problem)
-        # Rescaling each block row by a positive factor keeps the feasible
-        # set identical but defeats shared-LHS detection.
-        scaled = []
-        for i, (a, b) in enumerate(problem.blocks):
-            f = 1.0 + 0.5 * (i + 1)
-            scaled.append((a * f, b * f))
-        distinct = SelectionProblem(cost=problem.cost, base=problem.base,
-                                    blocks=tuple(scaled), k=problem.k)
-        assert distinct.shared_lhs() is None
-        sol_distinct = solve_selection(distinct)
-        assert sol_shared.status == sol_distinct.status == OPTIMAL
-        assert sol_shared.objective == pytest.approx(sol_distinct.objective,
-                                                     rel=1e-8)
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(23)
@@ -341,8 +405,7 @@ class TestSolveSelection:
         assert int(np.sum(z)) == 1
         kept = np.flatnonzero(z == 0)
         for j in kept:
-            a, b = problem.blocks[int(j)]
-            assert np.max(a @ x - b) <= 1e-7
+            assert np.max(problem.a @ x - problem.b[j]) <= 1e-7
         # Dual weight concentrates on the binding x >= 9 block, so greedy
         # relaxes it and lands on the true optimum directly.
         assert value == pytest.approx(5.0, abs=1e-8)
@@ -363,11 +426,11 @@ class TestBuildFromChanceRows:
             equalities=(np.array([[1.0, 1.0]]), np.array([1.0])))
         assert problem.base.a_ineq.shape == (2, 2)  # inf row dropped
         assert problem.base.a_eq.shape == (1, 2)
-        a0, b0 = problem.blocks[0]
-        np.testing.assert_allclose(b0, [1.0 - 0.1 - 2.0 * 0.5,
-                                        3.0 + 0.2 - 1.0 * 0.5])
-        a1, b1 = problem.blocks[1]
-        np.testing.assert_allclose(b1, [1.0 - 0.1 + 1.0, 3.2 + 0.5])
-        assert problem.shared_lhs() is not None
+        assert problem.b.shape == (2, 2)
+        np.testing.assert_allclose(problem.b[0], [1.0 - 0.1 - 2.0 * 0.5,
+                                                  3.0 + 0.2 - 1.0 * 0.5])
+        np.testing.assert_allclose(problem.b[1], [1.0 - 0.1 + 1.0, 3.2 + 0.5])
+        # every block shares the deterministic rows as its LHS
+        np.testing.assert_array_equal(problem.a, problem.base.a_ineq)
         sol = solve_selection(problem)
         assert sol.status == OPTIMAL
