@@ -8,11 +8,17 @@ partitions scenarios into (Enforced, Relaxed, Undecided) and bounds the
 node by the QP over base plus Enforced blocks — so no big-M constant is
 ever materialized.
 
-The continuous engine is a dense primal active-set method (null-space
-steps, PSD and singular Hessians supported, equalities pinned in the
-working set).  Phase-1 feasibility, Farkas infeasibility certificates, and
-the exactly-linear-cost case are delegated to scipy's HiGHS linprog.
-All tie-breaks are by lowest index so results are reproducible.
+The continuous engine is a dense primal active-set method with
+equalities pinned in the working set.  Each iteration factors the
+working rows once by QR: the trailing columns of Q span their null
+space, and the multipliers come from one triangular solve with R.  The
+step comes from the Cholesky factor of the reduced Hessian when its
+pivots pass a fixed test, and otherwise from a least-squares solve plus
+an explicit descent ray, so PSD and singular Hessians are supported.
+Every optimum is checked against its KKT residual before it is returned.
+Phase-1 feasibility, Farkas infeasibility certificates, and the
+exactly-linear-cost case are delegated to scipy's HiGHS linprog.  All
+tie-breaks are by lowest index so results are reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 OPTIMAL = "OPTIMAL"
@@ -32,6 +38,10 @@ NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 GAP_LIMIT = "GAP_LIMIT"
 
 _FEAS_TOL = 1e-7  # absolute residual tolerance on constraint rows
+# Reduced-Hessian tests, relative to the largest entry of the normalized H:
+_PIVOT_TOL = 1e-10  # smallest Cholesky pivot the Newton step accepts
+_ZERO_CURVATURE = 1e-12  # Z'HZ no larger than this is rounding noise
+_KKT_TOL = 1e-6  # largest KKT residual of the normalized QP at an optimum
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,35 +250,26 @@ def _acceptable_start(system, x):
     return True
 
 
-def _independent_active(system, x):
-    """Inequality rows active at x that are independent given the
-    equalities, chosen greedily in ascending row order (reproducible)."""
-    a_ineq, b_ineq, a_eq = system.a_ineq, system.b_ineq, system.a_eq
-    if not a_ineq.size:
-        return []
-    resid = b_ineq - a_ineq @ x
-    active = np.flatnonzero(resid <= 1e-9)
-    if not active.size:
-        return []
-    n = a_ineq.shape[1]
-    basis = np.zeros((0, n))
-    if a_eq.shape[0]:
-        q = np.linalg.qr(a_eq.T)[0]
-        basis = q.T
-    working = []
-    for j in active:
-        row = a_ineq[j]
+def _independent_rows(rows, basis):
+    """Rows independent of an orthonormal basis and of each other, chosen
+    greedily in ascending order (reproducible).
+
+    Returns their indices and the basis grown to span them too.
+    """
+    n = rows.shape[1]
+    picked = []
+    for j, row in enumerate(rows):
+        if basis.shape[0] >= n:
+            break
         row_norm = np.linalg.norm(row)
         if row_norm <= 0.0:
             continue
         rem = row - basis.T @ (basis @ row)
         rem_norm = np.linalg.norm(rem)
         if rem_norm > 1e-8 * row_norm:
-            working.append(int(j))
+            picked.append(j)
             basis = np.vstack([basis, rem / rem_norm])
-            if basis.shape[0] >= n:
-                break
-    return working
+    return picked, basis
 
 
 def qp_solve(cost, system, *, warm_start=None):
@@ -276,10 +277,17 @@ def qp_solve(cost, system, *, warm_start=None):
 
     Dense primal active-set method: equalities stay in the working set,
     inequality rows enter on blocking and leave on negative multipliers
-    (most negative first, lowest index on ties).  Singular reduced
-    Hessians are handled by least-squares steps plus explicit descent
-    rays, so purely linear pieces of the cost are fine; an exactly-zero
-    Hessian short-circuits to the LP path.
+    (most negative first, lowest index on ties).  Each iteration takes one
+    complete QR factorization of the working rows: the trailing columns
+    of Q are the null-space basis Z, and the multipliers solve the
+    triangular system with R.  The step is the Newton step on Z from the
+    Cholesky factor of Z'HZ when every pivot passes the _PIVOT_TOL test;
+    otherwise a least-squares step plus an explicit descent ray handles
+    the singular reduced Hessian, so purely linear pieces of the cost are
+    fine and an unblocked ray is reported UNBOUNDED.  An exactly-zero
+    Hessian short-circuits to the LP path.  An optimum whose KKT residual
+    on the normalized problem exceeds _KKT_TOL is reported as
+    NUMERICAL_FAILURE with that residual in the message.
 
     warm_start is an optional point; when it already satisfies the system
     it replaces the phase-1 LP and seeds the working set with the
@@ -297,6 +305,7 @@ def qp_solve(cost, system, *, warm_start=None):
     scale = max(1.0, float(np.max(np.abs(h))), float(np.max(np.abs(g))))
     h = h / scale
     g = g / scale
+    h_max = float(np.max(np.abs(h)))
 
     x = None
     if warm_start is not None:
@@ -316,15 +325,25 @@ def qp_solve(cost, system, *, warm_start=None):
         corr, *_ = np.linalg.lstsq(a_eq, b_eq - a_eq @ x, rcond=None)
         x = x + corr
 
-    working = _independent_active(system, x)
+    # Keep the working rows independent, equalities included (a dependent
+    # equality gets a zero multiplier), so that Q's trailing columns span
+    # their null space.
+    eq_rows, basis = _independent_rows(a_eq, np.zeros((0, n)))
+    a_eq_w = a_eq[eq_rows]
+    n_eq = len(eq_rows)
+    active = np.flatnonzero(b_ineq - a_ineq @ x <= 1e-9)
+    picked, _ = _independent_rows(a_ineq[active], basis)
+    working = [int(j) for j in active[picked]]
     max_iter = 50 * (n + m + 10)
 
     for _ in range(max_iter):
-        rows = [a_eq] if a_eq.shape[0] else []
-        if working:
-            rows.append(a_ineq[working])
-        a_w = np.vstack(rows) if rows else np.zeros((0, n))
-        z = null_space(a_w) if a_w.shape[0] else np.eye(n)
+        a_w = np.vstack([a_eq_w, a_ineq[working]])
+        p = a_w.shape[0]
+        if p:
+            q, r = np.linalg.qr(a_w.T, mode="complete")
+            z = q[:, p:]
+        else:
+            z = np.eye(n)
 
         grad = h @ x + g
         step = np.zeros(n)
@@ -332,13 +351,17 @@ def qp_solve(cost, system, *, warm_start=None):
         if z.shape[1]:
             hz = z.T @ h @ z
             gz = z.T @ grad
-            pz, *_ = np.linalg.lstsq(hz, -gz, rcond=None)
-            resid = hz @ pz + gz
-            if np.max(np.abs(resid), initial=0.0) > 1e-9:
-                # gz has a component in the null space of hz: a direction of
-                # linear, unblocked descent.
-                ray = z @ (-resid)
-            else:
+            pz = _cholesky_step(hz, gz, h_max)
+            if pz is None:
+                if np.max(np.abs(hz)) <= _ZERO_CURVATURE * h_max:
+                    hz = np.zeros_like(hz)  # only rounding noise from Z
+                pz, *_ = np.linalg.lstsq(hz, -gz, rcond=None)
+                resid = hz @ pz + gz
+                if np.max(np.abs(resid), initial=0.0) > 1e-9:
+                    # gz has a component in the null space of hz: a
+                    # direction of linear, unblocked descent.
+                    ray = z @ (-resid)
+            if ray is None:
                 step = z @ pz
 
         if ray is not None:
@@ -352,17 +375,22 @@ def qp_solve(cost, system, *, warm_start=None):
 
         if np.max(np.abs(step), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x))):
             # Stationary on the working set: check multipliers.
-            if a_w.shape[0]:
-                y, *_ = np.linalg.lstsq(a_w.T, -grad, rcond=None)
+            if p:
+                y, _ = lapack.dtrtrs(r[:p], -(q[:, :p].T @ grad))
             else:
                 y = np.zeros(0)
-            n_eq = a_eq.shape[0]
             lam_w = y[n_eq:]
             if lam_w.size == 0 or np.min(lam_w) >= -1e-9:
                 lam = np.zeros(m)
-                for idx, j in enumerate(working):
-                    lam[j] = max(lam_w[idx], 0.0)
-                mu = y[:n_eq]
+                lam[working] = np.maximum(lam_w, 0.0)
+                mu = np.zeros(a_eq.shape[0])
+                mu[eq_rows] = y[:n_eq]
+                residual = _kkt_residual(h, g, system, x, lam, mu)
+                if residual > _KKT_TOL:
+                    return QpSubproblemResult(
+                        status=NUMERICAL_FAILURE,
+                        message=f"KKT residual {residual:.3e} of the "
+                                f"normalized problem exceeds {_KKT_TOL:g}")
                 kkt = _kkt_residual(h * scale, g * scale, system, x,
                                     lam * scale, mu * scale)
                 return QpSubproblemResult(
@@ -384,6 +412,19 @@ def qp_solve(cost, system, *, warm_start=None):
     return QpSubproblemResult(
         status=NUMERICAL_FAILURE,
         message=f"active-set iteration cap {max_iter} reached")
+
+
+def _cholesky_step(hz, gz, h_max):
+    """Newton step -hz^-1 gz from the Cholesky factor of the reduced
+    Hessian, or None when a pivot is at most _PIVOT_TOL times the largest
+    Hessian entry h_max: such an hz goes to the least-squares path, which
+    finds zero-curvature descent rays."""
+    # One LAPACK call factors and solves: at these sizes the checks in
+    # the numpy and scipy wrappers cost more than the arithmetic.
+    l, pz, info = lapack.dposv(hz, -gz, lower=1)
+    if info or not l.diagonal().min() ** 2 > _PIVOT_TOL * h_max:
+        return None
+    return pz
 
 
 def _blocking_step(a_ineq, b_ineq, x, direction, working):
@@ -417,7 +458,10 @@ class SelectionProblem:
     (m, n) LHS and b the (S, m) RHS matrix, because in the chance-
     constraint construction a scenario only shifts the right-hand side.
     Any set of enforced blocks therefore collapses to the single row set
-    a x <= (row-wise minimum of their b[j]).
+    a x <= (row-wise minimum of their b[j]).  When the base inequalities
+    are those same rows (as build_selection_from_ccopf makes them), the
+    base bound joins that minimum too, so a node system has m rows, not
+    base rows plus m.
     """
 
     cost: QuadraticCost
@@ -437,6 +481,8 @@ class SelectionProblem:
             raise ValueError(f"k={self.k} outside [1, {b.shape[0]}]")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_base_is_a",
+                           np.array_equal(self.base.a_ineq, a))
 
     @property
     def n_scenarios(self):
@@ -456,7 +502,9 @@ class SelectionProblem:
         by the (r+1)-th smallest undecided RHS: any completion discards at
         most r undecided blocks, so at least one of the r+1 tightest per
         row survives.  The system stays a relaxation of every completion
-        while being far tighter than the enforced rows alone.
+        while being far tighter than the enforced rows alone.  When the
+        base rows are the shared rows, the two collapse into one row set
+        a x <= min(base bound, shared bound).
         """
         b_min = self.b[list(enforced)].min(axis=0) if len(enforced) else None
         if undecided is not None and len(undecided) > budget:
@@ -469,6 +517,9 @@ class SelectionProblem:
         base = self.base
         if b_min is None:
             return base
+        if self._base_is_a:
+            return LinearSystem(self.a, np.minimum(base.b_ineq, b_min),
+                                base.a_eq, base.b_eq)
         return LinearSystem(np.vstack([base.a_ineq, self.a]),
                             np.concatenate([base.b_ineq, b_min]),
                             base.a_eq, base.b_eq)
@@ -479,15 +530,21 @@ class SelectionProblem:
 
         Each shared row's weight goes to the enforced scenario attaining
         that row's minimum RHS (lowest index on ties); scenarios that are
-        not enforced get zero.
+        not enforced get zero.  In a merged row set the base comes first
+        on ties: a row whose enforced minimum is not strictly below the
+        base bound gives its weight to no scenario.
         """
         enforced = np.asarray(list(enforced), dtype=int)
         if not enforced.size:
             return np.zeros(self.n_scenarios)
-        lam = np.asarray(row_weights)[self.base.a_ineq.shape[0]:]
-        owner = enforced[np.argmin(self.b[enforced], axis=0)]
-        return np.bincount(owner, weights=np.maximum(lam, 0.0),
-                           minlength=self.n_scenarios)
+        lam = np.maximum(np.asarray(row_weights, dtype=float), 0.0)
+        rhs = self.b[enforced]
+        owner = enforced[np.argmin(rhs, axis=0)]
+        if self._base_is_a:
+            lam = np.where(rhs.min(axis=0) < self.base.b_ineq, lam, 0.0)
+        else:
+            lam = lam[self.base.a_ineq.shape[0]:]
+        return np.bincount(owner, weights=lam, minlength=self.n_scenarios)
 
 
 @dataclass
@@ -563,7 +620,9 @@ def solve_selection(problem, options=None):
     Branching takes the Undecided scenario with the largest violation at
     the node solution (lowest index on ties); children enforce or relax
     it.  Every node QP warm-starts from the all-enforced optimum, which
-    stays feasible under any aggregation.
+    stays feasible under any aggregation; a warm-started node that ends
+    in NUMERICAL_FAILURE is solved once more from phase 1, and only a
+    second failure ends the search.
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
@@ -585,7 +644,12 @@ def solve_selection(problem, options=None):
         stats["qp"] += 1
         system = problem.node_system(sorted(enforced), undecided=undecided,
                                      budget=budget - relaxed_count)
-        return qp_solve(problem.cost, system, warm_start=anchor["x"])
+        result = qp_solve(problem.cost, system, warm_start=anchor["x"])
+        if result.status == NUMERICAL_FAILURE and anchor["x"] is not None:
+            # One retry from a phase-1 start before giving up the search.
+            stats["qp"] += 1
+            result = qp_solve(problem.cost, system)
+        return result
 
     if problem.k == s:
         result = solve_node(list(range(s)))

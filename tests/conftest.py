@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ccopf.case_io import (
     build_fleet,
@@ -15,6 +16,12 @@ from ccopf.case_io import (
 )
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# Property tests draw the same fixed number of examples on every run, so
+# the suite stays deterministic and its run time bounded.
+settings.register_profile("ccopf", derandomize=True, max_examples=100,
+                          deadline=None, database=None)
+settings.load_profile("ccopf")
 
 
 def subprocess_env():

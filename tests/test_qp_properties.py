@@ -1,0 +1,153 @@
+"""Property tests for qp_solve on random small LPs and convex QPs.
+
+Integer data in a narrow range gives many exact degeneracies: zero rows,
+duplicate rows, several rows through one vertex, and zero-curvature
+directions.  The oracles are independent of the active-set engine:
+HiGHS's LP objective, the KKT conditions checked here from scratch, and
+an LP over recession directions that says whether a problem is bounded.
+The examples and their number are fixed by the profile in conftest.py.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from ccopf.scenario_mip import (
+    OPTIMAL,
+    UNBOUNDED,
+    LinearSystem,
+    QuadraticCost,
+    qp_solve,
+)
+
+TOL = 1e-7
+
+
+def _ints(draw, shape, lo=-3, hi=3):
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.integers(lo, hi), min_size=size,
+                           max_size=size))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@st.composite
+def feasible_systems(draw, *, boxed=True):
+    """Rows through an integer point x0, some exactly (degenerate), with
+    duplicated rows, up to two equalities, and optionally the box
+    |x_i| <= 10 that keeps every convex objective bounded."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 6))
+    a = _ints(draw, (m, n))
+    if m:
+        repeat = draw(st.lists(st.integers(0, m - 1), max_size=3))
+        a = np.vstack([a, a[repeat]])
+    x0 = _ints(draw, (n,))
+    b = a @ x0 + _ints(draw, (a.shape[0],), 0, 2)
+    if boxed:
+        a = np.vstack([a, np.eye(n), -np.eye(n)])
+        b = np.concatenate([b, np.full(2 * n, 10.0)])
+    a_eq = _ints(draw, (draw(st.integers(0, 2)), n))
+    return LinearSystem.make(a_ineq=a, b_ineq=b, a_eq=a_eq, b_eq=a_eq @ x0,
+                             n=n)
+
+
+def psd_hessian(draw, n, rank):
+    q = _ints(draw, (rank, n))
+    return q.T @ q
+
+
+def assert_kkt(cost, system, res):
+    """Stationarity, primal and dual feasibility and complementarity,
+    relative to the size of the data."""
+    assert res.status == OPTIMAL, res.message
+    x, lam, mu = res.x, res.duals_ineq, res.duals_eq
+    scale = 1.0 + max(np.max(np.abs(cost.h)), np.max(np.abs(cost.g)),
+                      np.max(np.abs(x)))
+    stat = (cost.h @ x + cost.g + system.a_ineq.T @ lam
+            + system.a_eq.T @ mu)
+    slack = system.b_ineq - system.a_ineq @ x
+    assert np.max(np.abs(stat), initial=0.0) <= TOL * scale
+    assert np.min(slack, initial=0.0) >= -TOL * scale
+    assert np.max(np.abs(system.a_eq @ x - system.b_eq),
+                  initial=0.0) <= TOL * scale
+    assert np.min(lam, initial=0.0) >= 0.0
+    assert np.max(np.abs(lam * slack), initial=0.0) <= TOL * scale
+    assert abs(res.value - cost.value(x)) <= 1e-12 * scale * scale
+
+
+def descent_ray_value(cost, system):
+    """min g'd over recession directions with zero curvature, |d| <= 1:
+    negative exactly when the convex QP is unbounded below."""
+    n = cost.n
+    a_eq = np.vstack([system.a_eq, cost.h])
+    res = linprog(cost.g,
+                  A_ub=system.a_ineq if system.a_ineq.size else None,
+                  b_ub=np.zeros(system.a_ineq.shape[0])
+                  if system.a_ineq.size else None,
+                  A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                  bounds=[(-1.0, 1.0)] * n, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@given(st.data())
+def test_lp_through_the_active_set_engine_matches_highs(data):
+    # One extra variable y with cost y^2/2 makes the Hessian nonzero, so
+    # the LP over x goes through the active-set engine's zero-curvature
+    # path rather than straight to HiGHS; y = 0 at the optimum.
+    system = data.draw(feasible_systems())
+    n = system.n
+    g = _ints(data.draw, (n,))
+    h = np.zeros((n + 1, n + 1))
+    h[n, n] = 1.0
+    lifted = LinearSystem(np.hstack([system.a_ineq,
+                                     np.zeros((system.a_ineq.shape[0], 1))]),
+                          system.b_ineq,
+                          np.hstack([system.a_eq,
+                                     np.zeros((system.a_eq.shape[0], 1))]),
+                          system.b_eq)
+    res = qp_solve(QuadraticCost(h=h, g=np.append(g, 0.0)), lifted)
+    ref = linprog(g, A_ub=system.a_ineq, b_ub=system.b_ineq,
+                  A_eq=system.a_eq if system.a_eq.size else None,
+                  b_eq=system.b_eq if system.a_eq.size else None,
+                  bounds=[(None, None)] * n, method="highs")
+    assert ref.status == 0
+    assert res.status == OPTIMAL, res.message
+    assert abs(res.value - ref.fun) <= TOL * (1.0 + abs(ref.fun))
+
+
+@given(st.data())
+def test_positive_definite_qp_meets_kkt(data):
+    system = data.draw(feasible_systems(boxed=False))
+    n = system.n
+    h = psd_hessian(data.draw, n, n) + np.eye(n)
+    cost = QuadraticCost(h=h, g=_ints(data.draw, (n,)))
+    assert_kkt(cost, system, qp_solve(cost, system))
+
+
+@given(st.data())
+def test_positive_semidefinite_qp_meets_kkt(data):
+    system = data.draw(feasible_systems())
+    n = system.n
+    rank = data.draw(st.integers(1, n))
+    cost = QuadraticCost(h=psd_hessian(data.draw, n, rank),
+                         g=_ints(data.draw, (n,)))
+    assert_kkt(cost, system, qp_solve(cost, system))
+
+
+@given(st.data())
+def test_zero_curvature_direction_is_bounded_or_unbounded(data):
+    # No box: a direction with no curvature and negative slope is either
+    # stopped by a row (OPTIMAL, KKT holds) or reported UNBOUNDED, and the
+    # recession LP says which.
+    system = data.draw(feasible_systems(boxed=False))
+    n = system.n
+    curved = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cost = QuadraticCost(h=np.diag(np.array(curved, dtype=float)),
+                         g=_ints(data.draw, (n,)))
+    res = qp_solve(cost, system)
+    if descent_ray_value(cost, system) < -1e-9:
+        assert res.status == UNBOUNDED
+    else:
+        assert_kkt(cost, system, res)

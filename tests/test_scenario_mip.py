@@ -12,12 +12,15 @@ import itertools
 import numpy as np
 import pytest
 
+from ccopf.dc_model import assemble_cc_system, balance_equality, make_cost
 from ccopf.scenario_mip import (
     GAP_LIMIT,
     INFEASIBLE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
     LinearSystem,
+    QpSubproblemResult,
     QuadraticCost,
     SelectionProblem,
     SolverOptions,
@@ -214,6 +217,35 @@ class TestQpSolve:
         oracle = qp_oracle(cost, system)
         assert res.value == pytest.approx(oracle[0], rel=1e-9)
 
+    def test_optimum_failing_the_kkt_check_is_a_numerical_failure(
+            self, monkeypatch):
+        from ccopf import scenario_mip
+
+        # Unit-scale cost, so the normalized residual is the reported one.
+        cost = QuadraticCost(h=np.eye(2), g=np.array([-1.0, 0.5]))
+        system = LinearSystem.make(a_ineq=[[1.0, 1.0]], b_ineq=[0.25])
+        res = qp_solve(cost, system)
+        assert res.status == OPTIMAL
+        monkeypatch.setattr(scenario_mip, "_KKT_TOL", -1.0)
+        failed = qp_solve(cost, system)
+        assert failed.status == NUMERICAL_FAILURE
+        assert failed.x is None
+        assert f"KKT residual {res.kkt_residual:.3e}" in failed.message
+
+    def test_dependent_equality_rows(self):
+        # The second and third equalities repeat the first (one scaled):
+        # the engine keeps one, and the others get zero multipliers.
+        cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
+        system = LinearSystem.make(
+            a_ineq=[[1.0, 0.0]], b_ineq=[0.5],
+            a_eq=[[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]], b_eq=[2.0, 4.0, 2.0])
+        res = qp_solve(cost, system)
+        assert res.status == OPTIMAL
+        np.testing.assert_allclose(res.x, [0.5, 1.5], atol=1e-12)
+        np.testing.assert_allclose(res.duals_eq, [-1.5, 0.0, 0.0],
+                                   atol=1e-12)
+        assert res.kkt_residual <= 1e-12
+
 
 def make_threshold_problem(a_values, k, *, quadratic=False):
     """min x (or x^2/2 + x) subject to >= k of the blocks x >= a_j."""
@@ -306,6 +338,107 @@ class TestSelectionProblem:
             problem.scenario_weights(enforced, lam), expected)
 
 
+class TestMergedRowSet:
+    """build_selection_from_ccopf's base rows are the shared rows, so a
+    node system is one row set a x <= min(base bound, enforced bound).
+    The reference is the stacked system: base rows, then one copy of a."""
+
+    @pytest.fixture(scope="class")
+    def problem(self, case14, fleet14):
+        rng = np.random.default_rng(17)
+        xi = rng.normal(scale=0.05, size=(12, fleet14.n_vre))
+        xi[0] = 0.0  # scenario 0 sits exactly on the base bound
+        xi[5] = xi[3]  # scenarios 3 and 5 tie on every row
+        return build_selection_from_ccopf(
+            assemble_cc_system(case14, fleet14), xi, make_cost(case14), k=9,
+            equalities=balance_equality(case14, fleet14))
+
+    @staticmethod
+    def stacked(problem, enforced):
+        base = problem.base
+        return LinearSystem(np.vstack([base.a_ineq, problem.a]),
+                            np.concatenate([base.b_ineq,
+                                            problem.b[enforced].min(axis=0)]),
+                            base.a_eq, base.b_eq)
+
+    def test_node_system_has_one_row_per_shared_row(self, problem):
+        m, n = problem.a.shape
+        for enforced, bounds in [(range(12), {}), ([0, 3, 5], {}),
+                                 ([1], dict(undecided=[2, 4, 6, 7],
+                                            budget=2))]:
+            system = problem.node_system(enforced, **bounds)
+            assert system.a_ineq.shape == (m, n)
+            assert system.a_eq is problem.base.a_eq
+
+    @pytest.mark.parametrize("enforced", [[0, 3, 5], [3, 5]])
+    def test_feasible_set_equals_the_stacked_systems(self, problem, enforced):
+        merged = problem.node_system(enforced)
+        ref = self.stacked(problem, enforced)
+        m = problem.a.shape[0]
+
+        def holds(values):
+            in_merged = values <= merged.b_ineq
+            in_ref = np.concatenate([values, values]) <= ref.b_ineq
+            return in_merged, in_ref.reshape(2, m).all(axis=0)
+
+        # Feasibility depends on x only through the shared row values, so
+        # points given by their row values can sit exactly on a tie.
+        b_min = problem.b[enforced].min(axis=0)
+        assert np.any(b_min == problem.base.b_ineq) == (0 in enforced)
+        exact = [problem.base.b_ineq, b_min, merged.b_ineq]
+        exact += [np.nextafter(v, np.inf) for v in exact]
+        for values in exact:
+            in_merged, in_ref = holds(values)
+            np.testing.assert_array_equal(in_merged, in_ref)
+        # Random dispatches around the node optimum, itself on active rows.
+        opt = qp_solve(problem.cost, ref)
+        assert opt.status == OPTIMAL
+        rng = np.random.default_rng(3)
+        points = [opt.x] + [opt.x + rng.normal(scale=0.02, size=opt.x.size)
+                            for _ in range(200)]
+        feasible = []
+        for x in points:
+            in_merged, in_ref = holds(problem.a @ x)
+            np.testing.assert_array_equal(in_merged, in_ref)
+            feasible.append(in_ref.all())
+        assert 0 < sum(feasible) < len(points)
+        merged_opt = qp_solve(problem.cost, merged)
+        assert merged_opt.value == pytest.approx(opt.value, rel=1e-12)
+
+    @pytest.mark.parametrize("enforced", [[0, 3, 5], [3, 5]])
+    def test_scenario_weights_match_the_stacked_row_loop(self, problem,
+                                                         enforced):
+        m = problem.a.shape[0]
+        rng = np.random.default_rng(9)
+        lam = np.abs(rng.normal(size=m))
+        lam[::4] = 0.0
+        # In the stacked system the base rows come first, so on a tie the
+        # base row carries the weight and no scenario gets it; otherwise
+        # the lowest-index enforced scenario with the smallest bound does.
+        expected = np.zeros(problem.n_scenarios)
+        given_to_base = 0
+        for row in range(m):
+            rhs = [problem.b[j][row] for j in enforced]
+            if min(rhs) < problem.base.b_ineq[row]:
+                expected[enforced[rhs.index(min(rhs))]] += lam[row]
+            else:
+                given_to_base += 1
+        assert given_to_base > 0
+        assert expected[5] == 0.0 and expected[3] > 0.0
+        np.testing.assert_array_equal(
+            problem.scenario_weights(enforced, lam), expected)
+
+    def test_distinct_base_rows_still_stack(self):
+        rng = np.random.default_rng(5)
+        problem = random_selection_problem(rng)
+        s = problem.n_scenarios
+        system = problem.node_system(range(s))
+        n_base, m = problem.base.a_ineq.shape[0], problem.a.shape[0]
+        assert system.a_ineq.shape[0] == n_base + m
+        np.testing.assert_array_equal(system.b_ineq[:n_base],
+                                      problem.base.b_ineq)
+
+
 class TestSolveSelection:
     def test_threshold_toy(self):
         problem = make_threshold_problem([1.0, 5.0, 9.0], k=2)
@@ -396,6 +529,43 @@ class TestSolveSelection:
         assert sol.status in (OPTIMAL, GAP_LIMIT)
         if sol.status == GAP_LIMIT:
             assert sol.gap >= 0.0
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_failed_warm_started_node_is_solved_again_from_phase_1(
+            self, monkeypatch, failures):
+        from ccopf import scenario_mip
+
+        rng = np.random.default_rng(11)
+        while True:
+            problem = random_selection_problem(rng, s_max=9)
+            oracle = selection_oracle(problem)
+            if problem.k < problem.n_scenarios and oracle is not None:
+                break
+        real_qp_solve = scenario_mip.qp_solve
+        calls = []
+
+        def flaky(cost, system, *, warm_start=None):
+            calls.append(warm_start is not None)
+            if len(calls) in range(2, 2 + failures):
+                return QpSubproblemResult(status=NUMERICAL_FAILURE,
+                                          message="injected")
+            return real_qp_solve(cost, system, warm_start=warm_start)
+
+        # Without the greedy incumbent the first warm-started QP is the
+        # root node's.
+        monkeypatch.setattr(scenario_mip, "qp_solve", flaky)
+        monkeypatch.setattr(scenario_mip, "greedy_incumbent",
+                            lambda problem, _all_enforced=None: None)
+        sol = solve_selection(problem)
+        # all-enforced anchor, failed warm-started root, phase-1 retry
+        assert calls[:3] == [False, True, False]
+        assert sol.qp_count == len(calls)
+        if failures == 1:
+            assert sol.status == OPTIMAL
+            assert sol.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+        else:
+            assert sol.status == NUMERICAL_FAILURE
+            assert len(calls) == 3
 
     def test_greedy_incumbent_feasible(self):
         problem = make_threshold_problem([1.0, 5.0, 9.0, 2.0], k=3)
