@@ -1,7 +1,11 @@
 """Nonlinear AC network machinery.
 
 Four layers, bottom up: a polar Newton-Raphson power flow over the
-series-impedance branch model; a rectangular quadratic-form restatement of
+series-impedance branch model, written as one kernel over a block of
+scenarios (stacked Jacobians, one batched linear solve per iteration,
+step control and stopping per scenario), which pf_solve and respond run
+on one scenario and out-of-sample scoring on blocks sized from the bus
+count and NEWTON_BLOCK_BYTES; a rectangular quadratic-form restatement of
 the same equations used as an independent cross-check; response
 sensitivities of every monitored quantity to forecast errors and to
 dispatch, obtained from the implicit-function rule on the factorized
@@ -42,6 +46,9 @@ from .scenario_mip import (
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 30
 MAX_STEP_HALVINGS = 5
+# Work-array budget of one block of the batched Newton kernel; the number
+# of scenarios per block follows from it and the bus count (_block_size).
+NEWTON_BLOCK_BYTES = 2 * 2**20
 
 INNER_STEP_TOL = 1e-6
 MAX_INNER_PASSES = 20
@@ -86,12 +93,15 @@ class AcState:
 
 @dataclass(frozen=True, eq=False)
 class _Network:
-    """Dense admittance data shared by every evaluation at one case."""
+    """Dense admittance data and bus groups shared by every evaluation at
+    one case."""
 
     ybus: np.ndarray  # (n, n) complex
     y_series: np.ndarray  # (L,) complex branch admittances
     f: np.ndarray  # (L,) from-bus indices
     t: np.ndarray  # (L,) to-bus indices
+    ns: np.ndarray  # non-slack buses: active targets bind here
+    pq: np.ndarray  # PQ buses: reactive targets bind, magnitudes move
 
 
 def _network(case):
@@ -103,29 +113,45 @@ def _network(case):
     np.add.at(ybus, (t, t), y)
     np.add.at(ybus, (f, t), -y)
     np.add.at(ybus, (t, f), -y)
-    return _Network(ybus=ybus, y_series=y, f=f, t=t)
+    return _Network(ybus=ybus, y_series=y, f=f, t=t,
+                    ns=np.flatnonzero(case.bus_kind != SLACK),
+                    pq=np.flatnonzero(case.bus_kind == PQ))
 
 
-def _polar_eval(net, vmag, theta):
-    """Complex voltages plus bus and directed-branch power injections."""
+# _ybus_times, _injections, _quantities, _ds_bus and _pf_jacobian take one
+# operating point as (n,) vectors or a block of them as (B, n) rows, with
+# the same arithmetic per row either way.
+
+
+def _ybus_times(net, v):
+    """Ybus @ v for each row of v (bit-identical for one row or many)."""
+    return (net.ybus @ v[..., None])[..., 0]
+
+
+def _injections(net, vmag, theta):
+    """Complex voltages and complex bus power injections."""
     v = vmag * np.exp(1j * theta)
-    s_bus = v * np.conj(net.ybus @ v)
-    vf, vt = v[net.f], v[net.t]
-    i_from = net.y_series * (vf - vt)
-    i_to = net.y_series * (vt - vf)
-    s_from = vf * np.conj(i_from)
-    s_to = vt * np.conj(i_to)
-    return v, s_bus, s_from, s_to
+    return v, v * np.conj(_ybus_times(net, v))
+
+
+def _quantities(net, vmag, theta):
+    """(p, q, squared magnitudes, directed branch flows [from; to])."""
+    v, s_bus = _injections(net, vmag, theta)
+    vf, vt = v[..., net.f], v[..., net.t]
+    s_from = vf * np.conj(net.y_series * (vf - vt))
+    s_to = vt * np.conj(net.y_series * (vt - vf))
+    return (s_bus.real, s_bus.imag, vmag**2,
+            np.concatenate([s_from.real, s_to.real], axis=-1))
 
 
 def _make_state(net, vmag, theta, solved, iterations, mismatch, message=""):
-    _, s_bus, s_from, s_to = _polar_eval(net, vmag, theta)
+    p, q, v, ell = _quantities(net, vmag, theta)
     state = AcState(
-        p=s_bus.real.copy(),
-        q=s_bus.imag.copy(),
-        v=vmag**2,
+        p=p.copy(),
+        q=q.copy(),
+        v=v,
         theta=theta.copy(),
-        ell=np.concatenate([s_from.real, s_to.real]),
+        ell=ell,
         solved=solved,
         iterations=iterations,
         mismatch=mismatch,
@@ -138,13 +164,15 @@ def _make_state(net, vmag, theta, solved, iterations, mismatch, message=""):
 
 def _ds_bus(net, v):
     """Partial derivatives of complex bus injections w.r.t. angles and
-    magnitudes, both (n, n) complex."""
-    i_bus = net.ybus @ v
+    magnitudes, both (..., n, n) complex."""
+    i_bus = _ybus_times(net, v)
     u = v / np.abs(v)
-    ds_dva = 1j * v[:, None] * (np.diag(np.conj(i_bus))
-                                - np.conj(net.ybus * v[None, :]))
-    ds_dvm = (np.diag(u * np.conj(i_bus))
-              + v[:, None] * np.conj(net.ybus * u[None, :]))
+    diag = np.arange(v.shape[-1])
+    ds_dva = -np.conj(net.ybus * v[..., None, :])
+    ds_dva[..., diag, diag] += np.conj(i_bus)
+    ds_dva = 1j * v[..., :, None] * ds_dva
+    ds_dvm = v[..., :, None] * np.conj(net.ybus * u[..., None, :])
+    ds_dvm[..., diag, diag] += u * np.conj(i_bus)
     return ds_dva, ds_dvm
 
 
@@ -172,23 +200,126 @@ def _ds_branch(net, v):
     return out_va, out_vm
 
 
-def _bus_groups(case):
-    ns = np.flatnonzero(case.bus_kind != SLACK)
-    pq = np.flatnonzero(case.bus_kind == PQ)
-    return ns, pq
-
-
-def _pf_jacobian(net, v, ns, pq):
+def _pf_jacobian(net, v):
+    """Power-flow Jacobian over [angles at ns; magnitudes at pq]."""
     ds_dva, ds_dvm = _ds_bus(net, v)
-    j11 = ds_dva.real[np.ix_(ns, ns)]
-    j12 = ds_dvm.real[np.ix_(ns, pq)]
-    j21 = ds_dva.imag[np.ix_(pq, ns)]
-    j22 = ds_dvm.imag[np.ix_(pq, pq)]
-    return np.block([[j11, j12], [j21, j22]])
+    ns, pq = net.ns[:, None], net.pq[:, None]
+    top = np.concatenate([ds_dva.real[..., ns, net.ns],
+                          ds_dvm.real[..., ns, net.pq]], axis=-1)
+    bottom = np.concatenate([ds_dva.imag[..., pq, net.ns],
+                             ds_dvm.imag[..., pq, net.pq]], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
+def _newton_steps(jac, rhs):
+    """Solve a stack of Newton systems; also flags the singular ones.
+
+    One batched solve; if any matrix is singular it raises for the whole
+    stack, so the stack is solved again one matrix at a time and only the
+    singular ones are flagged (their steps stay zero).
+    """
+    singular = np.zeros(len(jac), dtype=bool)
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        du = np.zeros_like(rhs)
+        for i, (a, b) in enumerate(zip(jac, rhs)):
+            try:
+                du[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return du, singular
+
+
+def _block_size(n_bus):
+    """Scenarios per Newton block: about eight complex (n, n) work arrays
+    per scenario within NEWTON_BLOCK_BYTES."""
+    return max(1, NEWTON_BLOCK_BYTES // (8 * 16 * n_bus * n_bus))
+
+
+def _newton(net, p_set, q_set, vmag, theta):
+    """Polar Newton-Raphson on a block of scenarios, one per row.
+
+    p_set / q_set are (B, n) injection targets; vmag / theta are (B, n)
+    start points with pinned magnitudes and the slack angle already set,
+    and are advanced in place.  Each scenario follows the same rules as if
+    it were solved alone: it stops when its mismatch inf-norm is at most
+    NEWTON_TOL, after MAX_NEWTON_ITER steps, on a singular Jacobian, or
+    when no step length survives MAX_STEP_HALVINGS halvings (a step is
+    taken when the norm falls, or at the last halving, and only while
+    every PQ magnitude stays positive).  Converged and stopped scenarios
+    leave the active set.  Returns (iterations, final norms, messages);
+    a message is empty exactly when the scenario converged.
+    """
+    ns, pq = net.ns, net.pq
+    target = np.concatenate([p_set[:, ns], q_set[:, pq]], axis=1)
+
+    def mismatch(rows, vm, va):
+        s_bus = _injections(net, vm, va)[1]
+        return (np.concatenate([s_bus.real[:, ns], s_bus.imag[:, pq]],
+                               axis=1) - target[rows])
+
+    b = vmag.shape[0]
+    f_val = mismatch(np.arange(b), vmag, theta)
+    norm = np.abs(f_val).max(axis=1, initial=0.0)
+    iterations = np.zeros(b, dtype=int)
+    messages = [""] * b
+    active = np.arange(b)
+    for _ in range(MAX_NEWTON_ITER):
+        active = active[~(norm[active] <= NEWTON_TOL)]
+        if not active.size:
+            break
+        v = vmag[active] * np.exp(1j * theta[active])
+        du, singular = _newton_steps(_pf_jacobian(net, v), -f_val[active])
+        for i in active[singular]:
+            messages[i] = ("singular power-flow system "
+                           f"(mismatch {norm[i]:.3e})")
+        du, active = du[~singular], active[~singular]
+        alpha = 1.0
+        searching = np.ones(active.size, dtype=bool)
+        for halving in range(MAX_STEP_HALVINGS + 1):
+            if not searching.any():
+                break
+            rows = active[searching]
+            theta_new, vmag_new = theta[rows], vmag[rows]
+            theta_new[:, ns] += alpha * du[searching, :ns.size]
+            vmag_new[:, pq] += alpha * du[searching, ns.size:]
+            positive = np.all(vmag_new[:, pq] > 0, axis=1)
+            rows = rows[positive]
+            theta_new, vmag_new = theta_new[positive], vmag_new[positive]
+            f_new = mismatch(rows, vmag_new, theta_new)
+            norm_new = np.abs(f_new).max(axis=1, initial=0.0)
+            take = ((norm_new < norm[rows]) if halving < MAX_STEP_HALVINGS
+                    else np.ones(rows.size, dtype=bool))
+            rows = rows[take]
+            theta[rows], vmag[rows] = theta_new[take], vmag_new[take]
+            f_val[rows], norm[rows] = f_new[take], norm_new[take]
+            searching[np.flatnonzero(searching)[positive][take]] = False
+            alpha *= 0.5
+        for i in active[searching]:
+            messages[i] = f"step rejected at mismatch {norm[i]:.3e}"
+        active = active[~searching]
+        iterations[active] += 1
+    for i in np.flatnonzero(~(norm <= NEWTON_TOL)):
+        if not messages[i]:
+            messages[i] = (f"no convergence in {MAX_NEWTON_ITER} iterations "
+                           f"(mismatch {norm[i]:.3e})")
+    return iterations, norm, messages
+
+
+def _start_point(case, v_set2, theta0, vmag0):
+    """Newton start: flat unless given, pinned magnitudes from v_set2."""
+    n = case.n_bus
+    theta = np.zeros(n) if theta0 is None else np.array(theta0, float)
+    vmag = np.ones(n) if vmag0 is None else np.array(vmag0, float)
+    theta[case.slack] = 0.0
+    pinned = case.bus_kind != PQ
+    vmag[pinned] = np.sqrt(v_set2[pinned])
+    return vmag, theta
 
 
 def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None):
-    """Polar Newton-Raphson power flow.
+    """Polar Newton-Raphson power flow: the Newton kernel on one scenario.
 
     p_set / q_set are target net bus injections; the active targets bind
     at every non-slack bus, the reactive ones at PQ buses.  v_set2 gives
@@ -197,7 +328,8 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None):
     one) unless warm-start vectors are supplied.  Steps are halved up to
     five times whenever the mismatch norm grows or a magnitude would leave
     the positive domain; non-convergence is reported on the returned
-    state, never raised.
+    state, never raised.  AcEvaluator runs the same kernel on blocks of
+    scenarios.
     """
     net = _network(case)
     n = case.n_bus
@@ -208,58 +340,12 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None):
     v_set2 = case.v_set2 if v_set2 is None else np.asarray(v_set2, float)
     if np.any(v_set2 <= 0):
         raise ValueError("squared voltage setpoints must be positive")
-    ns, pq = _bus_groups(case)
-    pinned = np.setdiff1d(np.arange(n), pq)
-
-    theta = np.zeros(n) if theta0 is None else np.array(theta0, float)
-    vmag = np.ones(n) if vmag0 is None else np.array(vmag0, float)
-    theta[case.slack] = 0.0
-    vmag[pinned] = np.sqrt(v_set2[pinned])
-
-    def mismatch(vm, va):
-        _, s_bus, _, _ = _polar_eval(net, vm, va)
-        return np.concatenate([s_bus.real[ns] - p_set[ns],
-                               s_bus.imag[pq] - q_set[pq]])
-
-    f_val = mismatch(vmag, theta)
-    norm = float(np.abs(f_val).max()) if f_val.size else 0.0
-    iterations = 0
-    message = ""
-    for _ in range(MAX_NEWTON_ITER):
-        if norm <= NEWTON_TOL:
-            break
-        v = vmag * np.exp(1j * theta)
-        jac = _pf_jacobian(net, v, ns, pq)
-        try:
-            du = np.linalg.solve(jac, -f_val)
-        except np.linalg.LinAlgError:
-            message = f"singular power-flow system (mismatch {norm:.3e})"
-            break
-        alpha = 1.0
-        accepted = False
-        for halving in range(MAX_STEP_HALVINGS + 1):
-            theta_new = theta.copy()
-            vmag_new = vmag.copy()
-            theta_new[ns] += alpha * du[:ns.size]
-            vmag_new[pq] += alpha * du[ns.size:]
-            if np.all(vmag_new[pq] > 0):
-                f_new = mismatch(vmag_new, theta_new)
-                norm_new = float(np.abs(f_new).max())
-                if norm_new < norm or halving == MAX_STEP_HALVINGS:
-                    theta, vmag = theta_new, vmag_new
-                    f_val, norm = f_new, norm_new
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            message = f"step rejected at mismatch {norm:.3e}"
-            break
-        iterations += 1
-    solved = norm <= NEWTON_TOL
-    if not solved and not message:
-        message = (f"no convergence in {MAX_NEWTON_ITER} iterations "
-                   f"(mismatch {norm:.3e})")
-    return _make_state(net, vmag, theta, solved, iterations, norm, message)
+    vmag, theta = _start_point(case, v_set2, theta0, vmag0)
+    vmag, theta = vmag[None], theta[None]
+    (iterations,), (norm,), (message,) = _newton(
+        net, p_set[None], q_set[None], vmag, theta)
+    return _make_state(net, vmag[0], theta[0], bool(norm <= NEWTON_TOL),
+                       int(iterations), float(norm), message)
 
 
 def state_at(case, vmag, theta):
@@ -299,6 +385,17 @@ def solve_operating_point(case, fleet, dispatch, **pf_kwargs):
     return pf_solve(case, p_set, q_set, **pf_kwargs)
 
 
+def _response_setpoints(case, fleet, state, xi):
+    """(B, n) injection targets for forecast errors xi, one per row."""
+    total = xi.sum(axis=1)
+    p_set = state.p - fleet.participation * total[:, None]
+    p_set[:, fleet.vre_buses] += xi
+    q_set = np.tile(state.q, (xi.shape[0], 1))
+    at_pq = case.bus_kind[fleet.vre_buses] == PQ
+    q_set[:, fleet.vre_buses[at_pq]] += fleet.gamma * xi[:, at_pq]
+    return p_set, q_set
+
+
 def respond(case, fleet, state, xi):
     """Re-solve the network with a forecast-error vector applied.
 
@@ -313,12 +410,7 @@ def respond(case, fleet, state, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (fleet.n_vre,):
         raise ValueError("error vector length must match the fleet")
-    p_set = state.p.copy()
-    q_set = state.q.copy()
-    p_set -= fleet.participation * xi.sum()
-    p_set[fleet.vre_buses] += xi
-    at_pq = case.bus_kind[fleet.vre_buses] == PQ
-    q_set[fleet.vre_buses[at_pq]] += fleet.gamma * xi[at_pq]
+    (p_set,), (q_set,) = _response_setpoints(case, fleet, state, xi[None])
     return pf_solve(case, p_set, q_set, v_set2=state.v,
                     theta0=state.theta, vmag0=np.sqrt(state.v))
 
@@ -492,6 +584,60 @@ def _slack_gen_shares(case):
     return caps / total
 
 
+class _RowReader:
+    """Monitored-quantity values over a block of operating points.
+
+    One formula per row kind, applied to (B, n) state rows at once:
+    machine active outputs follow the dispatch plus participation
+    response directly (the power flow realizes exactly that rule; the
+    slack machines split the slack requirement by capacity), everything
+    else is read off the state.
+    """
+
+    def __init__(self, case, fleet, rows):
+        self.case, self.fleet, self.n_rows = case, fleet, rows.n_rows
+        kinds = np.array(rows.kinds, dtype=str)
+        index = np.array(rows.indices, dtype=int)
+        slack_mask = case.slack_gen_mask()
+        pgen = np.flatnonzero(kinds == "pgen")
+        at_slack = slack_mask[index[pgen]]
+        self.gen_rows = pgen[~at_slack]
+        self.gens = index[self.gen_rows]
+        self.slack_rows = pgen[at_slack]
+        slack_pos = np.cumsum(slack_mask) - 1
+        self.slack_shares = _slack_gen_shares(case)[
+            slack_pos[index[self.slack_rows]]]
+        self.slack_forecast = fleet.forecasts[
+            fleet.vre_buses == case.slack].sum()
+        self.q_rows = np.flatnonzero(kinds == "qbus")
+        self.v_rows = np.flatnonzero(kinds == "v")
+        self.flow_rows = np.flatnonzero(kinds == "flow")
+        self.q_buses = index[self.q_rows]
+        self.v_buses = index[self.v_rows]
+        self.flows = index[self.flow_rows]
+
+    def values(self, p, q, v, ell, dispatch, xi):
+        """(B, n_rows) values; p, q, v, ell and xi hold one point per row."""
+        case, fleet = self.case, self.fleet
+        total = xi.sum(axis=1)
+        direct = np.zeros(p.shape)
+        direct[:, fleet.vre_buses] = xi
+        slack = case.slack
+        out = np.empty((p.shape[0], self.n_rows))
+        out[:, self.gen_rows] = (dispatch[self.gens]
+                                 - fleet.gen_participation[self.gens]
+                                 * total[:, None])
+        slack_total = (p[:, slack] + case.p_load[slack] - self.slack_forecast
+                       - direct[:, slack])
+        out[:, self.slack_rows] = slack_total[:, None] * self.slack_shares
+        qb = self.q_buses
+        out[:, self.q_rows] = (q[:, qb] + case.q_load[qb]
+                               - fleet.gamma * direct[:, qb])
+        out[:, self.v_rows] = v[:, self.v_buses]
+        out[:, self.flow_rows] = ell[:, self.flows]
+        return out
+
+
 def quantity_values(case, fleet, rows, state, dispatch, xi=None):
     """Exact monitored-quantity values at a responded operating point.
 
@@ -501,30 +647,9 @@ def quantity_values(case, fleet, rows, state, dispatch, xi=None):
     """
     dispatch = np.asarray(dispatch, dtype=float)
     xi = np.zeros(fleet.n_vre) if xi is None else np.asarray(xi, float)
-    total = xi.sum()
-    direct = np.zeros(case.n_bus)
-    direct[fleet.vre_buses] = xi
-    slack_share = _slack_gen_shares(case)
-    slack_total = (state.p[case.slack] + case.p_load[case.slack]
-                   - (fleet.forecasts[fleet.vre_buses == case.slack].sum()
-                      if np.any(fleet.vre_buses == case.slack) else 0.0)
-                   - direct[case.slack])
-    slack_pos = np.cumsum(case.slack_gen_mask()) - 1
-
-    values = np.empty(rows.n_rows)
-    for r, (kind, idx) in enumerate(zip(rows.kinds, rows.indices)):
-        if kind == "pgen":
-            if case.slack_gen_mask()[idx]:
-                values[r] = slack_total * slack_share[slack_pos[idx]]
-            else:
-                values[r] = dispatch[idx] - fleet.gen_participation[idx] * total
-        elif kind == "qbus":
-            values[r] = (state.q[idx] + case.q_load[idx]
-                         - fleet.gamma * direct[idx])
-        elif kind == "v":
-            values[r] = state.v[idx]
-        else:
-            values[r] = state.ell[idx]
+    (values,) = _RowReader(case, fleet, rows).values(
+        state.p[None], state.q[None], state.v[None], state.ell[None],
+        dispatch, xi[None])
     return values
 
 
@@ -542,10 +667,10 @@ class _Sensitivity:
     def __init__(self, case, state):
         self.case = case
         self.net = _network(case)
-        self.ns, self.pq = _bus_groups(case)
+        self.ns, self.pq = self.net.ns, self.net.pq
         v = np.sqrt(state.v) * np.exp(1j * state.theta)
         self.vmag = np.sqrt(state.v)
-        jac = _pf_jacobian(self.net, v, self.ns, self.pq)
+        jac = _pf_jacobian(self.net, v)
         self.lu = scipy.linalg.lu_factor(jac)
         ds_dva, ds_dvm = _ds_bus(self.net, v)
         self.dp_du = np.hstack([ds_dva.real[:, self.ns],
@@ -822,7 +947,9 @@ def _inner_slp(case, fleet, cost, rows, x_start, w_start, *,
                                                  equalities=equalities)
             sel = solve_selection(problem, options)
             if sel.status != OPTIMAL:
-                raise FixedPointError(f"selection stage: {sel.status}")
+                detail = f" at {sel.message}" if sel.message else ""
+                raise FixedPointError(
+                    f"selection stage: {sel.status}{detail}")
             x_new = sel.x_star
         step = float(np.abs(x_new - x_cur).max())
         w_new = _require_solved(
@@ -910,7 +1037,11 @@ class AcEvaluator:
     Every scenario is responded to with Newton from the nominal point and
     the monitored quantities are checked against their bounds; a response
     that fails to solve scores as a joint violation under the synthetic
-    'newton_failure' row.
+    'newton_failure' row.  The scenarios go through the Newton kernel in
+    blocks, each scenario with the rules pf_solve applies to one; the block
+    size follows from the bus count and NEWTON_BLOCK_BYTES.  After each
+    check, iterations holds every scenario's Newton iteration count and
+    failed the indices of the scenarios whose response did not solve.
     """
 
     def __init__(self, case, fleet, dispatch, *, include_slack_rows=False):
@@ -922,6 +1053,10 @@ class AcEvaluator:
         self.state = _require_solved(
             solve_operating_point(case, fleet, self.dispatch),
             "nominal power flow for evaluation")
+        self._net = _network(case)
+        self._reader = _RowReader(case, fleet, self.rows)
+        self._start = _start_point(case, self.state.v, self.state.theta,
+                                   np.sqrt(self.state.v))
         q_idx, signs, names, rhs = _signed_layout(self.rows)
         finite = np.isfinite(rhs)
         self._q_idx = q_idx[finite]
@@ -929,22 +1064,38 @@ class AcEvaluator:
         self._rhs = rhs[finite]
         self.row_names = tuple(
             n for n, f in zip(names, finite) if f) + ("newton_failure",)
+        self.iterations = np.zeros(0, dtype=int)
+        self.failed = np.zeros(0, dtype=int)
+
+    def _respond(self, xi):
+        """Newton responses to the error rows of xi, solved as one block:
+        (iterations, final mismatch norms, magnitudes, angles)."""
+        p_set, q_set = _response_setpoints(self.case, self.fleet,
+                                           self.state, xi)
+        vmag = np.tile(self._start[0], (xi.shape[0], 1))
+        theta = np.tile(self._start[1], (xi.shape[0], 1))
+        iterations, norm, _ = _newton(self._net, p_set, q_set, vmag, theta)
+        return iterations, norm, vmag, theta
 
     def check(self, dispatch, xi):
         """(joint violation mask over scenarios, per-row violation rates)."""
         dispatch = np.asarray(dispatch, dtype=float)
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        n_signed = self._rhs.size
-        violated = np.zeros((xi.shape[0], n_signed + 1), dtype=bool)
-        for j, xi_j in enumerate(xi):
-            responded = respond(self.case, self.fleet, self.state, xi_j)
-            if not responded.solved:
-                violated[j, -1] = True
-                continue
-            values = quantity_values(self.case, self.fleet, self.rows,
-                                     responded, dispatch, xi_j)
-            margins = self._rhs - self._signs * values[self._q_idx]
-            violated[j, :-1] = margins < -VIOLATION_TOL
+        violated = np.zeros((xi.shape[0], self._rhs.size + 1), dtype=bool)
+        iterations = np.zeros(xi.shape[0], dtype=int)
+        step = _block_size(self.case.n_bus)
+        for lo in range(0, xi.shape[0], step):
+            block = slice(lo, lo + step)
+            its, norm, vmag, theta = self._respond(xi[block])
+            solved = norm <= NEWTON_TOL
+            values = self._reader.values(
+                *_quantities(self._net, vmag, theta), dispatch, xi[block])
+            margins = self._rhs - self._signs * values[:, self._q_idx]
+            violated[block, :-1] = (margins < -VIOLATION_TOL) & solved[:, None]
+            violated[block, -1] = ~solved
+            iterations[block] = its
+        self.iterations = iterations
+        self.failed = np.flatnonzero(violated[:, -1])
         return violated.any(axis=1), violated.mean(axis=0)
 
 

@@ -596,6 +596,14 @@ def _solve_dc(case, fleet, train, test, ro_set, params, options,
     return EXIT_OK
 
 
+def _log_newton_failures(evaluator):
+    """Name the test scenarios whose AC response did not solve, if any."""
+    if evaluator.failed.size:
+        log.info("Newton failed on %d of %d test scenarios (indices %s)",
+                 evaluator.failed.size, evaluator.iterations.size,
+                 " ".join(str(j) for j in evaluator.failed))
+
+
 def _solve_ac(case, fleet, train, test, ro_set, params, options,
               include_slack, outdir, prefix, digest, *, report_ro):
     from .ac_model import (
@@ -628,14 +636,15 @@ def _solve_ac(case, fleet, train, test, ro_set, params, options,
         log.info("robust baseline cost %.6g; cost ratio %.6g",
                  ro.objective, cost_vs_ro)
 
+    evaluator = AcEvaluator(case, fleet, sol.x_star,
+                            include_slack_rows=include_slack)
     report = violation_frequency(
-        sol.x_star, test,
-        AcEvaluator(case, fleet, sol.x_star,
-                    include_slack_rows=include_slack),
+        sol.x_star, test, evaluator,
         cost=sol.objective, cost_vs_ro=cost_vs_ro,
         solve_stats={"nodes": sol.nodes, "qp_count": sol.qp_count,
                      "outer_iterations": result.outer_iterations},
         seeds=_seed_fields(train, test), config_digest=digest)
+    _log_newton_failures(evaluator)
     log.info("cost %.6g; joint violation %.6g on %d test scenarios "
              "(certified epsilon* %.6g)", sol.objective,
              report.joint_violation_rate, test.s, params.epsilon)
@@ -746,6 +755,8 @@ def cmd_eval(args):
     report = violation_frequency(dispatch, test, evaluator, cost=cost,
                                  seeds={"test": test.seed},
                                  config_digest=digest)
+    if model == "ac":
+        _log_newton_failures(evaluator)
     rep_path = os.path.join(outdir, f"{_prefix(cfg, case, model)}_eval.csv")
     _write_report_csv(rep_path, report)
     print(f"joint_violation_rate: {report.joint_violation_rate:.6g}")

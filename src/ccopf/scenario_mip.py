@@ -567,6 +567,7 @@ class SelectionSolution:
     gap: float = np.nan
     duals_ineq: np.ndarray | None = None
     duals_eq: np.ndarray | None = None
+    message: str = ""  # which node failed, for NUMERICAL_FAILURE
 
 
 def greedy_incumbent(problem, *, _all_enforced=None):
@@ -622,7 +623,8 @@ def solve_selection(problem, options=None):
     it.  Every node QP warm-starts from the all-enforced optimum, which
     stays feasible under any aggregation; a warm-started node that ends
     in NUMERICAL_FAILURE is solved once more from phase 1, and only a
-    second failure ends the search.
+    second failure ends the search, with a message naming the node (its
+    count, |E|, |R|) and the QP's own message.
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
@@ -632,13 +634,13 @@ def solve_selection(problem, options=None):
     budget = s - problem.k
 
     def finish(status, x=None, z=None, value=np.nan, enforced=(), gap=np.nan,
-               duals=None):
+               duals=None, message=""):
         return SelectionSolution(
             x_star=x, z_star=z, objective=value, enforced_set=tuple(enforced),
             status=status, nodes=stats["nodes"], qp_count=stats["qp"],
             wall_time=time.perf_counter() - t0, gap=gap,
             duals_ineq=duals[0] if duals else None,
-            duals_eq=duals[1] if duals else None)
+            duals_eq=duals[1] if duals else None, message=message)
 
     def solve_node(enforced, undecided=None, relaxed_count=0):
         stats["qp"] += 1
@@ -705,7 +707,9 @@ def solve_selection(problem, options=None):
                 # all of them are infeasible too.
                 continue
             if result.status == NUMERICAL_FAILURE:
-                return finish(NUMERICAL_FAILURE)
+                return finish(NUMERICAL_FAILURE, message=(
+                    f"node {stats['nodes']} (|E| = {len(enforced)}, "
+                    f"|R| = {len(relaxed)}): {result.message}"))
             if result.status == OPTIMAL:
                 bound = result.value
                 if incumbent is not None and \

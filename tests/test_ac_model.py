@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from ccopf import ac_model
 from ccopf.ambiguity import AmbiguityParams
 from ccopf.ac_model import (
+    NEWTON_TOL,
     AcEvaluator,
     AcState,
     FixedPointError,
@@ -24,9 +26,16 @@ from ccopf.ac_model import (
     solve_operating_point,
     state_at,
 )
-from ccopf.case_io import PQ, build_fleet, parse_matpower, to_network
+from ccopf.case_io import (
+    PQ,
+    build_fleet,
+    load_case,
+    packaged_case_path,
+    parse_matpower,
+    to_network,
+)
 from ccopf.dc_model import dc_response
-from ccopf.evaluation import sweep_k
+from ccopf.evaluation import VIOLATION_TOL, sweep_k
 from ccopf.scenarios import GaussianSpec, sample
 
 TWO_BUS = """\
@@ -441,6 +450,23 @@ class TestFixedPoint:
                                 AmbiguityParams.from_k(5, 5))
         assert sel.objective >= det.selection.objective - 1e-6
 
+    def test_selection_failure_names_the_node(self, case14_ac, fleet14_ac,
+                                              monkeypatch):
+        from ccopf.scenario_mip import NUMERICAL_FAILURE, SelectionSolution
+
+        failed = SelectionSolution(
+            x_star=None, z_star=None, objective=np.nan, enforced_set=(),
+            status=NUMERICAL_FAILURE,
+            message="node 3 (|E| = 2, |R| = 1): injected")
+        monkeypatch.setattr(ac_model, "solve_selection",
+                            lambda problem, options=None: failed)
+        with pytest.raises(FixedPointError,
+                           match=r"selection stage: NUMERICAL_FAILURE at "
+                                 r"node 3 \(\|E\| = 2, \|R\| = 1\): "
+                                 r"injected"):
+            fixed_point_solve(case14_ac, fleet14_ac, np.zeros((4, 2)),
+                              AmbiguityParams.from_k(3, 4))
+
     def test_infeasible_reactive_range_is_reported(self, case14, fleet14):
         # stock ranges cannot cover the dropped charging/shunt support
         params = AmbiguityParams.from_k(4, 4)
@@ -476,3 +502,170 @@ class TestEvaluationHooks:
                                  [36, 40], model="ac", record_time=False)
         assert digest2 == digest
         assert rows2 == rows
+
+
+@pytest.fixture(scope="module")
+def ac14():
+    """configs/ac14.ini: case14q, its fixed-point dispatch at k = 38 of 40,
+    an evaluator at that dispatch and the 2000 test scenarios."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # dropped line charging
+        case = load_case(packaged_case_path("case14q"))
+    fleet = build_fleet(case, [case.bus_index(2), case.bus_index(3)],
+                        np.array([20.0, 20.0]), 0.1, forecasts_in_mw=True)
+    spec = GaussianSpec(forecasts=fleet.forecasts, zeta=0.05, rho=0.2)
+    train, test = sample(spec, 40, seed=7), sample(spec, 2000, seed=8)
+    result = fixed_point_solve(case, fleet, train,
+                               AmbiguityParams.from_k(38, 40))
+    dispatch = result.selection.x_star
+    return case, fleet, dispatch, AcEvaluator(case, fleet, dispatch), test.xi
+
+
+def batch_of_one_check(evaluator, dispatch, xi):
+    """The scalar scoring loop: respond, read the rows, compare bounds."""
+    violated = np.zeros((xi.shape[0], len(evaluator.row_names)), dtype=bool)
+    iterations = np.zeros(xi.shape[0], dtype=int)
+    for j, xi_j in enumerate(xi):
+        responded = respond(evaluator.case, evaluator.fleet, evaluator.state,
+                            xi_j)
+        iterations[j] = responded.iterations
+        if not responded.solved:
+            violated[j, -1] = True
+            continue
+        values = quantity_values(evaluator.case, evaluator.fleet,
+                                 evaluator.rows, responded, dispatch, xi_j)
+        margins = evaluator._rhs - evaluator._signs * values[evaluator._q_idx]
+        violated[j, :-1] = margins < -VIOLATION_TOL
+    return violated.any(axis=1), violated.mean(axis=0), iterations
+
+
+def assert_block_matches_batch_of_one(evaluator, xi, block_result):
+    iterations, norm, vmag, theta = block_result
+    _, _, v, ell = ac_model._quantities(evaluator._net, vmag, theta)
+    for j, xi_j in enumerate(xi):
+        alone = respond(evaluator.case, evaluator.fleet, evaluator.state,
+                        xi_j)
+        assert iterations[j] == alone.iterations
+        assert (norm[j] <= NEWTON_TOL) == alone.solved
+        np.testing.assert_allclose(v[j], alone.v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(theta[j], alone.theta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ell[j], alone.ell, rtol=0, atol=1e-12)
+
+
+class TestBatchedNewton:
+    def test_ac14_blocks_equal_batch_of_one(self, ac14):
+        _, _, _, evaluator, xi = ac14
+        step = ac_model._block_size(evaluator.case.n_bus)
+        for lo in range(0, xi.shape[0], step):
+            block = xi[lo:lo + step]
+            assert_block_matches_batch_of_one(evaluator, block,
+                                              evaluator._respond(block))
+
+    def test_larger_block_gives_the_same_results(self, ac14):
+        _, _, _, evaluator, xi = ac14
+        assert_block_matches_batch_of_one(evaluator, xi[:300],
+                                          evaluator._respond(xi[:300]))
+
+    def test_failing_scenario_leaves_neighbours_unchanged(self, ac14):
+        _, _, _, evaluator, xi = ac14
+        clean = xi[:20]
+        mixed = np.vstack([clean[:10], [[50.0, 50.0]], clean[10:]])
+        iterations, norm, vmag, theta = evaluator._respond(mixed)
+        assert norm[10] > NEWTON_TOL
+        keep = np.arange(21) != 10
+        ref_its, ref_norm, ref_vmag, ref_theta = evaluator._respond(clean)
+        np.testing.assert_array_equal(iterations[keep], ref_its)
+        np.testing.assert_array_equal(norm[keep], ref_norm)
+        np.testing.assert_array_equal(vmag[keep], ref_vmag)
+        np.testing.assert_array_equal(theta[keep], ref_theta)
+        assert_block_matches_batch_of_one(
+            evaluator, mixed, (iterations, norm, vmag, theta))
+
+    @pytest.mark.parametrize("size", ["one", "block", "ragged"])
+    def test_check_equals_the_scalar_loop(self, ac14, size):
+        case, _, dispatch, evaluator, xi = ac14
+        step = ac_model._block_size(case.n_bus)
+        count = {"one": 1, "block": step, "ragged": 2 * step + 7}[size]
+        joint, per_row = evaluator.check(dispatch, xi[:count])
+        ref_joint, ref_rows, ref_its = batch_of_one_check(
+            evaluator, dispatch, xi[:count])
+        np.testing.assert_array_equal(joint, ref_joint)
+        np.testing.assert_array_equal(per_row, ref_rows)
+        np.testing.assert_array_equal(evaluator.iterations, ref_its)
+        assert evaluator.iterations.shape == (count,)
+
+    def test_singular_jacobian_stops_only_that_scenario(self, ac14,
+                                                        monkeypatch):
+        _, _, _, evaluator, xi = ac14
+        block = xi[:6]
+        expected = evaluator._respond(block)
+        real_solve = np.linalg.solve
+        single_calls = []
+
+        def solve(a, b):
+            if a.ndim == 3 and a.shape[0] > 1:
+                raise np.linalg.LinAlgError("injected: stack has a singular "
+                                            "matrix")
+            single_calls.append(a.shape)
+            if len(single_calls) == 2:  # scenario 1 on the first step
+                raise np.linalg.LinAlgError("injected: singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        iterations, norm, vmag, theta = evaluator._respond(block)
+        monkeypatch.undo()
+        assert iterations[1] == 0 and norm[1] > NEWTON_TOL
+        np.testing.assert_array_equal(vmag[1], evaluator._start[0])
+        keep = np.arange(6) != 1
+        np.testing.assert_array_equal(iterations[keep], expected[0][keep])
+        np.testing.assert_allclose(vmag[keep], expected[2][keep], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(theta[keep], expected[3][keep], rtol=0,
+                                   atol=1e-12)
+
+    def test_singular_jacobian_message(self, case14, monkeypatch):
+        def solve(a, b):
+            raise np.linalg.LinAlgError("injected")
+
+        p_set, q_set = stock_case14_setpoints(case14)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        state = pf_solve(case14, p_set, q_set)
+        assert not state.solved
+        assert state.iterations == 0
+        assert state.message.startswith("singular power-flow system")
+
+    def test_block_size_follows_bus_count(self):
+        assert ac_model._block_size(14) == (
+            ac_model.NEWTON_BLOCK_BYTES // (8 * 16 * 14 * 14))
+        assert 1 <= ac_model._block_size(10_000) <= ac_model._block_size(14)
+
+    def test_failed_scenarios_are_recorded(self, ac14):
+        _, _, dispatch, evaluator, xi = ac14
+        batch = np.vstack([xi[:5], [[50.0, 50.0]], xi[5:9]])
+        joint, per_row = evaluator.check(dispatch, batch)
+        np.testing.assert_array_equal(evaluator.failed, [5])
+        assert joint[5] and per_row[-1] == pytest.approx(0.1)
+        alone = respond(evaluator.case, evaluator.fleet, evaluator.state,
+                        batch[5])
+        assert evaluator.iterations[5] == alone.iterations
+        evaluator.check(dispatch, xi[:9])
+        assert evaluator.failed.size == 0
+
+    def test_failed_scenarios_are_logged_by_index(self, ac14, caplog):
+        import logging
+
+        from ccopf.cli import _log_newton_failures
+
+        _, _, dispatch, evaluator, xi = ac14
+        evaluator.check(dispatch, np.vstack([xi[:5], [[50.0, 50.0]]]))
+        with caplog.at_level(logging.INFO, logger="ccopf"):
+            _log_newton_failures(evaluator)
+        assert caplog.messages == [
+            "Newton failed on 1 of 6 test scenarios (indices 5)"]
+        caplog.clear()
+        evaluator.check(dispatch, xi[:5])
+        with caplog.at_level(logging.INFO, logger="ccopf"):
+            _log_newton_failures(evaluator)
+        assert caplog.messages == []

@@ -563,9 +563,11 @@ class TestSolveSelection:
         if failures == 1:
             assert sol.status == OPTIMAL
             assert sol.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+            assert sol.message == ""
         else:
             assert sol.status == NUMERICAL_FAILURE
             assert len(calls) == 3
+            assert sol.message == "node 1 (|E| = 0, |R| = 0): injected"
 
     def test_greedy_incumbent_feasible(self):
         problem = make_threshold_problem([1.0, 5.0, 9.0, 2.0], k=3)
