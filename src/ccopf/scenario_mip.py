@@ -16,9 +16,14 @@ step comes from the Cholesky factor of the reduced Hessian when its
 pivots pass a fixed test, and otherwise from a least-squares solve plus
 an explicit descent ray, so PSD and singular Hessians are supported.
 Every optimum is checked against its KKT residual before it is returned.
-Phase-1 feasibility, Farkas infeasibility certificates, and the
-exactly-linear-cost case are delegated to scipy's HiGHS linprog.  All
-tie-breaks are by lowest index so results are reproducible.
+A cold QP starts from phase 1, one max-slack LP solved by scipy's HiGHS
+linprog: maximize t subject to A x + t ||a_i|| <= b, E x = f, t <= a
+fixed cap.  t is the radius of a ball around x inside the inequalities,
+so x is their Chebyshev centre and the active-set run leaves it with an
+almost empty working set.  t* < 0 means the system is infeasible, and
+the same LP's duals are the Farkas certificate.  The exactly-linear-cost
+case goes to HiGHS too.  All tie-breaks are by lowest index so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -42,6 +47,19 @@ _FEAS_TOL = 1e-7  # absolute residual tolerance on constraint rows
 _PIVOT_TOL = 1e-10  # smallest Cholesky pivot the Newton step accepts
 _ZERO_CURVATURE = 1e-12  # Z'HZ no larger than this is rounding noise
 _KKT_TOL = 1e-6  # largest KKT residual of the normalized QP at an optimum
+# Phase-1 LP (_phase1_lp).  The cap on t only keeps the LP bounded when the
+# inequalities hold balls of any size; any positive cap leaves the test
+# "feasible iff t* >= 0" exact.  At 1 p.u. it sits above the inscribed
+# radius of every node set the bundled configs build (0.20 on case300s,
+# 0.43-0.50 on case14 at the configs' seeds), so there it never binds and
+# phase 1 returns the Chebyshev centre itself.
+_PHASE1_T_CAP = 1.0
+# A zero row reads 0 <= b_i.  With weight 1 it becomes t <= b_i, which
+# holds at some t >= 0 exactly when the row holds, and a negative b_i caps
+# t* below zero, so the row appears in the certificate instead of making
+# the LP itself infeasible.  Any positive weight would do; 1 is the weight
+# of a unit-norm row.
+_ZERO_ROW_WEIGHT = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +134,9 @@ class QpSubproblemResult:
     stationarity, primal/dual feasibility, complementarity).  status
     INFEASIBLE carries a Farkas certificate (y_ineq >= 0, y_eq) with
     y'A = 0 and y'b < 0.  UNBOUNDED and NUMERICAL_FAILURE are reported
-    distinctly; neither carries a point.
+    distinctly; neither carries a point.  iterations counts the
+    active-set iterations on every path (0 when phase 1 or the LP path
+    decides the outcome).
     """
 
     status: str
@@ -127,6 +147,7 @@ class QpSubproblemResult:
     kkt_residual: float = np.nan
     certificate: dict | None = None
     message: str = ""
+    iterations: int = 0  # active-set iterations taken
 
 
 def _lp_solve(g, system, c0):
@@ -152,40 +173,50 @@ def _lp_solve(g, system, c0):
             duals_ineq=np.maximum(lam, 0.0), duals_eq=mu, kkt_residual=kkt,
         )
     if res.status == 2:
-        return _infeasibility_certificate(system, _elastic_lp(system))
+        return _infeasibility_certificate(system, _phase1_lp(system))
     if res.status == 3:
         return QpSubproblemResult(status=UNBOUNDED,
                                   message="objective unbounded below")
     return QpSubproblemResult(status=NUMERICAL_FAILURE, message=res.message)
 
 
-def _elastic_lp(system):
-    """Solve min 1's  s.t.  A x - s <= b, s >= 0, E x = f  with HiGHS.
+def _phase1_lp(system):
+    """Solve max t  s.t.  A x + t w <= b, E x = f, t <= _PHASE1_T_CAP  with
+    HiGHS, where w_i = ||a_i|| (_ZERO_ROW_WEIGHT for a zero row).
 
-    The optimum is zero exactly when the system is feasible; its duals
-    carry the Farkas certificate when it is not.
+    t is the radius of the largest ball around x inside the inequalities
+    (Chebyshev centre), capped.  The system is feasible exactly when
+    t* >= 0; then x is a start deep inside the set.  When t* < 0 the duals
+    carry the Farkas certificate.  res.fun is -t*.
     """
     m, n = system.a_ineq.shape
     p = system.a_eq.shape[0]
+    w = np.linalg.norm(system.a_ineq, axis=1)
+    w[w == 0.0] = _ZERO_ROW_WEIGHT
+    c = np.zeros(n + 1)
+    c[n] = -1.0
     return linprog(
-        np.concatenate([np.zeros(n), np.ones(m)]),
-        A_ub=np.block([[system.a_ineq, -np.eye(m)],
-                       [np.zeros((m, n)), -np.eye(m)]]) if m else None,
-        b_ub=np.concatenate([system.b_ineq, np.zeros(m)]) if m else None,
-        A_eq=np.hstack([system.a_eq, np.zeros((p, m))]) if p else None,
+        c,
+        A_ub=np.hstack([system.a_ineq, w[:, None]]) if m else None,
+        b_ub=system.b_ineq if m else None,
+        A_eq=np.hstack([system.a_eq, np.zeros((p, 1))]) if p else None,
         b_eq=system.b_eq if p else None,
-        bounds=[(None, None)] * n + [(0, None)] * m,
+        bounds=[(None, None)] * n + [(None, _PHASE1_T_CAP)],
         method="highs",
     )
 
 
 def _infeasibility_certificate(system, res):
-    """Farkas combination from the solved elastic LP's duals."""
+    """Farkas combination from the solved phase-1 LP's duals.
+
+    At t* < 0 the duals y >= 0 and mu of the max-slack LP satisfy
+    y'A + mu'E = 0, w'y = 1 and y'b + mu'f = t* < 0.
+    """
     m = system.a_ineq.shape[0]
     p = system.a_eq.shape[0]
     cert = None
     if res.status == 0 and res.fun > 1e-9:
-        y_ineq = np.maximum(-res.ineqlin.marginals[:m], 0.0) if m else np.zeros(0)
+        y_ineq = np.maximum(-res.ineqlin.marginals, 0.0) if m else np.zeros(0)
         y_eq = -res.eqlin.marginals if p else np.zeros(0)
         combo = y_ineq @ system.a_ineq + (y_eq @ system.a_eq if p else 0.0)
         rhs = y_ineq @ system.b_ineq + (y_eq @ system.b_eq if p else 0.0)
@@ -215,7 +246,12 @@ def _kkt_residual(h, g, system, x, lam, mu):
 
 
 def _phase1_point(system):
-    """Feasible point via the elastic LP, or an INFEASIBLE result."""
+    """Feasible point via the max-slack LP, or an INFEASIBLE result.
+
+    The point is the (capped) Chebyshev centre of the inequalities on the
+    equalities: every row keeps slack t* * ||a_i||, so a cold active-set
+    run starts with an almost empty working set.
+    """
     m, n = system.a_ineq.shape
     if m == 0:
         if system.a_eq.shape[0]:
@@ -223,10 +259,10 @@ def _phase1_point(system):
             if np.max(np.abs(system.a_eq @ x0 - system.b_eq),
                       initial=0.0) > 1e-8:
                 return None, _infeasibility_certificate(
-                    system, _elastic_lp(system))
+                    system, _phase1_lp(system))
             return x0, None
         return np.zeros(n), None
-    res = _elastic_lp(system)
+    res = _phase1_lp(system)
     if res.status != 0:
         return None, QpSubproblemResult(
             status=NUMERICAL_FAILURE,
@@ -292,7 +328,11 @@ def qp_solve(cost, system, *, warm_start=None):
     warm_start is an optional point; when it already satisfies the system
     it replaces the phase-1 LP and seeds the working set with the
     independent rows active there, which is where branch-and-bound spends
-    its time.  An infeasible warm point is ignored.
+    its time.  An infeasible warm point is ignored.  A cold start is the
+    max-slack LP's point (see _phase1_lp): every row keeps slack
+    t* ||a_i||, so the working set starts empty unless t* is about 0,
+    and t* < 0 returns INFEASIBLE with that LP's Farkas certificate.  The
+    result's iterations field counts the active-set iterations taken.
     """
     if not isinstance(system, LinearSystem):
         raise TypeError("system must be a LinearSystem")
@@ -336,7 +376,7 @@ def qp_solve(cost, system, *, warm_start=None):
     working = [int(j) for j in active[picked]]
     max_iter = 50 * (n + m + 10)
 
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         a_w = np.vstack([a_eq_w, a_ineq[working]])
         p = a_w.shape[0]
         if p:
@@ -368,7 +408,8 @@ def qp_solve(cost, system, *, warm_start=None):
             alpha, j_enter = _blocking_step(a_ineq, b_ineq, x, ray, working)
             if j_enter is None:
                 return QpSubproblemResult(
-                    status=UNBOUNDED, message="descent ray never blocked")
+                    status=UNBOUNDED, message="descent ray never blocked",
+                    iterations=it)
             x = x + alpha * ray
             working = sorted(working + [j_enter])
             continue
@@ -390,7 +431,8 @@ def qp_solve(cost, system, *, warm_start=None):
                     return QpSubproblemResult(
                         status=NUMERICAL_FAILURE,
                         message=f"KKT residual {residual:.3e} of the "
-                                f"normalized problem exceeds {_KKT_TOL:g}")
+                                f"normalized problem exceeds {_KKT_TOL:g}",
+                        iterations=it)
                 kkt = _kkt_residual(h * scale, g * scale, system, x,
                                     lam * scale, mu * scale)
                 return QpSubproblemResult(
@@ -398,7 +440,7 @@ def qp_solve(cost, system, *, warm_start=None):
                     value=float(0.5 * x @ (h * scale) @ x
                                 + (g * scale) @ x + c0),
                     duals_ineq=lam * scale, duals_eq=mu * scale,
-                    kkt_residual=kkt)
+                    kkt_residual=kkt, iterations=it)
             worst = int(np.argmin(lam_w))  # ties: argmin takes the first
             working.pop(worst)
             continue
@@ -411,7 +453,8 @@ def qp_solve(cost, system, *, warm_start=None):
             x = x + step
     return QpSubproblemResult(
         status=NUMERICAL_FAILURE,
-        message=f"active-set iteration cap {max_iter} reached")
+        message=f"active-set iteration cap {max_iter} reached",
+        iterations=max_iter)
 
 
 def _cholesky_step(hz, gz, h_max):

@@ -3,8 +3,9 @@
 Integer data in a narrow range gives many exact degeneracies: zero rows,
 duplicate rows, several rows through one vertex, and zero-curvature
 directions.  The oracles are independent of the active-set engine:
-HiGHS's LP objective, the KKT conditions checked here from scratch, and
-an LP over recession directions that says whether a problem is bounded.
+HiGHS's LP objective, the KKT conditions checked here from scratch, an
+LP over recession directions that says whether a problem is bounded, and
+a from-scratch Farkas check of every infeasibility certificate.
 The examples and their number are fixed by the profile in conftest.py.
 """
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ccopf.scenario_mip import (
+    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearSystem,
@@ -151,3 +153,39 @@ def test_zero_curvature_direction_is_bounded_or_unbounded(data):
         assert res.status == UNBOUNDED
     else:
         assert_kkt(cost, system, res)
+
+
+@st.composite
+def infeasible_systems(draw):
+    """A feasible system plus a contradictory pair a x <= c and
+    -a x <= -c - 1 (a may be zero), some zero rows that hold, and the rows
+    in a drawn order."""
+    system = draw(feasible_systems(boxed=draw(st.booleans())))
+    n = system.n
+    a = _ints(draw, (1, n))
+    c = float(draw(st.integers(-5, 5)))
+    zeros = draw(st.integers(0, 2))
+    rows = np.vstack([system.a_ineq, a, -a, np.zeros((zeros, n))])
+    rhs = np.concatenate([system.b_ineq, [c, -c - 1.0],
+                          _ints(draw, (zeros,), 0, 2)])
+    order = np.array(draw(st.permutations(range(rows.shape[0]))), dtype=int)
+    return LinearSystem(rows[order], rhs[order], system.a_eq, system.b_eq)
+
+
+@given(st.data())
+def test_infeasible_system_has_a_farkas_certificate(data):
+    # Both paths: a quadratic cost goes through phase 1, a linear one
+    # through HiGHS first; either way the certificate comes from the
+    # phase-1 LP's duals.
+    system = data.draw(infeasible_systems())
+    n = system.n
+    h = np.eye(n) if data.draw(st.booleans()) else np.zeros((n, n))
+    res = qp_solve(QuadraticCost(h=h, g=_ints(data.draw, (n,))), system)
+    assert res.status == INFEASIBLE, res.message
+    cert = res.certificate
+    assert cert is not None
+    y, mu = cert["y_ineq"], cert["y_eq"]
+    assert np.min(y) >= 0.0
+    combo = y @ system.a_ineq + mu @ system.a_eq
+    assert np.max(np.abs(combo)) <= 1e-6 * max(1.0, np.max(np.abs(y)))
+    assert y @ system.b_ineq + mu @ system.b_eq < 0.0

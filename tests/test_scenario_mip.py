@@ -169,6 +169,92 @@ class TestQpSolve:
         np.testing.assert_allclose(y @ system.a_ineq, 0.0, atol=1e-9)
         assert y @ system.b_ineq < 0.0
 
+    def test_zero_row_with_negative_bound_is_infeasible(self, monkeypatch):
+        # 0 x <= -1 can never hold: the overloaded-network case, where a
+        # row's flow sensitivities vanish but its bound is already broken.
+        from ccopf import scenario_mip
+
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return real_linprog(*args, **kwargs)
+
+        real_linprog = scenario_mip.linprog
+        monkeypatch.setattr(scenario_mip, "linprog", counting_linprog)
+        cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
+        system = LinearSystem.make(a_ineq=[[1.0, 0.0], [0.0, 0.0]],
+                                   b_ineq=[5.0, -1.0])
+        res = qp_solve(cost, system)
+        assert res.status == INFEASIBLE
+        assert len(calls) == 1
+        y = res.certificate["y_ineq"]
+        assert np.all(y >= 0.0)
+        np.testing.assert_allclose(y @ system.a_ineq, 0.0, atol=1e-12)
+        assert y @ system.b_ineq < 0.0
+
+    @pytest.mark.parametrize("bound", [0.0, 2.0])
+    def test_zero_row_with_nonnegative_bound_is_optimal(self, bound):
+        cost = QuadraticCost(h=np.eye(2), g=np.array([-7.0, 1.0]))
+        system = LinearSystem.make(a_ineq=[[1.0, 0.0], [0.0, 0.0]],
+                                   b_ineq=[5.0, bound])
+        res = qp_solve(cost, system)
+        assert res.status == OPTIMAL, res.message
+        np.testing.assert_allclose(res.x, [5.0, -1.0], atol=1e-9)
+        assert res.kkt_residual <= 1e-9
+
+    @pytest.mark.parametrize("half_width", [0.5, 1.5])
+    def test_cold_start_inside_the_box_needs_no_working_rows(
+            self, half_width):
+        # Phase 1 starts at the box's centre (half width 0.5, below the cap
+        # on t) or at least 1 from every face (1.5, the cap binds).  No row
+        # is active there, so one Newton step reaches the interior minimizer
+        # and the next iteration certifies it with an empty working set.
+        centre = np.array([2.0, -1.0, 0.5])
+        target = centre + half_width * np.array([0.4, -0.3, 0.1])
+        cost = QuadraticCost(h=np.eye(3), g=-target)
+        system = LinearSystem.make(
+            a_ineq=np.vstack([np.eye(3), -np.eye(3)]),
+            b_ineq=np.concatenate([centre + half_width,
+                                   half_width - centre]))
+        res = qp_solve(cost, system)
+        assert res.status == OPTIMAL
+        assert res.iterations <= 2
+        assert np.all(res.duals_ineq == 0.0)
+        np.testing.assert_allclose(res.x, target, atol=1e-12)
+
+    def test_iterations_are_reported_on_every_path(self, monkeypatch):
+        from ccopf import scenario_mip
+
+        cost = QuadraticCost(h=np.eye(2), g=np.array([-1.0, 0.5]))
+        system = LinearSystem.make(a_ineq=[[1.0, 1.0]], b_ineq=[0.25])
+        optimal = qp_solve(cost, system)
+        assert optimal.status == OPTIMAL and optimal.iterations >= 1
+        unbounded = qp_solve(
+            QuadraticCost(h=np.diag([2.0, 0.0]), g=np.array([-2.0, 1.0])),
+            LinearSystem.make(a_ineq=[[1.0, 0.0]], b_ineq=[10.0]))
+        assert unbounded.status == UNBOUNDED and unbounded.iterations >= 1
+        infeasible = qp_solve(cost, LinearSystem.make(
+            a_ineq=[[1.0, 0.0], [-1.0, 0.0]], b_ineq=[0.0, -1.0]))
+        assert infeasible.status == INFEASIBLE
+        assert infeasible.iterations == 0  # decided by phase 1
+
+        monkeypatch.setattr(scenario_mip, "_KKT_TOL", -1.0)
+        failed = qp_solve(cost, system)
+        assert failed.status == NUMERICAL_FAILURE
+        assert failed.iterations == optimal.iterations
+        monkeypatch.undo()
+
+        # A step that never shrinks and never blocks runs into the cap
+        # 50 * (n + m + 10) on one free variable.
+        monkeypatch.setattr(scenario_mip, "_cholesky_step",
+                            lambda hz, gz, h_max: np.full_like(gz, 1e-3))
+        capped = qp_solve(QuadraticCost(h=np.eye(1), g=np.zeros(1)),
+                          LinearSystem.make(n=1))
+        assert capped.status == NUMERICAL_FAILURE
+        assert capped.iterations == 550
+        assert "iteration cap 550" in capped.message
+
     def test_unbounded_lp(self):
         cost = QuadraticCost(h=np.zeros((1, 1)), g=np.array([1.0]))
         system = LinearSystem.make(a_ineq=[[1.0]], b_ineq=[5.0])  # x <= 5
