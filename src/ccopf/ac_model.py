@@ -1,18 +1,18 @@
 """Nonlinear AC network machinery.
 
-Four layers, bottom up: a polar Newton-Raphson power flow over the
+Three layers, bottom up: a polar Newton-Raphson power flow over the
 series-impedance branch model, written as one kernel over a block of
 scenarios (stacked Jacobians, one batched linear solve per iteration,
 step control and stopping per scenario), which pf_solve and respond run
 on one scenario and out-of-sample scoring on blocks sized from the bus
-count and NEWTON_BLOCK_BYTES; a rectangular quadratic-form restatement of
-the same equations used as an independent cross-check; response
-sensitivities of every monitored quantity to forecast errors and to
-dispatch, obtained from the implicit-function rule on the factorized
-power-flow Jacobian; and an alternating loop that linearizes the monitored
-quantities around the latest operating point, solves the scenario-selection
-program on those rows, and re-projects onto the power-flow manifold until
-the operating point settles.
+count and NEWTON_BLOCK_BYTES; the monitored rows and their response
+sensitivities to forecast errors and to dispatch, obtained from the
+implicit-function rule on the factorized power-flow Jacobian; and an
+alternating loop that linearizes the monitored quantities around the
+latest operating point, solves the scenario-selection program on those
+rows, and re-projects onto the power-flow manifold until the operating
+point settles.  AcRowSet, built once by ac_row_set, owns the row layout:
+how each kind of row is indexed, read, differentiated and signed.
 
 Conventions: voltage magnitudes are carried squared (p.u.^2), matching the
 squared bounds of the bus-voltage rows; branch flows are directed active
@@ -415,110 +415,126 @@ def respond(case, fleet, state, xi):
                     theta0=state.theta, vmag0=np.sqrt(state.v))
 
 
-# --- quadratic-form cross-check -------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticFormModel:
-    """Rectangular-coordinate quadratic forms of every state quantity.
-
-    With X = [e; f] the stacked real/imaginary bus voltages, active
-    injections are X' y_p[k] X, reactive X' y_q[k] X, squared magnitudes
-    X' m_v[k] X, and directed branch flows X' y_br[row] X.  Dense (one
-    (2n, 2n) matrix per quantity), intended as a reference model for small
-    networks.
-    """
-
-    y_p: np.ndarray
-    y_q: np.ndarray
-    m_v: np.ndarray
-    y_br: np.ndarray
-
-
-def _re_form(h):
-    """Symmetric 2n-form of Re{V^H h V} on X = [e; f]."""
-    q = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    return 0.5 * (q + q.T)
-
-
-def _im_form(h):
-    """Symmetric 2n-form of Im{V^H h V} on X = [e; f]."""
-    q = np.block([[h.imag, h.real], [-h.real, h.imag]])
-    return 0.5 * (q + q.T)
-
-
-def build_quadratic_model(case):
-    net = _network(case)
-    n = case.n_bus
-    ll = net.f.size
-    y_p = np.empty((n, 2 * n, 2 * n))
-    y_q = np.empty((n, 2 * n, 2 * n))
-    m_v = np.empty((n, 2 * n, 2 * n))
-    for k in range(n):
-        h = np.zeros((n, n), dtype=complex)
-        h[:, k] = np.conj(net.ybus[k, :])
-        y_p[k] = _re_form(h)
-        y_q[k] = _im_form(h)
-        sel = np.zeros((n, n))
-        sel[k, k] = 1.0
-        m_v[k] = _re_form(sel.astype(complex))
-    y_br = np.empty((2 * ll, 2 * n, 2 * n))
-    for row in range(2 * ll):
-        l = row % ll
-        a, b = ((net.f[l], net.t[l]) if row < ll
-                else (net.t[l], net.f[l]))
-        h = np.zeros((n, n), dtype=complex)
-        h[a, a] = np.conj(net.y_series[l])
-        h[b, a] = -np.conj(net.y_series[l])
-        y_br[row] = _re_form(h)
-    return QuadraticFormModel(y_p=y_p, y_q=y_q, m_v=m_v, y_br=y_br)
-
-
-def state_x(state):
-    """Rectangular voltage vector [e; f] of a state."""
-    vmag = np.sqrt(state.v)
-    return np.concatenate([vmag * np.cos(state.theta),
-                           vmag * np.sin(state.theta)])
-
-
-def quadratic_residuals(model, state):
-    """Quadratic-form values minus the state's stored quantities.
-
-    Stacked [active; reactive; squared magnitude; directed flows]; zero
-    exactly when the state is internally consistent.
-    """
-    x = state_x(state)
-    p_form = np.einsum("i,rij,j->r", x, model.y_p, x)
-    q_form = np.einsum("i,rij,j->r", x, model.y_q, x)
-    v_form = np.einsum("i,rij,j->r", x, model.m_v, x)
-    l_form = np.einsum("i,rij,j->r", x, model.y_br, x)
-    return np.concatenate([p_form - state.p, q_form - state.q,
-                           v_form - state.v, l_form - state.ell])
-
-
 # --- monitored quantities and their sensitivities -------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class AcRowSet:
-    """Monitored quantities with two-sided bounds.
+    """Monitored quantities with two-sided bounds, and the one owner of
+    their layout.
 
     kinds: 'pgen' (machine active output, index = generator), 'qbus'
     (aggregate machine reactive output at a generator bus, index = bus),
     'v' (squared magnitude at a PQ bus, index = bus), 'flow' (directed
     branch active power, index = row into the stacked [from; to] flows,
     upper bound only).
+
+    Built once per case by ac_row_set; the case fixes which machine rows
+    sit at the slack bus and how they share its output, and is not kept.
+    Everything that depends on a row's kind works on the kind groups, one
+    array operation per group: values reads the rows off blocks of
+    operating points, state_partials and direct_xi give their derivatives
+    with respect to the power-flow unknowns and to the forecast errors
+    (each from the case and fleet its caller passes), and q_idx, signs,
+    signed_names and rhs expand them into the one-sided rows of the
+    selection program (per kind an upper block then a lower block; flow
+    rows upper only).
     """
 
-    kinds: tuple
-    indices: tuple
-    names: tuple
-    lo: np.ndarray
-    hi: np.ndarray
+    def __init__(self, case, kinds, indices, names, lo, hi):
+        self.kinds, self.indices = tuple(kinds), tuple(indices)
+        self.names = tuple(names)
+        self.lo, self.hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        kind = np.array(self.kinds, dtype=str)
+        index = np.array(self.indices, dtype=int)
+        slack_mask = case.slack_gen_mask()
+        pgen = np.flatnonzero(kind == "pgen")
+        at_slack = slack_mask[index[pgen]]
+        # Non-slack machines follow their dispatch; the slack machines
+        # split the slack requirement in proportion to their capacity.
+        self.gen_rows = pgen[~at_slack]
+        self.gens = index[self.gen_rows]
+        self.slack_rows = pgen[at_slack]
+        caps = case.p_max[slack_mask]
+        shares = (caps / caps.sum() if caps.sum() > 0
+                  else np.full(caps.size, 1.0 / max(caps.size, 1)))
+        self.slack_shares = shares[
+            (np.cumsum(slack_mask) - 1)[index[self.slack_rows]]]
+        self.q_rows = np.flatnonzero(kind == "qbus")
+        self.v_rows = np.flatnonzero(kind == "v")
+        self.flow_rows = np.flatnonzero(kind == "flow")
+        self.q_buses = index[self.q_rows]
+        self.v_buses = index[self.v_rows]
+        self.flows = index[self.flow_rows]
+
+        blocks = []
+        for group in (pgen, self.q_rows, self.v_rows):
+            blocks += [(group, 1.0, "_hi"), (group, -1.0, "_lo")]
+        blocks.append((self.flow_rows, 1.0, ""))
+        self.q_idx = np.concatenate([g for g, _, _ in blocks])
+        self.signs = np.concatenate([np.full(g.size, s) for g, s, _ in blocks])
+        self.signed_names = tuple(f"{self.names[r]}{suffix}"
+                                  for g, _, suffix in blocks for r in g)
+        self.rhs = np.where(self.signs > 0, self.hi[self.q_idx],
+                            -self.lo[self.q_idx])
+        for arr in (self.lo, self.hi, self.q_idx, self.signs, self.rhs):
+            arr.setflags(write=False)
 
     @property
     def n_rows(self):
         return len(self.kinds)
+
+    def values(self, case, fleet, p, q, v, ell, dispatch, xi):
+        """(B, n_rows) values; p, q, v, ell and xi hold one point per row.
+
+        Machine active outputs follow the dispatch plus participation
+        response directly (the power flow realizes exactly that rule);
+        everything else is read off the state.
+        """
+        total = xi.sum(axis=1)
+        direct = np.zeros(p.shape)
+        direct[:, fleet.vre_buses] = xi
+        slack = case.slack
+        slack_forecast = fleet.forecasts[fleet.vre_buses == slack].sum()
+        out = np.empty((p.shape[0], self.n_rows))
+        out[:, self.gen_rows] = (dispatch[self.gens]
+                                 - fleet.gen_participation[self.gens]
+                                 * total[:, None])
+        slack_total = (p[:, slack] + case.p_load[slack] - slack_forecast
+                       - direct[:, slack])
+        out[:, self.slack_rows] = slack_total[:, None] * self.slack_shares
+        qb = self.q_buses
+        out[:, self.q_rows] = (q[:, qb] + case.q_load[qb]
+                               - fleet.gamma * direct[:, qb])
+        out[:, self.v_rows] = v[:, self.v_buses]
+        out[:, self.flow_rows] = ell[:, self.flows]
+        return out
+
+    def state_partials(self, sens):
+        """d(value)/d(power-flow unknowns) at the state sens factorizes,
+        on the case sens was built for.
+
+        Non-slack machine outputs do not move with the state; v rows sit
+        at PQ buses, whose magnitudes are unknowns.
+        """
+        out = np.zeros((self.n_rows, sens.n_u))
+        out[self.slack_rows] = (self.slack_shares[:, None]
+                                * sens.dp_du[sens.case.slack])
+        out[self.q_rows] = sens.dq_du[self.q_buses]
+        out[self.v_rows, sens.q_row[self.v_buses]] = (
+            2.0 * sens.vmag[self.v_buses])
+        out[self.flow_rows] = sens.dl_du[self.flows]
+        return out
+
+    def direct_xi(self, case, fleet):
+        """d(value)/d(xi) holding the network state fixed."""
+        direct = np.zeros((self.n_rows, fleet.n_vre))
+        direct[self.gen_rows] = -fleet.gen_participation[self.gens][:, None]
+        direct[self.slack_rows] = np.where(
+            fleet.vre_buses == case.slack,
+            -self.slack_shares[:, None], 0.0)
+        direct[self.q_rows] = np.where(
+            self.q_buses[:, None] == fleet.vre_buses, -fleet.gamma, 0.0)
+        return direct
 
 
 def ac_row_set(case, fleet, *, include_slack_rows=False):
@@ -567,89 +583,17 @@ def ac_row_set(case, fleet, *, include_slack_rows=False):
         indices.append(row)
         lo.append(-np.inf)
         hi.append(case.br_limit[l])
-    rows = AcRowSet(kinds=tuple(kinds), indices=tuple(indices),
-                    names=tuple(names), lo=np.array(lo), hi=np.array(hi))
-    rows.lo.setflags(write=False)
-    rows.hi.setflags(write=False)
-    return rows
-
-
-def _slack_gen_shares(case):
-    """Within-slack-bus split of the bus requirement across machines."""
-    at_slack = case.slack_gen_mask()
-    caps = case.p_max[at_slack]
-    total = caps.sum()
-    if total <= 0:
-        return np.full(caps.size, 1.0 / max(caps.size, 1))
-    return caps / total
-
-
-class _RowReader:
-    """Monitored-quantity values over a block of operating points.
-
-    One formula per row kind, applied to (B, n) state rows at once:
-    machine active outputs follow the dispatch plus participation
-    response directly (the power flow realizes exactly that rule; the
-    slack machines split the slack requirement by capacity), everything
-    else is read off the state.
-    """
-
-    def __init__(self, case, fleet, rows):
-        self.case, self.fleet, self.n_rows = case, fleet, rows.n_rows
-        kinds = np.array(rows.kinds, dtype=str)
-        index = np.array(rows.indices, dtype=int)
-        slack_mask = case.slack_gen_mask()
-        pgen = np.flatnonzero(kinds == "pgen")
-        at_slack = slack_mask[index[pgen]]
-        self.gen_rows = pgen[~at_slack]
-        self.gens = index[self.gen_rows]
-        self.slack_rows = pgen[at_slack]
-        slack_pos = np.cumsum(slack_mask) - 1
-        self.slack_shares = _slack_gen_shares(case)[
-            slack_pos[index[self.slack_rows]]]
-        self.slack_forecast = fleet.forecasts[
-            fleet.vre_buses == case.slack].sum()
-        self.q_rows = np.flatnonzero(kinds == "qbus")
-        self.v_rows = np.flatnonzero(kinds == "v")
-        self.flow_rows = np.flatnonzero(kinds == "flow")
-        self.q_buses = index[self.q_rows]
-        self.v_buses = index[self.v_rows]
-        self.flows = index[self.flow_rows]
-
-    def values(self, p, q, v, ell, dispatch, xi):
-        """(B, n_rows) values; p, q, v, ell and xi hold one point per row."""
-        case, fleet = self.case, self.fleet
-        total = xi.sum(axis=1)
-        direct = np.zeros(p.shape)
-        direct[:, fleet.vre_buses] = xi
-        slack = case.slack
-        out = np.empty((p.shape[0], self.n_rows))
-        out[:, self.gen_rows] = (dispatch[self.gens]
-                                 - fleet.gen_participation[self.gens]
-                                 * total[:, None])
-        slack_total = (p[:, slack] + case.p_load[slack] - self.slack_forecast
-                       - direct[:, slack])
-        out[:, self.slack_rows] = slack_total[:, None] * self.slack_shares
-        qb = self.q_buses
-        out[:, self.q_rows] = (q[:, qb] + case.q_load[qb]
-                               - fleet.gamma * direct[:, qb])
-        out[:, self.v_rows] = v[:, self.v_buses]
-        out[:, self.flow_rows] = ell[:, self.flows]
-        return out
+    return AcRowSet(case, kinds, indices, names, lo, hi)
 
 
 def quantity_values(case, fleet, rows, state, dispatch, xi=None):
-    """Exact monitored-quantity values at a responded operating point.
-
-    Machine active outputs follow the dispatch plus participation response
-    directly (the power flow realizes exactly that rule); everything else
-    is read off the state.  xi defaults to zero.
-    """
+    """Exact monitored-quantity values at a responded operating point
+    (AcRowSet.values on one state).  xi defaults to zero."""
     dispatch = np.asarray(dispatch, dtype=float)
     xi = np.zeros(fleet.n_vre) if xi is None else np.asarray(xi, float)
-    (values,) = _RowReader(case, fleet, rows).values(
-        state.p[None], state.q[None], state.v[None], state.ell[None],
-        dispatch, xi[None])
+    (values,) = rows.values(
+        case, fleet, state.p[None], state.q[None], state.v[None],
+        state.ell[None], dispatch, xi[None])
     return values
 
 
@@ -710,49 +654,8 @@ class _Sensitivity:
                 rhs[self.q_row[b], j] += fleet.gamma
         return rhs
 
-    def quantity_partials(self, rows):
-        """d(quantity)/d(state unknowns) for every monitored row."""
-        out = np.zeros((rows.n_rows, self.n_u))
-        pq_pos = {int(b): i for i, b in enumerate(self.pq)}
-        for r, (kind, idx) in enumerate(zip(rows.kinds, rows.indices)):
-            if kind == "pgen":
-                if self.case.slack_gen_mask()[idx]:
-                    share = _slack_gen_shares(self.case)
-                    pos = np.cumsum(self.case.slack_gen_mask())[idx] - 1
-                    out[r] = share[pos] * self.dp_du[self.case.slack]
-                # non-slack machine output does not move with the state
-            elif kind == "qbus":
-                out[r] = self.dq_du[idx]
-            elif kind == "v":
-                if idx in pq_pos:
-                    out[r, self.ns.size + pq_pos[idx]] = 2.0 * self.vmag[idx]
-                # pinned bus: squared magnitude is constant
-            else:
-                out[r] = self.dl_du[idx]
-        return out
 
-
-def _direct_xi_terms(case, fleet, rows):
-    """d(quantity)/d(xi) holding the network state fixed."""
-    direct = np.zeros((rows.n_rows, fleet.n_vre))
-    bus_col = {int(b): j for j, b in enumerate(fleet.vre_buses)}
-    slack_mask = case.slack_gen_mask()
-    for r, (kind, idx) in enumerate(zip(rows.kinds, rows.indices)):
-        if kind == "pgen":
-            if slack_mask[idx]:
-                share = _slack_gen_shares(case)
-                pos = np.cumsum(slack_mask)[idx] - 1
-                if case.slack in bus_col:
-                    direct[r, bus_col[case.slack]] -= share[pos]
-            else:
-                direct[r, :] = -fleet.gen_participation[idx]
-        elif kind == "qbus" and idx in bus_col:
-            direct[r, bus_col[idx]] = -fleet.gamma
-    return direct
-
-
-def response_jacobian(case, fleet, state, *, include_slack_rows=False,
-                      rows=None):
+def response_jacobian(case, fleet, state, *, rows):
     """First-order response of every monitored quantity to the errors.
 
     Assembled from the implicit-function rule on the factorized power-flow
@@ -760,78 +663,38 @@ def response_jacobian(case, fleet, state, *, include_slack_rows=False,
     out exactly minus the participation factors.
     """
     _require_solved(state, "response sensitivities need a solved state")
-    rows = rows if rows is not None else ac_row_set(
-        case, fleet, include_slack_rows=include_slack_rows)
     sens = _Sensitivity(case, state)
     du = sens.du_d_setpoint(sens.xi_columns(fleet))
-    j = sens.quantity_partials(rows) @ du + _direct_xi_terms(
-        case, fleet, rows)
+    j = rows.state_partials(sens) @ du + rows.direct_xi(case, fleet)
     j.setflags(write=False)
     return ResponseJacobian(row_names=rows.names, j_matrix=j)
 
 
-def _signed_layout(rows):
-    """Two-sided row expansion: per kind, upper block then lower block;
-    flow rows are upper-only."""
-    q_idx, signs, names, rhs = [], [], [], []
-    for kind in ("pgen", "qbus", "v"):
-        members = [r for r, k in enumerate(rows.kinds) if k == kind]
-        for r in members:
-            q_idx.append(r)
-            signs.append(1.0)
-            names.append(f"{rows.names[r]}_hi")
-            rhs.append(rows.hi[r])
-        for r in members:
-            q_idx.append(r)
-            signs.append(-1.0)
-            names.append(f"{rows.names[r]}_lo")
-            rhs.append(-rows.lo[r])
-    for r, k in enumerate(rows.kinds):
-        if k == "flow":
-            q_idx.append(r)
-            signs.append(1.0)
-            names.append(rows.names[r])
-            rhs.append(rows.hi[r])
-    return (np.array(q_idx, dtype=int), np.array(signs),
-            tuple(names), np.array(rhs))
-
-
-def linearize_cc_system(case, fleet, state, dispatch, *, sens_rows=None,
-                        include_slack_rows=False, rows=None):
+def linearize_cc_system(case, fleet, state, dispatch, *, rows, sens_rows):
     """Affine restatement of the monitored rows around an operating point.
 
     Produces the same row schema as the DC assembly: base_lin @ x +
     base_const + sens @ xi <= rhs, exact at (dispatch, xi=0) up to the
-    power-flow tolerance.  sens_rows carries frozen error sensitivities
-    from an earlier state; by default they are computed here.
+    power-flow tolerance.  sens_rows carries the (n_rows, n_vre) error
+    sensitivities, frozen at this state or an earlier one
+    (response_jacobian).
     """
     _require_solved(state, "linearization needs a solved state")
-    rows = rows if rows is not None else ac_row_set(
-        case, fleet, include_slack_rows=include_slack_rows)
     dispatch = np.asarray(dispatch, dtype=float)
     sens = _Sensitivity(case, state)
-    partials = sens.quantity_partials(rows)
-    du_x = sens.du_d_setpoint(sens.gen_columns())
-    lin = partials @ du_x
-    for r, (kind, idx) in enumerate(zip(rows.kinds, rows.indices)):
-        if kind == "pgen" and not case.slack_gen_mask()[idx]:
-            lin[r, idx] += 1.0
-    values = quantity_values(case, fleet, rows, state, dispatch)
-    const = values - lin @ dispatch
-    if sens_rows is None:
-        du_xi = sens.du_d_setpoint(sens.xi_columns(fleet))
-        j = partials @ du_xi + _direct_xi_terms(case, fleet, rows)
-    else:
-        j = sens_rows
-    q_idx, signs, names, rhs = _signed_layout(rows)
+    lin = rows.state_partials(sens) @ sens.du_d_setpoint(sens.gen_columns())
+    lin[rows.gen_rows, rows.gens] += 1.0
+    const = (quantity_values(case, fleet, rows, state, dispatch)
+             - lin @ dispatch)
+    signs, q_idx = rows.signs, rows.q_idx
     cc = CcSystem(
-        row_names=names,
+        row_names=rows.signed_names,
         base_lin=signs[:, None] * lin[q_idx],
         base_const=signs * const[q_idx],
-        sens=signs[:, None] * j[q_idx],
-        rhs=rhs,
+        sens=signs[:, None] * sens_rows[q_idx],
+        rhs=rows.rhs,
     )
-    for arr in (cc.base_lin, cc.base_const, cc.sens, cc.rhs):
+    for arr in (cc.base_lin, cc.base_const, cc.sens):
         arr.setflags(write=False)
     return cc
 
@@ -915,23 +778,19 @@ def _infeasible_hint(cc, result):
     return ""
 
 
-def _inner_slp(case, fleet, cost, rows, x_start, w_start, *,
-               xi=None, k=None, frozen_j=None, options=None,
-               include_slack_rows=False):
+def _inner_slp(case, fleet, cost, rows, x_start, w_start, frozen_j, *,
+               xi=None, k=None, options=None):
     """Linearize, solve, re-project until the dispatch settles.
 
     With xi=None this is the deterministic stage (single QP per pass);
-    otherwise the full selection program runs per pass with the frozen
+    otherwise the selection program runs per pass with frozen_j as the
     error sensitivities.  Returns (dispatch, state, selection-or-None).
     """
     x_cur, w_cur = np.asarray(x_start, float), w_start
-    if xi is None and frozen_j is None:
-        frozen_j = np.zeros((rows.n_rows, fleet.n_vre))
     sel = None
     for _ in range(MAX_INNER_PASSES):
         cc = linearize_cc_system(case, fleet, w_cur, x_cur,
-                                 sens_rows=frozen_j, rows=rows,
-                                 include_slack_rows=include_slack_rows)
+                                 sens_rows=frozen_j, rows=rows)
         equalities = loss_balance_equality(case, fleet, w_cur, x_cur)
         prox = _proximal_cost(cost, x_cur)
         if xi is None:
@@ -1003,15 +862,14 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     w0 = _require_solved(solve_operating_point(case, fleet, x0),
                          "starting-point power flow")
     x_t, w_t, _ = _inner_slp(case, fleet, cost, rows, x0, w0,
-                             include_slack_rows=include_slack_rows)
+                             np.zeros((rows.n_rows, fleet.n_vre)))
     d_history = []
     obj_history = []
     for t in range(1, MAX_OUTER_ITER + 1):
         frozen = response_jacobian(case, fleet, w_t, rows=rows)
         x_new, w_new, sel = _inner_slp(
-            case, fleet, cost, rows, x_t, w_t, xi=xi, k=params.k,
-            frozen_j=frozen.j_matrix, options=options,
-            include_slack_rows=include_slack_rows)
+            case, fleet, cost, rows, x_t, w_t, frozen.j_matrix, xi=xi,
+            k=params.k, options=options)
         d = _state_distance(case, w_new, w_t)
         d_history.append(d)
         obj_history.append(sel.objective)
@@ -1054,16 +912,15 @@ class AcEvaluator:
             solve_operating_point(case, fleet, self.dispatch),
             "nominal power flow for evaluation")
         self._net = _network(case)
-        self._reader = _RowReader(case, fleet, self.rows)
         self._start = _start_point(case, self.state.v, self.state.theta,
                                    np.sqrt(self.state.v))
-        q_idx, signs, names, rhs = _signed_layout(self.rows)
-        finite = np.isfinite(rhs)
-        self._q_idx = q_idx[finite]
-        self._signs = signs[finite]
-        self._rhs = rhs[finite]
+        finite = np.isfinite(self.rows.rhs)
+        self._q_idx = self.rows.q_idx[finite]
+        self._signs = self.rows.signs[finite]
+        self._rhs = self.rows.rhs[finite]
         self.row_names = tuple(
-            n for n, f in zip(names, finite) if f) + ("newton_failure",)
+            n for n, f in zip(self.rows.signed_names, finite) if f) + (
+                "newton_failure",)
         self.iterations = np.zeros(0, dtype=int)
         self.failed = np.zeros(0, dtype=int)
 
@@ -1088,8 +945,9 @@ class AcEvaluator:
             block = slice(lo, lo + step)
             its, norm, vmag, theta = self._respond(xi[block])
             solved = norm <= NEWTON_TOL
-            values = self._reader.values(
-                *_quantities(self._net, vmag, theta), dispatch, xi[block])
+            values = self.rows.values(
+                self.case, self.fleet, *_quantities(self._net, vmag, theta),
+                dispatch, xi[block])
             margins = self._rhs - self._signs * values[:, self._q_idx]
             violated[block, :-1] = (margins < -VIOLATION_TOL) & solved[:, None]
             violated[block, -1] = ~solved

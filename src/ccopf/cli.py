@@ -500,7 +500,7 @@ def _report_ro(cfg):
 
 
 def _solve_common(args):
-    """Shared setup for solve dc / solve ac."""
+    """Shared setup for solve dc / solve ac and sweep."""
     cfg = _read_config(args.config, args.set or ())
     case = _build_case(cfg)
     fleet = _build_fleet(cfg, case)
@@ -665,21 +665,12 @@ def _solve_ac(case, fleet, train, test, ro_set, params, options,
 
 
 def cmd_sweep(args):
-    cfg = _read_config(args.config, args.set or ())
-    case = _build_case(cfg)
-    fleet = _build_fleet(cfg, case)
-    spec = _build_spec(cfg, fleet)
-    train = _require_set(cfg, "train", spec)
-    test = _require_set(cfg, "test", spec)
-    ro_set = _load_set(cfg, "ro", spec)
-    outdir = _output_dir(cfg)
+    (cfg, case, fleet, train, test, ro_set, outdir, include_slack,
+     options) = _solve_common(args)
     model = _get(cfg, "solve", "model", "dc")
     if model not in ("dc", "ac"):
         raise CliError(f"config key solve.model: must be dc or ac, "
                        f"got {model!r}")
-    include_slack = _get_typed(cfg, "solve", "include_slack_rows",
-                               _to_bool, False)
-    options = _solver_options(cfg)
     raw = _get(cfg, "sweep", "k_values")
     if raw is None:
         raise CliError("config key sweep.k_values is required")

@@ -171,7 +171,8 @@ def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
         raise ValueError(f"unknown model {model!r}")
     if model == "ac":
         from .ac_model import AcSweepDriver
-        driver = AcSweepDriver(case, fleet, options=options)
+        driver = AcSweepDriver(case, fleet, options=options,
+                               include_slack_rows=include_slack_rows)
     else:
         driver = DcSweepDriver(case, fleet,
                                include_slack_rows=include_slack_rows,

@@ -2,6 +2,7 @@
 response sensitivities, and the alternating dispatch/selection loop."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,12 +15,10 @@ from ccopf.ac_model import (
     AcState,
     FixedPointError,
     ac_row_set,
-    build_quadratic_model,
     fixed_point_solve,
     linearize_cc_system,
     loss_balance_equality,
     pf_solve,
-    quadratic_residuals,
     quantity_values,
     respond,
     response_jacobian,
@@ -200,6 +199,88 @@ class TestPowerFlow:
                                                             abs=1e-12)
 
 
+# Rectangular quadratic-form restatement of the power-flow quantities, an
+# independent cross-check of the polar formulas.
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticFormModel:
+    """Rectangular-coordinate quadratic forms of every state quantity.
+
+    With X = [e; f] the stacked real/imaginary bus voltages, active
+    injections are X' y_p[k] X, reactive X' y_q[k] X, squared magnitudes
+    X' m_v[k] X, and directed branch flows X' y_br[row] X.  Dense (one
+    (2n, 2n) matrix per quantity), intended as a reference model for small
+    networks.
+    """
+
+    y_p: np.ndarray
+    y_q: np.ndarray
+    m_v: np.ndarray
+    y_br: np.ndarray
+
+
+def _re_form(h):
+    """Symmetric 2n-form of Re{V^H h V} on X = [e; f]."""
+    q = np.block([[h.real, -h.imag], [h.imag, h.real]])
+    return 0.5 * (q + q.T)
+
+
+def _im_form(h):
+    """Symmetric 2n-form of Im{V^H h V} on X = [e; f]."""
+    q = np.block([[h.imag, h.real], [-h.real, h.imag]])
+    return 0.5 * (q + q.T)
+
+
+def build_quadratic_model(case):
+    net = ac_model._network(case)
+    n = case.n_bus
+    ll = net.f.size
+    y_p = np.empty((n, 2 * n, 2 * n))
+    y_q = np.empty((n, 2 * n, 2 * n))
+    m_v = np.empty((n, 2 * n, 2 * n))
+    for k in range(n):
+        h = np.zeros((n, n), dtype=complex)
+        h[:, k] = np.conj(net.ybus[k, :])
+        y_p[k] = _re_form(h)
+        y_q[k] = _im_form(h)
+        sel = np.zeros((n, n))
+        sel[k, k] = 1.0
+        m_v[k] = _re_form(sel.astype(complex))
+    y_br = np.empty((2 * ll, 2 * n, 2 * n))
+    for row in range(2 * ll):
+        l = row % ll
+        a, b = ((net.f[l], net.t[l]) if row < ll
+                else (net.t[l], net.f[l]))
+        h = np.zeros((n, n), dtype=complex)
+        h[a, a] = np.conj(net.y_series[l])
+        h[b, a] = -np.conj(net.y_series[l])
+        y_br[row] = _re_form(h)
+    return QuadraticFormModel(y_p=y_p, y_q=y_q, m_v=m_v, y_br=y_br)
+
+
+def state_x(state):
+    """Rectangular voltage vector [e; f] of a state."""
+    vmag = np.sqrt(state.v)
+    return np.concatenate([vmag * np.cos(state.theta),
+                           vmag * np.sin(state.theta)])
+
+
+def quadratic_residuals(model, state):
+    """Quadratic-form values minus the state's stored quantities.
+
+    Stacked [active; reactive; squared magnitude; directed flows]; zero
+    exactly when the state is internally consistent.
+    """
+    x = state_x(state)
+    p_form = np.einsum("i,rij,j->r", x, model.y_p, x)
+    q_form = np.einsum("i,rij,j->r", x, model.y_q, x)
+    v_form = np.einsum("i,rij,j->r", x, model.m_v, x)
+    l_form = np.einsum("i,rij,j->r", x, model.y_br, x)
+    return np.concatenate([p_form - state.p, q_form - state.q,
+                           v_form - state.v, l_form - state.ell])
+
+
 class TestQuadraticModel:
     def test_solved_state_residuals(self, case14, fleet14_ac):
         state = solve_operating_point(case14, fleet14_ac,
@@ -305,14 +386,21 @@ class TestResponseJacobian:
                                           -e)) / (2 * h)
         return fd
 
-    @pytest.mark.parametrize("vre_buses", [(2, 3), (9, 14)])
-    def test_finite_differences(self, case14, vre_buses):
+    # Bus 1 is the slack: with slack rows, its machine rows and the direct
+    # error term of a source at the slack bus are differentiated too.
+    @pytest.mark.parametrize("vre_buses, include_slack_rows",
+                             [((2, 3), False), ((9, 14), False),
+                              ((1, 3), True)],
+                             ids=["vre_buses0", "vre_buses1", "slack_rows"])
+    def test_finite_differences(self, case14, vre_buses,
+                                include_slack_rows):
         fleet = build_fleet(case14, [case14.bus_index(b)
                                      for b in vre_buses],
                             np.array([0.15, 0.15]), 0.1)
         dispatch = np.full(5, 0.45)
         state = solve_operating_point(case14, fleet, dispatch)
-        rows = ac_row_set(case14, fleet)
+        rows = ac_row_set(case14, fleet,
+                          include_slack_rows=include_slack_rows)
         jac = response_jacobian(case14, fleet, state, rows=rows)
         fd = self.fd_matrix(case14, fleet, rows, state, dispatch)
         big = np.abs(jac.j_matrix) > 1e-8
@@ -325,7 +413,8 @@ class TestResponseJacobian:
     def test_machine_rows_are_exactly_the_participation(self, case14,
                                                         fleet14):
         state = solve_operating_point(case14, fleet14, np.full(5, 0.438))
-        jac = response_jacobian(case14, fleet14, state)
+        jac = response_jacobian(case14, fleet14, state,
+                                rows=ac_row_set(case14, fleet14))
         ns_gens = np.flatnonzero(~case14.slack_gen_mask())
         expected = -np.tile(fleet14.gen_participation[ns_gens][:, None],
                             (1, 2))
@@ -371,8 +460,9 @@ class TestLinearization:
         dispatch = np.full(5, 0.438)
         state = solve_operating_point(case14_ac, fleet14_ac, dispatch)
         rows = ac_row_set(case14_ac, fleet14_ac)
+        jac = response_jacobian(case14_ac, fleet14_ac, state, rows=rows)
         cc = linearize_cc_system(case14_ac, fleet14_ac, state, dispatch,
-                                 rows=rows)
+                                 rows=rows, sens_rows=jac.j_matrix)
         values = quantity_values(case14_ac, fleet14_ac, rows, state,
                                  dispatch)
         expected = signed_expected(rows, values)
@@ -503,11 +593,23 @@ class TestEvaluationHooks:
         assert digest2 == digest
         assert rows2 == rows
 
+    def test_sweep_monitors_slack_rows_when_asked(self, ac14_inputs):
+        # The slack rows bind on ac14 (6679.23 with them, 6520.72 without),
+        # so a sweep that drops the flag reports the wrong optimum.
+        case, fleet, train, test = ac14_inputs
+        rows, _ = sweep_k(case, fleet, train, test, [38], model="ac",
+                          include_slack_rows=True, record_time=False)
+        result = fixed_point_solve(case, fleet, train,
+                                   AmbiguityParams.from_k(38, 40),
+                                   include_slack_rows=True)
+        assert rows[0]["status"] == "OPTIMAL"
+        assert rows[0]["cost"] == result.selection.objective
+
 
 @pytest.fixture(scope="module")
-def ac14():
-    """configs/ac14.ini: case14q, its fixed-point dispatch at k = 38 of 40,
-    an evaluator at that dispatch and the 2000 test scenarios."""
+def ac14_inputs():
+    """configs/ac14.ini: case14q, its fleet, the 40 training and the 2000
+    test scenarios."""
     import warnings
 
     with warnings.catch_warnings():
@@ -516,7 +618,14 @@ def ac14():
     fleet = build_fleet(case, [case.bus_index(2), case.bus_index(3)],
                         np.array([20.0, 20.0]), 0.1, forecasts_in_mw=True)
     spec = GaussianSpec(forecasts=fleet.forecasts, zeta=0.05, rho=0.2)
-    train, test = sample(spec, 40, seed=7), sample(spec, 2000, seed=8)
+    return case, fleet, sample(spec, 40, seed=7), sample(spec, 2000, seed=8)
+
+
+@pytest.fixture(scope="module")
+def ac14(ac14_inputs):
+    """configs/ac14.ini: case14q, its fixed-point dispatch at k = 38 of 40,
+    an evaluator at that dispatch and the 2000 test scenarios."""
+    case, fleet, train, test = ac14_inputs
     result = fixed_point_solve(case, fleet, train,
                                AmbiguityParams.from_k(38, 40))
     dispatch = result.selection.x_star
