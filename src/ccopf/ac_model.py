@@ -35,7 +35,6 @@ from .dc_model import CcSystem, make_cost
 from .evaluation import VIOLATION_TOL
 from .scenario_mip import (
     OPTIMAL,
-    LinearSystem,
     QuadraticCost,
     SolverOptions,
     build_selection_from_ccopf,
@@ -757,27 +756,6 @@ def _proximal_cost(cost, center, weight=PROXIMAL_WEIGHT):
     )
 
 
-def _det_system(cc, equalities):
-    finite = np.isfinite(cc.rhs)
-    a_eq, b_eq = equalities
-    return LinearSystem.make(
-        a_ineq=np.ascontiguousarray(cc.base_lin[finite]),
-        b_ineq=cc.rhs[finite] - cc.base_const[finite],
-        a_eq=a_eq, b_eq=b_eq, n=cc.base_lin.shape[1])
-
-
-def _infeasible_hint(cc, result):
-    cert = result.certificate or {}
-    weights = np.asarray(cert.get("y_ineq", ()), dtype=float)
-    if weights.size:
-        finite_names = [n for n, f in zip(cc.row_names,
-                                          np.isfinite(cc.rhs)) if f]
-        worst = int(np.argmax(weights))
-        if worst < len(finite_names):
-            return f" (most conflicted row: {finite_names[worst]})"
-    return ""
-
-
 def _inner_slp(case, fleet, cost, rows, x_start, w_start, frozen_j, *,
                xi=None, k=None, options=None):
     """Linearize, solve, re-project until the dispatch settles.
@@ -794,10 +772,10 @@ def _inner_slp(case, fleet, cost, rows, x_start, w_start, frozen_j, *,
         equalities = loss_balance_equality(case, fleet, w_cur, x_cur)
         prox = _proximal_cost(cost, x_cur)
         if xi is None:
-            result = qp_solve(prox, _det_system(cc, equalities))
+            result = qp_solve(prox, cc.nominal_system(equalities))
             if result.status != OPTIMAL:
-                hint = (_infeasible_hint(cc, result)
-                        if result.status == "INFEASIBLE" else "")
+                row = cc.conflict_row(result)
+                hint = "" if row is None else f" (most conflicted row: {row})"
                 raise FixedPointError(
                     f"deterministic stage: {result.status}{hint}")
             x_new = result.x

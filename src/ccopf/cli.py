@@ -516,6 +516,15 @@ def _solve_common(args):
         options
 
 
+def _config_model(cfg):
+    """solve.model for sweep and eval: dc (the default) or ac."""
+    model = _get(cfg, "solve", "model", "dc")
+    if model not in ("dc", "ac"):
+        raise CliError(f"config key solve.model: must be dc or ac, "
+                       f"got {model!r}")
+    return model
+
+
 def _seed_fields(train, test):
     return {"train": train.seed, "test": test.seed}
 
@@ -667,10 +676,7 @@ def _solve_ac(case, fleet, train, test, ro_set, params, options,
 def cmd_sweep(args):
     (cfg, case, fleet, train, test, ro_set, outdir, include_slack,
      options) = _solve_common(args)
-    model = _get(cfg, "solve", "model", "dc")
-    if model not in ("dc", "ac"):
-        raise CliError(f"config key solve.model: must be dc or ac, "
-                       f"got {model!r}")
+    model = _config_model(cfg)
     raw = _get(cfg, "sweep", "k_values")
     if raw is None:
         raise CliError("config key sweep.k_values is required")
@@ -721,7 +727,7 @@ def cmd_eval(args):
     spec = _build_spec(cfg, fleet)
     test = _require_set(cfg, "test", spec)
     outdir = _output_dir(cfg)
-    model = _get(cfg, "solve", "model", "dc")
+    model = _config_model(cfg)
     include_slack = _get_typed(cfg, "solve", "include_slack_rows",
                                _to_bool, False)
     if not os.path.isfile(args.solution):

@@ -23,7 +23,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .case_io import build_fleet
 from .scenario_mip import (
-    INFEASIBLE,
     OPTIMAL,
     LinearSystem,
     QuadraticCost,
@@ -105,8 +104,10 @@ class CcSystem:
 
     Row order: generator upper bounds, generator lower bounds (negated),
     branch upper limits, branch lower limits (negated).  Rows with an
-    infinite bound are kept so indices line up with the network; consumers
-    that build optimization problems drop them.
+    infinite bound are kept so indices line up with the network.  This
+    class alone decides which rows are constraints: bounded() drops the
+    infinite-bound rows, and nominal_system and conflict_row work on the
+    rows that are left.
     """
 
     row_names: tuple
@@ -131,6 +132,34 @@ class CcSystem:
     def margins(self, x, xi):
         """rhs - row_values; negative entries are violations."""
         return self.rhs - self.row_values(x, xi)
+
+    def bounded(self):
+        """The rows with a finite bound (self when every row has one)."""
+        keep = np.isfinite(self.rhs)
+        if keep.all():
+            return self
+        return CcSystem(
+            row_names=tuple(n for n, f in zip(self.row_names, keep) if f),
+            base_lin=self.base_lin[keep], base_const=self.base_const[keep],
+            sens=self.sens[keep], rhs=self.rhs[keep])
+
+    def nominal_system(self, equalities):
+        """The bounded rows at xi = 0 plus the equalities (a_eq, b_eq):
+        base_lin @ x <= rhs - base_const and a_eq @ x = b_eq."""
+        rows = self.bounded()
+        a_eq, b_eq = equalities
+        return LinearSystem.make(
+            a_ineq=rows.base_lin, b_ineq=rows.rhs - rows.base_const,
+            a_eq=a_eq, b_eq=b_eq, n=self.base_lin.shape[1])
+
+    def conflict_row(self, result):
+        """Name of the bounded row with the largest Farkas weight in the
+        certificate of a qp_solve result over nominal_system, or None
+        when the result carries no certificate."""
+        weights = (result.certificate or {}).get("y_ineq")
+        if weights is None or not weights.size:
+            return None
+        return self.bounded().row_names[int(np.argmax(weights))]
 
 
 def assemble_cc_system(case, fleet, ptdf=None, *, include_slack_rows=False):
@@ -235,21 +264,13 @@ def solve_deterministic_dc(case, fleet=None, cc=None, *,
     if cc is None:
         cc = assemble_cc_system(case, fleet,
                                 include_slack_rows=include_slack_rows)
-    finite = np.isfinite(cc.rhs)
-    a_eq, b_eq = balance_equality(case, fleet)
-    system = LinearSystem.make(
-        a_ineq=cc.base_lin[finite],
-        b_ineq=cc.rhs[finite] - cc.base_const[finite],
-        a_eq=a_eq, b_eq=b_eq)
-    result = qp_solve(make_cost(case), system)
+    result = qp_solve(make_cost(case),
+                      cc.nominal_system(balance_equality(case, fleet)))
     if result.status != OPTIMAL:
-        message = result.message
-        if result.status == INFEASIBLE and result.certificate is not None:
-            finite_names = [n for n, f in zip(cc.row_names, finite) if f]
-            y = result.certificate["y_ineq"]
-            worst = int(np.argmax(y))
-            message = (f"no dispatch satisfies the limits; tightest "
-                       f"conflicting row: {finite_names[worst]}")
+        row = cc.conflict_row(result)
+        message = result.message if row is None else (
+            f"no dispatch satisfies the limits; tightest conflicting row: "
+            f"{row}")
         return DcSolution(dispatch=None, cost=np.nan, status=result.status,
                           message=message, qp=result)
     return DcSolution(dispatch=result.x, cost=result.value,

@@ -23,7 +23,6 @@ from .dc_model import (
     assemble_cc_system,
     balance_equality,
     make_cost,
-    solve_deterministic_dc,
 )
 from .scenario_mip import (
     INFEASIBLE,
@@ -66,18 +65,17 @@ class EvalReport:
 
 
 class DcEvaluator:
-    """Exact row evaluation of a dispatch over a scenario batch."""
+    """Exact evaluation of the bounded rows of a dispatch over a scenario
+    batch."""
 
     def __init__(self, cc):
-        self.cc = cc
-        self.finite = np.isfinite(cc.rhs)
-        self.row_names = tuple(
-            n for n, f in zip(cc.row_names, self.finite) if f)
+        self.cc = cc.bounded()
+        self.row_names = self.cc.row_names
 
     def check(self, dispatch, xi):
         """(joint violation mask over scenarios, per-row violation rates)."""
-        margins = self.cc.margins(np.asarray(dispatch, dtype=float), xi)
-        margins = np.atleast_2d(margins)[:, self.finite]
+        margins = np.atleast_2d(
+            self.cc.margins(np.asarray(dispatch, dtype=float), xi))
         violated = margins < -VIOLATION_TOL
         return violated.any(axis=1), violated.mean(axis=0)
 

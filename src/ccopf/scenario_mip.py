@@ -21,16 +21,16 @@ linprog: maximize t subject to A x + t ||a_i|| <= b, E x = f, t <= a
 fixed cap.  t is the radius of a ball around x inside the inequalities,
 so x is their Chebyshev centre and the active-set run leaves it with an
 almost empty working set.  t* < 0 means the system is infeasible, and
-the same LP's duals are the Farkas certificate.  The exactly-linear-cost
-case goes to HiGHS too.  All tie-breaks are by lowest index so results
-are reproducible.
+the same LP's duals are the Farkas certificate.  Linear costs take the
+same path; HiGHS solves only the phase-1 LP.  All tie-breaks are by
+lowest index so results are reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -135,8 +135,8 @@ class QpSubproblemResult:
     INFEASIBLE carries a Farkas certificate (y_ineq >= 0, y_eq) with
     y'A = 0 and y'b < 0.  UNBOUNDED and NUMERICAL_FAILURE are reported
     distinctly; neither carries a point.  iterations counts the
-    active-set iterations on every path (0 when phase 1 or the LP path
-    decides the outcome).
+    active-set iterations on every path (0 when phase 1 decides the
+    outcome).
     """
 
     status: str
@@ -148,36 +148,6 @@ class QpSubproblemResult:
     certificate: dict | None = None
     message: str = ""
     iterations: int = 0  # active-set iterations taken
-
-
-def _lp_solve(g, system, c0):
-    """Pure-LP path via HiGHS; converts marginals to our dual convention."""
-    res = linprog(
-        g,
-        A_ub=system.a_ineq if system.a_ineq.size else None,
-        b_ub=system.b_ineq if system.a_ineq.size else None,
-        A_eq=system.a_eq if system.a_eq.size else None,
-        b_eq=system.b_eq if system.a_eq.size else None,
-        bounds=[(None, None)] * g.size,
-        method="highs",
-    )
-    if res.status == 0:
-        lam = (-res.ineqlin.marginals if system.a_ineq.size
-               else np.zeros(0))
-        mu = -res.eqlin.marginals if system.a_eq.size else np.zeros(0)
-        x = res.x
-        kkt = _kkt_residual(np.zeros((g.size, g.size)), g, system, x,
-                            np.maximum(lam, 0.0), mu)
-        return QpSubproblemResult(
-            status=OPTIMAL, x=x, value=float(res.fun) + c0,
-            duals_ineq=np.maximum(lam, 0.0), duals_eq=mu, kkt_residual=kkt,
-        )
-    if res.status == 2:
-        return _infeasibility_certificate(system, _phase1_lp(system))
-    if res.status == 3:
-        return QpSubproblemResult(status=UNBOUNDED,
-                                  message="objective unbounded below")
-    return QpSubproblemResult(status=NUMERICAL_FAILURE, message=res.message)
 
 
 def _phase1_lp(system):
@@ -319,9 +289,9 @@ def qp_solve(cost, system, *, warm_start=None):
     triangular system with R.  The step is the Newton step on Z from the
     Cholesky factor of Z'HZ when every pivot passes the _PIVOT_TOL test;
     otherwise a least-squares step plus an explicit descent ray handles
-    the singular reduced Hessian, so purely linear pieces of the cost are
-    fine and an unblocked ray is reported UNBOUNDED.  An exactly-zero
-    Hessian short-circuits to the LP path.  An optimum whose KKT residual
+    the singular reduced Hessian, so linear costs and linear pieces of a
+    cost are fine and an unblocked ray is reported UNBOUNDED.  An optimum
+    whose KKT residual
     on the normalized problem exceeds _KKT_TOL is reported as
     NUMERICAL_FAILURE with that residual in the message.
 
@@ -338,8 +308,6 @@ def qp_solve(cost, system, *, warm_start=None):
         raise TypeError("system must be a LinearSystem")
     h, g, c0 = cost.h, cost.g, cost.c0
     n = cost.n
-    if not np.any(h):
-        return _lp_solve(g, system, c0)
 
     # Normalize the cost so all tolerances are O(1) regardless of $ scale.
     scale = max(1.0, float(np.max(np.abs(h))), float(np.max(np.abs(g))))
@@ -809,27 +777,19 @@ def solve_selection(problem, options=None):
     return finish(status, x, z, value, keep, gap)
 
 
-def build_selection_from_ccopf(cc, xi, cost, k, *, equalities=None):
+def build_selection_from_ccopf(cc, xi, cost, k, *, equalities):
     """Selection instance from chance-constraint rows and scenario errors.
 
-    cc provides affine row values base_lin @ x + base_const with error
-    sensitivity sens and bounds rhs; scenario block j is
+    cc is a dc_model.CcSystem: affine row values base_lin @ x + base_const
+    with error sensitivity sens and bounds rhs.  Scenario block j is
     base_lin @ x <= rhs - base_const - sens @ xi_j, so base_lin is the
     shared LHS and row j of the RHS matrix is the shifted bound.  The base
-    system is the deterministic block (xi = 0) plus the supplied
-    equalities (power balance).  Rows with infinite bounds are dropped
-    once, here.
+    system is cc.nominal_system(equalities): the deterministic block
+    (xi = 0) plus the equalities (power balance).  Only the rows that
+    cc.bounded() keeps take part.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    finite = np.isfinite(cc.rhs)
-    a = np.ascontiguousarray(cc.base_lin[finite])
-    r0 = cc.rhs[finite] - cc.base_const[finite]
-    sens = cc.sens[finite]
-    if equalities is not None:
-        a_eq, b_eq = equalities
-    else:
-        a_eq, b_eq = None, None
-    base = LinearSystem.make(a_ineq=a, b_ineq=r0, a_eq=a_eq, b_eq=b_eq,
-                             n=cost.n)
-    b = np.array([r0 - sens @ xi_j for xi_j in xi])
-    return SelectionProblem(cost=cost, base=base, a=a, b=b, k=k)
+    rows = cc.bounded()
+    base = rows.nominal_system(equalities)
+    b = np.array([base.b_ineq - rows.sens @ xi_j for xi_j in xi])
+    return SelectionProblem(cost=cost, base=base, a=base.a_ineq, b=b, k=k)

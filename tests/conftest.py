@@ -18,10 +18,13 @@ from ccopf.case_io import (
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 # Property tests draw the same fixed number of examples on every run, so
-# the suite stays deterministic and its run time bounded.
+# the suite stays deterministic and its run time bounded.  Setting
+# HYPOTHESIS_PROFILE=deep draws 1500 instead, still derandomized.
 settings.register_profile("ccopf", derandomize=True, max_examples=100,
                           deadline=None, database=None)
-settings.load_profile("ccopf")
+settings.register_profile("deep", settings.get_profile("ccopf"),
+                          max_examples=1500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ccopf"))
 
 
 def subprocess_env():

@@ -557,6 +557,33 @@ class TestFixedPoint:
             fixed_point_solve(case14_ac, fleet14_ac, np.zeros((4, 2)),
                               AmbiguityParams.from_k(3, 4))
 
+    def test_deterministic_conflict_names_the_row(self, ac14_inputs,
+                                                  monkeypatch):
+        # Every PQ bus held to 1.2-1.3 p.u. leaves the deterministic stage
+        # no dispatch; the certificate weighs bus 12's lower limit most.
+        import dataclasses
+
+        from ccopf.scenario_mip import INFEASIBLE, QpSubproblemResult
+
+        case, fleet, _, _ = ac14_inputs
+        pq = case.bus_kind == PQ
+        case = dataclasses.replace(
+            case, v_min2=np.where(pq, 1.44, case.v_min2),
+            v_max2=np.where(pq, 1.69, case.v_max2))
+        spec = GaussianSpec(forecasts=fleet.forecasts, zeta=0.05, rho=0.2)
+        train = sample(spec, 10, seed=7)
+        params = AmbiguityParams.from_k(10, 10)
+        with pytest.raises(FixedPointError) as info:
+            fixed_point_solve(case, fleet, train, params)
+        assert str(info.value) == ("deterministic stage: INFEASIBLE "
+                                   "(most conflicted row: v@bus12_lo)")
+        # Without a certificate there is no row to name.
+        monkeypatch.setattr(ac_model, "qp_solve", lambda cost, system:
+                            QpSubproblemResult(status=INFEASIBLE))
+        with pytest.raises(FixedPointError) as info:
+            fixed_point_solve(case, fleet, train, params)
+        assert str(info.value) == "deterministic stage: INFEASIBLE"
+
     def test_infeasible_reactive_range_is_reported(self, case14, fleet14):
         # stock ranges cannot cover the dropped charging/shunt support
         params = AmbiguityParams.from_k(4, 4)

@@ -340,6 +340,18 @@ class TestEval:
         assert result.returncode == 1
         assert "void.csv" in result.stderr
 
+    def test_unknown_model_rejected(self, tutorial_run, tmp_path):
+        # The same check and message as sweep, before anything is scored.
+        workdir, _ = tutorial_run
+        result = run_cli(
+            ["eval", "--config", CONFIG_DIR / "tutorial.ini",
+             "--solution", workdir / "out" / "tutorial_solution.csv",
+             "--set", "solve.model=acx"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert ("config key solve.model: must be dc or ac, got 'acx'"
+                in result.stderr)
+        assert not list(tmp_path.glob("out/*_eval.csv"))
+
 
 class TestHelpers:
     def test_parse_k_values_range(self):

@@ -13,6 +13,7 @@ import pytest
 
 from ccopf.case_io import build_fleet, parse_matpower, to_network
 from ccopf.dc_model import (
+    CcSystem,
     assemble_cc_system,
     balance_equality,
     build_ptdf,
@@ -21,7 +22,7 @@ from ccopf.dc_model import (
     make_cost,
     solve_deterministic_dc,
 )
-from ccopf.scenario_mip import INFEASIBLE, OPTIMAL
+from ccopf.scenario_mip import INFEASIBLE, OPTIMAL, QuadraticCost, qp_solve
 
 TWO_BUS = """
 function mpc = two_bus
@@ -221,6 +222,26 @@ class TestCcSystem:
         np.testing.assert_allclose(margins[:, finite],
                                    cc.rhs[finite] - batch[:, finite],
                                    atol=1e-12)
+
+
+    def test_nominal_system_and_conflict_row_skip_unbounded_rows(self):
+        # 2x <= 2, an unrated row, and -x <= -2 conflict.  The Farkas
+        # weights on the bounded rows are 1/4 and 1/2 (y'A = 0, ||a||'y
+        # = 1), so the last row is named, past the unrated one.
+        cc = CcSystem(row_names=("hi", "unrated", "lo"),
+                      base_lin=np.array([[2.0], [1.0], [-1.0]]),
+                      base_const=np.array([0.0, 0.0, 1.0]),
+                      sens=np.zeros((3, 1)),
+                      rhs=np.array([2.0, np.inf, -1.0]))
+        system = cc.nominal_system((np.zeros((0, 1)), np.zeros(0)))
+        np.testing.assert_array_equal(system.a_ineq, [[2.0], [-1.0]])
+        np.testing.assert_array_equal(system.b_ineq, [2.0, -2.0])
+        result = qp_solve(QuadraticCost(h=np.eye(1), g=np.zeros(1)), system)
+        assert result.status == INFEASIBLE
+        np.testing.assert_allclose(result.certificate["y_ineq"], [0.25, 0.5])
+        assert cc.conflict_row(result) == "lo"
+        result.certificate = None
+        assert cc.conflict_row(result) is None
 
 
 class TestDeterministicDispatch:

@@ -10,6 +10,7 @@ The examples and their number are fixed by the profile in conftest.py.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -93,27 +94,39 @@ def descent_ray_value(cost, system):
     return res.fun
 
 
+@pytest.mark.parametrize("form", ["lifted", "direct"])
 @given(st.data())
-def test_lp_through_the_active_set_engine_matches_highs(data):
-    # One extra variable y with cost y^2/2 makes the Hessian nonzero, so
-    # the LP over x goes through the active-set engine's zero-curvature
-    # path rather than straight to HiGHS; y = 0 at the optimum.
-    system = data.draw(feasible_systems())
+def test_lp_through_the_active_set_engine_matches_highs(form, data):
+    # direct: the LP itself, h = 0.  lifted: one extra variable y with
+    # cost y^2/2 makes the Hessian nonzero, and y = 0 at the optimum.
+    # Either way the LP over x runs on the active-set engine's
+    # zero-curvature path.  Without the box the LP may be unbounded; the
+    # recession LP decides that, because HiGHS's presolve can call an
+    # unbounded LP infeasible (status 2) when it has a zero row.
+    system = data.draw(feasible_systems(boxed=data.draw(st.booleans())))
     n = system.n
     g = _ints(data.draw, (n,))
-    h = np.zeros((n + 1, n + 1))
-    h[n, n] = 1.0
-    lifted = LinearSystem(np.hstack([system.a_ineq,
-                                     np.zeros((system.a_ineq.shape[0], 1))]),
-                          system.b_ineq,
-                          np.hstack([system.a_eq,
-                                     np.zeros((system.a_eq.shape[0], 1))]),
-                          system.b_eq)
-    res = qp_solve(QuadraticCost(h=h, g=np.append(g, 0.0)), lifted)
-    ref = linprog(g, A_ub=system.a_ineq, b_ub=system.b_ineq,
+    if form == "direct":
+        res = qp_solve(QuadraticCost(h=np.zeros((n, n)), g=g), system)
+    else:
+        h = np.zeros((n + 1, n + 1))
+        h[n, n] = 1.0
+        lifted = LinearSystem(
+            np.hstack([system.a_ineq, np.zeros((system.a_ineq.shape[0], 1))]),
+            system.b_ineq,
+            np.hstack([system.a_eq, np.zeros((system.a_eq.shape[0], 1))]),
+            system.b_eq)
+        res = qp_solve(QuadraticCost(h=h, g=np.append(g, 0.0)), lifted)
+    ref = linprog(g, A_ub=system.a_ineq if system.a_ineq.size else None,
+                  b_ub=system.b_ineq if system.a_ineq.size else None,
                   A_eq=system.a_eq if system.a_eq.size else None,
                   b_eq=system.b_eq if system.a_eq.size else None,
                   bounds=[(None, None)] * n, method="highs")
+    if descent_ray_value(QuadraticCost(h=np.zeros((n, n)), g=g),
+                         system) < -1e-9:
+        assert res.status == UNBOUNDED, res.message
+        assert ref.status != 0
+        return
     assert ref.status == 0
     assert res.status == OPTIMAL, res.message
     assert abs(res.value - ref.fun) <= TOL * (1.0 + abs(ref.fun))
@@ -174,9 +187,8 @@ def infeasible_systems(draw):
 
 @given(st.data())
 def test_infeasible_system_has_a_farkas_certificate(data):
-    # Both paths: a quadratic cost goes through phase 1, a linear one
-    # through HiGHS first; either way the certificate comes from the
-    # phase-1 LP's duals.
+    # Quadratic and linear costs alike go through phase 1, and the
+    # certificate comes from the phase-1 LP's duals.
     system = data.draw(infeasible_systems())
     n = system.n
     h = np.eye(n) if data.draw(st.booleans()) else np.zeros((n, n))

@@ -12,7 +12,12 @@ import itertools
 import numpy as np
 import pytest
 
-from ccopf.dc_model import assemble_cc_system, balance_equality, make_cost
+from ccopf.dc_model import (
+    CcSystem,
+    assemble_cc_system,
+    balance_equality,
+    make_cost,
+)
 from ccopf.scenario_mip import (
     GAP_LIMIT,
     INFEASIBLE,
@@ -260,6 +265,13 @@ class TestQpSolve:
         system = LinearSystem.make(a_ineq=[[1.0]], b_ineq=[5.0])  # x <= 5
         res = qp_solve(cost, system)
         assert res.status == UNBOUNDED
+        # Feasible at x = 0 and unbounded along (-1, -1, 0); HiGHS's
+        # presolve calls this LP infeasible because of its zero row.
+        system = LinearSystem.make(
+            a_ineq=[[0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 0.0],
+                    [0.0, 0.0, 1.0]], b_ineq=[0.0, 0.0, 1.0, 0.0])
+        cost = QuadraticCost(h=np.zeros((3, 3)), g=np.array([0.0, 1.0, -1.0]))
+        assert qp_solve(cost, system).status == UNBOUNDED
 
     def test_unbounded_singular_hessian(self):
         # Quadratic in x1 only; x2 enters linearly and is free below.
@@ -671,16 +683,17 @@ class TestSolveSelection:
 
 class TestBuildFromChanceRows:
     def test_blocks_shift_by_scenario_and_drop_infinite_rows(self):
-        class Rows:
-            base_lin = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-            base_const = np.array([0.1, 0.0, -0.2])
-            sens = np.array([[2.0], [0.0], [1.0]])
-            rhs = np.array([1.0, np.inf, 3.0])
+        rows = CcSystem(
+            row_names=("r0", "r1", "r2"),
+            base_lin=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            base_const=np.array([0.1, 0.0, -0.2]),
+            sens=np.array([[2.0], [0.0], [1.0]]),
+            rhs=np.array([1.0, np.inf, 3.0]))
 
         xi = np.array([[0.5], [-0.5]])
         cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
         problem = build_selection_from_ccopf(
-            Rows(), xi, cost, k=1,
+            rows, xi, cost, k=1,
             equalities=(np.array([[1.0, 1.0]]), np.array([1.0])))
         assert problem.base.a_ineq.shape == (2, 2)  # inf row dropped
         assert problem.base.a_eq.shape == (1, 2)
