@@ -6,13 +6,14 @@ scenarios (stacked Jacobians, one batched linear solve per iteration,
 step control and stopping per scenario), which pf_solve and respond run
 on one scenario and out-of-sample scoring on blocks sized from the bus
 count and NEWTON_BLOCK_BYTES; the monitored rows and their response
-sensitivities to forecast errors and to dispatch, obtained from the
-implicit-function rule on the factorized power-flow Jacobian; and an
-alternating loop that linearizes the monitored quantities around the
-latest operating point, solves the scenario-selection program on those
-rows, and re-projects onto the power-flow manifold until the operating
-point settles.  AcRowSet, built once by ac_row_set, owns the row layout:
-how each kind of row is indexed, read, differentiated and signed.
+sensitivities to forecast errors and to dispatch, by the implicit-function
+rule on the power-flow Jacobian; and an alternating loop that linearizes
+the monitored quantities around the latest operating point, solves the
+scenario-selection program on those rows, and re-projects onto the
+power-flow manifold until the operating point settles.  AcRowSet, built
+once by ac_row_set, owns the row layout: how each kind of row is indexed,
+read, differentiated and signed; _Sensitivity factorizes the Jacobian
+once per operating point for the rows, loss balance and error response.
 
 Conventions: voltage magnitudes are carried squared (p.u.^2), matching the
 squared bounds of the bus-voltage rows; branch flows are directed active
@@ -427,43 +428,42 @@ class AcRowSet:
     branch active power, index = row into the stacked [from; to] flows,
     upper bound only).
 
-    Built once per case by ac_row_set; the case fixes which machine rows
-    sit at the slack bus and how they share its output, and is not kept.
-    Everything that depends on a row's kind works on the kind groups, one
-    array operation per group: values reads the rows off blocks of
-    operating points, state_partials and direct_xi give their derivatives
-    with respect to the power-flow unknowns and to the forecast errors
-    (each from the case and fleet its caller passes), and q_idx, signs,
-    signed_names and rhs expand them into the one-sided rows of the
-    selection program (per kind an upper block then a lower block; flow
-    rows upper only).
+    Built once per case by ac_row_set from the index arrays of the kind
+    groups, in kind order (the flow group is every directed flow); the
+    case fixes which machine rows sit at the slack bus and how they share
+    its output, and is not kept.  Everything that depends on a row's kind
+    works on the kind groups, one array operation per group: values reads
+    the rows off blocks of operating points, state_partials and direct_xi
+    give their derivatives with respect to the power-flow unknowns and to
+    the forecast errors (each from the case and fleet its caller passes),
+    and q_idx, signs, signed_names and rhs expand them into the one-sided
+    rows of the selection program (per kind an upper block then a lower
+    block; flow rows upper only).
     """
 
-    def __init__(self, case, kinds, indices, names, lo, hi):
-        self.kinds, self.indices = tuple(kinds), tuple(indices)
+    def __init__(self, case, gens, q_buses, v_buses, names, lo, hi):
         self.names = tuple(names)
         self.lo, self.hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        kind = np.array(self.kinds, dtype=str)
-        index = np.array(self.indices, dtype=int)
+        self.q_buses, self.v_buses = q_buses, v_buses
+        self.flows = np.arange(2 * case.n_branch)
+        groups = (gens, q_buses, v_buses, self.flows)
+        self.kinds = tuple(kind for kind, group in zip(
+            ("pgen", "qbus", "v", "flow"), groups) for _ in group)
+        ends = np.cumsum([group.size for group in groups])
+        pgen, self.q_rows, self.v_rows, self.flow_rows = (
+            np.arange(end - group.size, end)
+            for end, group in zip(ends, groups))
         slack_mask = case.slack_gen_mask()
-        pgen = np.flatnonzero(kind == "pgen")
-        at_slack = slack_mask[index[pgen]]
+        at_slack = slack_mask[gens]
         # Non-slack machines follow their dispatch; the slack machines
         # split the slack requirement in proportion to their capacity.
-        self.gen_rows = pgen[~at_slack]
-        self.gens = index[self.gen_rows]
+        self.gen_rows, self.gens = pgen[~at_slack], gens[~at_slack]
         self.slack_rows = pgen[at_slack]
         caps = case.p_max[slack_mask]
         shares = (caps / caps.sum() if caps.sum() > 0
                   else np.full(caps.size, 1.0 / max(caps.size, 1)))
         self.slack_shares = shares[
-            (np.cumsum(slack_mask) - 1)[index[self.slack_rows]]]
-        self.q_rows = np.flatnonzero(kind == "qbus")
-        self.v_rows = np.flatnonzero(kind == "v")
-        self.flow_rows = np.flatnonzero(kind == "flow")
-        self.q_buses = index[self.q_rows]
-        self.v_buses = index[self.v_rows]
-        self.flows = index[self.flow_rows]
+            (np.cumsum(slack_mask) - 1)[gens[at_slack]]]
 
         blocks = []
         for group in (pgen, self.q_rows, self.v_rows):
@@ -543,46 +543,34 @@ def ac_row_set(case, fleet, *, include_slack_rows=False):
     Slack-machine rows (P and Q) are the balancing reserve and enter only
     with include_slack_rows=True, mirroring the DC schema.
     """
-    kinds, indices, names = [], [], []
-    lo, hi = [], []
-    slack_mask = case.slack_gen_mask()
-    for g in range(case.n_gen):
-        if slack_mask[g] and not include_slack_rows:
-            continue
-        kinds.append("pgen")
-        indices.append(g)
-        names.append(f"gen{g}@bus{case.bus_ids[case.gen_bus[g]]}")
-        lo.append(case.p_min[g])
-        hi.append(case.p_max[g])
-    for b in sorted(set(int(b) for b in case.gen_bus)):
-        if case.bus_kind[b] == PQ:
-            raise ValueError(
-                f"generator at PQ bus {case.bus_ids[b]} is not supported "
-                "by the nonlinear model (bus must hold voltage)")
-        if b == case.slack and not include_slack_rows:
-            continue
-        at_b = case.gen_bus == b
-        kinds.append("qbus")
-        indices.append(b)
-        names.append(f"qgen@bus{case.bus_ids[b]}")
-        lo.append(float(case.q_min[at_b].sum()))
-        hi.append(float(case.q_max[at_b].sum()))
-    for b in np.flatnonzero(case.bus_kind == PQ):
-        kinds.append("v")
-        indices.append(int(b))
-        names.append(f"v@bus{case.bus_ids[b]}")
-        lo.append(case.v_min2[b])
-        hi.append(case.v_max2[b])
-    for row in range(2 * case.n_branch):
-        l = row % case.n_branch
-        tag = "fwd" if row < case.n_branch else "rev"
-        names.append(f"flow{l}_{tag}:{case.bus_ids[case.br_from[l]]}-"
-                     f"{case.bus_ids[case.br_to[l]]}")
-        kinds.append("flow")
-        indices.append(row)
-        lo.append(-np.inf)
-        hi.append(case.br_limit[l])
-    return AcRowSet(case, kinds, indices, names, lo, hi)
+    order = np.argsort(case.gen_bus, kind="stable")
+    gen_buses, starts = np.unique(case.gen_bus[order], return_index=True)
+    at_pq = gen_buses[case.bus_kind[gen_buses] == PQ]
+    if at_pq.size:
+        raise ValueError(
+            f"generator at PQ bus {case.bus_ids[at_pq[0]]} is not supported "
+            "by the nonlinear model (bus must hold voltage)")
+    gens = np.flatnonzero(include_slack_rows | ~case.slack_gen_mask())
+    q_keep = include_slack_rows | (gen_buses != case.slack)
+    q_buses = gen_buses[q_keep]
+    v_buses = np.flatnonzero(case.bus_kind == PQ)
+    branch = np.arange(2 * case.n_branch) % case.n_branch
+    ids = case.bus_ids
+    names = (
+        [f"gen{g}@bus{ids[case.gen_bus[g]]}" for g in gens]
+        + [f"qgen@bus{ids[b]}" for b in q_buses]
+        + [f"v@bus{ids[b]}" for b in v_buses]
+        + [f"flow{l}_{'fwd' if row < case.n_branch else 'rev'}:"
+           f"{ids[case.br_from[l]]}-{ids[case.br_to[l]]}"
+           for row, l in enumerate(branch)])
+    # Machine Q ranges summed per generator bus.
+    q_ranges = [np.add.reduceat(q[order], starts)[q_keep]
+                for q in (case.q_min, case.q_max)]
+    lo = np.concatenate([case.p_min[gens], q_ranges[0], case.v_min2[v_buses],
+                         np.full(branch.size, -np.inf)])
+    hi = np.concatenate([case.p_max[gens], q_ranges[1], case.v_max2[v_buses],
+                         case.br_limit[branch]])
+    return AcRowSet(case, gens, q_buses, v_buses, names, lo, hi)
 
 
 def quantity_values(case, fleet, rows, state, dispatch, xi=None):
@@ -605,53 +593,84 @@ class ResponseJacobian:
 
 
 class _Sensitivity:
-    """Factorized power-flow system and state partials at a solved state."""
+    """The one factorization of the power-flow Jacobian at a solved state.
+
+    Building one checks the state, factors the Jacobian and solves once
+    for du_x, the state shift per unit of each machine's dispatch (slack
+    machines: zero).  The error response, the CcSystem rows and the loss
+    balance are methods on it; the alternating loop builds one per
+    operating point, each public wrapper one per call.
+    """
 
     def __init__(self, case, state):
-        self.case = case
-        self.net = _network(case)
-        self.ns, self.pq = self.net.ns, self.net.pq
-        v = np.sqrt(state.v) * np.exp(1j * state.theta)
+        _require_solved(state, "linearization needs a solved state")
+        self.case, self.state = case, state
+        net = _network(case)
+        self.ns, self.pq = net.ns, net.pq
         self.vmag = np.sqrt(state.v)
-        jac = _pf_jacobian(self.net, v)
-        self.lu = scipy.linalg.lu_factor(jac)
-        ds_dva, ds_dvm = _ds_bus(self.net, v)
-        self.dp_du = np.hstack([ds_dva.real[:, self.ns],
-                                ds_dvm.real[:, self.pq]])
-        self.dq_du = np.hstack([ds_dva.imag[:, self.ns],
-                                ds_dvm.imag[:, self.pq]])
-        dl_dva, dl_dvm = _ds_branch(self.net, v)
-        self.dl_du = np.hstack([dl_dva.real[:, self.ns],
-                                dl_dvm.real[:, self.pq]])
-        n = case.n_bus
-        self.p_row = np.full(n, -1)
+        v = self.vmag * np.exp(1j * state.theta)
+        self.lu = scipy.linalg.lu_factor(_pf_jacobian(net, v))
+        ds_dva, ds_dvm = _ds_bus(net, v)
+        dl_dva, dl_dvm = _ds_branch(net, v)
+        self.dp_du, self.dq_du, self.dl_du = (
+            np.hstack([d_va[:, self.ns], d_vm[:, self.pq]])
+            for d_va, d_vm in ((ds_dva.real, ds_dvm.real),
+                               (ds_dva.imag, ds_dvm.imag),
+                               (dl_dva.real, dl_dvm.real)))
+        self.p_row = np.full(case.n_bus, -1)
         self.p_row[self.ns] = np.arange(self.ns.size)
-        self.q_row = np.full(n, -1)
+        self.q_row = np.full(case.n_bus, -1)
         self.q_row[self.pq] = self.ns.size + np.arange(self.pq.size)
         self.n_u = self.ns.size + self.pq.size
+        gen_rows = self.p_row[case.gen_bus]
+        steered = np.flatnonzero(gen_rows >= 0)
+        rhs = np.zeros((self.n_u, case.n_gen))
+        rhs[gen_rows[steered], steered] = 1.0
+        self.du_x = scipy.linalg.lu_solve(self.lu, rhs)
 
-    def du_d_setpoint(self, rhs):
-        """State shift per unit setpoint shift, rhs one column per input."""
-        return scipy.linalg.lu_solve(self.lu, rhs)
-
-    def gen_columns(self):
-        """Setpoint selectors for each machine's dispatch (slack: zero)."""
-        rhs = np.zeros((self.n_u, self.case.n_gen))
-        for g, b in enumerate(self.case.gen_bus):
-            if self.p_row[b] >= 0:
-                rhs[self.p_row[b], g] = 1.0
-        return rhs
-
-    def xi_columns(self, fleet):
-        """Setpoint selectors for each forecast-error component."""
+    def response(self, fleet, rows):
+        """response_jacobian's (n_rows, n_vre) matrix at this state."""
         rhs = np.zeros((self.n_u, fleet.n_vre))
         rhs[:self.ns.size, :] -= fleet.participation[self.ns][:, None]
-        for j, b in enumerate(fleet.vre_buses):
-            if self.p_row[b] >= 0:
-                rhs[self.p_row[b], j] += 1.0
-            if self.q_row[b] >= 0:
-                rhs[self.q_row[b], j] += fleet.gamma
-        return rhs
+        cols = np.arange(fleet.n_vre)
+        p_rows = self.p_row[fleet.vre_buses]
+        q_rows = self.q_row[fleet.vre_buses]
+        rhs[p_rows[p_rows >= 0], cols[p_rows >= 0]] += 1.0
+        rhs[q_rows[q_rows >= 0], cols[q_rows >= 0]] += fleet.gamma
+        j = (rows.state_partials(self) @ scipy.linalg.lu_solve(self.lu, rhs)
+             + rows.direct_xi(self.case, fleet))
+        j.setflags(write=False)
+        return j
+
+    def cc_system(self, fleet, rows, dispatch, sens_rows):
+        """linearize_cc_system at this state."""
+        lin = rows.state_partials(self) @ self.du_x
+        lin[rows.gen_rows, rows.gens] += 1.0
+        const = (quantity_values(self.case, fleet, rows, self.state, dispatch)
+                 - lin @ dispatch)
+        signs, q_idx = rows.signs, rows.q_idx
+        cc = CcSystem(
+            row_names=rows.signed_names,
+            base_lin=signs[:, None] * lin[q_idx],
+            base_const=signs * const[q_idx],
+            sens=signs[:, None] * sens_rows[q_idx],
+            rhs=rows.rhs,
+        )
+        for arr in (cc.base_lin, cc.base_const, cc.sens):
+            arr.setflags(write=False)
+        return cc
+
+    def loss_balance(self, fleet, dispatch):
+        """loss_balance_equality at this state."""
+        case = self.case
+        grad = self.dp_du[case.slack] @ self.du_x
+        grad[~case.slack_gen_mask()] += 1.0
+        grad[case.slack_gen_mask()] = 0.0
+        losses = float(self.state.p.sum())
+        total = float(case.p_load.sum() - fleet.forecasts.sum())
+        a_eq = (1.0 - grad)[None, :]
+        b_eq = np.array([total + losses - grad @ dispatch])
+        return a_eq, b_eq
 
 
 def response_jacobian(case, fleet, state, *, rows):
@@ -661,12 +680,9 @@ def response_jacobian(case, fleet, state, *, rows):
     system plus the direct participation terms; machine active rows come
     out exactly minus the participation factors.
     """
-    _require_solved(state, "response sensitivities need a solved state")
-    sens = _Sensitivity(case, state)
-    du = sens.du_d_setpoint(sens.xi_columns(fleet))
-    j = rows.state_partials(sens) @ du + rows.direct_xi(case, fleet)
-    j.setflags(write=False)
-    return ResponseJacobian(row_names=rows.names, j_matrix=j)
+    return ResponseJacobian(
+        row_names=rows.names,
+        j_matrix=_Sensitivity(case, state).response(fleet, rows))
 
 
 def linearize_cc_system(case, fleet, state, dispatch, *, rows, sens_rows):
@@ -678,24 +694,8 @@ def linearize_cc_system(case, fleet, state, dispatch, *, rows, sens_rows):
     sensitivities, frozen at this state or an earlier one
     (response_jacobian).
     """
-    _require_solved(state, "linearization needs a solved state")
-    dispatch = np.asarray(dispatch, dtype=float)
-    sens = _Sensitivity(case, state)
-    lin = rows.state_partials(sens) @ sens.du_d_setpoint(sens.gen_columns())
-    lin[rows.gen_rows, rows.gens] += 1.0
-    const = (quantity_values(case, fleet, rows, state, dispatch)
-             - lin @ dispatch)
-    signs, q_idx = rows.signs, rows.q_idx
-    cc = CcSystem(
-        row_names=rows.signed_names,
-        base_lin=signs[:, None] * lin[q_idx],
-        base_const=signs * const[q_idx],
-        sens=signs[:, None] * sens_rows[q_idx],
-        rhs=rows.rhs,
-    )
-    for arr in (cc.base_lin, cc.base_const, cc.sens):
-        arr.setflags(write=False)
-    return cc
+    return _Sensitivity(case, state).cc_system(
+        fleet, rows, np.asarray(dispatch, dtype=float), sens_rows)
 
 
 def loss_balance_equality(case, fleet, state, dispatch):
@@ -705,18 +705,8 @@ def loss_balance_equality(case, fleet, state, dispatch):
     first-order model around the current dispatch; the loss gradient comes
     from the slack-injection sensitivity columns.
     """
-    _require_solved(state, "loss linearization needs a solved state")
-    dispatch = np.asarray(dispatch, dtype=float)
-    sens = _Sensitivity(case, state)
-    du_x = sens.du_d_setpoint(sens.gen_columns())
-    grad = sens.dp_du[case.slack] @ du_x
-    grad[~case.slack_gen_mask()] += 1.0
-    grad[case.slack_gen_mask()] = 0.0
-    losses = float(state.p.sum())
-    total = float(case.p_load.sum() - fleet.forecasts.sum())
-    a_eq = (1.0 - grad)[None, :]
-    b_eq = np.array([total + losses - grad @ dispatch])
-    return a_eq, b_eq
+    return _Sensitivity(case, state).loss_balance(
+        fleet, np.asarray(dispatch, dtype=float))
 
 
 # --- the alternating dispatch/selection loop ------------------------------
@@ -747,29 +737,31 @@ def _initial_dispatch(case, fleet):
     return np.clip(x, case.p_min, case.p_max)
 
 
-def _proximal_cost(cost, center, weight=PROXIMAL_WEIGHT):
+def _proximal_cost(cost, center):
     n = cost.n
     return QuadraticCost(
-        h=cost.h + 2.0 * weight * np.eye(n),
-        g=cost.g - 2.0 * weight * center,
-        c0=cost.c0 + weight * float(center @ center),
+        h=cost.h + 2.0 * PROXIMAL_WEIGHT * np.eye(n),
+        g=cost.g - 2.0 * PROXIMAL_WEIGHT * center,
+        c0=cost.c0 + PROXIMAL_WEIGHT * float(center @ center),
     )
 
 
-def _inner_slp(case, fleet, cost, rows, x_start, w_start, frozen_j, *,
+def _inner_slp(case, fleet, cost, rows, x_start, sens_start, frozen_j, *,
                xi=None, k=None, options=None):
     """Linearize, solve, re-project until the dispatch settles.
 
-    With xi=None this is the deterministic stage (single QP per pass);
-    otherwise the selection program runs per pass with frozen_j as the
-    error sensitivities.  Returns (dispatch, state, selection-or-None).
+    sens_start is the _Sensitivity at x_start's operating point; each pass
+    linearizes on the current one and builds the next at the re-projected
+    point.  With xi=None this is the deterministic stage (single QP per
+    pass); otherwise the selection program runs per pass with frozen_j as
+    the error sensitivities.  Returns (dispatch, its _Sensitivity,
+    selection-or-None).
     """
-    x_cur, w_cur = np.asarray(x_start, float), w_start
+    x_cur, sens = np.asarray(x_start, float), sens_start
     sel = None
     for _ in range(MAX_INNER_PASSES):
-        cc = linearize_cc_system(case, fleet, w_cur, x_cur,
-                                 sens_rows=frozen_j, rows=rows)
-        equalities = loss_balance_equality(case, fleet, w_cur, x_cur)
+        cc = sens.cc_system(fleet, rows, x_cur, frozen_j)
+        equalities = sens.loss_balance(fleet, x_cur)
         prox = _proximal_cost(cost, x_cur)
         if xi is None:
             result = qp_solve(prox, cc.nominal_system(equalities))
@@ -791,12 +783,12 @@ def _inner_slp(case, fleet, cost, rows, x_start, w_start, frozen_j, *,
         step = float(np.abs(x_new - x_cur).max())
         w_new = _require_solved(
             solve_operating_point(case, fleet, x_new,
-                                  theta0=w_cur.theta,
-                                  vmag0=np.sqrt(w_cur.v)),
+                                  theta0=sens.state.theta,
+                                  vmag0=np.sqrt(sens.state.v)),
             "re-projection power flow")
-        x_cur, w_cur = x_new, w_new
+        x_cur, sens = x_new, _Sensitivity(case, w_new)
         if step <= INNER_STEP_TOL:
-            return x_cur, w_cur, sel
+            return x_cur, sens, sel
     raise FixedPointError(
         f"linearization loop still moving after {MAX_INNER_PASSES} passes "
         f"(last step {step:.3e})")
@@ -820,9 +812,10 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     outer iteration then freezes the error sensitivities at the incumbent
     operating point, solves the k-of-S selection program (inner
     linearization loop included), and measures the distance between
-    consecutive operating points over the controlled subvector.  Stops
-    when the distance falls to OUTER_TOL; raises FixedPointError with the
-    full distance trail otherwise.
+    consecutive operating points over the controlled subvector.  The
+    frozen sensitivities and the first inner pass share one factorization.
+    Stops when the distance falls to OUTER_TOL; raises FixedPointError
+    with the full distance trail otherwise.
     """
     xi = np.atleast_2d(np.asarray(getattr(scenarios, "xi", scenarios),
                                   dtype=float))
@@ -839,21 +832,21 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     x0 = _initial_dispatch(case, fleet)
     w0 = _require_solved(solve_operating_point(case, fleet, x0),
                          "starting-point power flow")
-    x_t, w_t, _ = _inner_slp(case, fleet, cost, rows, x0, w0,
-                             np.zeros((rows.n_rows, fleet.n_vre)))
+    x_t, sens_t, _ = _inner_slp(case, fleet, cost, rows, x0,
+                                _Sensitivity(case, w0),
+                                np.zeros((rows.n_rows, fleet.n_vre)))
     d_history = []
     obj_history = []
     for t in range(1, MAX_OUTER_ITER + 1):
-        frozen = response_jacobian(case, fleet, w_t, rows=rows)
-        x_new, w_new, sel = _inner_slp(
-            case, fleet, cost, rows, x_t, w_t, frozen.j_matrix, xi=xi,
-            k=params.k, options=options)
-        d = _state_distance(case, w_new, w_t)
+        x_new, sens_new, sel = _inner_slp(
+            case, fleet, cost, rows, x_t, sens_t,
+            sens_t.response(fleet, rows), xi=xi, k=params.k, options=options)
+        d = _state_distance(case, sens_new.state, sens_t.state)
         d_history.append(d)
         obj_history.append(sel.objective)
-        x_t, w_t = x_new, w_new
+        x_t, sens_t = x_new, sens_new
         if d <= OUTER_TOL:
-            return FixedPointResult(state=w_t, selection=sel,
+            return FixedPointResult(state=sens_t.state, selection=sel,
                                     outer_iterations=t,
                                     d_history=tuple(d_history),
                                     obj_history=tuple(obj_history))

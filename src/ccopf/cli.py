@@ -581,7 +581,7 @@ def _solve_dc(case, fleet, train, test, ro_set, params, options,
     cost_vs_ro = np.nan
     if report_ro:
         ro = ro_baseline(case, fleet, ro_set if ro_set is not None else train,
-                         include_slack_rows=include_slack)
+                         cc=cc)
         cost_vs_ro = sol.objective / ro.objective
         log.info("robust baseline cost %.6g; cost ratio %.6g",
                  ro.objective, cost_vs_ro)

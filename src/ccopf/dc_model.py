@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .case_io import build_fleet
 from .scenario_mip import (
@@ -55,23 +57,23 @@ def incidence_matrix(case):
 def build_ptdf(case):
     """Power transfer distribution factors from series reactances.
 
-    Factorizes the reduced nodal susceptance matrix once (Cholesky) and
-    back-solves for all branches; a singular reduction means the network
-    is not connected through in-service branches.
+    Factorizes the reduced nodal susceptance matrix once with SuperLU,
+    whose arithmetic, unlike a multithreaded BLAS Cholesky, does not depend
+    on the BLAS thread count, and back-solves for all branches.  A network
+    that is not connected through its branches is rejected first.
     """
     a = incidence_matrix(case)
     b_series = 1.0 / case.br_x
     b_bus = a.T @ (b_series[:, None] * a)
-    keep = np.arange(case.n_bus) != case.slack
-    try:
-        factor = cho_factor(b_bus[np.ix_(keep, keep)])
-    except np.linalg.LinAlgError as exc:
+    if connected_components(csr_matrix(b_bus), directed=False)[0] > 1:
         raise ValueError(
             "susceptance matrix is singular: the network is not connected "
-            "through in-service branches") from exc
+            "through in-service branches")
+    keep = np.arange(case.n_bus) != case.slack
+    factor = splu(csc_matrix(b_bus[np.ix_(keep, keep)]))
     weighted = b_series[:, None] * a[:, keep]  # (L, n-1)
     phi = np.zeros((case.n_branch, case.n_bus))
-    phi[:, keep] = cho_solve(factor, weighted.T).T
+    phi[:, keep] = factor.solve(weighted.T).T
     phi.setflags(write=False)
     return PtdfMatrix(phi=phi, slack=case.slack)
 
@@ -162,8 +164,9 @@ class CcSystem:
         return self.bounded().row_names[int(np.argmax(weights))]
 
 
-def assemble_cc_system(case, fleet, ptdf=None, *, include_slack_rows=False):
-    """Chance-constraint rows for generator limits and branch limits.
+def assemble_cc_system(case, fleet, *, include_slack_rows=False):
+    """Chance-constraint rows for generator limits and branch limits, as
+    the four blocks CcSystem documents, each one stacked array.
 
     Generators at the slack bus are left out by default: the balancing
     reserve is assumed to live there, and the columns would otherwise make
@@ -171,10 +174,9 @@ def assemble_cc_system(case, fleet, ptdf=None, *, include_slack_rows=False):
     in the nominal dispatch.  Pass include_slack_rows=True to monitor them
     anyway (diagnostics, sensitivity studies).
     """
-    if ptdf is None:
-        ptdf = build_ptdf(case)
+    ptdf = build_ptdf(case)
     response = dc_response(case, fleet, ptdf)
-    n_gen, n_vre = case.n_gen, fleet.n_vre
+    n_gen = case.n_gen
 
     cg = np.zeros((case.n_bus, n_gen))
     cg[case.gen_bus, np.arange(n_gen)] = 1.0
@@ -183,43 +185,27 @@ def assemble_cc_system(case, fleet, ptdf=None, *, include_slack_rows=False):
     flow_lin = ptdf.phi @ cg
     flow_const = ptdf.phi @ inj_const
 
-    slack_mask = case.slack_gen_mask()
-    gens = [g for g in range(n_gen)
-            if include_slack_rows or not slack_mask[g]]
-
-    names, lin, const, sens, rhs = [], [], [], [], []
-    for g in gens:
-        e = np.zeros(n_gen)
-        e[g] = 1.0
-        names.append(f"gen{g}_hi@bus{case.bus_ids[case.gen_bus[g]]}")
-        lin.append(e)
-        const.append(0.0)
-        sens.append(response.gen_sens[g])
-        rhs.append(case.p_max[g])
-    for g in gens:
-        e = np.zeros(n_gen)
-        e[g] = -1.0
-        names.append(f"gen{g}_lo@bus{case.bus_ids[case.gen_bus[g]]}")
-        lin.append(e)
-        const.append(0.0)
-        sens.append(-response.gen_sens[g])
-        rhs.append(-case.p_min[g])
-    for sign, tag in ((1.0, "hi"), (-1.0, "lo")):
-        for l in range(case.n_branch):
-            names.append(
-                f"flow{l}_{tag}:{case.bus_ids[case.br_from[l]]}-"
-                f"{case.bus_ids[case.br_to[l]]}")
-            lin.append(sign * flow_lin[l])
-            const.append(sign * flow_const[l])
-            sens.append(sign * response.flow_sens[l])
-            rhs.append(case.br_limit[l])
+    gens = np.flatnonzero(include_slack_rows | ~case.slack_gen_mask())
+    gen_lin = np.zeros((2 * gens.size, n_gen))
+    gen_lin[np.arange(2 * gens.size), np.tile(gens, 2)] = np.repeat(
+        [1.0, -1.0], gens.size)
+    gen_sens = response.gen_sens[gens]
+    ids = case.bus_ids
+    names = tuple(
+        [f"gen{g}_{tag}@bus{ids[case.gen_bus[g]]}"
+         for tag in ("hi", "lo") for g in gens]
+        + [f"flow{l}_{tag}:{ids[f]}-{ids[t]}" for tag in ("hi", "lo")
+           for l, (f, t) in enumerate(zip(case.br_from, case.br_to))])
 
     cc = CcSystem(
-        row_names=tuple(names),
-        base_lin=np.array(lin),
-        base_const=np.array(const),
-        sens=np.array(sens).reshape(len(names), n_vre),
-        rhs=np.array(rhs),
+        row_names=names,
+        base_lin=np.vstack([gen_lin, flow_lin, -flow_lin]),
+        base_const=np.concatenate([np.zeros(2 * gens.size), flow_const,
+                                   -flow_const]),
+        sens=np.vstack([gen_sens, -gen_sens, response.flow_sens,
+                        -response.flow_sens]),
+        rhs=np.concatenate([case.p_max[gens], -case.p_min[gens],
+                            case.br_limit, case.br_limit]),
     )
     for arr in (cc.base_lin, cc.base_const, cc.sens, cc.rhs):
         arr.setflags(write=False)

@@ -14,6 +14,7 @@ from ccopf.ac_model import (
     AcEvaluator,
     AcState,
     FixedPointError,
+    NewtonError,
     ac_row_set,
     fixed_point_solve,
     linearize_cc_system,
@@ -478,6 +479,26 @@ class TestLinearization:
         pieces.append(hi[kinds == "flow"])
         np.testing.assert_array_equal(cc.rhs, np.concatenate(pieces))
 
+    def test_unsolved_state_is_rejected(self, case14_ac, fleet14_ac):
+        state = state_at(case14_ac, np.ones(case14_ac.n_bus),
+                         np.zeros(case14_ac.n_bus))
+        rows = ac_row_set(case14_ac, fleet14_ac)
+        dispatch = np.full(5, 0.438)
+        calls = (
+            lambda: response_jacobian(case14_ac, fleet14_ac, state,
+                                      rows=rows),
+            lambda: linearize_cc_system(
+                case14_ac, fleet14_ac, state, dispatch, rows=rows,
+                sens_rows=np.zeros((rows.n_rows, 2))),
+            lambda: loss_balance_equality(case14_ac, fleet14_ac, state,
+                                          dispatch),
+        )
+        for call in calls:
+            with pytest.raises(NewtonError,
+                               match="linearization needs a solved state: "
+                                     "synthesized from voltages"):
+                call()
+
     def test_loss_balance_lossless_is_plain_sum(self):
         case = triangle(0.0, 30.0, 20.0)
         fleet = build_fleet(case, [2], np.array([0.05]), 0.1)
@@ -583,6 +604,31 @@ class TestFixedPoint:
         with pytest.raises(FixedPointError) as info:
             fixed_point_solve(case, fleet, train, params)
         assert str(info.value) == "deterministic stage: INFEASIBLE"
+
+    def test_one_factorization_per_operating_point(self, ac14_inputs,
+                                                   monkeypatch):
+        # The linearized rows, the loss balance and the error response at
+        # an operating point all come from one factorization of its
+        # power-flow Jacobian.
+        import scipy.linalg
+
+        case, fleet, train, _ = ac14_inputs
+        counts = {"lu_factor": 0, "power_flow": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor",
+                            counted("lu_factor", scipy.linalg.lu_factor))
+        monkeypatch.setattr(ac_model, "solve_operating_point",
+                            counted("power_flow",
+                                    ac_model.solve_operating_point))
+        fixed_point_solve(case, fleet, train, AmbiguityParams.from_k(38, 40))
+        assert counts["power_flow"] > 2
+        assert counts["lu_factor"] == counts["power_flow"]
 
     def test_infeasible_reactive_range_is_reported(self, case14, fleet14):
         # stock ranges cannot cover the dropped charging/shunt support

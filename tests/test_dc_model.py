@@ -8,6 +8,9 @@ recomputation of shifted injections.  Dispatch solutions are checked
 against closed-form two-variable KKT algebra.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from ccopf.dc_model import (
     solve_deterministic_dc,
 )
 from ccopf.scenario_mip import INFEASIBLE, OPTIMAL, QuadraticCost, qp_solve
+from conftest import subprocess_env
 
 TWO_BUS = """
 function mpc = two_bus
@@ -119,6 +123,27 @@ class TestPtdf:
             p -= p.mean()
             flows = ptdf.phi @ p
             np.testing.assert_allclose(a.T @ flows, p, atol=1e-10)
+
+    def test_same_bytes_at_any_blas_thread_count(self):
+        # A multithreaded dense Cholesky of the case300s susceptance
+        # matrix rounds differently at 1 and 2 OpenBLAS threads; the
+        # factors, and every output built on them, must not.
+        script = (
+            "import hashlib, warnings\n"
+            "from ccopf.case_io import load_case, packaged_case_path\n"
+            "from ccopf.dc_model import build_ptdf\n"
+            "warnings.simplefilter('ignore')\n"
+            "case = load_case(packaged_case_path('case300s'))\n"
+            "print(hashlib.sha256(build_ptdf(case).phi.tobytes())"
+            ".hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=120, check=True,
+                env={**subprocess_env(), "OPENBLAS_NUM_THREADS": threads})
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     def test_disconnected_network_rejected(self):
         case = load_text(triangle_text(statuses=(1, 0, 0)))
