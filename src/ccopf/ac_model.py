@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -515,13 +516,14 @@ class AcRowSet:
         Non-slack machine outputs do not move with the state; v rows sit
         at PQ buses, whose magnitudes are unknowns.
         """
+        dp_du, dq_du, dl_du = sens.partials
         out = np.zeros((self.n_rows, sens.n_u))
         out[self.slack_rows] = (self.slack_shares[:, None]
-                                * sens.dp_du[sens.case.slack])
-        out[self.q_rows] = sens.dq_du[self.q_buses]
+                                * dp_du[sens.case.slack])
+        out[self.q_rows] = dq_du[self.q_buses]
         out[self.v_rows, sens.q_row[self.v_buses]] = (
             2.0 * sens.vmag[self.v_buses])
-        out[self.flow_rows] = sens.dl_du[self.flows]
+        out[self.flow_rows] = dl_du[self.flows]
         return out
 
     def direct_xi(self, case, fleet):
@@ -595,38 +597,50 @@ class ResponseJacobian:
 class _Sensitivity:
     """The one factorization of the power-flow Jacobian at a solved state.
 
-    Building one checks the state, factors the Jacobian and solves once
-    for du_x, the state shift per unit of each machine's dispatch (slack
-    machines: zero).  The error response, the CcSystem rows and the loss
-    balance are methods on it; the alternating loop builds one per
-    operating point, each public wrapper one per call.
+    Building one checks the state.  The Jacobian is factored, and du_x
+    (the state shift per unit of each machine's dispatch; slack machines:
+    zero) solved for, on first use: the loop builds one at every
+    re-projected point, and at its last point only the state is read.
+    The error response, the CcSystem rows and the loss balance are
+    methods on it; the alternating loop builds one per operating point,
+    each public wrapper one per call.
     """
 
     def __init__(self, case, state):
         _require_solved(state, "linearization needs a solved state")
         self.case, self.state = case, state
-        net = _network(case)
-        self.ns, self.pq = net.ns, net.pq
+        self.net = _network(case)
+        self.ns, self.pq = self.net.ns, self.net.pq
         self.vmag = np.sqrt(state.v)
-        v = self.vmag * np.exp(1j * state.theta)
-        self.lu = scipy.linalg.lu_factor(_pf_jacobian(net, v))
-        ds_dva, ds_dvm = _ds_bus(net, v)
-        dl_dva, dl_dvm = _ds_branch(net, v)
-        self.dp_du, self.dq_du, self.dl_du = (
-            np.hstack([d_va[:, self.ns], d_vm[:, self.pq]])
-            for d_va, d_vm in ((ds_dva.real, ds_dvm.real),
-                               (ds_dva.imag, ds_dvm.imag),
-                               (dl_dva.real, dl_dvm.real)))
+        self.v = self.vmag * np.exp(1j * state.theta)
         self.p_row = np.full(case.n_bus, -1)
         self.p_row[self.ns] = np.arange(self.ns.size)
         self.q_row = np.full(case.n_bus, -1)
         self.q_row[self.pq] = self.ns.size + np.arange(self.pq.size)
         self.n_u = self.ns.size + self.pq.size
-        gen_rows = self.p_row[case.gen_bus]
+
+    @cached_property
+    def lu(self):
+        return scipy.linalg.lu_factor(_pf_jacobian(self.net, self.v))
+
+    @cached_property
+    def partials(self):
+        """(dp_du, dq_du, dl_du): bus P, bus Q and branch flow against the
+        power-flow unknowns."""
+        ds_dva, ds_dvm = _ds_bus(self.net, self.v)
+        dl_dva, dl_dvm = _ds_branch(self.net, self.v)
+        return tuple(np.hstack([d_va[:, self.ns], d_vm[:, self.pq]])
+                     for d_va, d_vm in ((ds_dva.real, ds_dvm.real),
+                                        (ds_dva.imag, ds_dvm.imag),
+                                        (dl_dva.real, dl_dvm.real)))
+
+    @cached_property
+    def du_x(self):
+        gen_rows = self.p_row[self.case.gen_bus]
         steered = np.flatnonzero(gen_rows >= 0)
-        rhs = np.zeros((self.n_u, case.n_gen))
+        rhs = np.zeros((self.n_u, self.case.n_gen))
         rhs[gen_rows[steered], steered] = 1.0
-        self.du_x = scipy.linalg.lu_solve(self.lu, rhs)
+        return scipy.linalg.lu_solve(self.lu, rhs)
 
     def response(self, fleet, rows):
         """response_jacobian's (n_rows, n_vre) matrix at this state."""
@@ -663,7 +677,7 @@ class _Sensitivity:
     def loss_balance(self, fleet, dispatch):
         """loss_balance_equality at this state."""
         case = self.case
-        grad = self.dp_du[case.slack] @ self.du_x
+        grad = self.partials[0][case.slack] @ self.du_x
         grad[~case.slack_gen_mask()] += 1.0
         grad[case.slack_gen_mask()] = 0.0
         losses = float(self.state.p.sum())

@@ -142,7 +142,7 @@ def ro_baseline(case, fleet, training_set, *, cc=None,
     return SelectionSolution(
         x_star=result.x, z_star=np.zeros(s, dtype=int),
         objective=result.value, enforced_set=tuple(range(s)),
-        status=OPTIMAL, nodes=0, qp_count=1,
+        status=OPTIMAL, nodes=0, qp_count=1, iterations=result.iterations,
         wall_time=time.perf_counter() - t0, gap=0.0,
         duals_ineq=result.duals_ineq, duals_eq=result.duals_eq)
 

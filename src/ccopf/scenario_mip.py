@@ -22,12 +22,24 @@ fixed cap.  t is the radius of a ball around x inside the inequalities,
 so x is their Chebyshev centre and the active-set run leaves it with an
 almost empty working set.  t* < 0 means the system is infeasible, and
 the same LP's duals are the Farkas certificate.  Linear costs take the
-same path; HiGHS solves only the phase-1 LP.  All tie-breaks are by
-lowest index so results are reproducible.
+same path; HiGHS solves only the phase-1 LP.
+
+A warm QP starts from an earlier optimum instead: every warm-started
+system in the search loosens the system of its start (a node loosens the
+all-enforced anchor, a greedy trial the trial before it), so only the
+right-hand side moves.  The start's working set, point and multipliers
+follow that RHS from the old value to the new one (a parametric
+active-set homotopy, as in qpOASES), one working-set change per
+breakpoint and with the same QR and Cholesky steps; a node usually needs
+a few breakpoints where a primal run from the anchor point re-adds some
+thirty working rows.  That primal run stays as the fallback when the
+path gives up.  All tie-breaks are by lowest index so results are
+reproducible.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import time
 from dataclasses import dataclass
@@ -136,7 +148,9 @@ class QpSubproblemResult:
     y'A = 0 and y'b < 0.  UNBOUNDED and NUMERICAL_FAILURE are reported
     distinctly; neither carries a point.  iterations counts the
     active-set iterations on every path (0 when phase 1 decides the
-    outcome).
+    outcome).  An OPTIMAL result also records its final working set (its
+    inequality rows, ascending) and the inequality RHS it was solved for:
+    a warm start of qp_solve moves from there.
     """
 
     status: str
@@ -148,6 +162,8 @@ class QpSubproblemResult:
     certificate: dict | None = None
     message: str = ""
     iterations: int = 0  # active-set iterations taken
+    working: tuple = ()  # OPTIMAL: inequality rows of the working set
+    rhs: np.ndarray | None = None  # OPTIMAL: the b_ineq it solves
 
 
 def _phase1_lp(system):
@@ -291,18 +307,26 @@ def qp_solve(cost, system, *, warm_start=None):
     otherwise a least-squares step plus an explicit descent ray handles
     the singular reduced Hessian, so linear costs and linear pieces of a
     cost are fine and an unblocked ray is reported UNBOUNDED.  An optimum
-    whose KKT residual
-    on the normalized problem exceeds _KKT_TOL is reported as
-    NUMERICAL_FAILURE with that residual in the message.
+    whose KKT residual on the normalized problem exceeds _KKT_TOL is
+    reported as NUMERICAL_FAILURE with that residual in the message.
 
-    warm_start is an optional point; when it already satisfies the system
-    it replaces the phase-1 LP and seeds the working set with the
-    independent rows active there, which is where branch-and-bound spends
-    its time.  An infeasible warm point is ignored.  A cold start is the
-    max-slack LP's point (see _phase1_lp): every row keeps slack
-    t* ||a_i||, so the working set starts empty unless t* is about 0,
-    and t* < 0 returns INFEASIBLE with that LP's Farkas certificate.  The
-    result's iterations field counts the active-set iterations taken.
+    warm_start is an optional OPTIMAL result of an earlier call with the
+    same cost and the same rows, solved for another inequality RHS b0
+    (its rhs field).  Its working set, point and multipliers are then
+    moved along b0 + t (b - b0) to this system's RHS (see _rhs_homotopy),
+    usually in a few working-set changes.  Callers warm-start only
+    loosenings, b >= b0, so every QP on that path is feasible and the
+    start point is feasible here too (a tightening still gets the right
+    answer, through the fallback's phase 1 where the path cannot go on,
+    but nothing is gained).  When the path gives up, or its
+    answer fails the KKT gate, the primal method runs from the start
+    point instead, seeding the working set with the independent rows
+    active there; a start point this system does not satisfy is ignored.
+    A cold start is the max-slack LP's point (see _phase1_lp): every row
+    keeps slack t* ||a_i||, so the working set starts empty unless t* is
+    about 0, and t* < 0 returns INFEASIBLE with that LP's Farkas
+    certificate.  The result's iterations field counts the active-set
+    iterations taken, on the path and after it.
     """
     if not isinstance(system, LinearSystem):
         raise TypeError("system must be a LinearSystem")
@@ -315,36 +339,66 @@ def qp_solve(cost, system, *, warm_start=None):
     g = g / scale
     h_max = float(np.max(np.abs(h)))
 
-    x = None
-    if warm_start is not None:
-        cand = np.asarray(warm_start, dtype=float).ravel()
-        if _acceptable_start(system, cand):
-            x = cand.copy()
-    if x is None:
-        x, fail = _phase1_point(system)
-        if fail is not None:
-            return fail
-
     a_ineq, b_ineq = system.a_ineq, system.b_ineq
     a_eq, b_eq = system.a_eq, system.b_eq
     m = a_ineq.shape[0]
-    if a_eq.shape[0]:
-        # Project the starting point exactly onto the equalities.
-        corr, *_ = np.linalg.lstsq(a_eq, b_eq - a_eq @ x, rcond=None)
-        x = x + corr
-
     # Keep the working rows independent, equalities included (a dependent
     # equality gets a zero multiplier), so that Q's trailing columns span
     # their null space.
     eq_rows, basis = _independent_rows(a_eq, np.zeros((0, n)))
     a_eq_w = a_eq[eq_rows]
     n_eq = len(eq_rows)
+
+    def optimum(x, working, y, iterations):
+        """The certified result at x, stationary on the working rows with
+        multipliers y (equalities first)."""
+        lam = np.zeros(m)
+        lam[working] = np.maximum(y[n_eq:], 0.0)
+        mu = np.zeros(a_eq.shape[0])
+        mu[eq_rows] = y[:n_eq]
+        residual = _kkt_residual(h, g, system, x, lam, mu)
+        if residual > _KKT_TOL:
+            return QpSubproblemResult(
+                status=NUMERICAL_FAILURE,
+                message=f"KKT residual {residual:.3e} of the "
+                        f"normalized problem exceeds {_KKT_TOL:g}",
+                iterations=iterations)
+        kkt = _kkt_residual(h * scale, g * scale, system, x,
+                            lam * scale, mu * scale)
+        return QpSubproblemResult(
+            status=OPTIMAL, x=x,
+            value=float(0.5 * x @ (h * scale) @ x + (g * scale) @ x + c0),
+            duals_ineq=lam * scale, duals_eq=mu * scale,
+            kkt_residual=kkt, iterations=iterations,
+            working=tuple(working), rhs=b_ineq)
+
+    spent = 0  # iterations on the homotopy path
+    x = None
+    if warm_start is not None:
+        found, spent = _rhs_homotopy(h, g, system, warm_start, scale,
+                                     eq_rows, h_max)
+        if found is not None:
+            result = optimum(*found, spent)
+            if result.status == OPTIMAL:
+                return result
+        if _acceptable_start(system, warm_start.x):
+            x = warm_start.x.copy()
+    if x is None:
+        x, fail = _phase1_point(system)
+        if fail is not None:
+            return fail
+
+    if a_eq.shape[0]:
+        # Project the starting point exactly onto the equalities.
+        corr, *_ = np.linalg.lstsq(a_eq, b_eq - a_eq @ x, rcond=None)
+        x = x + corr
+
     active = np.flatnonzero(b_ineq - a_ineq @ x <= 1e-9)
     picked, _ = _independent_rows(a_ineq[active], basis)
     working = [int(j) for j in active[picked]]
     max_iter = 50 * (n + m + 10)
 
-    for it in range(1, max_iter + 1):
+    for it in range(spent + 1, spent + max_iter + 1):
         a_w = np.vstack([a_eq_w, a_ineq[working]])
         p = a_w.shape[0]
         if p:
@@ -390,25 +444,7 @@ def qp_solve(cost, system, *, warm_start=None):
                 y = np.zeros(0)
             lam_w = y[n_eq:]
             if lam_w.size == 0 or np.min(lam_w) >= -1e-9:
-                lam = np.zeros(m)
-                lam[working] = np.maximum(lam_w, 0.0)
-                mu = np.zeros(a_eq.shape[0])
-                mu[eq_rows] = y[:n_eq]
-                residual = _kkt_residual(h, g, system, x, lam, mu)
-                if residual > _KKT_TOL:
-                    return QpSubproblemResult(
-                        status=NUMERICAL_FAILURE,
-                        message=f"KKT residual {residual:.3e} of the "
-                                f"normalized problem exceeds {_KKT_TOL:g}",
-                        iterations=it)
-                kkt = _kkt_residual(h * scale, g * scale, system, x,
-                                    lam * scale, mu * scale)
-                return QpSubproblemResult(
-                    status=OPTIMAL, x=x,
-                    value=float(0.5 * x @ (h * scale) @ x
-                                + (g * scale) @ x + c0),
-                    duals_ineq=lam * scale, duals_eq=mu * scale,
-                    kkt_residual=kkt, iterations=it)
+                return optimum(x, working, y, it)
             worst = int(np.argmin(lam_w))  # ties: argmin takes the first
             working.pop(worst)
             continue
@@ -422,7 +458,108 @@ def qp_solve(cost, system, *, warm_start=None):
     return QpSubproblemResult(
         status=NUMERICAL_FAILURE,
         message=f"active-set iteration cap {max_iter} reached",
-        iterations=max_iter)
+        iterations=spent + max_iter)
+
+
+def _rhs_homotopy(h, g, system, start, scale, eq_rows, h_max):
+    """Move an earlier optimum to system's RHS along b0 + t (b - b0).
+
+    start is an OPTIMAL result for the same normalized cost h, g (times
+    scale) and the same rows, solved for the inequality RHS b0 =
+    start.rhs.  On each piece of the path the working set W is fixed and
+    x(t) and the multipliers lam_W(t) are affine in t.  A piece ends at a
+    breakpoint that changes W by one row: a multiplier reaches zero and
+    its row leaves, or an outside row becomes tight and enters.  Each
+    iteration solves the equality-constrained QP on W at the target RHS
+    (the range part from R', the null-space part from the Cholesky factor
+    of Z'HZ, as in qp_solve); the segment from the current point to that
+    solution is the rest of the piece, so the two ratio tests find its
+    end.  Ties go to the lowest index, and a leaving row before an
+    entering one.
+
+    Returns ((x, working, y), iterations) at t = 1, y the multipliers of
+    the working rows with the equalities first; or (None, iterations)
+    when the path gives up: a reduced Hessian without a Cholesky factor,
+    a tight dependent row that no working row can make room for, or more
+    than n + m + 10 breakpoints (which also ends any cycle of zero-length
+    steps at a degenerate breakpoint).
+    """
+    a, b = system.a_ineq, system.b_ineq
+    m, n = a.shape
+    if (start.status != OPTIMAL or start.rhs is None
+            or start.rhs.shape != b.shape or start.x.shape != (n,)):
+        return None, 0
+    a_eq_w = system.a_eq[eq_rows]
+    f_w = system.b_eq[eq_rows]
+    n_eq = len(eq_rows)
+    x = start.x
+    working = list(start.working)
+    lam = start.duals_ineq[working] / scale
+    b_t = start.rhs  # the bounds at the current t
+    for it in range(1, n + m + 11):
+        a_w = np.vstack([a_eq_w, a[working]])
+        p = a_w.shape[0]
+        grad = h @ x + g
+        step = np.zeros(n)
+        z = np.eye(n)
+        if p:
+            q, r = np.linalg.qr(a_w.T, mode="complete")
+            r, y_basis, z = r[:p], q[:, :p], q[:, p:]
+            # Range part: A_W step = target bounds - A_W x.
+            u, _ = lapack.dtrtrs(r, np.concatenate([f_w, b[working]])
+                                 - a_w @ x, trans=1)
+            step = y_basis @ u
+        if z.shape[1]:
+            pz = _cholesky_step(z.T @ h @ z, z.T @ (grad + h @ step), h_max)
+            if pz is None:
+                return None, it
+            step = step + z @ pz
+        y = (lapack.dtrtrs(r, -(y_basis.T @ (grad + h @ step)))[0] if p
+             else np.zeros(0))
+        d_lam = y[n_eq:] - lam
+
+        alpha, leave = 1.0, None
+        falling = np.flatnonzero(d_lam < -1e-12)
+        if falling.size:
+            ratios = np.maximum(lam[falling], 0.0) / -d_lam[falling]
+            i = int(np.argmin(ratios))
+            if ratios[i] < 1.0:
+                alpha, leave = float(ratios[i]), int(falling[i])
+        block, enter = _blocking_step(a, b_t, x, step, working,
+                                      rhs_rate=b - b_t)
+        if enter is None or block >= alpha:
+            if leave is None:
+                return (x + step, working, y), it
+            enter = None
+        else:
+            alpha, leave = block, None
+        x = x + alpha * step
+        lam = lam + alpha * d_lam
+        b_t = b_t + alpha * (b - b_t)
+        lam_enter = 0.0
+        if enter is not None:
+            row = a[enter]
+            if np.linalg.norm(z.T @ row) <= 1e-8 * np.linalg.norm(row):
+                # row = A_W' c depends on W.  Multipliers lam - tau c on
+                # W and tau on row keep stationarity; row takes the place
+                # of the working row whose multiplier that zeroes first.
+                c = (lapack.dtrtrs(r, y_basis.T @ row)[0][n_eq:] if p
+                     else np.zeros(0))
+                up = np.flatnonzero(c > 1e-9 * np.max(np.abs(c), initial=0.0))
+                if not up.size:
+                    return None, it  # the path cannot continue
+                ratios = np.maximum(lam[up], 0.0) / c[up]
+                leave = int(up[np.argmin(ratios)])
+                lam_enter = float(ratios.min())
+                lam = lam - lam_enter * c
+        if leave is not None:
+            del working[leave]
+            lam = np.delete(lam, leave)
+        if enter is not None:
+            at = bisect.bisect(working, enter)
+            working.insert(at, enter)
+            lam = np.insert(lam, at, lam_enter)
+    return None, n + m + 10
 
 
 def _cholesky_step(hz, gz, h_max):
@@ -438,16 +575,19 @@ def _cholesky_step(hz, gz, h_max):
     return pz
 
 
-def _blocking_step(a_ineq, b_ineq, x, direction, working):
+def _blocking_step(a_ineq, b_ineq, x, direction, working, rhs_rate=None):
     """First inequality row blocking a move along direction.
 
     Returns (alpha, row) for the smallest step ratio (lowest row index on
     ties), or (inf, None) when no row outside the working set blocks.
+    With rhs_rate the bounds move too, b_ineq + alpha * rhs_rate.
     """
     m = a_ineq.shape[0]
     if not m:
         return np.inf, None
     denom = a_ineq @ direction
+    if rhs_rate is not None:
+        denom -= rhs_rate
     mask = denom > 1e-12
     if working:
         mask[working] = False
@@ -574,6 +714,7 @@ class SelectionSolution:
     status: str
     nodes: int = 0
     qp_count: int = 0
+    iterations: int = 0  # active-set iterations of the qp_count QPs
     wall_time: float = 0.0
     gap: float = np.nan
     duals_ineq: np.ndarray | None = None
@@ -603,10 +744,10 @@ def greedy_incumbent(problem, *, _all_enforced=None):
         # max weight, ties to the lowest scenario index
         drop = max(enforced, key=lambda j: (weights[j], -j))
         trial = [j for j in enforced if j != drop]
-        # dropping a block only loosens the system, so the current point
-        # stays feasible and warm-starts the trial
+        # dropping a block only loosens the system, so the trial moves
+        # the current optimum to its RHS
         trial_result = qp_solve(problem.cost, problem.node_system(trial),
-                                warm_start=result.x)
+                                warm_start=result)
         if trial_result.status != OPTIMAL:
             break  # fall back to the last feasible iterate
         enforced, result = trial, trial_result
@@ -631,17 +772,20 @@ def solve_selection(problem, options=None):
     blocks to reach k yields an incumbent and is fathomed by optimality.
     Branching takes the Undecided scenario with the largest violation at
     the node solution (lowest index on ties); children enforce or relax
-    it.  Every node QP warm-starts from the all-enforced optimum, which
-    stays feasible under any aggregation; a warm-started node that ends
-    in NUMERICAL_FAILURE is solved once more from phase 1, and only a
-    second failure ends the search, with a message naming the node (its
-    count, |E|, |R|) and the QP's own message.
+    it.  Every node system loosens the all-enforced one, so every node QP
+    warm-starts from the all-enforced optimum and moves it to the node's
+    RHS (see qp_solve); a warm-started node that ends in
+    NUMERICAL_FAILURE is solved once more from phase 1, and only a second
+    failure ends the search, with a message naming the node (its count,
+    |E|, |R|) and the QP's own message.  The solution's iterations sums
+    the active-set iterations of the qp_count QPs (the greedy incumbent's
+    trials count in neither).
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
     s = problem.n_scenarios
-    stats = {"nodes": 0, "qp": 0}
-    anchor = {"x": None}  # all-enforced optimum: feasible for every node
+    stats = {"nodes": 0, "qp": 0, "iterations": 0}
+    anchor = None  # all-enforced optimum: every node system loosens it
     budget = s - problem.k
 
     def finish(status, x=None, z=None, value=np.nan, enforced=(), gap=np.nan,
@@ -649,6 +793,7 @@ def solve_selection(problem, options=None):
         return SelectionSolution(
             x_star=x, z_star=z, objective=value, enforced_set=tuple(enforced),
             status=status, nodes=stats["nodes"], qp_count=stats["qp"],
+            iterations=stats["iterations"],
             wall_time=time.perf_counter() - t0, gap=gap,
             duals_ineq=duals[0] if duals else None,
             duals_eq=duals[1] if duals else None, message=message)
@@ -657,11 +802,13 @@ def solve_selection(problem, options=None):
         stats["qp"] += 1
         system = problem.node_system(sorted(enforced), undecided=undecided,
                                      budget=budget - relaxed_count)
-        result = qp_solve(problem.cost, system, warm_start=anchor["x"])
-        if result.status == NUMERICAL_FAILURE and anchor["x"] is not None:
+        result = qp_solve(problem.cost, system, warm_start=anchor)
+        stats["iterations"] += result.iterations
+        if result.status == NUMERICAL_FAILURE and anchor is not None:
             # One retry from a phase-1 start before giving up the search.
             stats["qp"] += 1
             result = qp_solve(problem.cost, system)
+            stats["iterations"] += result.iterations
         return result
 
     if problem.k == s:
@@ -675,7 +822,7 @@ def solve_selection(problem, options=None):
     incumbent = None  # (value, x, z, enforced)
     all_enforced = solve_node(range(s))
     if all_enforced.status == OPTIMAL:
-        anchor["x"] = all_enforced.x
+        anchor = all_enforced
     warm = greedy_incumbent(problem, _all_enforced=all_enforced)
     if warm is not None:
         x_w, z_w, v_w = warm

@@ -201,3 +201,30 @@ def test_infeasible_system_has_a_farkas_certificate(data):
     combo = y @ system.a_ineq + mu @ system.a_eq
     assert np.max(np.abs(combo)) <= 1e-6 * max(1.0, np.max(np.abs(y)))
     assert y @ system.b_ineq + mu @ system.b_eq < 0.0
+
+
+@given(st.data())
+def test_warm_start_after_loosening_matches_a_cold_solve(data):
+    # A feasible PD or PSD QP is solved, its inequality bounds loosened by
+    # integer amounts (many of them zero), and the loosened QP solved
+    # warm from the first optimum, which moves it along the RHS path.
+    # A PSD Hessian gets the box, so both QPs have an optimum.
+    psd = data.draw(st.booleans())
+    system = data.draw(feasible_systems(
+        boxed=psd or data.draw(st.booleans())))
+    n = system.n
+    if psd:
+        h = psd_hessian(data.draw, n, data.draw(st.integers(1, n)))
+    else:
+        h = psd_hessian(data.draw, n, n) + np.eye(n)
+    cost = QuadraticCost(h=h, g=_ints(data.draw, (n,)))
+    first = qp_solve(cost, system)
+    assert first.status == OPTIMAL, first.message
+    delta = _ints(data.draw, (system.a_ineq.shape[0],), 0, 2)
+    loosened = LinearSystem(system.a_ineq, system.b_ineq + delta,
+                            system.a_eq, system.b_eq)
+    warm = qp_solve(cost, loosened, warm_start=first)
+    cold = qp_solve(cost, loosened)
+    assert warm.status == cold.status
+    assert abs(warm.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
+    assert_kkt(cost, loosened, warm)

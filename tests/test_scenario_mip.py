@@ -7,11 +7,22 @@ Two independent oracles, both exhaustive rather than iterative:
     best feasible QP value.
 """
 
+import functools
 import itertools
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ccopf.cli import (
+    _build_case,
+    _build_fleet,
+    _build_spec,
+    _choose_params,
+    _read_config,
+    _require_set,
+)
 from ccopf.dc_model import (
     CcSystem,
     assemble_cc_system,
@@ -344,6 +355,93 @@ class TestQpSolve:
                                    atol=1e-12)
         assert res.kkt_residual <= 1e-12
 
+    def test_warm_start_keeps_a_working_set_that_stays_optimal(self):
+        # min |x - (5, 5)|^2 / 2 with both bounds binding: loosening them
+        # moves the optimum along the same working set, one step.
+        cost = QuadraticCost(h=np.eye(2), g=np.array([-5.0, -5.0]))
+        a = np.eye(2)
+        system = LinearSystem.make(a_ineq=a, b_ineq=[1.0, 2.0])
+        first = qp_solve(cost, system)
+        assert first.working == (0, 1)
+        assert first.rhs is system.b_ineq
+        loosened = LinearSystem.make(a_ineq=a, b_ineq=[3.0, 2.5])
+        warm = qp_solve(cost, loosened, warm_start=first)
+        assert warm.status == OPTIMAL
+        assert warm.iterations == 1
+        assert warm.working == (0, 1)
+        np.testing.assert_allclose(warm.x, [3.0, 2.5], atol=1e-12)
+        np.testing.assert_allclose(warm.duals_ineq, [2.0, 2.5], atol=1e-12)
+
+    def test_dependent_row_becoming_tight_is_exchanged(self, monkeypatch):
+        from ccopf import scenario_mip
+
+        # x1 <= b1, x2 <= b2 and x1 + x2 <= 3 towards (5, 5).  From
+        # b = (1, 1) to (3, 3) the optimum climbs the diagonal until
+        # x1 + x2 = 3 is tight at t = 1/4; that row depends on the two
+        # bounds, so it replaces x1 <= b1 (the lower index of a tie), the
+        # multiplier of x2 <= b2 then falls through zero and it leaves.
+        cost = QuadraticCost(h=np.eye(2), g=np.array([-5.0, -5.0]))
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        first = qp_solve(cost, LinearSystem.make(a_ineq=a,
+                                                 b_ineq=[1.0, 1.0, 3.0]))
+        assert first.working == (0, 1)
+        loosened = LinearSystem.make(a_ineq=a, b_ineq=[3.0, 3.0, 3.0])
+        paths = []
+        real_path = scenario_mip._rhs_homotopy
+
+        def recorded(*args):
+            paths.append(real_path(*args))
+            return paths[-1]
+
+        monkeypatch.setattr(scenario_mip, "_rhs_homotopy", recorded)
+        warm = qp_solve(cost, loosened, warm_start=first)
+        cold = qp_solve(cost, loosened)
+        [(found, spent)] = paths
+        assert found is not None and spent == 3  # the path, no fallback
+        assert warm.status == OPTIMAL
+        assert warm.working == (2,)
+        assert warm.iterations == 3
+        np.testing.assert_allclose(warm.x, [1.5, 1.5], atol=1e-12)
+        np.testing.assert_allclose(warm.duals_ineq, [0.0, 0.0, 3.5],
+                                   atol=1e-12)
+        assert warm.value == pytest.approx(cold.value, rel=1e-12)
+
+    def test_path_failure_falls_back_to_the_primal_run(self, monkeypatch):
+        from ccopf import scenario_mip
+
+        rng = np.random.default_rng(5)
+        cost, system = random_qp(rng, 4, 10)
+        first = qp_solve(cost, system)
+        loosened = LinearSystem(system.a_ineq,
+                                system.b_ineq + rng.uniform(0.0, 1.0, 10),
+                                system.a_eq, system.b_eq)
+        cold = qp_solve(cost, loosened)
+        monkeypatch.setattr(scenario_mip, "_rhs_homotopy",
+                            lambda *args: (None, 3))
+        warm = qp_solve(cost, loosened, warm_start=first)
+        assert first.status == cold.status == warm.status == OPTIMAL
+        assert warm.value == pytest.approx(cold.value, rel=1e-12)
+        np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)
+        assert warm.iterations > 3  # the path's 3, then the primal run
+
+    def test_path_answer_failing_the_kkt_check_falls_back(self,
+                                                          monkeypatch):
+        from ccopf import scenario_mip
+
+        # A path that ends at a wrong point is not trusted: its KKT check
+        # fails and the primal run from the start point answers instead.
+        cost = QuadraticCost(h=np.eye(2), g=np.array([-5.0, -5.0]))
+        a = np.eye(2)
+        first = qp_solve(cost, LinearSystem.make(a_ineq=a, b_ineq=[1.0, 2.0]))
+        loosened = LinearSystem.make(a_ineq=a, b_ineq=[3.0, 2.5])
+        monkeypatch.setattr(
+            scenario_mip, "_rhs_homotopy",
+            lambda *args: ((np.zeros(2), [0, 1], np.zeros(2)), 1))
+        warm = qp_solve(cost, loosened, warm_start=first)
+        assert warm.status == OPTIMAL
+        np.testing.assert_allclose(warm.x, [3.0, 2.5], atol=1e-12)
+        assert warm.iterations > 1
+
 
 def make_threshold_problem(a_values, k, *, quadratic=False):
     """min x (or x^2/2 + x) subject to >= k of the blocks x >= a_j."""
@@ -667,6 +765,27 @@ class TestSolveSelection:
             assert len(calls) == 3
             assert sol.message == "node 1 (|E| = 0, |R| = 0): injected"
 
+    def test_iterations_sum_the_counted_qps(self, monkeypatch):
+        from ccopf import scenario_mip
+
+        rng = np.random.default_rng(17)
+        problem = random_selection_problem(rng, s_max=9)
+        real_qp_solve = scenario_mip.qp_solve
+        taken = []
+
+        def counted(cost, system, *, warm_start=None):
+            result = real_qp_solve(cost, system, warm_start=warm_start)
+            taken.append(result.iterations)
+            return result
+
+        # Without the greedy incumbent every QP is one qp_count counts.
+        monkeypatch.setattr(scenario_mip, "qp_solve", counted)
+        monkeypatch.setattr(scenario_mip, "greedy_incumbent",
+                            lambda problem, _all_enforced=None: None)
+        sol = solve_selection(problem)
+        assert sol.qp_count == len(taken) > 1
+        assert sol.iterations == sum(taken) > 0
+
     def test_greedy_incumbent_feasible(self):
         problem = make_threshold_problem([1.0, 5.0, 9.0, 2.0], k=3)
         warm = greedy_incumbent(problem)
@@ -705,3 +824,76 @@ class TestBuildFromChanceRows:
         np.testing.assert_array_equal(problem.a, problem.base.a_ineq)
         sol = solve_selection(problem)
         assert sol.status == OPTIMAL
+
+
+# ---------------------------------------------------------------------------
+# Warm-started node QPs move the anchor's working set along the RHS.  The
+# primal run from the anchor point (what qp_solve falls back to when the
+# path gives up) is the oracle: with the path switched off, every warm
+# start takes it.
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@functools.lru_cache(maxsize=None)
+def config_inputs(name):
+    """Case, fleet, training set and DC rows of a bundled config."""
+    cfg = _read_config(CONFIG_DIR / f"{name}.ini")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # case14's dropped branch data
+        case = _build_case(cfg)
+    fleet = _build_fleet(cfg, case)
+    train = _require_set(cfg, "train", _build_spec(cfg, fleet))
+    return cfg, case, fleet, train, assemble_cc_system(case, fleet)
+
+
+def config_problem(name, k):
+    cfg, case, fleet, train, cc = config_inputs(name)
+    if k is None:
+        k = _choose_params(cfg, train.s).k
+    return build_selection_from_ccopf(
+        cc, train.xi, make_cost(case), k,
+        equalities=balance_equality(case, fleet))
+
+
+def primal_path_solve(problem, monkeypatch):
+    from ccopf import scenario_mip
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario_mip, "_rhs_homotopy", lambda *args: (None, 0))
+        return solve_selection(problem)
+
+
+class TestParametricWarmStart:
+    @pytest.mark.parametrize("name, k", [
+        ("tutorial", None),
+        *(("sweep14", k) for k in range(180, 201, 2)),
+        ("sweep300", 297),
+        ("sweep300", 291),
+    ])
+    def test_selection_matches_the_primal_path(self, name, k, monkeypatch):
+        problem = config_problem(name, k)
+        sol = solve_selection(problem)
+        oracle = primal_path_solve(problem, monkeypatch)
+        assert sol.status == oracle.status == OPTIMAL
+        assert sol.nodes == oracle.nodes
+        assert sol.qp_count == oracle.qp_count
+        assert sol.enforced_set == oracle.enforced_set
+        assert sol.objective == pytest.approx(oracle.objective, rel=1e-12)
+        np.testing.assert_allclose(sol.x_star, oracle.x_star, atol=1e-9)
+
+    def test_warm_nodes_take_few_iterations_on_sweep300(self, monkeypatch):
+        # Every QP after the all-enforced anchor starts from the anchor's
+        # optimum.  The primal run from its point re-adds about 28 working
+        # rows per node; the path changes about 2.
+        problem = config_problem("sweep300", 297)
+        anchor = qp_solve(problem.cost,
+                          problem.node_system(range(problem.n_scenarios)))
+
+        def warm_mean(sol):
+            return (sol.iterations - anchor.iterations) / (sol.qp_count - 1)
+
+        sol = solve_selection(problem)
+        assert sol.qp_count > 10
+        assert warm_mean(sol) <= 5.0
+        assert warm_mean(primal_path_solve(problem, monkeypatch)) > 20.0
