@@ -1,12 +1,13 @@
 """Exact k-of-S scenario selection by branch-and-bound over convex QPs.
 
 The master problem: minimize a convex quadratic cost subject to a base
-linear system that always holds plus at least k of S scenario blocks
-A x <= b_j, which share one LHS A and differ only in the RHS.  Indicator
-semantics are handled combinatorially — each branch-and-bound node
-partitions scenarios into (Enforced, Relaxed, Undecided) and bounds the
-node by the QP over base plus Enforced blocks — so no big-M constant is
-ever materialized.
+linear system A x <= b_base, E x = f that always holds plus at least k
+of S scenario blocks A x <= b_j, which share the base's inequality rows A
+and differ only in the RHS.  Indicator semantics are handled
+combinatorially — each branch-and-bound node partitions scenarios into
+(Enforced, Relaxed, Undecided) and bounds the node by the QP over base
+plus Enforced blocks, one row set at the row-wise minimum bound — so no
+big-M constant is ever materialized.
 
 The continuous engine is a dense primal active-set method with
 equalities pinned in the working set.  Each iteration factors the
@@ -31,9 +32,9 @@ right-hand side moves.  The start's working set, point and multipliers
 follow that RHS from the old value to the new one (a parametric
 active-set homotopy, as in qpOASES), one working-set change per
 breakpoint and with the same QR and Cholesky steps; a node usually needs
-a few breakpoints where a primal run from the anchor point re-adds some
-thirty working rows.  That primal run stays as the fallback when the
-path gives up.  All tie-breaks are by lowest index so results are
+a few breakpoints where a cold solve takes some fifty iterations.  When
+the path gives up, the same qp_solve call solves the QP cold, so one
+node is one QP.  All tie-breaks are by lowest index so results are
 reproducible.
 """
 
@@ -147,10 +148,10 @@ class QpSubproblemResult:
     INFEASIBLE carries a Farkas certificate (y_ineq >= 0, y_eq) with
     y'A = 0 and y'b < 0.  UNBOUNDED and NUMERICAL_FAILURE are reported
     distinctly; neither carries a point.  iterations counts the
-    active-set iterations on every path (0 when phase 1 decides the
-    outcome).  An OPTIMAL result also records its final working set (its
-    inequality rows, ascending) and the inequality RHS it was solved for:
-    a warm start of qp_solve moves from there.
+    active-set iterations on every path (a phase 1 that decides the
+    outcome adds none).  An OPTIMAL result also records its final
+    working set (its inequality rows, ascending) and the inequality RHS
+    it was solved for: a warm start of qp_solve moves from there.
     """
 
     status: str
@@ -258,20 +259,6 @@ def _phase1_point(system):
     return res.x[:n], None
 
 
-def _acceptable_start(system, x):
-    """True when x satisfies the system to phase-1 accuracy."""
-    if x is None or x.size != system.n or not np.all(np.isfinite(x)):
-        return False
-    if system.a_ineq.size and float(
-            np.max(system.a_ineq @ x - system.b_ineq, initial=0.0)) > 1e-9:
-        return False
-    if system.a_eq.size and float(
-            np.max(np.abs(system.a_eq @ x - system.b_eq),
-                   initial=0.0)) > 1e-9:
-        return False
-    return True
-
-
 def _independent_rows(rows, basis):
     """Rows independent of an orthonormal basis and of each other, chosen
     greedily in ascending order (reproducible).
@@ -315,18 +302,15 @@ def qp_solve(cost, system, *, warm_start=None):
     (its rhs field).  Its working set, point and multipliers are then
     moved along b0 + t (b - b0) to this system's RHS (see _rhs_homotopy),
     usually in a few working-set changes.  Callers warm-start only
-    loosenings, b >= b0, so every QP on that path is feasible and the
-    start point is feasible here too (a tightening still gets the right
-    answer, through the fallback's phase 1 where the path cannot go on,
-    but nothing is gained).  When the path gives up, or its
-    answer fails the KKT gate, the primal method runs from the start
-    point instead, seeding the working set with the independent rows
-    active there; a start point this system does not satisfy is ignored.
-    A cold start is the max-slack LP's point (see _phase1_lp): every row
-    keeps slack t* ||a_i||, so the working set starts empty unless t* is
-    about 0, and t* < 0 returns INFEASIBLE with that LP's Farkas
-    certificate.  The result's iterations field counts the active-set
-    iterations taken, on the path and after it.
+    loosenings, b >= b0, so every QP on that path is feasible (a
+    tightening still gets the right answer, but nothing is gained).
+    When the path gives up, or its answer fails the KKT gate, the same
+    call solves the QP cold, which is the one recovery.  A cold start is
+    the max-slack LP's point (see _phase1_lp): every row keeps slack
+    t* ||a_i||, so the working set starts empty unless t* is about 0,
+    and t* < 0 returns INFEASIBLE with that LP's Farkas certificate.
+    The result's iterations field counts the active-set iterations
+    taken, on the path and after it.
     """
     if not isinstance(system, LinearSystem):
         raise TypeError("system must be a LinearSystem")
@@ -373,7 +357,6 @@ def qp_solve(cost, system, *, warm_start=None):
             working=tuple(working), rhs=b_ineq)
 
     spent = 0  # iterations on the homotopy path
-    x = None
     if warm_start is not None:
         found, spent = _rhs_homotopy(h, g, system, warm_start, scale,
                                      eq_rows, h_max)
@@ -381,12 +364,10 @@ def qp_solve(cost, system, *, warm_start=None):
             result = optimum(*found, spent)
             if result.status == OPTIMAL:
                 return result
-        if _acceptable_start(system, warm_start.x):
-            x = warm_start.x.copy()
-    if x is None:
-        x, fail = _phase1_point(system)
-        if fail is not None:
-            return fail
+    x, fail = _phase1_point(system)
+    if fail is not None:
+        fail.iterations = spent
+        return fail
 
     if a_eq.shape[0]:
         # Project the starting point exactly onto the equalities.
@@ -603,37 +584,37 @@ def _blocking_step(a_ineq, b_ineq, x, direction, working, rhs_rate=None):
 
 @dataclass(frozen=True, eq=False)
 class SelectionProblem:
-    """k-of-S selection instance with one LHS shared by every scenario.
+    """k-of-S selection instance whose scenarios shift only the RHS.
 
-    base always holds.  Scenario block j is a x <= b[j]: a is the shared
-    (m, n) LHS and b the (S, m) RHS matrix, because in the chance-
-    constraint construction a scenario only shifts the right-hand side.
-    Any set of enforced blocks therefore collapses to the single row set
-    a x <= (row-wise minimum of their b[j]).  When the base inequalities
-    are those same rows (as build_selection_from_ccopf makes them), the
-    base bound joins that minimum too, so a node system has m rows, not
-    base rows plus m.
+    base always holds, and its inequality rows a = base.a_ineq are the
+    rows of every scenario block: block j is a x <= b[j], b the (S, m)
+    RHS matrix, because in the chance-constraint construction a scenario
+    only shifts the right-hand side.  Any set of enforced blocks therefore
+    collapses, with the base, into the single row set
+    a x <= min(base bound, row-wise minimum of their b[j]).
     """
 
     cost: QuadraticCost
     base: LinearSystem
-    a: np.ndarray
     b: np.ndarray
     k: int
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        m, n = self.base.a_ineq.shape
         b = np.asarray(self.b, dtype=float)
-        if a.ndim != 2 or a.shape[1] != self.cost.n:
-            raise ValueError(f"a must be (m, {self.cost.n}), got {a.shape}")
-        if b.ndim != 2 or b.shape[1] != a.shape[0]:
-            raise ValueError(f"b must be (S, {a.shape[0]}), got {b.shape}")
+        if n != self.cost.n:
+            raise ValueError(f"base rows must be (m, {self.cost.n}), "
+                             f"got {self.base.a_ineq.shape}")
+        if b.ndim != 2 or b.shape[1] != m:
+            raise ValueError(f"b must be (S, {m}), got {b.shape}")
         if not (1 <= self.k <= b.shape[0]):
             raise ValueError(f"k={self.k} outside [1, {b.shape[0]}]")
-        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_base_is_a",
-                           np.array_equal(self.base.a_ineq, a))
+
+    @property
+    def a(self):
+        """The rows every scenario block shares: the base inequalities."""
+        return self.base.a_ineq
 
     @property
     def n_scenarios(self):
@@ -647,15 +628,14 @@ class SelectionProblem:
     def node_system(self, enforced, *, undecided=None, budget=None):
         """Constraint system bounding a branch-and-bound node from below.
 
-        Base rows plus the shared rows at the row-wise minimum RHS over
-        the enforced scenarios.  When the undecided scenarios and the
+        The base rows at the row-wise minimum of the base bound and the
+        enforced scenarios' RHS.  When the undecided scenarios and the
         remaining relaxation budget r are supplied, each row is also capped
         by the (r+1)-th smallest undecided RHS: any completion discards at
         most r undecided blocks, so at least one of the r+1 tightest per
         row survives.  The system stays a relaxation of every completion
-        while being far tighter than the enforced rows alone.  When the
-        base rows are the shared rows, the two collapse into one row set
-        a x <= min(base bound, shared bound).
+        while being far tighter than the enforced rows alone, and it has
+        the base's rows, whatever the node.
         """
         b_min = self.b[list(enforced)].min(axis=0) if len(enforced) else None
         if undecided is not None and len(undecided) > budget:
@@ -668,22 +648,18 @@ class SelectionProblem:
         base = self.base
         if b_min is None:
             return base
-        if self._base_is_a:
-            return LinearSystem(self.a, np.minimum(base.b_ineq, b_min),
-                                base.a_eq, base.b_eq)
-        return LinearSystem(np.vstack([base.a_ineq, self.a]),
-                            np.concatenate([base.b_ineq, b_min]),
+        return LinearSystem(base.a_ineq, np.minimum(base.b_ineq, b_min),
                             base.a_eq, base.b_eq)
 
     def scenario_weights(self, enforced, row_weights):
         """Weight per scenario from nonnegative multipliers on the rows of
         node_system(enforced) (KKT duals or a Farkas certificate).
 
-        Each shared row's weight goes to the enforced scenario attaining
-        that row's minimum RHS (lowest index on ties); scenarios that are
-        not enforced get zero.  In a merged row set the base comes first
-        on ties: a row whose enforced minimum is not strictly below the
-        base bound gives its weight to no scenario.
+        Each row's weight goes to the enforced scenario attaining that
+        row's minimum RHS (lowest index on ties); scenarios that are not
+        enforced get zero.  The base comes first on ties: a row whose
+        enforced minimum is not strictly below the base bound gives its
+        weight to no scenario.
         """
         enforced = np.asarray(list(enforced), dtype=int)
         if not enforced.size:
@@ -691,10 +667,7 @@ class SelectionProblem:
         lam = np.maximum(np.asarray(row_weights, dtype=float), 0.0)
         rhs = self.b[enforced]
         owner = enforced[np.argmin(rhs, axis=0)]
-        if self._base_is_a:
-            lam = np.where(rhs.min(axis=0) < self.base.b_ineq, lam, 0.0)
-        else:
-            lam = lam[self.base.a_ineq.shape[0]:]
+        lam = np.where(rhs.min(axis=0) < self.base.b_ineq, lam, 0.0)
         return np.bincount(owner, weights=lam, minlength=self.n_scenarios)
 
 
@@ -722,23 +695,18 @@ class SelectionSolution:
     message: str = ""  # which node failed, for NUMERICAL_FAILURE
 
 
-def greedy_incumbent(problem, *, _all_enforced=None):
+def greedy_incumbent(problem, all_enforced):
     """Feasible warm start: repeatedly relax the enforced scenario with the
     largest aggregate dual weight, S - k times.
 
-    Returns (x, z, value) or None when even the all-enforced problem fails.
-    _all_enforced lets the caller pass an already-solved all-enforced
-    result so the work is not repeated.
+    all_enforced is the solved QP of node_system(all scenarios).  Returns
+    (x, z, value), or None when that QP is not OPTIMAL.
     """
+    if all_enforced.status != OPTIMAL:
+        return None
     s = problem.n_scenarios
     enforced = list(range(s))
-    best = None
-    result = _all_enforced
-    if result is None:
-        result = qp_solve(problem.cost, problem.node_system(enforced))
-    if result.status != OPTIMAL:
-        return None
-    best = (result.x, enforced.copy(), result.value)
+    result = all_enforced
     for _ in range(s - problem.k):
         weights = problem.scenario_weights(enforced, result.duals_ineq)
         # max weight, ties to the lowest scenario index
@@ -751,22 +719,20 @@ def greedy_incumbent(problem, *, _all_enforced=None):
         if trial_result.status != OPTIMAL:
             break  # fall back to the last feasible iterate
         enforced, result = trial, trial_result
-        best = (result.x, enforced.copy(), result.value)
-    x, enforced, value = best
     z = np.ones(s, dtype=int)
     z[enforced] = 0
-    return x, z, value
+    return result.x, z, result.value
 
 
 def solve_selection(problem, options=None):
     """Globally optimal k-of-S selection by best-bound branch-and-bound.
 
     Nodes are (Enforced, Relaxed, Undecided) partitions bounded by the QP
-    of SelectionProblem.node_system: the shared rows at the enforced
-    row-wise minimum RHS, capped per row by the (r+1)-th smallest
-    undecided RHS for the remaining relaxation budget r — a valid
-    relaxation of every completion that tightens monotonically down the
-    tree.  Children inherit the parent bound as a placeholder and are
+    of SelectionProblem.node_system: the base rows at the row-wise
+    minimum of the base and enforced RHS, capped per row by the (r+1)-th
+    smallest undecided RHS for the remaining relaxation budget r — a
+    valid relaxation of every completion that tightens monotonically down
+    the tree.  Children inherit the parent bound as a placeholder and are
     solved lazily when popped, re-queued if the refined bound is no longer
     best.  A node whose relaxation already satisfies enough Undecided
     blocks to reach k yields an incumbent and is fathomed by optimality.
@@ -774,12 +740,12 @@ def solve_selection(problem, options=None):
     the node solution (lowest index on ties); children enforce or relax
     it.  Every node system loosens the all-enforced one, so every node QP
     warm-starts from the all-enforced optimum and moves it to the node's
-    RHS (see qp_solve); a warm-started node that ends in
-    NUMERICAL_FAILURE is solved once more from phase 1, and only a second
-    failure ends the search, with a message naming the node (its count,
-    |E|, |R|) and the QP's own message.  The solution's iterations sums
-    the active-set iterations of the qp_count QPs (the greedy incumbent's
-    trials count in neither).
+    RHS; qp_solve alone recovers when that path gives up, and one node is
+    one QP.  A node QP that ends in NUMERICAL_FAILURE ends the search,
+    with a message naming the node (its count, |E|, |R|) and the QP's
+    own message.  The solution's iterations sums the active-set
+    iterations of the qp_count QPs (the greedy incumbent's trials count
+    in neither).
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
@@ -804,11 +770,6 @@ def solve_selection(problem, options=None):
                                      budget=budget - relaxed_count)
         result = qp_solve(problem.cost, system, warm_start=anchor)
         stats["iterations"] += result.iterations
-        if result.status == NUMERICAL_FAILURE and anchor is not None:
-            # One retry from a phase-1 start before giving up the search.
-            stats["qp"] += 1
-            result = qp_solve(problem.cost, system)
-            stats["iterations"] += result.iterations
         return result
 
     if problem.k == s:
@@ -823,7 +784,7 @@ def solve_selection(problem, options=None):
     all_enforced = solve_node(range(s))
     if all_enforced.status == OPTIMAL:
         anchor = all_enforced
-    warm = greedy_incumbent(problem, _all_enforced=all_enforced)
+    warm = greedy_incumbent(problem, all_enforced)
     if warm is not None:
         x_w, z_w, v_w = warm
         incumbent = (v_w, x_w, z_w, tuple(np.flatnonzero(z_w == 0)))
@@ -939,4 +900,4 @@ def build_selection_from_ccopf(cc, xi, cost, k, *, equalities):
     rows = cc.bounded()
     base = rows.nominal_system(equalities)
     b = np.array([base.b_ineq - rows.sens @ xi_j for xi_j in xi])
-    return SelectionProblem(cost=cost, base=base, a=base.a_ineq, b=b, k=k)
+    return SelectionProblem(cost=cost, base=base, b=b, k=k)

@@ -106,13 +106,20 @@ def _random_selection_problem(rng):
     k = int(rng.integers(max(1, s - 4), s + 1))
     q = rng.normal(size=(n, n))
     cost = QuadraticCost(h=q.T @ q + np.eye(n), g=rng.normal(size=n))
-    base = LinearSystem.make(a_ineq=np.vstack([np.eye(n), -np.eye(n)]),
-                             b_ineq=np.full(2 * n, 5.0))
+    # The box |x_i| <= 5 is a base row set that every scenario repeats,
+    # and the random rows get the base bound 5 ||a_i||_1, which the box
+    # implies.
+    box = np.vstack([np.eye(n), -np.eye(n)])
     shared = rng.normal(size=(int(rng.integers(1, 4)), n))
     b = np.array([
         shared @ rng.normal(size=n) * 0.3 + rng.normal(size=shared.shape[0])
         for _ in range(s)])
-    return SelectionProblem(cost=cost, base=base, a=shared, b=b, k=k)
+    base = LinearSystem.make(
+        a_ineq=np.vstack([box, shared]),
+        b_ineq=np.concatenate([np.full(2 * n, 5.0),
+                               5.0 * np.abs(shared).sum(axis=1)]))
+    b = np.hstack([np.full((s, 2 * n), 5.0), b])
+    return SelectionProblem(cost=cost, base=base, b=b, k=k)
 
 
 def _enumeration_value(problem):

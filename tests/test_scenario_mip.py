@@ -418,18 +418,46 @@ class TestQpSolve:
         cold = qp_solve(cost, loosened)
         monkeypatch.setattr(scenario_mip, "_rhs_homotopy",
                             lambda *args: (None, 3))
+        phase1 = []
+
+        def counting_linprog(*args, **kwargs):
+            phase1.append(1)
+            return real_linprog(*args, **kwargs)
+
+        real_linprog = scenario_mip.linprog
+        monkeypatch.setattr(scenario_mip, "linprog", counting_linprog)
         warm = qp_solve(cost, loosened, warm_start=first)
         assert first.status == cold.status == warm.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, rel=1e-12)
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)
-        assert warm.iterations > 3  # the path's 3, then the primal run
+        # the path's 3, then the cold solve: phase 1 and the primal run
+        assert warm.iterations == 3 + cold.iterations
+        assert phase1 == [1]
+
+    def test_path_failure_keeps_its_iterations_when_phase_1_decides(
+            self, monkeypatch):
+        from ccopf import scenario_mip
+
+        # x <= 1 tightened to x <= -1 under x >= 0: the path gives up
+        # after 3 iterations and phase 1 finds the system infeasible.
+        cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
+        a = np.array([[1.0], [-1.0]])
+        first = qp_solve(cost, LinearSystem.make(a_ineq=a, b_ineq=[1.0, 0.0]))
+        tightened = LinearSystem.make(a_ineq=a, b_ineq=[-1.0, 0.0])
+        monkeypatch.setattr(scenario_mip, "_rhs_homotopy",
+                            lambda *args: (None, 3))
+        warm = qp_solve(cost, tightened, warm_start=first)
+        assert first.status == OPTIMAL
+        assert warm.status == INFEASIBLE
+        assert warm.certificate is not None
+        assert warm.iterations == 3
 
     def test_path_answer_failing_the_kkt_check_falls_back(self,
                                                           monkeypatch):
         from ccopf import scenario_mip
 
         # A path that ends at a wrong point is not trusted: its KKT check
-        # fails and the primal run from the start point answers instead.
+        # fails and the cold solve answers instead.
         cost = QuadraticCost(h=np.eye(2), g=np.array([-5.0, -5.0]))
         a = np.eye(2)
         first = qp_solve(cost, LinearSystem.make(a_ineq=a, b_ineq=[1.0, 2.0]))
@@ -444,14 +472,15 @@ class TestQpSolve:
 
 
 def make_threshold_problem(a_values, k, *, quadratic=False):
-    """min x (or x^2/2 + x) subject to >= k of the blocks x >= a_j."""
-    s = len(a_values)
+    """min x (or x^2/2 + x) subject to >= k of the blocks x >= a_j.
+
+    The base row is the scenario row -x <= max_j (-a_j), which every
+    completion implies, so the base adds nothing to any node."""
     h = np.array([[1.0]]) if quadratic else np.zeros((1, 1))
     cost = QuadraticCost(h=h, g=np.array([1.0]))
-    base = LinearSystem.make(n=1)
     b = -np.asarray(a_values, dtype=float)[:, None]
-    return SelectionProblem(cost=cost, base=base, a=np.array([[-1.0]]), b=b,
-                            k=k)
+    base = LinearSystem.make(a_ineq=[[-1.0]], b_ineq=b.max(axis=0))
+    return SelectionProblem(cost=cost, base=base, b=b, k=k)
 
 
 def random_selection_problem(rng, *, n_max=4, s_max=12):
@@ -460,32 +489,41 @@ def random_selection_problem(rng, *, n_max=4, s_max=12):
     k = int(rng.integers(max(1, s - 4), s + 1))
     q = rng.normal(size=(n, n))
     cost = QuadraticCost(h=q.T @ q + np.eye(n), g=rng.normal(size=n))
-    # Box base keeps every subset problem bounded and usually feasible.
-    base = LinearSystem.make(
-        a_ineq=np.vstack([np.eye(n), -np.eye(n)]),
-        b_ineq=np.full(2 * n, 5.0))
+    # The box |x_i| <= 5 keeps every subset problem bounded and usually
+    # feasible.  It is a base row set that every scenario repeats, and the
+    # random rows get the base bound 5 ||a_i||_1, which the box implies.
+    box = np.vstack([np.eye(n), -np.eye(n)])
     shared = rng.normal(size=(int(rng.integers(1, 4)), n))
     b = np.array([
         shared @ rng.normal(size=n) * 0.3 + rng.normal(size=shared.shape[0])
         for _ in range(s)])
-    return SelectionProblem(cost=cost, base=base, a=shared, b=b, k=k)
+    base = LinearSystem.make(
+        a_ineq=np.vstack([box, shared]),
+        b_ineq=np.concatenate([np.full(2 * n, 5.0),
+                               5.0 * np.abs(shared).sum(axis=1)]))
+    b = np.hstack([np.full((s, 2 * n), 5.0), b])
+    return SelectionProblem(cost=cost, base=base, b=b, k=k)
 
 
 class TestSelectionProblem:
     def shaped(self, a, b, k=1):
+        """Rows a with the base bound max_j b_j, which every completion
+        implies."""
         cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
-        return SelectionProblem(cost=cost, base=LinearSystem.make(n=2),
-                                a=a, b=b, k=k)
+        base = LinearSystem.make(a_ineq=a, b_ineq=np.max(b, axis=0))
+        return SelectionProblem(cost=cost, base=base, b=b, k=k)
 
     @pytest.mark.parametrize("a, b", [
         (np.ones((3, 1)), np.zeros((4, 3))),   # a has the wrong width
-        (np.ones(2), np.zeros((4, 1))),         # a is not a matrix
+        (np.ones((3, 2)), np.zeros((4, 3, 1))),  # b has a third axis
         (np.ones((3, 2)), np.zeros((4, 2))),   # b rows do not match a
         (np.ones((3, 2)), np.zeros(3)),         # b is not a matrix
     ])
     def test_rejects_misshaped_lhs_or_rhs(self, a, b):
-        with pytest.raises(ValueError):
-            self.shaped(a, b)
+        cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
+        base = LinearSystem.make(a_ineq=a, b_ineq=np.zeros(len(a)))
+        with pytest.raises(ValueError, match="must be"):
+            SelectionProblem(cost=cost, base=base, b=b, k=1)
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_rejects_k_outside_one_to_s(self, k):
@@ -519,17 +557,18 @@ class TestSelectionProblem:
         rng = np.random.default_rng(5)
         problem = random_selection_problem(rng, s_max=12)
         problem = SelectionProblem(
-            cost=problem.cost, base=problem.base, a=problem.a,
+            cost=problem.cost, base=problem.base,
             b=np.round(problem.b, 1), k=problem.k)  # rounding makes ties
         enforced = [0, 2, 3, 4]
         system = problem.node_system(enforced)
         lam = np.abs(rng.normal(size=system.b_ineq.size))
         lam[::3] = 0.0
+        # The box rows repeat the base bound, so no scenario owns them.
         expected = np.zeros(problem.n_scenarios)
-        n_base = problem.base.b_ineq.size
         for row in range(problem.a.shape[0]):
             rhs = [problem.b[j][row] for j in enforced]
-            expected[enforced[rhs.index(min(rhs))]] += lam[n_base + row]
+            if min(rhs) < problem.base.b_ineq[row]:
+                expected[enforced[rhs.index(min(rhs))]] += lam[row]
         np.testing.assert_array_equal(
             problem.scenario_weights(enforced, lam), expected)
 
@@ -624,16 +663,6 @@ class TestMergedRowSet:
         np.testing.assert_array_equal(
             problem.scenario_weights(enforced, lam), expected)
 
-    def test_distinct_base_rows_still_stack(self):
-        rng = np.random.default_rng(5)
-        problem = random_selection_problem(rng)
-        s = problem.n_scenarios
-        system = problem.node_system(range(s))
-        n_base, m = problem.base.a_ineq.shape[0], problem.a.shape[0]
-        assert system.a_ineq.shape[0] == n_base + m
-        np.testing.assert_array_equal(system.b_ineq[:n_base],
-                                      problem.base.b_ineq)
-
 
 class TestSolveSelection:
     def test_threshold_toy(self):
@@ -656,8 +685,7 @@ class TestSolveSelection:
         rng = np.random.default_rng(3)
         problem = random_selection_problem(rng)
         all_k = SelectionProblem(cost=problem.cost, base=problem.base,
-                                 a=problem.a, b=problem.b,
-                                 k=problem.n_scenarios)
+                                 b=problem.b, k=problem.n_scenarios)
         sol = solve_selection(all_k)
         parts_a = [problem.base.a_ineq] + [problem.a] * problem.n_scenarios
         parts_b = [problem.base.b_ineq] + list(problem.b)
@@ -687,19 +715,23 @@ class TestSolveSelection:
         assert solved >= 10  # the generator must mostly produce feasible runs
 
     def test_infeasible_base_detected(self):
+        # x <= 0 and x >= 1 always hold (the scenario repeats them), and
+        # the one scenario adds x <= 5.
         cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
-        base = LinearSystem.make(a_ineq=[[1.0], [-1.0]], b_ineq=[0.0, -1.0])
-        problem = SelectionProblem(cost=cost, base=base, a=[[1.0]],
-                                   b=[[5.0]], k=1)
+        base = LinearSystem.make(a_ineq=[[1.0], [-1.0], [1.0]],
+                                 b_ineq=[0.0, -1.0, 5.0])
+        problem = SelectionProblem(cost=cost, base=base,
+                                   b=[[0.0, -1.0, 5.0]], k=1)
         sol = solve_selection(problem)
         assert sol.status == INFEASIBLE
 
     def test_relaxation_budget_restores_feasibility(self):
-        # Base forces x <= 0; one block demands x >= 1.  k = S means
-        # infeasible, k = S - 1 may drop the bad block.
+        # Base forces x <= 0; one block demands x >= 1, the other
+        # x >= -0.5.  k = S means infeasible, k = S - 1 may drop the bad
+        # block.  The base bound on -x is the looser block's.
         cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
-        base = LinearSystem.make(a_ineq=[[1.0]], b_ineq=[0.0])
-        blocks = dict(a=[[-1.0]], b=[[-1.0], [0.5]])
+        base = LinearSystem.make(a_ineq=[[1.0], [-1.0]], b_ineq=[0.0, 0.5])
+        blocks = dict(b=[[0.0, -1.0], [0.0, 0.5]])
         assert solve_selection(SelectionProblem(
             cost=cost, base=base, k=2, **blocks)).status == INFEASIBLE
         sol = solve_selection(SelectionProblem(
@@ -726,44 +758,71 @@ class TestSolveSelection:
         if sol.status == GAP_LIMIT:
             assert sol.gap >= 0.0
 
-    @pytest.mark.parametrize("failures", [1, 2])
-    def test_failed_warm_started_node_is_solved_again_from_phase_1(
-            self, monkeypatch, failures):
-        from ccopf import scenario_mip
-
+    @staticmethod
+    def feasible_branching_problem():
         rng = np.random.default_rng(11)
         while True:
             problem = random_selection_problem(rng, s_max=9)
             oracle = selection_oracle(problem)
             if problem.k < problem.n_scenarios and oracle is not None:
-                break
+                return problem, oracle
+
+    def test_failed_warm_started_node_is_solved_again_from_phase_1(
+            self, monkeypatch):
+        from ccopf import scenario_mip
+
+        problem, oracle = self.feasible_branching_problem()
+        real_qp_solve = scenario_mip.qp_solve
+        real_path = scenario_mip._rhs_homotopy
+        calls, paths = [], []
+
+        def counted(cost, system, *, warm_start=None):
+            calls.append(warm_start is not None)
+            return real_qp_solve(cost, system, warm_start=warm_start)
+
+        def gives_up_first(*args):
+            # The root node's path gives up; later nodes take the path.
+            paths.append(real_path(*args) if paths else (None, 2))
+            return paths[-1]
+
+        # Without the greedy incumbent the first warm-started QP is the
+        # root node's.
+        monkeypatch.setattr(scenario_mip, "qp_solve", counted)
+        monkeypatch.setattr(scenario_mip, "_rhs_homotopy", gives_up_first)
+        monkeypatch.setattr(scenario_mip, "greedy_incumbent",
+                            lambda problem, all_enforced: None)
+        sol = solve_selection(problem)
+        assert calls[:2] == [False, True]
+        assert paths[0] == (None, 2)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+        assert sol.message == ""
+        # the all-enforced anchor, then one QP per node
+        assert sol.qp_count == len(calls) == sol.nodes + 1
+
+    def test_numerical_failure_at_a_node_ends_the_search(self, monkeypatch):
+        from ccopf import scenario_mip
+
+        problem, _ = self.feasible_branching_problem()
         real_qp_solve = scenario_mip.qp_solve
         calls = []
 
         def flaky(cost, system, *, warm_start=None):
             calls.append(warm_start is not None)
-            if len(calls) in range(2, 2 + failures):
+            if len(calls) == 2:
                 return QpSubproblemResult(status=NUMERICAL_FAILURE,
                                           message="injected")
             return real_qp_solve(cost, system, warm_start=warm_start)
 
-        # Without the greedy incumbent the first warm-started QP is the
-        # root node's.
         monkeypatch.setattr(scenario_mip, "qp_solve", flaky)
         monkeypatch.setattr(scenario_mip, "greedy_incumbent",
-                            lambda problem, _all_enforced=None: None)
+                            lambda problem, all_enforced: None)
         sol = solve_selection(problem)
-        # all-enforced anchor, failed warm-started root, phase-1 retry
-        assert calls[:3] == [False, True, False]
-        assert sol.qp_count == len(calls)
-        if failures == 1:
-            assert sol.status == OPTIMAL
-            assert sol.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
-            assert sol.message == ""
-        else:
-            assert sol.status == NUMERICAL_FAILURE
-            assert len(calls) == 3
-            assert sol.message == "node 1 (|E| = 0, |R| = 0): injected"
+        # all-enforced anchor, then the failed warm-started root: no retry
+        assert calls == [False, True]
+        assert sol.qp_count == 2
+        assert sol.status == NUMERICAL_FAILURE
+        assert sol.message == "node 1 (|E| = 0, |R| = 0): injected"
 
     def test_iterations_sum_the_counted_qps(self, monkeypatch):
         from ccopf import scenario_mip
@@ -781,14 +840,16 @@ class TestSolveSelection:
         # Without the greedy incumbent every QP is one qp_count counts.
         monkeypatch.setattr(scenario_mip, "qp_solve", counted)
         monkeypatch.setattr(scenario_mip, "greedy_incumbent",
-                            lambda problem, _all_enforced=None: None)
+                            lambda problem, all_enforced: None)
         sol = solve_selection(problem)
         assert sol.qp_count == len(taken) > 1
         assert sol.iterations == sum(taken) > 0
 
     def test_greedy_incumbent_feasible(self):
         problem = make_threshold_problem([1.0, 5.0, 9.0, 2.0], k=3)
-        warm = greedy_incumbent(problem)
+        all_enforced = qp_solve(problem.cost,
+                                problem.node_system(range(4)))
+        warm = greedy_incumbent(problem, all_enforced)
         assert warm is not None
         x, z, value = warm
         assert int(np.sum(z)) == 1
@@ -798,6 +859,8 @@ class TestSolveSelection:
         # Dual weight concentrates on the binding x >= 9 block, so greedy
         # relaxes it and lands on the true optimum directly.
         assert value == pytest.approx(5.0, abs=1e-8)
+        failed = QpSubproblemResult(status=NUMERICAL_FAILURE)
+        assert greedy_incumbent(problem, failed) is None
 
 
 class TestBuildFromChanceRows:
@@ -828,9 +891,9 @@ class TestBuildFromChanceRows:
 
 # ---------------------------------------------------------------------------
 # Warm-started node QPs move the anchor's working set along the RHS.  The
-# primal run from the anchor point (what qp_solve falls back to when the
-# path gives up) is the oracle: with the path switched off, every warm
-# start takes it.
+# cold solve, phase 1 and then the primal run (what qp_solve falls back to
+# when the path gives up), is the oracle: with the path switched off, every
+# warm start takes it.
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -856,7 +919,7 @@ def config_problem(name, k):
         equalities=balance_equality(case, fleet))
 
 
-def primal_path_solve(problem, monkeypatch):
+def cold_path_solve(problem, monkeypatch):
     from ccopf import scenario_mip
 
     with monkeypatch.context() as patch:
@@ -874,7 +937,7 @@ class TestParametricWarmStart:
     def test_selection_matches_the_primal_path(self, name, k, monkeypatch):
         problem = config_problem(name, k)
         sol = solve_selection(problem)
-        oracle = primal_path_solve(problem, monkeypatch)
+        oracle = cold_path_solve(problem, monkeypatch)
         assert sol.status == oracle.status == OPTIMAL
         assert sol.nodes == oracle.nodes
         assert sol.qp_count == oracle.qp_count
@@ -882,10 +945,34 @@ class TestParametricWarmStart:
         assert sol.objective == pytest.approx(oracle.objective, rel=1e-12)
         np.testing.assert_allclose(sol.x_star, oracle.x_star, atol=1e-9)
 
+    @pytest.mark.parametrize("name, k", [
+        *(("sweep14", k) for k in range(180, 201, 2)),
+        ("sweep300", 297),
+    ])
+    def test_the_path_never_gives_up_on_the_bundled_configs(
+            self, name, k, monkeypatch):
+        # Every warm start on these configs, node or greedy trial, ends on
+        # the path; the cold solve behind it is only a recovery.
+        from ccopf import scenario_mip
+
+        real_path = scenario_mip._rhs_homotopy
+        ended = []
+
+        def recorded(*args):
+            found, spent = real_path(*args)
+            ended.append(found is not None)
+            return found, spent
+
+        monkeypatch.setattr(scenario_mip, "_rhs_homotopy", recorded)
+        sol = solve_selection(config_problem(name, k))
+        assert sol.status == OPTIMAL
+        assert len(ended) >= sol.qp_count - 1  # every QP but the anchor
+        assert all(ended)
+
     def test_warm_nodes_take_few_iterations_on_sweep300(self, monkeypatch):
         # Every QP after the all-enforced anchor starts from the anchor's
-        # optimum.  The primal run from its point re-adds about 28 working
-        # rows per node; the path changes about 2.
+        # optimum.  A cold solve takes about 48 iterations per node; the
+        # path changes about 2 working rows.
         problem = config_problem("sweep300", 297)
         anchor = qp_solve(problem.cost,
                           problem.node_system(range(problem.n_scenarios)))
@@ -896,4 +983,4 @@ class TestParametricWarmStart:
         sol = solve_selection(problem)
         assert sol.qp_count > 10
         assert warm_mean(sol) <= 5.0
-        assert warm_mean(primal_path_solve(problem, monkeypatch)) > 20.0
+        assert warm_mean(cold_path_solve(problem, monkeypatch)) > 20.0
