@@ -34,9 +34,9 @@ import scipy.linalg
 from .ambiguity import AmbiguityParams
 from .case_io import PQ, SLACK
 from .dc_model import CcSystem, make_cost
-from .evaluation import VIOLATION_TOL
 from .scenario_mip import (
     OPTIMAL,
+    ROW_TOL,
     QuadraticCost,
     SolverOptions,
     build_selection_from_ccopf,
@@ -370,20 +370,13 @@ def _require_solved(state, what):
     return state
 
 
-def injection_setpoints(case, fleet, dispatch):
-    """Net bus injection targets for a dispatch at zero forecast error."""
-    dispatch = np.asarray(dispatch, dtype=float)
-    p_set = -case.p_load.copy()
-    np.add.at(p_set, case.gen_bus, dispatch)
-    p_set[fleet.vre_buses] += fleet.forecasts
-    q_set = -case.q_load.copy()
-    return p_set, q_set
-
-
 def solve_operating_point(case, fleet, dispatch, **pf_kwargs):
-    """Power flow at a dispatch with zero forecast error."""
-    p_set, q_set = injection_setpoints(case, fleet, dispatch)
-    return pf_solve(case, p_set, q_set, **pf_kwargs)
+    """Power flow at a dispatch with zero forecast error: the net bus
+    injections are dispatch plus forecasts minus load."""
+    p_set = -case.p_load.copy()
+    np.add.at(p_set, case.gen_bus, np.asarray(dispatch, dtype=float))
+    p_set[fleet.vre_buses] += fleet.forecasts
+    return pf_solve(case, p_set, -case.q_load, **pf_kwargs)
 
 
 def _response_setpoints(case, fleet, state, xi):
@@ -740,10 +733,6 @@ class FixedPointResult:
     d_history: tuple
     obj_history: tuple = ()
 
-    @property
-    def dispatch(self):
-        return self.selection.x_star
-
 
 def _initial_dispatch(case, fleet):
     net_demand = float(case.p_load.sum() - fleet.forecasts.sum())
@@ -934,7 +923,7 @@ class AcEvaluator:
                 self.case, self.fleet, *_quantities(self._net, vmag, theta),
                 dispatch, xi[block])
             margins = self._rhs - self._signs * values[:, self._q_idx]
-            violated[block, :-1] = (margins < -VIOLATION_TOL) & solved[:, None]
+            violated[block, :-1] = (margins < -ROW_TOL) & solved[:, None]
             violated[block, -1] = ~solved
             iterations[block] = its
         self.iterations = iterations
@@ -952,7 +941,7 @@ class AcSweepDriver:
         self.options = options or SolverOptions()
         self.include_slack_rows = include_slack_rows
 
-    def _run(self, training_set, k):
+    def solve(self, training_set, k):
         params = AmbiguityParams.from_k(k, training_set.s)
         start = time.perf_counter()
         result = fixed_point_solve(
@@ -962,11 +951,8 @@ class AcSweepDriver:
         sel.wall_time = time.perf_counter() - start
         return sel
 
-    def solve(self, training_set, k):
-        return self._run(training_set, k)
-
     def robust(self, baseline_set):
-        return self._run(baseline_set, baseline_set.s)
+        return self.solve(baseline_set, baseline_set.s)
 
     def evaluator(self, solution):
         return AcEvaluator(self.case, self.fleet, solution.x_star,

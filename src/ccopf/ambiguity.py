@@ -259,18 +259,6 @@ class AmbiguityParams:
         """Smallest enforced count achieving a violation-probability target."""
         return cls.from_k(min_k_for_target(epsilon_target, s), s)
 
-    @classmethod
-    def from_radius(cls, epsilon, radius, s):
-        """Enforced count for an externally chosen (epsilon, radius) pair."""
-        k = k_for(epsilon, radius, s)
-        if k is WORST_CASE_REQUIRED:
-            raise ValueError(
-                f"radius {radius} needs worst-case enforcement beyond the "
-                f"{s} available scenarios (k_for returned "
-                "WORST_CASE_REQUIRED)"
-            )
-        return cls(s=s, k=k, epsilon=epsilon, radius=radius)
-
     @property
     def bound(self):
         """Certified satisfaction margin phi at this (k, S) pair's optimum."""

@@ -18,6 +18,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from importlib.resources import files
 
 import numpy as np
 
@@ -275,22 +276,6 @@ def parse_matpower(text):
     )
 
 
-def serialize_matpower(raw):
-    """Write a RawCase back to MATPOWER text (17-significant-digit floats).
-
-    parse_matpower(serialize_matpower(raw)) reproduces raw field-for-field.
-    """
-    out = [f"function mpc = {raw.name}", "mpc.version = '2';",
-           f"mpc.baseMVA = {raw.base_mva:.17g};"]
-    for field in ("bus", "gen", "branch", "gencost"):
-        mat = getattr(raw, field)
-        out.append(f"mpc.{field} = [")
-        for row in mat:
-            out.append("\t" + "\t".join(f"{v:.17g}" for v in row) + ";")
-        out.append("];")
-    return "\n".join(out) + "\n"
-
-
 def to_network(raw, *, default_line_limit=math.inf, cost_override=None):
     """Convert a RawCase to a validated per-unit NetworkCase.
 
@@ -472,8 +457,6 @@ def load_case(path, **to_network_kwargs):
 
 def packaged_case_path(name):
     """Path of a case file shipped with the package (e.g. 'case14')."""
-    from importlib.resources import files
-
     candidate = files("ccopf.data").joinpath(f"{name}.m")
     if not candidate.is_file():
         raise FileNotFoundError(f"no packaged case named {name!r}")

@@ -32,6 +32,12 @@ import sys
 
 import numpy as np
 
+from .ac_model import (
+    AcEvaluator,
+    AcSweepDriver,
+    FixedPointError,
+    fixed_point_solve,
+)
 from .ambiguity import (
     WORST_CASE_REQUIRED,
     AmbiguityParams,
@@ -40,7 +46,7 @@ from .ambiguity import (
     optimal_epsilon,
 )
 from .case_io import build_fleet, load_case, packaged_case_path
-from .dc_model import assemble_cc_system
+from .dc_model import assemble_cc_system, make_cost
 from .evaluation import (
     DcEvaluator,
     config_digest,
@@ -265,9 +271,6 @@ def _solver_options(cfg):
     node_limit = _get_typed(cfg, "solve", "node_limit", int)
     if node_limit is not None:
         kwargs["node_limit"] = node_limit
-    time_limit = _get_typed(cfg, "solve", "time_limit", float)
-    if time_limit is not None:
-        kwargs["time_limit"] = time_limit
     rel_gap = _get_typed(cfg, "solve", "rel_gap", float)
     if rel_gap is not None:
         kwargs["rel_gap"] = rel_gap
@@ -537,13 +540,16 @@ def cmd_solve(args):
     log_path, handler = _attach_log_file(outdir, prefix)
     try:
         params = _choose_params(cfg, train.s)
+        report_ro = _report_ro(cfg)
+        ro_field = ({"ro": (ro_set.s, ro_set.seed, ro_set.spec_digest)}
+                    if report_ro and ro_set is not None else {})
         digest = config_digest(
             case=case.name, model=model, k=params.k, s=train.s,
             buses=tuple(fleet.vre_buses.tolist()),
             forecasts=tuple(fleet.forecasts.tolist()), gamma=fleet.gamma,
             train_seed=train.seed, train_digest=train.spec_digest,
             test_seed=test.seed, test_digest=test.spec_digest,
-            include_slack_rows=include_slack)
+            include_slack_rows=include_slack, **ro_field)
         log.info("case %s: %d buses, %d generators, %d branches",
                  case.name, case.n_bus, case.n_gen, case.n_branch)
         log.info("enforcing k = %d of S = %d scenarios "
@@ -554,11 +560,11 @@ def cmd_solve(args):
         if model == "dc":
             code = _solve_dc(case, fleet, train, test, ro_set, params,
                              options, include_slack, outdir, prefix, digest,
-                             report_ro=_report_ro(cfg))
+                             report_ro=report_ro)
         else:
             code = _solve_ac(case, fleet, train, test, ro_set, params,
                              options, include_slack, outdir, prefix, digest,
-                             report_ro=_report_ro(cfg))
+                             report_ro=report_ro)
         log.info("log written to %s", log_path)
         return code
     finally:
@@ -615,13 +621,6 @@ def _log_newton_failures(evaluator):
 
 def _solve_ac(case, fleet, train, test, ro_set, params, options,
               include_slack, outdir, prefix, digest, *, report_ro):
-    from .ac_model import (
-        AcEvaluator,
-        AcSweepDriver,
-        FixedPointError,
-        fixed_point_solve,
-    )
-
     try:
         result = fixed_point_solve(case, fleet, train, params,
                                    options=options,
@@ -696,7 +695,7 @@ def cmd_sweep(args):
                 case, fleet, train, test, k_values, model,
                 ro_set=ro_set, options=options,
                 include_slack_rows=include_slack, record_time=record_time,
-                csv_path=csv_path, svg_path=svg_path, case_name=case.name)
+                csv_path=csv_path, svg_path=svg_path)
         except ValueError as exc:
             raise CliError(f"config key sweep.k_values: {exc}") from exc
         log.info("config digest %s", digest)
@@ -736,14 +735,12 @@ def cmd_eval(args):
     if dispatch.size != case.n_gen:
         raise CliError(f"solution has {dispatch.size} generators, case "
                        f"{case.name} has {case.n_gen}")
-    cost = float(np.sum(case.cost_c0 + case.cost_c1 * dispatch
-                        + case.cost_c2 * dispatch ** 2))
+    cost = make_cost(case).value(dispatch)
     digest = config_digest(
         case=case.name, model=model, solution=os.path.basename(args.solution),
         test_seed=test.seed, test_digest=test.spec_digest,
         include_slack_rows=include_slack)
     if model == "ac":
-        from .ac_model import AcEvaluator
         evaluator = AcEvaluator(case, fleet, dispatch,
                                 include_slack_rows=include_slack)
     else:

@@ -32,19 +32,6 @@ from .scenario_mip import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PtdfMatrix:
-    """Branch-flow sensitivities: flows = phi @ injections for balanced
-    injection vectors.  The slack column is identically zero."""
-
-    phi: np.ndarray  # (n_branch, n_bus)
-    slack: int
-
-    @property
-    def n_branch(self):
-        return self.phi.shape[0]
-
-
 def incidence_matrix(case):
     """Oriented branch-bus incidence: +1 at the from bus, -1 at the to bus."""
     a = np.zeros((case.n_branch, case.n_bus))
@@ -55,7 +42,9 @@ def incidence_matrix(case):
 
 
 def build_ptdf(case):
-    """Power transfer distribution factors from series reactances.
+    """Power transfer distribution factors from series reactances: the
+    read-only (n_branch, n_bus) matrix phi with flows = phi @ injections
+    for balanced injection vectors; the slack column is identically zero.
 
     Factorizes the reduced nodal susceptance matrix once with SuperLU,
     whose arithmetic, unlike a multithreaded BLAS Cholesky, does not depend
@@ -75,7 +64,7 @@ def build_ptdf(case):
     phi = np.zeros((case.n_branch, case.n_bus))
     phi[:, keep] = factor.solve(weighted.T).T
     phi.setflags(write=False)
-    return PtdfMatrix(phi=phi, slack=case.slack)
+    return phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +76,17 @@ class DcResponse:
     flow_sens: np.ndarray  # (n_branch, n_vre)
 
 
-def dc_response(case, fleet, ptdf=None):
+def dc_response(case, fleet, phi=None):
     """Sensitivities of bus injections, generator outputs, and flows to
     the forecast-error vector under proportional balancing."""
-    if ptdf is None:
-        ptdf = build_ptdf(case)
+    if phi is None:
+        phi = build_ptdf(case)
     n_vre = fleet.n_vre
     m = -np.tile(fleet.participation[:, None], (1, n_vre))
     m[fleet.vre_buses, np.arange(n_vre)] += 1.0
     gen_sens = -np.outer(fleet.gen_participation, np.ones(n_vre))
     return DcResponse(m_matrix=m, gen_sens=gen_sens,
-                      flow_sens=ptdf.phi @ m)
+                      flow_sens=phi @ m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,16 +163,16 @@ def assemble_cc_system(case, fleet, *, include_slack_rows=False):
     in the nominal dispatch.  Pass include_slack_rows=True to monitor them
     anyway (diagnostics, sensitivity studies).
     """
-    ptdf = build_ptdf(case)
-    response = dc_response(case, fleet, ptdf)
+    phi = build_ptdf(case)
+    response = dc_response(case, fleet, phi)
     n_gen = case.n_gen
 
     cg = np.zeros((case.n_bus, n_gen))
     cg[case.gen_bus, np.arange(n_gen)] = 1.0
     inj_const = -case.p_load.copy()
     np.add.at(inj_const, fleet.vre_buses, fleet.forecasts)
-    flow_lin = ptdf.phi @ cg
-    flow_const = ptdf.phi @ inj_const
+    flow_lin = phi @ cg
+    flow_const = phi @ inj_const
 
     gens = np.flatnonzero(include_slack_rows | ~case.slack_gen_mask())
     gen_lin = np.zeros((2 * gens.size, n_gen))
@@ -235,8 +224,7 @@ class DcSolution:
     qp: object = None
 
 
-def solve_deterministic_dc(case, fleet=None, cc=None, *,
-                           include_slack_rows=False):
+def solve_deterministic_dc(case, fleet=None, cc=None):
     """Nominal-forecast economic dispatch over the linearized network.
 
     Solves the cost QP subject to power balance and the chance-constraint
@@ -248,8 +236,7 @@ def solve_deterministic_dc(case, fleet=None, cc=None, *,
     if fleet is None:
         fleet = _zero_forecast(build_fleet(case, [case.slack], [1.0], 0.0))
     if cc is None:
-        cc = assemble_cc_system(case, fleet,
-                                include_slack_rows=include_slack_rows)
+        cc = assemble_cc_system(case, fleet)
     result = qp_solve(make_cost(case),
                       cc.nominal_system(balance_equality(case, fleet)))
     if result.status != OPTIMAL:

@@ -2,7 +2,8 @@
 
 A dispatch is judged on fresh scenarios exactly the way it was optimized:
 every chance-constraint row is re-evaluated per scenario and the *joint*
-event — any row exceeding its bound by more than 1e-7 — is counted.  The
+event — any row exceeding its bound by more than scenario_mip.ROW_TOL,
+the tolerance the search counts satisfied blocks by — is counted.  The
 robust baseline enforces every training scenario (zero relaxation budget);
 relative-entropy solutions at any k on the same training set can only be
 cheaper, and the deterministic dispatch cheaper still, so the three
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svg_plot
+from .ac_model import AcSweepDriver
 from .ambiguity import AmbiguityParams
 from .dc_model import (
     assemble_cc_system,
@@ -27,14 +29,13 @@ from .dc_model import (
 from .scenario_mip import (
     INFEASIBLE,
     OPTIMAL,
+    ROW_TOL,
     SelectionSolution,
     SolverOptions,
     build_selection_from_ccopf,
     qp_solve,
     solve_selection,
 )
-
-VIOLATION_TOL = 1e-7
 
 CSV_COLUMNS = ("k", "epsilon_star", "bound", "cost", "cost_vs_ro",
                "joint_violation", "time_s", "status")
@@ -76,7 +77,7 @@ class DcEvaluator:
         """(joint violation mask over scenarios, per-row violation rates)."""
         margins = np.atleast_2d(
             self.cc.margins(np.asarray(dispatch, dtype=float), xi))
-        violated = margins < -VIOLATION_TOL
+        violated = margins < -ROW_TOL
         return violated.any(axis=1), violated.mean(axis=0)
 
 
@@ -112,16 +113,14 @@ def solve_dc_selection(case, fleet, training_set, k, *, cc=None,
     return solve_selection(problem, options), cc
 
 
-def ro_baseline(case, fleet, training_set, *, cc=None,
-                include_slack_rows=False):
+def ro_baseline(case, fleet, training_set, *, cc=None):
     """Robust dispatch: every training scenario enforced (k = S).
 
     Solved as the single QP of the all-enforced node system; infeasibility
     names the scenarios that the Farkas certificate weighs.
     """
     if cc is None:
-        cc = assemble_cc_system(case, fleet,
-                                include_slack_rows=include_slack_rows)
+        cc = assemble_cc_system(case, fleet)
     s = training_set.s
     problem = build_selection_from_ccopf(
         cc, training_set.xi, make_cost(case), s,
@@ -155,20 +154,19 @@ def config_digest(**parts):
 
 def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
             ro_set=None, options=None, include_slack_rows=False,
-            record_time=True, csv_path=None, svg_path=None,
-            case_name="case"):
+            record_time=True, csv_path=None, svg_path=None):
     """Solve the k-of-S problem for each k and score it out of sample.
 
     Rows are emitted in ascending epsilon* (descending k).  ro_set chooses
     the normalization baseline: by default the training set itself; pass a
-    larger independent set to normalize against the sampled robust proxy.
+    larger independent set to normalize against the sampled robust proxy;
+    its size, seed and spec digest then enter the digest.
     With record_time=False the time column is written as zero so repeated
     runs produce byte-identical files.
     """
     if model not in ("dc", "ac"):
         raise ValueError(f"unknown model {model!r}")
     if model == "ac":
-        from .ac_model import AcSweepDriver
         driver = AcSweepDriver(case, fleet, options=options,
                                include_slack_rows=include_slack_rows)
     else:
@@ -209,15 +207,16 @@ def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
     rows.sort(key=lambda r: r["epsilon_star"])
 
     digest = config_digest(
-        case=case_name, s=s, k_values=tuple(k_values), model=model,
+        case=case.name, s=s, k_values=tuple(k_values), model=model,
         train_digest=training_set.spec_digest, train_seed=training_set.seed,
         test_digest=test_set.spec_digest, test_seed=test_set.seed,
-        ro="training" if ro_set is None else "external",
+        ro="training" if ro_set is None else (
+            ro_set.s, ro_set.seed, ro_set.spec_digest),
         include_slack_rows=include_slack_rows)
     if csv_path is not None:
         write_sweep_csv(rows, csv_path, digest)
     if svg_path is not None:
-        write_sweep_svg(rows, svg_path, case_name)
+        write_sweep_svg(rows, svg_path, case.name)
     return rows, digest
 
 

@@ -55,7 +55,9 @@ UNBOUNDED = "UNBOUNDED"
 NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 GAP_LIMIT = "GAP_LIMIT"
 
-_FEAS_TOL = 1e-7  # absolute residual tolerance on constraint rows
+# A row holds when it exceeds its bound by at most ROW_TOL: the one rule
+# for the search's satisfied blocks and for out-of-sample scoring.
+ROW_TOL = 1e-7
 # Reduced-Hessian tests, relative to the largest entry of the normalized H:
 _PIVOT_TOL = 1e-10  # smallest Cholesky pivot the Newton step accepts
 _ZERO_CURVATURE = 1e-12  # Z'HZ no larger than this is rounding noise
@@ -674,7 +676,6 @@ class SelectionProblem:
 @dataclass
 class SolverOptions:
     node_limit: int | None = None
-    time_limit: float | None = None
     rel_gap: float = 0.0
 
 
@@ -743,9 +744,12 @@ def solve_selection(problem, options=None):
     RHS; qp_solve alone recovers when that path gives up, and one node is
     one QP.  A node QP that ends in NUMERICAL_FAILURE ends the search,
     with a message naming the node (its count, |E|, |R|) and the QP's
-    own message.  The solution's iterations sums the active-set
-    iterations of the qp_count QPs (the greedy incumbent's trials count
-    in neither).
+    own message; at k = S the one QP is the all-enforced one, and its
+    failure is named that way.  options.rel_gap closes a node whose bound
+    is within that fraction of the incumbent, and the solution's gap is
+    then the gap the search proved (zero for the exact search).  The
+    solution's iterations sums the active-set iterations of the qp_count
+    QPs (the greedy incumbent's trials count in neither).
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
@@ -775,7 +779,8 @@ def solve_selection(problem, options=None):
     if problem.k == s:
         result = solve_node(list(range(s)))
         if result.status != OPTIMAL:
-            return finish(result.status)
+            return finish(result.status, message=(
+                f"all-enforced QP (|E| = {s}, |R| = 0): {result.message}"))
         z = np.zeros(s, dtype=int)
         return finish(OPTIMAL, result.x, z, result.value, range(s), 0.0,
                       (result.duals_ineq, result.duals_eq))
@@ -803,15 +808,15 @@ def solve_selection(problem, options=None):
         return 1e-9 * max(1.0, abs(v)) + options.rel_gap * abs(v)
 
     limit_hit = False
+    fathomed = np.inf  # least bound of a node closed by prune_eps
     while heap:
         bound, _, enforced, relaxed, result = heapq.heappop(heap)
         if incumbent is not None and bound >= incumbent[0] - prune_eps(incumbent[0]):
             # Best-bound order: every remaining node is at least as bad.
+            fathomed = min(fathomed, bound)
             break
         if (options.node_limit is not None
-                and stats["nodes"] >= options.node_limit) or \
-           (options.time_limit is not None
-                and time.perf_counter() - t0 > options.time_limit):
+                and stats["nodes"] >= options.node_limit):
             push(bound, enforced, relaxed, result)  # keep it in the gap
             limit_hit = True
             break
@@ -833,6 +838,7 @@ def solve_selection(problem, options=None):
                 bound = result.value
                 if incumbent is not None and \
                         bound >= incumbent[0] - prune_eps(incumbent[0]):
+                    fathomed = min(fathomed, bound)
                     continue
                 if heap and bound > heap[0][0] + 1e-12:
                     # No longer the best bound: re-queue, solved.
@@ -851,7 +857,7 @@ def solve_selection(problem, options=None):
             viol = viol.max(axis=1) if viol.size else np.zeros(
                 len(undecided))
             violations = dict(zip(undecided, viol))
-            satisfied = [j for j in undecided if violations[j] <= _FEAS_TOL]
+            satisfied = [j for j in undecided if violations[j] <= ROW_TOL]
             if len(enforced) + len(satisfied) >= problem.k:
                 if incumbent is None or result.value < incumbent[0] - 1e-12 * max(
                         1.0, abs(incumbent[0])):
@@ -875,13 +881,15 @@ def solve_selection(problem, options=None):
 
     if incumbent is None:
         return finish(GAP_LIMIT if limit_hit else INFEASIBLE)
+    # The proved gap: the incumbent over the least bound of a node left
+    # open or closed by prune_eps; within the exact 1e-9 it counts as none.
     value, x, z, keep = incumbent
+    lower = min([fathomed] + [entry[0] for entry in heap])
     gap = 0.0
-    status = OPTIMAL
-    if limit_hit or (heap and heap[0][0] < value - prune_eps(value)):
-        remaining = min((entry[0] for entry in heap), default=value)
-        gap = max(0.0, (value - remaining) / max(1.0, abs(value)))
-        status = GAP_LIMIT if gap > options.rel_gap + 1e-15 else OPTIMAL
+    if lower < value - 1e-9 * max(1.0, abs(value)):
+        gap = (value - lower) / max(1.0, abs(value))
+    status = (GAP_LIMIT if limit_hit and gap > options.rel_gap + 1e-15
+              else OPTIMAL)
     return finish(status, x, z, value, keep, gap)
 
 

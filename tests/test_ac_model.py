@@ -35,7 +35,8 @@ from ccopf.case_io import (
     to_network,
 )
 from ccopf.dc_model import dc_response
-from ccopf.evaluation import VIOLATION_TOL, sweep_k
+from ccopf.evaluation import sweep_k
+from ccopf.scenario_mip import ROW_TOL
 from ccopf.scenarios import GaussianSpec, sample
 
 TWO_BUS = """\
@@ -720,7 +721,7 @@ def batch_of_one_check(evaluator, dispatch, xi):
         values = quantity_values(evaluator.case, evaluator.fleet,
                                  evaluator.rows, responded, dispatch, xi_j)
         margins = evaluator._rhs - evaluator._signs * values[evaluator._q_idx]
-        violated[j, :-1] = margins < -VIOLATION_TOL
+        violated[j, :-1] = margins < -ROW_TOL
     return violated.any(axis=1), violated.mean(axis=0), iterations
 
 

@@ -223,14 +223,6 @@ class TestAmbiguityParams:
         p = AmbiguityParams.from_target(0.10, 100)
         assert p.k == 98
 
-    def test_from_radius(self):
-        p = AmbiguityParams.from_radius(0.1, 0.01, 100)
-        assert p.k == k_for(0.1, 0.01, 100)
-
-    def test_from_radius_worst_case_raises(self):
-        with pytest.raises(ValueError, match="WORST_CASE_REQUIRED"):
-            AmbiguityParams.from_radius(0.1, 1e9, 100)
-
     def test_inconsistent_quadruple_rejected(self):
         with pytest.raises(ValueError):
             AmbiguityParams(s=100, k=90, epsilon=0.1, radius=1.0)

@@ -13,7 +13,6 @@ from ccopf.case_io import (
     CaseFormatError,
     build_fleet,
     parse_matpower,
-    serialize_matpower,
     to_network,
 )
 
@@ -46,25 +45,11 @@ class TestParse:
         assert raw.gen.shape == (1, 21)
         assert raw.branch.shape == (1, 13)
 
-    def test_round_trip(self):
-        raw = parse_matpower(TWO_BUS)
-        again = parse_matpower(serialize_matpower(raw))
-        for field in ("bus", "gen", "branch", "gencost"):
-            assert np.array_equal(getattr(raw, field), getattr(again, field))
-        assert again.base_mva == raw.base_mva
-        assert again.name == raw.name
-
     def test_case14_counts(self, case14_raw):
         """The stock 14-bus file: 14 buses, 5 generators, 20 branches."""
         assert case14_raw.bus.shape[0] == 14
         assert case14_raw.gen.shape[0] == 5
         assert case14_raw.branch.shape[0] == 20
-
-    def test_case14_round_trip(self, case14_raw):
-        again = parse_matpower(serialize_matpower(case14_raw))
-        for field in ("bus", "gen", "branch", "gencost"):
-            assert np.array_equal(getattr(case14_raw, field),
-                                  getattr(again, field))
 
     def test_missing_bus_matrix(self):
         text = TWO_BUS.replace("mpc.bus", "mpc.busx")

@@ -182,6 +182,25 @@ class TestSolveDc:
         for name in outputs:
             assert (workdir / "out" / name).read_bytes() == before[name], name
 
+    def test_external_robust_set_enters_the_digest(self, tmp_path):
+        def digest(*overrides):
+            args = ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+                    "--set", "scenarios.test_s=500"]
+            for item in overrides:
+                args += ["--set", item]
+            result = run_cli(args, cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+            report = tmp_path / "out" / "tutorial_report.csv"
+            return report.read_text().splitlines()[0]
+
+        plain = digest()
+        external = [digest("scenarios.ro_s=200", f"scenarios.ro_seed={seed}")
+                    for seed in (3, 4)]
+        assert len({plain, *external}) == 3
+        # A robust set that sets no reported ratio leaves the digest alone.
+        assert digest("scenarios.ro_s=200", "scenarios.ro_seed=3",
+                      "solve.report_ro=false") == plain
+
     def test_missing_case_file_exit_1(self, tmp_path):
         result = run_cli(
             ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",

@@ -95,33 +95,33 @@ def triangle():
 class TestPtdf:
     def test_two_bus(self):
         case = load_text(TWO_BUS)
-        ptdf = build_ptdf(case)
-        np.testing.assert_allclose(ptdf.phi, [[1.0, 0.0]], atol=1e-12)
+        phi = build_ptdf(case)
+        np.testing.assert_allclose(phi, [[1.0, 0.0]], atol=1e-12)
 
     def test_triangle_hand_values(self, triangle):
-        ptdf = build_ptdf(triangle)
+        phi = build_ptdf(triangle)
         expected = np.array([
             [1 / 3, -1 / 3, 0.0],  # 1-2
             [2 / 3, 1 / 3, 0.0],   # 1-3
             [1 / 3, 2 / 3, 0.0],   # 2-3
         ])
-        np.testing.assert_allclose(ptdf.phi, expected, atol=1e-12)
+        np.testing.assert_allclose(phi, expected, atol=1e-12)
 
     def test_slack_column_zero(self, case14):
-        ptdf = build_ptdf(case14)
-        assert ptdf.phi.shape == (case14.n_branch, case14.n_bus)
-        np.testing.assert_array_equal(ptdf.phi[:, case14.slack], 0.0)
+        phi = build_ptdf(case14)
+        assert phi.shape == (case14.n_branch, case14.n_bus)
+        np.testing.assert_array_equal(phi[:, case14.slack], 0.0)
 
     def test_kirchhoff_current_law(self, case14):
         # For any balanced injection vector, branch flows from the
         # sensitivity matrix must satisfy nodal balance at every bus.
-        ptdf = build_ptdf(case14)
+        phi = build_ptdf(case14)
         a = incidence_matrix(case14)
         rng = np.random.default_rng(5)
         for _ in range(4):
             p = rng.normal(size=case14.n_bus)
             p -= p.mean()
-            flows = ptdf.phi @ p
+            flows = phi @ p
             np.testing.assert_allclose(a.T @ flows, p, atol=1e-10)
 
     def test_same_bytes_at_any_blas_thread_count(self):
@@ -134,7 +134,7 @@ class TestPtdf:
             "from ccopf.dc_model import build_ptdf\n"
             "warnings.simplefilter('ignore')\n"
             "case = load_case(packaged_case_path('case300s'))\n"
-            "print(hashlib.sha256(build_ptdf(case).phi.tobytes())"
+            "print(hashlib.sha256(build_ptdf(case).tobytes())"
             ".hexdigest())\n")
         digests = set()
         for threads in ("1", "2"):
@@ -179,8 +179,8 @@ class TestDcResponse:
         resp = dc_response(case, fleet)
         np.testing.assert_allclose(resp.m_matrix[:, 0], [1.0, 0.0, -1.0],
                                    atol=1e-12)
-        ptdf = build_ptdf(case)
-        np.testing.assert_allclose(resp.flow_sens[:, 0], ptdf.phi[:, 0],
+        phi = build_ptdf(case)
+        np.testing.assert_allclose(resp.flow_sens[:, 0], phi[:, 0],
                                    atol=1e-12)
 
 
@@ -199,7 +199,7 @@ class TestCcSystem:
 
     def test_rows_match_physical_recomputation(self, case14, fleet14):
         cc = assemble_cc_system(case14, fleet14, include_slack_rows=True)
-        ptdf = build_ptdf(case14)
+        phi = build_ptdf(case14)
         rng = np.random.default_rng(9)
         x = rng.uniform(0, 1, case14.n_gen)
         for _ in range(3):
@@ -209,7 +209,7 @@ class TestCcSystem:
             inj = -case14.p_load.copy()
             np.add.at(inj, case14.gen_bus, gen_out)
             np.add.at(inj, fleet14.vre_buses, fleet14.forecasts + xi)
-            flows = ptdf.phi @ inj
+            flows = phi @ inj
             values = cc.row_values(x, xi)
             n_gen = case14.n_gen
             np.testing.assert_allclose(values[:n_gen], gen_out, atol=1e-10)

@@ -134,8 +134,7 @@ class TestSweep:
         svg_path = tmp_path / "sweep.svg"
         rows, digest = sweep_k(
             case14_tutorial, fleet14_tutorial, train, test,
-            k_values=[36, 38, 40], csv_path=csv_path, svg_path=svg_path,
-            case_name="tutorial14")
+            k_values=[36, 38, 40], csv_path=csv_path, svg_path=svg_path)
         assert [r["k"] for r in rows] == [40, 38, 36]  # ascending eps*
         eps = [r["epsilon_star"] for r in rows]
         assert eps == sorted(eps)
@@ -163,11 +162,24 @@ class TestSweep:
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             sweep_k(case14_tutorial, fleet14_tutorial, train, test,
-                    k_values=[38, 40], record_time=False, csv_path=path,
-                    case_name="tutorial14")
+                    k_values=[38, 40], record_time=False, csv_path=path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         for row in read_sweep_csv(paths[0]):
             assert row["time_s"] == 0.0
+
+    def test_robust_set_enters_the_digest(self, case14_tutorial,
+                                          fleet14_tutorial, tutorial_sets):
+        # cost_vs_ro depends on the robust set, so the digest must too.
+        train, test = tutorial_sets
+        spec = GaussianSpec(forecasts=fleet14_tutorial.forecasts, zeta=0.05,
+                            rho=0.2)
+        digests = {
+            sweep_k(case14_tutorial, fleet14_tutorial, train, test, [40],
+                    ro_set=ro_set, record_time=False)[1]
+            for ro_set in (None, sample(spec, 40, seed=303),
+                           sample(spec, 40, seed=304),
+                           sample(spec, 50, seed=303))}
+        assert len(digests) == 4
 
     def test_bad_inputs(self, case14_tutorial, fleet14_tutorial,
                         tutorial_sets):

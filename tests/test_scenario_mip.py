@@ -45,6 +45,7 @@ from ccopf.scenario_mip import (
     qp_solve,
     solve_selection,
 )
+from ccopf.scenarios import sample
 
 
 def qp_oracle(cost, system):
@@ -824,6 +825,17 @@ class TestSolveSelection:
         assert sol.status == NUMERICAL_FAILURE
         assert sol.message == "node 1 (|E| = 0, |R| = 0): injected"
 
+    def test_numerical_failure_at_k_equal_s_names_the_qp(self, monkeypatch):
+        from ccopf import scenario_mip
+
+        monkeypatch.setattr(
+            scenario_mip, "qp_solve",
+            lambda cost, system, *, warm_start=None: QpSubproblemResult(
+                status=NUMERICAL_FAILURE, message="injected"))
+        sol = solve_selection(make_threshold_problem([1.0, 5.0], k=2))
+        assert sol.status == NUMERICAL_FAILURE
+        assert sol.message == "all-enforced QP (|E| = 2, |R| = 0): injected"
+
     def test_iterations_sum_the_counted_qps(self, monkeypatch):
         from ccopf import scenario_mip
 
@@ -917,6 +929,28 @@ def config_problem(name, k):
     return build_selection_from_ccopf(
         cc, train.xi, make_cost(case), k,
         equalities=balance_equality(case, fleet))
+
+
+class TestRelativeGap:
+    def test_rel_gap_reports_the_gap_it_proved(self):
+        # On this instance rel_gap = 1e-4 stops after 5 of the exact
+        # search's 19 nodes, 3.2e-5 above the optimum.
+        cfg, case, fleet, _, cc = config_inputs("sweep300")
+        train = sample(_build_spec(cfg, fleet), 60, 21)
+        problem = build_selection_from_ccopf(
+            cc, train.xi, make_cost(case), 56,
+            equalities=balance_equality(case, fleet))
+        exact = solve_selection(problem)
+        rel_gap = 1e-4
+        early = solve_selection(problem, SolverOptions(rel_gap=rel_gap))
+        assert exact.status == early.status == OPTIMAL
+        assert exact.gap == 0.0
+        assert 0.0 < early.gap <= rel_gap
+        assert early.nodes <= exact.nodes
+        assert exact.objective <= early.objective <= exact.objective * (
+            1.0 + rel_gap)
+        # The proved bound holds the optimum.
+        assert early.objective * (1.0 - early.gap) <= exact.objective
 
 
 def cold_path_solve(problem, monkeypatch):

@@ -70,7 +70,7 @@ def build():
     # --- ratings from DC flows of two reference dispatches
     case = to_network(parse_matpower(render(pd, qd, gen_rows, p_max, c2, c1,
                                             edges, r, x, None)))
-    phi = build_ptdf(case).phi
+    phi = build_ptdf(case)
     total = pd.sum() / case.base_mva
     cap = p_max / case.base_mva
     merit = (1.0 / c1) * cap
