@@ -329,7 +329,14 @@ def _read_solution_csv(path):
             parts = text.split(",")
             if len(parts) < 3:
                 raise CliError(f"malformed solution row in {path}: {text!r}")
-            dispatch.append(float(parts[2]))
+            try:
+                value = float(parts[2])
+            except ValueError:
+                value = np.nan
+            if not np.isfinite(value):
+                raise CliError(f"p_pu is not a finite number in {path}: "
+                               f"{text!r}")
+            dispatch.append(value)
     if not dispatch:
         raise CliError(f"no dispatch rows found in {path}")
     return np.asarray(dispatch)

@@ -120,10 +120,6 @@ class CcSystem:
             return base + self.sens @ xi
         return base[None, :] + xi @ self.sens.T
 
-    def margins(self, x, xi):
-        """rhs - row_values; negative entries are violations."""
-        return self.rhs - self.row_values(x, xi)
-
     def bounded(self):
         """The rows with a finite bound (self when every row has one)."""
         keep = np.isfinite(self.rhs)

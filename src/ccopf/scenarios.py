@@ -184,11 +184,16 @@ def load_csv(path, spec=None):
         parsed = []
         for col, cell in enumerate(cells):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: non-numeric cell at row {line_no}, "
                     f"column {col + 1}: {cell!r}") from None
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"{path}: non-finite cell at row {line_no}, "
+                    f"column {col + 1}: {cell!r}")
+            parsed.append(value)
         rows.append(parsed)
     if not rows:
         raise ValueError(f"{path}: no scenarios")

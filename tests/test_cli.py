@@ -359,6 +359,24 @@ class TestEval:
         assert result.returncode == 1
         assert "void.csv" in result.stderr
 
+    @pytest.mark.parametrize("cell", ["nan", "abc"])
+    def test_non_finite_dispatch_rejected(self, tutorial_run, tmp_path,
+                                          cell):
+        workdir, _ = tutorial_run
+        text = (workdir / "out" / "tutorial_solution.csv").read_text()
+        lines = text.splitlines()
+        row = lines[-1].split(",")
+        row[2] = cell
+        lines[-1] = ",".join(row)
+        bad = tmp_path / "bad_solution.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        result = run_cli(
+            ["eval", "--config", CONFIG_DIR / "tutorial.ini",
+             "--solution", bad], cwd=tmp_path)
+        assert result.returncode == 1
+        assert "not a finite number" in result.stderr
+        assert not list(tmp_path.glob("out/*_eval.csv"))
+
     def test_unknown_model_rejected(self, tutorial_run, tmp_path):
         # The same check and message as sweep, before anything is scored.
         workdir, _ = tutorial_run

@@ -232,7 +232,7 @@ class TestCcSystem:
                                                    - base)
         np.testing.assert_allclose(combined - base, parts, atol=1e-12)
 
-    def test_batch_rows_and_margins(self, case14, fleet14):
+    def test_batch_rows(self, case14, fleet14):
         cc = assemble_cc_system(case14, fleet14)
         rng = np.random.default_rng(17)
         x = rng.uniform(0, 1, case14.n_gen)
@@ -242,11 +242,6 @@ class TestCcSystem:
         for s in range(7):
             np.testing.assert_allclose(batch[s], cc.row_values(x, xi[s]),
                                        atol=1e-12)
-        margins = cc.margins(x, xi)
-        finite = np.isfinite(cc.rhs)
-        np.testing.assert_allclose(margins[:, finite],
-                                   cc.rhs[finite] - batch[:, finite],
-                                   atol=1e-12)
 
 
     def test_nominal_system_and_conflict_row_skip_unbounded_rows(self):

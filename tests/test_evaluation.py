@@ -6,15 +6,34 @@ probability is known in closed form; the empirical rate must sit within
 three binomial standard errors of it.  The rest checks the structural
 guarantees: nesting of deterministic / k-of-S / all-enforced costs,
 exactness of the k = S normalization, file round trips, and determinism.
+The DC row screen is checked against the dense test of every row, on the
+bundled configs and on small random row systems.
 """
+
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from ccopf.case_io import build_fleet, parse_matpower, to_network
-from ccopf.dc_model import assemble_cc_system, solve_deterministic_dc
+from ccopf.cli import (
+    _build_case,
+    _build_fleet,
+    _build_spec,
+    _read_config,
+    _require_set,
+)
+from ccopf.dc_model import (
+    CcSystem,
+    assemble_cc_system,
+    solve_deterministic_dc,
+)
 from ccopf.evaluation import (
+    SCREEN_ALLOWANCE,
     DcEvaluator,
     read_sweep_csv,
     ro_baseline,
@@ -23,7 +42,7 @@ from ccopf.evaluation import (
     violation_frequency,
     write_sweep_csv,
 )
-from ccopf.scenario_mip import OPTIMAL
+from ccopf.scenario_mip import OPTIMAL, ROW_TOL
 from ccopf.scenarios import GaussianSpec, ScenarioSet, sample
 
 SINGLE_GEN = """
@@ -94,6 +113,151 @@ class TestViolationFrequency:
             EvalReport(joint_violation_rate=0.1,
                        per_row_rates=np.array([0.5]),
                        row_names=("r",))
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_sets(name):
+    """Case, fleet, training set and test set of a bundled config."""
+    cfg = _read_config(CONFIG_DIR / f"{name}.ini")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # case14's dropped branch data
+        case = _build_case(cfg)
+    fleet = _build_fleet(cfg, case)
+    spec = _build_spec(cfg, fleet)
+    return (case, fleet, _require_set(cfg, "train", spec),
+            _require_set(cfg, "test", spec))
+
+
+def dense_check(cc, dispatch, xi):
+    """The reference: every bounded row tested in every scenario."""
+    rows = cc.bounded()
+    violated = np.atleast_2d(
+        rows.rhs - rows.row_values(dispatch, xi)) < -ROW_TOL
+    return violated.any(axis=1), violated.mean(axis=0)
+
+
+def threshold_rhs():
+    """The bound at which a row with zero base and zero sensitivities sits
+    exactly on the screen's threshold: its worst-case margin, the bound
+    itself, equals SCREEN_ALLOWANCE * (1 + |bound|) - ROW_TOL."""
+    rhs = -ROW_TOL
+    for _ in range(20):
+        following = SCREEN_ALLOWANCE * (1.0 + abs(rhs)) - ROW_TOL
+        if following == rhs:
+            return rhs
+        rhs = following
+    raise AssertionError("no fixed point")
+
+
+@st.composite
+def screened_batches(draw):
+    """A small row system, a dispatch and a scenario batch.
+
+    Bounds sit at random offsets from each row's worst case over the
+    batch's box, some in the band just above -ROW_TOL where the screen's
+    threshold lies.  Two rows with zero base and zero sensitivities are
+    placed exactly on the threshold and one float above it.  The batch is
+    several scenarios, one scenario given as a 1-D vector, or several plus
+    one far outside the rest; one sensitivity column may be zero.
+    """
+    n_gen = draw(st.integers(1, 3))
+    n_vre = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["batch", "single", "outlier"]))
+    s = 1 if shape == "single" else draw(st.integers(2, 6))
+
+    def floats(*dims):
+        size = int(np.prod(dims))
+        values = draw(st.lists(
+            st.floats(-2.0, 2.0, allow_subnormal=False),
+            min_size=size, max_size=size))
+        return np.array(values).reshape(dims)
+
+    base_lin = floats(n_rows, n_gen)
+    base_const = floats(n_rows)
+    sens = floats(n_rows, n_vre)
+    x = floats(n_gen)
+    xi = floats(s, n_vre)
+    if draw(st.booleans()):
+        sens[:, draw(st.integers(0, n_vre - 1))] = 0.0
+    lo, hi = xi.min(axis=0), xi.max(axis=0)
+    worst = (base_lin @ x + base_const
+             + np.maximum(sens * hi, sens * lo).sum(axis=1))
+    offsets = np.array(draw(st.lists(
+        st.floats(-1.0, 1.0)
+        | st.floats(-ROW_TOL + 5e-10, -ROW_TOL + 5e-8),
+        min_size=n_rows, max_size=n_rows)))
+    on = threshold_rhs()
+    cc = CcSystem(
+        row_names=tuple(f"r{i}" for i in range(n_rows))
+        + ("on_threshold", "above_threshold"),
+        base_lin=np.vstack([base_lin, np.zeros((2, n_gen))]),
+        base_const=np.concatenate([base_const, [0.0, 0.0]]),
+        sens=np.vstack([sens, np.zeros((2, n_vre))]),
+        rhs=np.concatenate([worst + offsets, [on, np.nextafter(on, 1.0)]]))
+    if shape == "outlier":
+        xi = np.vstack([xi, np.full(n_vre, 1e6)])
+    elif shape == "single":
+        xi = xi[0]
+    return cc, x, xi, shape
+
+
+class TestRowScreen:
+    @pytest.mark.parametrize("name", ["sweep14", "sweep300"])
+    def test_screen_is_exact_on_bundled_config(self, name):
+        # The robust dispatch of the config's training set, scored on its
+        # 10000 test scenarios: the same mask and rates as the dense test.
+        case, fleet, train, test = config_sets(name)
+        cc = assemble_cc_system(case, fleet)
+        x = ro_baseline(case, fleet, train, cc=cc).x_star
+        evaluator = DcEvaluator(cc)
+        joint, rates = evaluator.check(x, test.xi)
+        ref_joint, ref_rates = dense_check(cc, x, test.xi)
+        assert ref_joint.any()
+        assert np.array_equal(joint, ref_joint)
+        assert np.array_equal(rates, ref_rates)
+        if name == "sweep300":
+            rows = evaluator.cc
+            live = evaluator.live_rows(rows.base_lin @ x + rows.base_const,
+                                       test.xi)
+            assert live.size < rows.n_rows // 10
+
+    @given(screened_batches())
+    def test_screen_matches_dense_rows(self, example):
+        cc, x, xi, shape = example
+        evaluator = DcEvaluator(cc)
+        joint, rates = evaluator.check(x, xi)
+        ref_joint, ref_rates = dense_check(cc, x, xi)
+        assert np.array_equal(joint, ref_joint)
+        assert np.array_equal(rates, ref_rates)
+        live = set(evaluator.live_rows(cc.base_lin @ x + cc.base_const,
+                                       np.atleast_2d(xi)))
+        n_rows = cc.n_rows
+        assert n_rows - 2 in live  # on the threshold: evaluated
+        assert n_rows - 1 not in live  # one float above: screened
+        if shape == "outlier":
+            # The far scenario reaches every row with a positive
+            # sensitivity, so none of those is screened.
+            reached = np.flatnonzero(cc.sens.max(axis=1) >= 1e-3)
+            assert live.issuperset(reached.tolist())
+
+    def test_non_finite_inputs_rejected(self, case14, fleet14):
+        evaluator = DcEvaluator(assemble_cc_system(case14, fleet14))
+        x = np.full(case14.n_gen, 0.5)
+        xi = np.zeros((3, fleet14.n_vre))
+        bad_x = x.copy()
+        bad_x[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            evaluator.check(bad_x, xi)
+        bad_xi = xi.copy()
+        bad_xi[2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            evaluator.check(x, bad_xi)
+        bad_xi[2, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            evaluator.check(x, bad_xi)
 
 
 class TestCostNesting:

@@ -146,6 +146,13 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"row 3, column 2"):
             load_csv(path)
 
+    def test_non_finite_cell_named(self, tmp_path):
+        # NaN passes every clip comparison, so it is caught by name.
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b\n0.1,0.2\n0.0,nan\n")
+        with pytest.raises(ValueError, match=r"non-finite.*row 3, column 2"):
+            load_csv(path, spec=GaussianSpec(**PAPER_14))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
