@@ -9,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from ccopf.cli import CliError, _exit_code_for, _parse_k_values, _read_config
+from ccopf.ac_model import fixed_point_solve
+from ccopf.ambiguity import AmbiguityParams
+from ccopf.cli import (
+    CliError,
+    _build_case,
+    _build_fleet,
+    _build_spec,
+    _exit_code_for,
+    _parse_k_values,
+    _read_config,
+    _require_set,
+)
 from conftest import subprocess_env
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -38,6 +49,23 @@ def tutorial_run(tmp_path_factory):
                       CONFIG_DIR / "tutorial.ini"], cwd=workdir)
     assert result.returncode == 0, result.stderr
     return workdir, result
+
+
+@pytest.fixture(scope="module")
+def ac14_run(tmp_path_factory):
+    """configs/ac14.ini on 100 test scenarios, with the robust ratio."""
+    workdir = tmp_path_factory.mktemp("ac14")
+    result = run_cli(["solve", "ac", "--config", CONFIG_DIR / "ac14.ini",
+                      "--set", "scenarios.test_s=100",
+                      "--set", "solve.report_ro=true"], cwd=workdir)
+    assert result.returncode == 0, result.stderr
+    return workdir, result
+
+
+def report_scalars(path):
+    """The metric,,value lines of a report CSV."""
+    return {r["metric"]: r["value"] for r in read_table(path)
+            if not r["name"]}
 
 
 class TestCaseInfo:
@@ -289,6 +317,18 @@ class TestSolveAc:
         assert {"t", "d", "objective"} == set(trace[0])
         assert float(trace[-1]["d"]) <= 1e-4
 
+    def test_cost_ratio_is_against_the_robust_fixed_point(self, ac14_run):
+        workdir, _ = ac14_run
+        cfg = _read_config(CONFIG_DIR / "ac14.ini")
+        case = _build_case(cfg)
+        fleet = _build_fleet(cfg, case)
+        train = _require_set(cfg, "train", _build_spec(cfg, fleet))
+        robust = fixed_point_solve(case, fleet, train,
+                                   AmbiguityParams.from_k(40, 40))
+        scalars = report_scalars(workdir / "out" / "ac14_report.csv")
+        assert float(scalars["cost_vs_ro"]) == pytest.approx(
+            float(scalars["cost"]) / robust.selection.objective, rel=1e-10)
+
 
 class TestSweep:
     def test_empty_k_values_rejected(self, tmp_path):
@@ -351,6 +391,23 @@ class TestEval:
         assert float(printed["joint_violation_rate"]) == pytest.approx(
             float(scalars["joint_violation_rate"]), abs=1e-12)
         assert (workdir / "out" / "tutorial_eval.csv").is_file()
+
+    def test_ac_matches_solve_time_report(self, ac14_run):
+        workdir, _ = ac14_run
+        result = run_cli(
+            ["eval", "--config", CONFIG_DIR / "ac14.ini",
+             "--set", "scenarios.test_s=100",
+             "--solution", "out/ac14_solution.csv"], cwd=workdir)
+        assert result.returncode == 0, result.stderr
+
+        def rates(name):
+            return {(r["metric"], r["name"]): float(r["value"])
+                    for r in read_table(workdir / "out" / name)
+                    if r["metric"] in ("joint_violation_rate", "per_row")}
+
+        solved = rates("ac14_report.csv")
+        assert ("per_row", "newton_failure") in solved
+        assert rates("ac14_eval.csv") == solved
 
     def test_missing_solution_file(self, tmp_path):
         result = run_cli(
