@@ -24,14 +24,12 @@ and losses, so its rows are left out of the monitored set by default
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .ambiguity import AmbiguityParams
 from .case_io import PQ, SLACK
 from .dc_model import CcSystem, make_cost
 from .scenario_mip import (
@@ -930,30 +928,3 @@ class AcEvaluator:
         self.failed = np.flatnonzero(violated[:, -1])
         return violated.any(axis=1), violated.mean(axis=0)
 
-
-class AcSweepDriver:
-    """Per-k solve plus evaluation hooks on the nonlinear model."""
-
-    def __init__(self, case, fleet, *, options=None,
-                 include_slack_rows=False):
-        self.case = case
-        self.fleet = fleet
-        self.options = options or SolverOptions()
-        self.include_slack_rows = include_slack_rows
-
-    def solve(self, training_set, k):
-        params = AmbiguityParams.from_k(k, training_set.s)
-        start = time.perf_counter()
-        result = fixed_point_solve(
-            self.case, self.fleet, training_set, params, self.options,
-            include_slack_rows=self.include_slack_rows)
-        sel = replace(result.selection)
-        sel.wall_time = time.perf_counter() - start
-        return sel
-
-    def robust(self, baseline_set):
-        return self.solve(baseline_set, baseline_set.s)
-
-    def evaluator(self, solution):
-        return AcEvaluator(self.case, self.fleet, solution.x_star,
-                           include_slack_rows=self.include_slack_rows)

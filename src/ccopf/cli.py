@@ -13,6 +13,12 @@ solve dc|ac     solve one dispatch instance and score it out of sample
 sweep           solve a range of enforced counts, export CSV and SVG
 eval            re-score a stored solution CSV on a fresh test set
 
+solve, sweep and eval run one object per network model, chosen by name in
+_network_model: _DcModel (the linearized rows) or _AcModel (the alternating
+solve).  It solves a k-of-S selection, gives the robust cost that
+normalizes it, and scores a dispatch out of sample; sweep_k, the k sweep,
+lives here next to its command.
+
 A run is described by one INI config file (see ``configs/``); any key can
 be overridden on the command line with ``--set section.key=value``.  The
 documented key set lives in the README.  Artifacts are written only inside
@@ -26,18 +32,16 @@ Exit codes: 0 solved/success, 1 configuration or input error, 2 infeasible,
 
 import argparse
 import configparser
+import contextlib
 import logging
 import os
 import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 
-from .ac_model import (
-    AcEvaluator,
-    AcSweepDriver,
-    FixedPointError,
-    fixed_point_solve,
-)
+from .ac_model import AcEvaluator, FixedPointError, fixed_point_solve
 from .ambiguity import (
     WORST_CASE_REQUIRED,
     AmbiguityParams,
@@ -52,8 +56,9 @@ from .evaluation import (
     config_digest,
     ro_baseline,
     solve_dc_selection,
-    sweep_k,
     violation_frequency,
+    write_sweep_csv,
+    write_sweep_svg,
 )
 from .scenario_mip import INFEASIBLE, OPTIMAL, SolverOptions
 from .scenarios import GaussianSpec, load_csv, sample, save_csv, summarize
@@ -287,14 +292,21 @@ def _prefix(cfg, case, model):
     return _get(cfg, "output", "prefix", f"{case.name}_{model}")
 
 
-def _attach_log_file(outdir, prefix):
-    """Send INFO lines to a deterministic per-run log file in outdir."""
+@contextlib.contextmanager
+def _run_log(outdir, prefix):
+    """Send INFO lines to a deterministic per-run log file in outdir, and
+    name it last when the run returns."""
     path = os.path.join(outdir, f"{prefix}.log")
     handler = logging.FileHandler(path, mode="w", encoding="utf-8")
     handler.setFormatter(logging.Formatter("%(message)s"))
     handler.setLevel(logging.INFO)
     log.addHandler(handler)
-    return path, handler
+    try:
+        yield
+        log.info("log written to %s", path)
+    finally:
+        log.removeHandler(handler)
+        handler.close()
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +319,17 @@ def _fmt(value):
     return str(value)
 
 
-def _write_solution_csv(path, case, dispatch, digest, *, cost, status):
-    lines = [f"# config={digest}",
-             f"# status={status} cost={cost:.12g}",
-             "gen,bus,p_pu,p_mw"]
-    for g, x in enumerate(dispatch):
-        bus_id = case.bus_ids[case.gen_bus[g]]
-        lines.append(f"{g},{bus_id},{x:.17g},{x * case.base_mva:.12g}")
+def _write_csv(path, digest, header, lines):
+    """A '# config=' line, the header line(s), then the data lines."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([f"# config={digest}", header, *lines]) + "\n")
+
+
+def _write_solution_csv(path, case, dispatch, digest, *, cost, status):
+    _write_csv(path, digest,
+               f"# status={status} cost={cost:.12g}\ngen,bus,p_pu,p_mw",
+               (f"{g},{case.bus_ids[case.gen_bus[g]]},{x:.17g},"
+                f"{x * case.base_mva:.12g}" for g, x in enumerate(dispatch)))
 
 
 def _read_solution_csv(path):
@@ -344,8 +358,7 @@ def _read_solution_csv(path):
 
 def _write_report_csv(path, report):
     """EvalReport as a flat metric,name,value table."""
-    lines = [f"# config={report.config_digest}", "metric,name,value",
-             f"joint_violation_rate,,{report.joint_violation_rate:.12g}",
+    lines = [f"joint_violation_rate,,{report.joint_violation_rate:.12g}",
              f"cost,,{_fmt(report.cost)}",
              f"cost_vs_ro,,{_fmt(report.cost_vs_ro)}"]
     for key, value in sorted((report.seeds or {}).items()):
@@ -354,42 +367,131 @@ def _write_report_csv(path, report):
         lines.append(f"solve,{key},{_fmt(value)}")
     for name, rate in zip(report.row_names, report.per_row_rates):
         lines.append(f"per_row,{name},{rate:.12g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, report.config_digest, "metric,name,value", lines)
 
 
-def _write_state_csvs(bus_path, branch_path, case, state, digest):
-    """Operating point as one bus table and one branch table."""
-    lines = [f"# config={digest}",
-             "bus,id,kind,p_pu,q_pu,vmag_pu,theta_rad"]
-    vmag = np.sqrt(state.v)
-    for i in range(case.n_bus):
-        lines.append(
-            f"{i},{case.bus_ids[i]},{case.bus_kind[i]},{state.p[i]:.12g},"
-            f"{state.q[i]:.12g},{vmag[i]:.12g},{state.theta[i]:.12g}")
-    with open(bus_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    n_br = case.n_branch
-    lines = [f"# config={digest}",
-             "branch,from_bus,to_bus,p_from_pu,p_to_pu"]
-    for b in range(n_br):
-        lines.append(
-            f"{b},{case.bus_ids[case.br_from[b]]},"
-            f"{case.bus_ids[case.br_to[b]]},"
-            f"{state.ell[b]:.12g},{state.ell[n_br + b]:.12g}")
-    with open(branch_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+# ---------------------------------------------------------------------------
+# network models: solve, robust baseline and scoring, one object per model
 
 
-def _write_trace_csv(path, result, digest):
-    """Outer-iteration trail: step, state distance, selection objective."""
-    lines = [f"# config={digest}", "t,d,objective"]
-    for t, (d, obj) in enumerate(zip(result.d_history, result.obj_history),
-                                 start=1):
-        lines.append(f"{t},{d:.12g},{obj:.12g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+class _DcModel:
+    """Linearized network: one row system to select on, make robust and
+    score against."""
+
+    def __init__(self, case, fleet, options, include_slack_rows):
+        self.case, self.fleet, self.options = case, fleet, options
+        self.cc = assemble_cc_system(case, fleet,
+                                     include_slack_rows=include_slack_rows)
+        self._evaluator = DcEvaluator(self.cc)
+
+    def solve(self, train, k):
+        """(selection, None)."""
+        sol, _ = solve_dc_selection(self.case, self.fleet, train, k,
+                                    cc=self.cc, options=self.options)
+        return sol, None
+
+    def robust(self, baseline_set):
+        return ro_baseline(self.case, self.fleet, baseline_set, cc=self.cc)
+
+    def score(self, dispatch, test, **report_fields):
+        return violation_frequency(dispatch, test, self._evaluator,
+                                   **report_fields)
+
+    def summarize(self, sol, _):
+        """Log the solve; return the report's solve statistics."""
+        log.info("selection solve: %s after %d nodes / %d subproblem solves",
+                 sol.status, sol.nodes, sol.qp_count)
+        log.debug("solve wall time %.2f s", sol.wall_time)
+        return {"nodes": sol.nodes, "qp_count": sol.qp_count, "gap": sol.gap}
+
+    def write_extras(self, outdir, prefix, digest, _):
+        return []
+
+
+class _AcModel:
+    """Nonlinear network: the alternating solve, its k = S run as the robust
+    baseline, and a Newton re-solve per test scenario as the score."""
+
+    def __init__(self, case, fleet, options, include_slack_rows):
+        self.case, self.fleet, self.options = case, fleet, options
+        self.include_slack_rows = include_slack_rows
+
+    def solve(self, train, k):
+        """(selection timed over the whole alternating solve, its
+        FixedPointResult)."""
+        start = time.perf_counter()
+        result = fixed_point_solve(
+            self.case, self.fleet, train, AmbiguityParams.from_k(k, train.s),
+            self.options, include_slack_rows=self.include_slack_rows)
+        sol = replace(result.selection,
+                      wall_time=time.perf_counter() - start)
+        return sol, result
+
+    def robust(self, baseline_set):
+        return self.solve(baseline_set, baseline_set.s)[0]
+
+    def score(self, dispatch, test, **report_fields):
+        evaluator = AcEvaluator(self.case, self.fleet, dispatch,
+                                include_slack_rows=self.include_slack_rows)
+        report = violation_frequency(dispatch, test, evaluator,
+                                     **report_fields)
+        _log_newton_failures(evaluator)
+        return report
+
+    def summarize(self, sol, result):
+        """Log the solve; return the report's solve statistics."""
+        log.info("alternating solve converged in %d outer iterations "
+                 "(final step %.3g)", result.outer_iterations,
+                 result.d_history[-1])
+        return {"nodes": sol.nodes, "qp_count": sol.qp_count,
+                "outer_iterations": result.outer_iterations}
+
+    def write_extras(self, outdir, prefix, digest, result):
+        """The operating point as a bus and a branch table, and the
+        outer-iteration trail: step, state distance, selection objective."""
+        case, state = self.case, result.state
+        paths = [os.path.join(outdir, f"{prefix}_{name}.csv")
+                 for name in ("state_bus", "state_branch", "trace")]
+        vmag = np.sqrt(state.v)
+        _write_csv(paths[0], digest, "bus,id,kind,p_pu,q_pu,vmag_pu,theta_rad",
+                   (f"{i},{case.bus_ids[i]},{case.bus_kind[i]},"
+                    f"{state.p[i]:.12g},{state.q[i]:.12g},{vmag[i]:.12g},"
+                    f"{state.theta[i]:.12g}" for i in range(case.n_bus)))
+        n_br = case.n_branch
+        _write_csv(paths[1], digest,
+                   "branch,from_bus,to_bus,p_from_pu,p_to_pu",
+                   (f"{b},{case.bus_ids[case.br_from[b]]},"
+                    f"{case.bus_ids[case.br_to[b]]},{state.ell[b]:.12g},"
+                    f"{state.ell[n_br + b]:.12g}" for b in range(n_br)))
+        _write_csv(paths[2], digest, "t,d,objective",
+                   (f"{t},{d:.12g},{obj:.12g}" for t, (d, obj) in enumerate(
+                       zip(result.d_history, result.obj_history), start=1)))
+        return paths
+
+
+_MODELS = {"dc": _DcModel, "ac": _AcModel}
+
+
+def _network_model(name, case, fleet, *, options=None,
+                   include_slack_rows=False):
+    """The model object solve, sweep and eval run for model name."""
+    if name not in _MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return _MODELS[name](case, fleet, options or SolverOptions(),
+                         include_slack_rows)
+
+
+def _log_newton_failures(evaluator):
+    """Name the test scenarios whose AC response did not solve, if any."""
+    if evaluator.failed.size:
+        log.info("Newton failed on %d of %d test scenarios (indices %s)",
+                 evaluator.failed.size, evaluator.iterations.size,
+                 " ".join(str(j) for j in evaluator.failed))
+
+
+def _robust_objective(model, baseline_set):
+    """Cost of the dispatch that enforces every scenario of baseline_set."""
+    return model.robust(baseline_set).objective
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +607,6 @@ def _exit_code_for(status):
     return EXIT_NUMERICAL
 
 
-def _report_ro(cfg):
-    return _get_typed(cfg, "solve", "report_ro", _to_bool, True)
-
-
 def _solve_common(args):
     """Shared setup for solve dc / solve ac and sweep."""
     cfg = _read_config(args.config, args.set or ())
@@ -529,29 +627,23 @@ def _solve_common(args):
 def _config_model(cfg):
     """solve.model for sweep and eval: dc (the default) or ac."""
     model = _get(cfg, "solve", "model", "dc")
-    if model not in ("dc", "ac"):
+    if model not in _MODELS:
         raise CliError(f"config key solve.model: must be dc or ac, "
                        f"got {model!r}")
     return model
 
 
-def _seed_fields(train, test):
-    return {"train": train.seed, "test": test.seed}
-
-
 def cmd_solve(args):
-    model = args.model
     (cfg, case, fleet, train, test, ro_set, outdir, include_slack,
      options) = _solve_common(args)
-    prefix = _prefix(cfg, case, model)
-    log_path, handler = _attach_log_file(outdir, prefix)
-    try:
+    prefix = _prefix(cfg, case, args.model)
+    with _run_log(outdir, prefix):
         params = _choose_params(cfg, train.s)
-        report_ro = _report_ro(cfg)
+        report_ro = _get_typed(cfg, "solve", "report_ro", _to_bool, True)
         ro_field = ({"ro": (ro_set.s, ro_set.seed, ro_set.spec_digest)}
                     if report_ro and ro_set is not None else {})
         digest = config_digest(
-            case=case.name, model=model, k=params.k, s=train.s,
+            case=case.name, model=args.model, k=params.k, s=train.s,
             buses=tuple(fleet.vre_buses.tolist()),
             forecasts=tuple(fleet.forecasts.tolist()), gamma=fleet.gamma,
             train_seed=train.seed, train_digest=train.spec_digest,
@@ -564,119 +656,109 @@ def cmd_solve(args):
                  params.k, params.s, params.epsilon, params.bound)
         log.info("config digest %s", digest)
 
-        if model == "dc":
-            code = _solve_dc(case, fleet, train, test, ro_set, params,
-                             options, include_slack, outdir, prefix, digest,
-                             report_ro=report_ro)
-        else:
-            code = _solve_ac(case, fleet, train, test, ro_set, params,
-                             options, include_slack, outdir, prefix, digest,
-                             report_ro=report_ro)
-        log.info("log written to %s", log_path)
-        return code
-    finally:
-        log.removeHandler(handler)
-        handler.close()
-
-
-def _solve_dc(case, fleet, train, test, ro_set, params, options,
-              include_slack, outdir, prefix, digest, *, report_ro):
-    sol, cc = solve_dc_selection(case, fleet, train, params.k,
-                                 options=options,
-                                 include_slack_rows=include_slack)
-    log.info("selection solve: %s after %d nodes / %d subproblem solves",
-             sol.status, sol.nodes, sol.qp_count)
-    log.debug("solve wall time %.2f s", sol.wall_time)
-    if sol.status != OPTIMAL:
-        log.info("no dispatch written (status %s)", sol.status)
-        return _exit_code_for(sol.status)
-
-    cost_vs_ro = np.nan
-    if report_ro:
-        ro = ro_baseline(case, fleet, ro_set if ro_set is not None else train,
-                         cc=cc)
-        cost_vs_ro = sol.objective / ro.objective
-        log.info("robust baseline cost %.6g; cost ratio %.6g",
-                 ro.objective, cost_vs_ro)
-
-    report = violation_frequency(
-        sol.x_star, test, DcEvaluator(cc), cost=sol.objective,
-        cost_vs_ro=cost_vs_ro,
-        solve_stats={"nodes": sol.nodes, "qp_count": sol.qp_count,
-                     "gap": sol.gap},
-        seeds=_seed_fields(train, test), config_digest=digest)
-    log.info("cost %.6g; joint violation %.6g on %d test scenarios "
-             "(certified epsilon* %.6g)", sol.objective,
-             report.joint_violation_rate, test.s, params.epsilon)
-
-    sol_path = os.path.join(outdir, f"{prefix}_solution.csv")
-    rep_path = os.path.join(outdir, f"{prefix}_report.csv")
-    _write_solution_csv(sol_path, case, sol.x_star, digest,
-                        cost=sol.objective, status=sol.status)
-    _write_report_csv(rep_path, report)
-    log.info("wrote %s and %s", sol_path, rep_path)
-    return EXIT_OK
-
-
-def _log_newton_failures(evaluator):
-    """Name the test scenarios whose AC response did not solve, if any."""
-    if evaluator.failed.size:
-        log.info("Newton failed on %d of %d test scenarios (indices %s)",
-                 evaluator.failed.size, evaluator.iterations.size,
-                 " ".join(str(j) for j in evaluator.failed))
-
-
-def _solve_ac(case, fleet, train, test, ro_set, params, options,
-              include_slack, outdir, prefix, digest, *, report_ro):
-    try:
-        result = fixed_point_solve(case, fleet, train, params,
-                                   options=options,
-                                   include_slack_rows=include_slack)
-    except FixedPointError as exc:
-        log.info("alternating solve failed: %s", exc)
-        code = (EXIT_INFEASIBLE if INFEASIBLE in str(exc)
-                else EXIT_NUMERICAL)
-        return code
-    sol = result.selection
-    log.info("alternating solve converged in %d outer iterations "
-             "(final step %.3g)", result.outer_iterations,
-             result.d_history[-1])
-
-    cost_vs_ro = np.nan
-    if report_ro:
-        driver = AcSweepDriver(case, fleet, options=options,
+        model = _network_model(args.model, case, fleet, options=options,
                                include_slack_rows=include_slack)
-        ro = driver.robust(ro_set if ro_set is not None else train)
-        cost_vs_ro = sol.objective / ro.objective
-        log.info("robust baseline cost %.6g; cost ratio %.6g",
-                 ro.objective, cost_vs_ro)
+        try:
+            sol, result = model.solve(train, params.k)
+        except FixedPointError as exc:
+            log.info("alternating solve failed: %s", exc)
+            return (EXIT_INFEASIBLE if INFEASIBLE in str(exc)
+                    else EXIT_NUMERICAL)
+        stats = model.summarize(sol, result)
+        if sol.status != OPTIMAL:
+            log.info("no dispatch written (status %s)", sol.status)
+            return _exit_code_for(sol.status)
 
-    evaluator = AcEvaluator(case, fleet, sol.x_star,
-                            include_slack_rows=include_slack)
-    report = violation_frequency(
-        sol.x_star, test, evaluator,
-        cost=sol.objective, cost_vs_ro=cost_vs_ro,
-        solve_stats={"nodes": sol.nodes, "qp_count": sol.qp_count,
-                     "outer_iterations": result.outer_iterations},
-        seeds=_seed_fields(train, test), config_digest=digest)
-    _log_newton_failures(evaluator)
-    log.info("cost %.6g; joint violation %.6g on %d test scenarios "
-             "(certified epsilon* %.6g)", sol.objective,
-             report.joint_violation_rate, test.s, params.epsilon)
+        cost_vs_ro = np.nan
+        if report_ro:
+            ro_objective = _robust_objective(
+                model, ro_set if ro_set is not None else train)
+            cost_vs_ro = sol.objective / ro_objective
+            log.info("robust baseline cost %.6g; cost ratio %.6g",
+                     ro_objective, cost_vs_ro)
 
-    sol_path = os.path.join(outdir, f"{prefix}_solution.csv")
-    rep_path = os.path.join(outdir, f"{prefix}_report.csv")
-    bus_path = os.path.join(outdir, f"{prefix}_state_bus.csv")
-    br_path = os.path.join(outdir, f"{prefix}_state_branch.csv")
-    trace_path = os.path.join(outdir, f"{prefix}_trace.csv")
-    _write_solution_csv(sol_path, case, sol.x_star, digest,
-                        cost=sol.objective, status=sol.status)
-    _write_report_csv(rep_path, report)
-    _write_state_csvs(bus_path, br_path, case, result.state, digest)
-    _write_trace_csv(trace_path, result, digest)
-    log.info("wrote %s, %s, %s, %s, %s",
-             sol_path, rep_path, bus_path, br_path, trace_path)
-    return EXIT_OK
+        report = model.score(
+            sol.x_star, test, cost=sol.objective, cost_vs_ro=cost_vs_ro,
+            solve_stats=stats, seeds={"train": train.seed, "test": test.seed},
+            config_digest=digest)
+        log.info("cost %.6g; joint violation %.6g on %d test scenarios "
+                 "(certified epsilon* %.6g)", sol.objective,
+                 report.joint_violation_rate, test.s, params.epsilon)
+
+        paths = [os.path.join(outdir, f"{prefix}_{name}.csv")
+                 for name in ("solution", "report")]
+        _write_solution_csv(paths[0], case, sol.x_star, digest,
+                            cost=sol.objective, status=sol.status)
+        _write_report_csv(paths[1], report)
+        paths += model.write_extras(outdir, prefix, digest, result)
+        log.info("wrote %s", " and ".join(paths) if len(paths) == 2
+                 else ", ".join(paths))
+        return EXIT_OK
+
+
+def _sweep_k_values(k_values, s):
+    """The distinct counts of k_values, ascending, each in [1, s]."""
+    k_values = sorted(set(int(k) for k in k_values))
+    if not k_values:
+        raise ValueError("empty k list")
+    if k_values[0] < 1 or k_values[-1] > s:
+        raise ValueError(f"k values must lie in [1, {s}]")
+    return k_values
+
+
+def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
+            ro_set=None, options=None, include_slack_rows=False,
+            record_time=True, csv_path=None, svg_path=None):
+    """Solve the k-of-S problem for each k and score it out of sample.
+
+    Rows are emitted in ascending epsilon* (descending k).  ro_set chooses
+    the normalization baseline: by default the training set itself; pass a
+    larger independent set to normalize against the sampled robust proxy;
+    its size, seed and spec digest then enter the digest.
+    With record_time=False the time column is written as zero so repeated
+    runs produce byte-identical files.
+    """
+    net = _network_model(model, case, fleet, options=options,
+                         include_slack_rows=include_slack_rows)
+    s = training_set.s
+    k_values = _sweep_k_values(k_values, s)
+    ro_objective = _robust_objective(
+        net, ro_set if ro_set is not None else training_set)
+    rows = []
+    for k in k_values:
+        params = AmbiguityParams.from_k(k, s)
+        row = {"k": k, "epsilon_star": params.epsilon,
+               "bound": params.bound, "cost": np.nan, "cost_vs_ro": np.nan,
+               "joint_violation": np.nan, "time_s": 0.0, "status": ""}
+        try:
+            sol, _ = net.solve(training_set, k)
+        except Exception as exc:  # row-level failure, sweep continues
+            row["status"] = f"ERROR:{type(exc).__name__}"
+            rows.append(row)
+            continue
+        row["status"] = sol.status
+        if record_time:
+            row["time_s"] = sol.wall_time
+        if sol.status == OPTIMAL:
+            row["cost"] = sol.objective
+            row["cost_vs_ro"] = sol.objective / ro_objective
+            row["joint_violation"] = net.score(
+                sol.x_star, test_set).joint_violation_rate
+        rows.append(row)
+    rows.sort(key=lambda r: r["epsilon_star"])
+
+    digest = config_digest(
+        case=case.name, s=s, k_values=tuple(k_values), model=model,
+        train_digest=training_set.spec_digest, train_seed=training_set.seed,
+        test_digest=test_set.spec_digest, test_seed=test_set.seed,
+        ro="training" if ro_set is None else (
+            ro_set.s, ro_set.seed, ro_set.spec_digest),
+        include_slack_rows=include_slack_rows)
+    if csv_path is not None:
+        write_sweep_csv(rows, csv_path, digest)
+    if svg_path is not None:
+        write_sweep_svg(rows, svg_path, case.name)
+    return rows, digest
 
 
 def cmd_sweep(args):
@@ -687,24 +769,19 @@ def cmd_sweep(args):
     if raw is None:
         raise CliError("config key sweep.k_values is required")
     try:
-        k_values = _parse_k_values(raw)
+        k_values = _sweep_k_values(_parse_k_values(raw), train.s)
     except ValueError as exc:
         raise CliError(f"config key sweep.k_values: {exc}") from exc
     record_time = _get_typed(cfg, "sweep", "record_time", _to_bool, True)
 
     prefix = _prefix(cfg, case, model)
-    log_path, handler = _attach_log_file(outdir, prefix)
-    try:
+    with _run_log(outdir, prefix):
         csv_path = os.path.join(outdir, f"{prefix}_sweep.csv")
         svg_path = os.path.join(outdir, f"{prefix}_sweep.svg")
-        try:
-            rows, digest = sweep_k(
-                case, fleet, train, test, k_values, model,
-                ro_set=ro_set, options=options,
-                include_slack_rows=include_slack, record_time=record_time,
-                csv_path=csv_path, svg_path=svg_path)
-        except ValueError as exc:
-            raise CliError(f"config key sweep.k_values: {exc}") from exc
+        rows, digest = sweep_k(
+            case, fleet, train, test, k_values, model, ro_set=ro_set,
+            options=options, include_slack_rows=include_slack,
+            record_time=record_time, csv_path=csv_path, svg_path=svg_path)
         log.info("config digest %s", digest)
         errors = 0
         for row in rows:
@@ -719,11 +796,7 @@ def cmd_sweep(args):
                          row["epsilon_star"], row["status"])
         log.info("wrote %s and %s (%d rows, %d failed)",
                  csv_path, svg_path, len(rows), errors)
-        log.info("log written to %s", log_path)
         return EXIT_OK
-    finally:
-        log.removeHandler(handler)
-        handler.close()
 
 
 def cmd_eval(args):
@@ -733,7 +806,7 @@ def cmd_eval(args):
     spec = _build_spec(cfg, fleet)
     test = _require_set(cfg, "test", spec)
     outdir = _output_dir(cfg)
-    model = _config_model(cfg)
+    model_name = _config_model(cfg)
     include_slack = _get_typed(cfg, "solve", "include_slack_rows",
                                _to_bool, False)
     if not os.path.isfile(args.solution):
@@ -744,21 +817,16 @@ def cmd_eval(args):
                        f"{case.name} has {case.n_gen}")
     cost = make_cost(case).value(dispatch)
     digest = config_digest(
-        case=case.name, model=model, solution=os.path.basename(args.solution),
+        case=case.name, model=model_name,
+        solution=os.path.basename(args.solution),
         test_seed=test.seed, test_digest=test.spec_digest,
         include_slack_rows=include_slack)
-    if model == "ac":
-        evaluator = AcEvaluator(case, fleet, dispatch,
-                                include_slack_rows=include_slack)
-    else:
-        evaluator = DcEvaluator(assemble_cc_system(
-            case, fleet, include_slack_rows=include_slack))
-    report = violation_frequency(dispatch, test, evaluator, cost=cost,
-                                 seeds={"test": test.seed},
-                                 config_digest=digest)
-    if model == "ac":
-        _log_newton_failures(evaluator)
-    rep_path = os.path.join(outdir, f"{_prefix(cfg, case, model)}_eval.csv")
+    model = _network_model(model_name, case, fleet,
+                           include_slack_rows=include_slack)
+    report = model.score(dispatch, test, cost=cost, seeds={"test": test.seed},
+                         config_digest=digest)
+    rep_path = os.path.join(outdir,
+                            f"{_prefix(cfg, case, model_name)}_eval.csv")
     _write_report_csv(rep_path, report)
     print(f"joint_violation_rate: {report.joint_violation_rate:.6g}")
     print(f"cost: {cost:.12g}")

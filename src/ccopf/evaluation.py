@@ -1,4 +1,4 @@
-"""Out-of-sample evaluation, robust baseline, and k-sweep orchestration.
+"""Out-of-sample evaluation, the robust baseline, and sweep files.
 
 A dispatch is judged on fresh scenarios exactly the way it was optimized:
 the *joint* event — any chance-constraint row exceeding its bound by more
@@ -6,11 +6,13 @@ than scenario_mip.ROW_TOL, the tolerance the search counts satisfied
 blocks by — is counted per scenario.  On the DC model a row that no point
 of the test batch's componentwise box can push past its bound is proved
 satisfied and not evaluated; the others are evaluated per scenario, so
-the counts are exact.  The robust baseline enforces every training
+the counts equal those of the dense test of every row up to last-bit
+rounding of the row products (the dense test's own rounding depends on
+the shape of the BLAS call).  The robust baseline enforces every training
 scenario (zero relaxation budget); relative-entropy solutions at any k on
 the same training set can only be cheaper, and the deterministic dispatch
-cheaper still, so the three objectives nest.  Sweeps export one CSV row
-per k plus a three-panel SVG.
+cheaper still, so the three objectives nest.  A sweep (cli.sweep_k) is
+written as one CSV row per k plus a three-panel SVG.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svg_plot
-from .ac_model import AcSweepDriver
-from .ambiguity import AmbiguityParams
 from .dc_model import (
     assemble_cc_system,
     balance_equality,
@@ -72,8 +72,7 @@ class EvalReport:
 
 
 class DcEvaluator:
-    """Exact evaluation of the bounded rows of a dispatch over a scenario
-    batch.
+    """Evaluation of the bounded rows of a dispatch over a scenario batch.
 
     Only the rows that some scenario of the batch could violate are
     evaluated.  Over the batch's componentwise box [lo, hi] the largest
@@ -81,8 +80,10 @@ class DcEvaluator:
     row whose worst-case margin rhs - base - sup clears -ROW_TOL by more
     than a rounding allowance passes the dense test in every scenario of
     the batch, rounding included, and is given the rate 0.0 that testing
-    it would give.  The result is exact: the same joint mask and per-row
-    rates as testing every row.
+    it would give.  The joint mask and per-row rates equal those of
+    testing every row, up to last-bit rounding of the row products: the
+    dense test's own rounding depends on the shape of the BLAS call, so a
+    margin within a few ulps of -ROW_TOL may be classified either way.
     """
 
     def __init__(self, cc):
@@ -194,98 +195,6 @@ def config_digest(**parts):
     """Stable digest of the inputs that determine a result file."""
     canon = ";".join(f"{k}={parts[k]!r}" for k in sorted(parts))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
-            ro_set=None, options=None, include_slack_rows=False,
-            record_time=True, csv_path=None, svg_path=None):
-    """Solve the k-of-S problem for each k and score it out of sample.
-
-    Rows are emitted in ascending epsilon* (descending k).  ro_set chooses
-    the normalization baseline: by default the training set itself; pass a
-    larger independent set to normalize against the sampled robust proxy;
-    its size, seed and spec digest then enter the digest.
-    With record_time=False the time column is written as zero so repeated
-    runs produce byte-identical files.
-    """
-    if model not in ("dc", "ac"):
-        raise ValueError(f"unknown model {model!r}")
-    if model == "ac":
-        driver = AcSweepDriver(case, fleet, options=options,
-                               include_slack_rows=include_slack_rows)
-    else:
-        driver = DcSweepDriver(case, fleet,
-                               include_slack_rows=include_slack_rows,
-                               options=options)
-    k_values = sorted(set(int(k) for k in k_values))
-    s = training_set.s
-    if not k_values:
-        raise ValueError("empty k list")
-    if k_values[0] < 1 or k_values[-1] > s:
-        raise ValueError(f"k values must lie in [1, {s}]")
-
-    baseline_set = ro_set if ro_set is not None else training_set
-    ro_sol = driver.robust(baseline_set)
-    rows = []
-    for k in k_values:
-        params = AmbiguityParams.from_k(k, s)
-        row = {"k": k, "epsilon_star": params.epsilon,
-               "bound": params.bound, "cost": np.nan, "cost_vs_ro": np.nan,
-               "joint_violation": np.nan, "time_s": 0.0, "status": ""}
-        try:
-            sol = driver.solve(training_set, k)
-        except Exception as exc:  # row-level failure, sweep continues
-            row["status"] = f"ERROR:{type(exc).__name__}"
-            rows.append(row)
-            continue
-        row["status"] = sol.status
-        if record_time:
-            row["time_s"] = sol.wall_time
-        if sol.status == OPTIMAL:
-            report = violation_frequency(sol.x_star, test_set,
-                                         driver.evaluator(sol))
-            row["cost"] = sol.objective
-            row["cost_vs_ro"] = sol.objective / ro_sol.objective
-            row["joint_violation"] = report.joint_violation_rate
-        rows.append(row)
-    rows.sort(key=lambda r: r["epsilon_star"])
-
-    digest = config_digest(
-        case=case.name, s=s, k_values=tuple(k_values), model=model,
-        train_digest=training_set.spec_digest, train_seed=training_set.seed,
-        test_digest=test_set.spec_digest, test_seed=test_set.seed,
-        ro="training" if ro_set is None else (
-            ro_set.s, ro_set.seed, ro_set.spec_digest),
-        include_slack_rows=include_slack_rows)
-    if csv_path is not None:
-        write_sweep_csv(rows, csv_path, digest)
-    if svg_path is not None:
-        write_sweep_svg(rows, svg_path, case.name)
-    return rows, digest
-
-
-class DcSweepDriver:
-    """Per-k solve plus evaluation hooks on the linearized model."""
-
-    def __init__(self, case, fleet, *, include_slack_rows=False,
-                 options=None):
-        self.case = case
-        self.fleet = fleet
-        self.options = options or SolverOptions()
-        self.cc = assemble_cc_system(case, fleet,
-                                     include_slack_rows=include_slack_rows)
-        self._eval = DcEvaluator(self.cc)
-
-    def solve(self, training_set, k):
-        sol, _ = solve_dc_selection(self.case, self.fleet, training_set, k,
-                                    cc=self.cc, options=self.options)
-        return sol
-
-    def robust(self, baseline_set):
-        return ro_baseline(self.case, self.fleet, baseline_set, cc=self.cc)
-
-    def evaluator(self, solution):
-        return self._eval
 
 
 def write_sweep_csv(rows, path, digest):

@@ -35,7 +35,7 @@ from ccopf.case_io import (
     to_network,
 )
 from ccopf.dc_model import dc_response
-from ccopf.evaluation import sweep_k
+from ccopf.cli import sweep_k
 from ccopf.scenario_mip import ROW_TOL
 from ccopf.scenarios import GaussianSpec, sample
 

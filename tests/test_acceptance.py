@@ -24,11 +24,11 @@ import numpy as np
 import pytest
 
 from ccopf.ambiguity import AmbiguityParams, min_k_for_target, optimal_epsilon
+from ccopf.cli import sweep_k
 from ccopf.dc_model import assemble_cc_system, solve_deterministic_dc
 from ccopf.evaluation import (
     DcEvaluator,
     solve_dc_selection,
-    sweep_k,
     violation_frequency,
 )
 from ccopf.scenario_mip import (

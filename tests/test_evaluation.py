@@ -26,6 +26,7 @@ from ccopf.cli import (
     _build_spec,
     _read_config,
     _require_set,
+    sweep_k,
 )
 from ccopf.dc_model import (
     CcSystem,
@@ -38,7 +39,6 @@ from ccopf.evaluation import (
     read_sweep_csv,
     ro_baseline,
     solve_dc_selection,
-    sweep_k,
     violation_frequency,
     write_sweep_csv,
 )
