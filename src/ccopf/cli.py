@@ -41,7 +41,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ac_model import AcEvaluator, FixedPointError, fixed_point_solve
+from .ac_model import (
+    AcEvaluator,
+    FixedPointError,
+    NewtonError,
+    fixed_point_solve,
+)
 from .ambiguity import (
     WORST_CASE_REQUIRED,
     AmbiguityParams,
@@ -490,8 +495,13 @@ def _log_newton_failures(evaluator):
 
 
 def _robust_objective(model, baseline_set):
-    """Cost of the dispatch that enforces every scenario of baseline_set."""
-    return model.robust(baseline_set).objective
+    """Cost of the dispatch that enforces every scenario of baseline_set;
+    nan, with the reason logged, when that solve fails."""
+    try:
+        return model.robust(baseline_set).objective
+    except (ValueError, RuntimeError) as exc:
+        log.info("robust baseline failed: %s", exc)
+        return np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +670,7 @@ def cmd_solve(args):
                                include_slack_rows=include_slack)
         try:
             sol, result = model.solve(train, params.k)
-        except FixedPointError as exc:
+        except (FixedPointError, NewtonError) as exc:
             log.info("alternating solve failed: %s", exc)
             return (EXIT_INFEASIBLE if INFEASIBLE in str(exc)
                     else EXIT_NUMERICAL)
@@ -674,8 +684,9 @@ def cmd_solve(args):
             ro_objective = _robust_objective(
                 model, ro_set if ro_set is not None else train)
             cost_vs_ro = sol.objective / ro_objective
-            log.info("robust baseline cost %.6g; cost ratio %.6g",
-                     ro_objective, cost_vs_ro)
+            if np.isfinite(ro_objective):
+                log.info("robust baseline cost %.6g; cost ratio %.6g",
+                         ro_objective, cost_vs_ro)
 
         report = model.score(
             sol.x_star, test, cost=sol.objective, cost_vs_ro=cost_vs_ro,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccopf.ac_model import fixed_point_solve
@@ -20,6 +21,7 @@ from ccopf.cli import (
     _parse_k_values,
     _read_config,
     _require_set,
+    _robust_objective,
 )
 from conftest import subprocess_env
 
@@ -288,6 +290,25 @@ class TestSolveDc:
         result = run_cli(["solve", "dc", "--config", cfg], cwd=tmp_path)
         assert result.returncode == 2
 
+    def test_failed_robust_baseline_keeps_the_solved_dispatch(self,
+                                                                tmp_path):
+        # k = 98 solves to OPTIMAL, but no dispatch holds all 100 training
+        # scenarios at this line limit: the ratio is nan, the run succeeds.
+        result = run_cli(
+            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+             "--set", "case.default_line_limit=0.26",
+             "--set", "scenarios.test_s=300"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        log_text = (tmp_path / "out" / "tutorial.log").read_text()
+        assert ("robust baseline failed: robust baseline infeasible: "
+                "scenarios driving the conflict: [10, 45, 53, 92]"
+                in log_text)
+        assert "robust baseline cost" not in log_text
+        scalars = report_scalars(tmp_path / "out" / "tutorial_report.csv")
+        assert scalars["cost_vs_ro"] == "nan"
+        assert float(scalars["cost"]) > 0
+        assert len(read_table(tmp_path / "out" / "tutorial_solution.csv")) == 5
+
 
 class TestSolveAc:
     def test_artifacts_written(self, tmp_path):
@@ -316,6 +337,20 @@ class TestSolveAc:
         assert len(trace) >= 1
         assert {"t", "d", "objective"} == set(trace[0])
         assert float(trace[-1]["d"]) <= 1e-4
+
+    def test_failed_power_flow_is_a_numerical_failure(self, tmp_path):
+        # 6 GW of wind on a 259 MW network: the starting point has no
+        # power-flow solution, which is exit 3 with the reason logged.
+        result = run_cli(
+            ["solve", "ac", "--config", CONFIG_DIR / "ac14.ini",
+             "--set", "fleet.forecasts_mw=3000 3000",
+             "--set", "scenarios.test_s=100"], cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+        log_text = (tmp_path / "out" / "ac14.log").read_text()
+        assert ("alternating solve failed: starting-point power flow: "
+                "no convergence" in log_text)
+        assert not (tmp_path / "out" / "ac14_solution.csv").exists()
 
     def test_cost_ratio_is_against_the_robust_fixed_point(self, ac14_run):
         workdir, _ = ac14_run
@@ -374,6 +409,23 @@ class TestSweep:
         costs = [float(r["cost"]) for r in by_k]
         assert all(a <= b + 1e-9 for a, b in zip(costs, costs[1:]))
         assert all(float(r["cost_vs_ro"]) <= 1.0 + 1e-6 for r in rows)
+
+
+    def test_failed_robust_baseline_keeps_the_solved_rows(self, tmp_path):
+        result = run_cli(
+            ["sweep", "--config", CONFIG_DIR / "sweep14.ini",
+             "--set", "case.default_line_limit=0.26",
+             "--set", "sweep.k_values=180:200:10",
+             "--set", "scenarios.test_s=300", "--set", "scenarios.ro_s=300"],
+            cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        rows = read_table(tmp_path / "out" / "sweep14_sweep.csv")
+        assert [(r["k"], r["status"]) for r in rows] == [
+            ("200", "INFEASIBLE"), ("190", "OPTIMAL"), ("180", "OPTIMAL")]
+        assert all(r["cost_vs_ro"] == "nan" for r in rows)
+        assert all(float(r["cost"]) > 0 for r in rows[1:])
+        log_text = (tmp_path / "out" / "sweep14.log").read_text()
+        assert "robust baseline failed: robust baseline infeasible" in log_text
 
 
 class TestEval:
@@ -465,6 +517,19 @@ class TestHelpers:
         assert _exit_code_for("INFEASIBLE") == 2
         assert _exit_code_for("NUMERICAL_FAILURE") == 3
         assert _exit_code_for("GAP_LIMIT") == 3
+
+    def test_robust_step_lets_other_errors_through(self):
+        class Broken:
+            def __init__(self, exc):
+                self.exc = exc
+
+            def robust(self, baseline_set):
+                raise self.exc
+
+        assert np.isnan(_robust_objective(
+            Broken(RuntimeError("no convergence")), None))
+        with pytest.raises(TypeError):
+            _robust_objective(Broken(TypeError("bad call")), None)
 
     def test_override_requires_section_key_value(self):
         with pytest.raises(CliError):
