@@ -33,11 +33,12 @@ Exit codes: 0 solved/success, 1 configuration or input error, 2 infeasible,
 import argparse
 import configparser
 import contextlib
+import dataclasses
+import hashlib
 import logging
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -383,8 +384,11 @@ class _DcModel:
     """Linearized network: one row system to select on, make robust and
     score against."""
 
+    name = "dc"
+
     def __init__(self, case, fleet, options, include_slack_rows):
         self.case, self.fleet, self.options = case, fleet, options
+        self.include_slack_rows = include_slack_rows
         self.cc = assemble_cc_system(case, fleet,
                                      include_slack_rows=include_slack_rows)
         self._evaluator = DcEvaluator(self.cc)
@@ -417,6 +421,8 @@ class _AcModel:
     """Nonlinear network: the alternating solve, its k = S run as the robust
     baseline, and a Newton re-solve per test scenario as the score."""
 
+    name = "ac"
+
     def __init__(self, case, fleet, options, include_slack_rows):
         self.case, self.fleet, self.options = case, fleet, options
         self.include_slack_rows = include_slack_rows
@@ -428,8 +434,8 @@ class _AcModel:
         result = fixed_point_solve(
             self.case, self.fleet, train, AmbiguityParams.from_k(k, train.s),
             self.options, include_slack_rows=self.include_slack_rows)
-        sol = replace(result.selection,
-                      wall_time=time.perf_counter() - start)
+        sol = dataclasses.replace(result.selection,
+                                  wall_time=time.perf_counter() - start)
         return sol, result
 
     def robust(self, baseline_set):
@@ -474,7 +480,7 @@ class _AcModel:
         return paths
 
 
-_MODELS = {"dc": _DcModel, "ac": _AcModel}
+_MODELS = {cls.name: cls for cls in (_DcModel, _AcModel)}
 
 
 def _network_model(name, case, fleet, *, options=None,
@@ -484,6 +490,34 @@ def _network_model(name, case, fleet, *, options=None,
         raise ValueError(f"unknown model {name!r}")
     return _MODELS[name](case, fleet, options or SolverOptions(),
                          include_slack_rows)
+
+
+def _case_digest(case):
+    """Digest of a loaded case's content: the file and both case overrides
+    shape it."""
+    h = hashlib.sha256()
+    for field in dataclasses.fields(case):
+        value = np.asarray(getattr(case, field.name))
+        h.update(f"{field.name}:{value.dtype}{value.shape}:".encode())
+        h.update(value.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _run_digest(model, sets, **parts):
+    """Digest of the resolved inputs of a run: the case content, the fleet,
+    each scenario set given (name -> set or None) by size, seed and spec
+    digest, the solver options, the model and its row set, and the
+    command's own parts."""
+    fleet = model.fleet
+    return config_digest(
+        case=_case_digest(model.case),
+        fleet=(tuple(fleet.vre_buses.tolist()),
+               tuple(fleet.forecasts.tolist()), fleet.gamma),
+        sets=tuple((name, sset.s, sset.seed, sset.spec_digest)
+                   for name, sset in sorted(sets.items())
+                   if sset is not None),
+        options=dataclasses.astuple(model.options), model=model.name,
+        include_slack_rows=model.include_slack_rows, **parts)
 
 
 def _log_newton_failures(evaluator):
@@ -650,15 +684,11 @@ def cmd_solve(args):
     with _run_log(outdir, prefix):
         params = _choose_params(cfg, train.s)
         report_ro = _get_typed(cfg, "solve", "report_ro", _to_bool, True)
-        ro_field = ({"ro": (ro_set.s, ro_set.seed, ro_set.spec_digest)}
-                    if report_ro and ro_set is not None else {})
-        digest = config_digest(
-            case=case.name, model=args.model, k=params.k, s=train.s,
-            buses=tuple(fleet.vre_buses.tolist()),
-            forecasts=tuple(fleet.forecasts.tolist()), gamma=fleet.gamma,
-            train_seed=train.seed, train_digest=train.spec_digest,
-            test_seed=test.seed, test_digest=test.spec_digest,
-            include_slack_rows=include_slack, **ro_field)
+        model = _network_model(args.model, case, fleet, options=options,
+                               include_slack_rows=include_slack)
+        digest = _run_digest(
+            model, {"train": train, "test": test,
+                    "ro": ro_set if report_ro else None}, k=params.k)
         log.info("case %s: %d buses, %d generators, %d branches",
                  case.name, case.n_bus, case.n_gen, case.n_branch)
         log.info("enforcing k = %d of S = %d scenarios "
@@ -666,8 +696,6 @@ def cmd_solve(args):
                  params.k, params.s, params.epsilon, params.bound)
         log.info("config digest %s", digest)
 
-        model = _network_model(args.model, case, fleet, options=options,
-                               include_slack_rows=include_slack)
         try:
             sol, result = model.solve(train, params.k)
         except (FixedPointError, NewtonError) as exc:
@@ -758,13 +786,8 @@ def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
         rows.append(row)
     rows.sort(key=lambda r: r["epsilon_star"])
 
-    digest = config_digest(
-        case=case.name, s=s, k_values=tuple(k_values), model=model,
-        train_digest=training_set.spec_digest, train_seed=training_set.seed,
-        test_digest=test_set.spec_digest, test_seed=test_set.seed,
-        ro="training" if ro_set is None else (
-            ro_set.s, ro_set.seed, ro_set.spec_digest),
-        include_slack_rows=include_slack_rows)
+    digest = _run_digest(net, {"train": training_set, "test": test_set,
+                               "ro": ro_set}, k_values=tuple(k_values))
     if csv_path is not None:
         write_sweep_csv(rows, csv_path, digest)
     if svg_path is not None:
@@ -827,13 +850,10 @@ def cmd_eval(args):
         raise CliError(f"solution has {dispatch.size} generators, case "
                        f"{case.name} has {case.n_gen}")
     cost = make_cost(case).value(dispatch)
-    digest = config_digest(
-        case=case.name, model=model_name,
-        solution=os.path.basename(args.solution),
-        test_seed=test.seed, test_digest=test.spec_digest,
-        include_slack_rows=include_slack)
     model = _network_model(model_name, case, fleet,
                            include_slack_rows=include_slack)
+    digest = _run_digest(model, {"test": test},
+                         dispatch=tuple(dispatch.tolist()))
     report = model.score(dispatch, test, cost=cost, seeds={"test": test.seed},
                          config_digest=digest)
     rep_path = os.path.join(outdir,

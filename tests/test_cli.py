@@ -499,6 +499,90 @@ class TestEval:
         assert not list(tmp_path.glob("out/*_eval.csv"))
 
 
+# Every row of the tutorial's cost override, with generator 0's c2 raised.
+OTHER_COSTS = "0.01 20 0\n0.25 20 0\n0.01 40 0\n0.01 40 0\n0.01 40 0"
+
+
+def run_digest(workdir, args, read, overrides=()):
+    """The digest read from workdir's out/ after one run."""
+    sets = [a for item in overrides for a in ("--set", item)]
+    result = run_cli([*args, *sets], cwd=workdir)
+    assert result.returncode in (0, 2), result.stderr
+    return read(workdir / "out")
+
+
+def first_line(path):
+    return Path(path).read_text().splitlines()[0]
+
+
+def log_digest(path):
+    lines = Path(path).read_text().splitlines()
+    return next(ln for ln in lines if ln.startswith("config digest "))
+
+
+class TestDigest:
+    """Each resolved input that can change a command's files changes its
+    digest, and a rerun keeps it."""
+
+    def check(self, workdir, args, read, overrides):
+        plain = run_digest(workdir, args, read)
+        assert run_digest(workdir, args, read) == plain
+        changed = [run_digest(workdir, args, read, items)
+                   for items in overrides]
+        assert len({plain, *changed}) == 1 + len(changed)
+        return plain, changed
+
+    def test_sweep(self, tmp_path):
+        self.check(
+            tmp_path,
+            ["sweep", "--config", CONFIG_DIR / "sweep14.ini",
+             "--set", "sweep.k_values=196:200:2",
+             "--set", "scenarios.test_s=500", "--set", "scenarios.ro_s=200"],
+            lambda out: first_line(out / "sweep14_sweep.csv"),
+            [["fleet.buses=4 5"], ["fleet.gamma=0.2"],
+             ["case.default_line_limit=0.5"],
+             ["case.default_line_limit=0.5", "fleet.buses=4 5"],
+             [f"case.cost_override={OTHER_COSTS}"]])
+
+    def test_solve(self, tmp_path):
+        self.check(
+            tmp_path,
+            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+             "--set", "scenarios.test_s=500"],
+            lambda out: log_digest(out / "tutorial.log"),
+            [["case.default_line_limit=0.2"],
+             [f"case.cost_override={OTHER_COSTS}"],
+             ["solve.rel_gap=0.01"], ["solve.node_limit=50"]])
+
+    def test_eval(self, tutorial_run, tmp_path):
+        workdir, _ = tutorial_run
+        text = (workdir / "out" / "tutorial_solution.csv").read_text()
+        (tmp_path / "renamed.csv").write_text(text)
+        lines = text.splitlines()
+        row = lines[-1].split(",")
+        row[2] = repr(float(row[2]) + 1e-6)
+        lines[-1] = ",".join(row)
+        (tmp_path / "moved.csv").write_text("\n".join(lines) + "\n")
+
+        def args(solution):
+            return ["eval", "--config", CONFIG_DIR / "tutorial.ini",
+                    "--set", "scenarios.test_s=500", "--solution", solution]
+
+        def read(out):
+            return first_line(out / "tutorial_eval.csv")
+
+        plain, changed = self.check(
+            tmp_path, args(workdir / "out" / "tutorial_solution.csv"), read,
+            [["fleet.buses=4 5"], ["fleet.forecasts_mw=30 30"],
+             ["fleet.gamma=0.2"], ["case.default_line_limit=0.5"],
+             [f"case.cost_override={OTHER_COSTS}"]])
+        # The dispatch values enter the digest, not the file's name.
+        assert run_digest(tmp_path, args(tmp_path / "renamed.csv"),
+                          read) == plain
+        assert run_digest(tmp_path, args(tmp_path / "moved.csv"),
+                          read) not in {plain, *changed}
+
+
 class TestHelpers:
     def test_parse_k_values_range(self):
         assert _parse_k_values("180:200:2") == list(range(180, 201, 2))
