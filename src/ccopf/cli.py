@@ -278,14 +278,15 @@ def _choose_params(cfg, s):
 
 
 def _solver_options(cfg):
-    kwargs = {}
-    node_limit = _get_typed(cfg, "solve", "node_limit", int)
-    if node_limit is not None:
-        kwargs["node_limit"] = node_limit
-    rel_gap = _get_typed(cfg, "solve", "rel_gap", float)
-    if rel_gap is not None:
-        kwargs["rel_gap"] = rel_gap
-    return SolverOptions(**kwargs)
+    options = SolverOptions()
+    for key, conv in (("node_limit", int), ("rel_gap", float)):
+        value = _get_typed(cfg, "solve", key, conv)
+        if value is not None:
+            try:
+                options = dataclasses.replace(options, **{key: value})
+            except ValueError as exc:
+                raise CliError(f"config key solve.{key}: {exc}") from exc
+    return options
 
 
 def _output_dir(cfg):
@@ -688,7 +689,8 @@ def cmd_solve(args):
                                include_slack_rows=include_slack)
         digest = _run_digest(
             model, {"train": train, "test": test,
-                    "ro": ro_set if report_ro else None}, k=params.k)
+                    "ro": ro_set if report_ro else None}, k=params.k,
+            report_ro=report_ro)
         log.info("case %s: %d buses, %d generators, %d branches",
                  case.name, case.n_bus, case.n_gen, case.n_branch)
         log.info("enforcing k = %d of S = %d scenarios "

@@ -171,12 +171,13 @@ def ro_baseline(case, fleet, training_set, *, cc=None):
         cc, training_set.xi, make_cost(case), s,
         equalities=balance_equality(case, fleet))
     t0 = time.perf_counter()
-    result = qp_solve(problem.cost, problem.node_system(range(s)))
+    every = np.ones(s, dtype=bool)
+    result = qp_solve(problem.cost, problem.node_system(every))
     if result.status == INFEASIBLE:
         detail = ""
         if result.certificate is not None:
             weights = problem.scenario_weights(
-                range(s), result.certificate["y_ineq"])
+                every, result.certificate["y_ineq"])
             detail = (" scenarios driving the conflict: "
                       f"{np.flatnonzero(weights > 0).tolist()}")
         raise ValueError("robust baseline infeasible:" + detail)

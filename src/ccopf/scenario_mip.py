@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -627,26 +628,26 @@ class SelectionProblem:
         """The scenario blocks as (A_j, b_j) pairs."""
         return tuple((self.a, b_j) for b_j in self.b)
 
-    def node_system(self, enforced, *, undecided=None, budget=None):
+    def node_system(self, enforced, relaxed=None):
         """Constraint system bounding a branch-and-bound node from below.
 
         The base rows at the row-wise minimum of the base bound and the
-        enforced scenarios' RHS.  When the undecided scenarios and the
-        remaining relaxation budget r are supplied, each row is also capped
-        by the (r+1)-th smallest undecided RHS: any completion discards at
-        most r undecided blocks, so at least one of the r+1 tightest per
-        row survives.  The system stays a relaxation of every completion
-        while being far tighter than the enforced rows alone, and it has
-        the base's rows, whatever the node.
+        RHS of the enforced mask's scenarios.  When a relaxed mask is
+        supplied too, the rest U are undecided, and each row is also
+        capped by the (r+1)-th smallest RHS over U for the remaining
+        relaxation budget r = S - k - |relaxed| (if |U| > r): any
+        completion discards at most r undecided blocks, so at least one of
+        the r+1 tightest per row survives.  The system stays a relaxation
+        of every completion while being far tighter than the enforced
+        rows alone, and it has the base's rows, whatever the node.
         """
-        b_min = self.b[list(enforced)].min(axis=0) if len(enforced) else None
-        if undecided is not None and len(undecided) > budget:
-            rows = self.b[undecided]
-            if budget == 0:
-                stat = rows.min(axis=0)
-            else:
-                stat = np.partition(rows, budget, axis=0)[budget]
-            b_min = stat if b_min is None else np.minimum(b_min, stat)
+        b_min = self.b[enforced].min(axis=0) if enforced.any() else None
+        if relaxed is not None:
+            undecided = ~(enforced | relaxed)
+            budget = self.n_scenarios - self.k - int(relaxed.sum())
+            if undecided.sum() > budget:
+                stat = np.partition(self.b[undecided], budget, axis=0)[budget]
+                b_min = stat if b_min is None else np.minimum(b_min, stat)
         base = self.base
         if b_min is None:
             return base
@@ -657,18 +658,17 @@ class SelectionProblem:
         """Weight per scenario from nonnegative multipliers on the rows of
         node_system(enforced) (KKT duals or a Farkas certificate).
 
-        Each row's weight goes to the enforced scenario attaining that
-        row's minimum RHS (lowest index on ties); scenarios that are not
-        enforced get zero.  The base comes first on ties: a row whose
-        enforced minimum is not strictly below the base bound gives its
-        weight to no scenario.
+        enforced is a boolean mask over the scenarios.  Each row's weight
+        goes to the enforced scenario attaining that row's minimum RHS
+        (lowest index on ties); scenarios that are not enforced get zero.
+        The base comes first on ties: a row whose enforced minimum is not
+        strictly below the base bound gives its weight to no scenario.
         """
-        enforced = np.asarray(list(enforced), dtype=int)
-        if not enforced.size:
+        if not enforced.any():
             return np.zeros(self.n_scenarios)
         lam = np.maximum(np.asarray(row_weights, dtype=float), 0.0)
         rhs = self.b[enforced]
-        owner = enforced[np.argmin(rhs, axis=0)]
+        owner = np.flatnonzero(enforced)[np.argmin(rhs, axis=0)]
         lam = np.where(rhs.min(axis=0) < self.base.b_ineq, lam, 0.0)
         return np.bincount(owner, weights=lam, minlength=self.n_scenarios)
 
@@ -677,6 +677,13 @@ class SelectionProblem:
 class SolverOptions:
     node_limit: int | None = None
     rel_gap: float = 0.0
+
+    def __post_init__(self):
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
+        if not (np.isfinite(self.rel_gap) and self.rel_gap >= 0.0):
+            raise ValueError(f"rel_gap must be finite and >= 0, "
+                             f"got {self.rel_gap}")
 
 
 @dataclass
@@ -705,14 +712,13 @@ def greedy_incumbent(problem, all_enforced):
     """
     if all_enforced.status != OPTIMAL:
         return None
-    s = problem.n_scenarios
-    enforced = list(range(s))
+    enforced = np.ones(problem.n_scenarios, dtype=bool)
     result = all_enforced
-    for _ in range(s - problem.k):
+    for _ in range(problem.n_scenarios - problem.k):
         weights = problem.scenario_weights(enforced, result.duals_ineq)
+        trial = enforced.copy()
         # max weight, ties to the lowest scenario index
-        drop = max(enforced, key=lambda j: (weights[j], -j))
-        trial = [j for j in enforced if j != drop]
+        trial[np.argmax(np.where(enforced, weights, -np.inf))] = False
         # dropping a block only loosens the system, so the trial moves
         # the current optimum to its RHS
         trial_result = qp_solve(problem.cost, problem.node_system(trial),
@@ -720,20 +726,19 @@ def greedy_incumbent(problem, all_enforced):
         if trial_result.status != OPTIMAL:
             break  # fall back to the last feasible iterate
         enforced, result = trial, trial_result
-    z = np.ones(s, dtype=int)
-    z[enforced] = 0
-    return result.x, z, result.value
+    return result.x, (~enforced).astype(int), result.value
 
 
 def solve_selection(problem, options=None):
     """Globally optimal k-of-S selection by best-bound branch-and-bound.
 
-    Nodes are (Enforced, Relaxed, Undecided) partitions bounded by the QP
-    of SelectionProblem.node_system: the base rows at the row-wise
-    minimum of the base and enforced RHS, capped per row by the (r+1)-th
-    smallest undecided RHS for the remaining relaxation budget r — a
-    valid relaxation of every completion that tightens monotonically down
-    the tree.  Children inherit the parent bound as a placeholder and are
+    A node is a pair of boolean masks over the scenarios, Enforced and
+    Relaxed; the rest are Undecided.  It is bounded by the QP of
+    SelectionProblem.node_system: the base rows at the row-wise minimum
+    of the base and enforced RHS, capped per row by the (r+1)-th smallest
+    undecided RHS for the remaining relaxation budget r — a valid
+    relaxation of every completion that tightens monotonically down the
+    tree.  Children inherit the parent bound as a placeholder and are
     solved lazily when popped, re-queued if the refined bound is no longer
     best.  A node whose relaxation already satisfies enough Undecided
     blocks to reach k yields an incumbent and is fathomed by optimality.
@@ -753,56 +758,56 @@ def solve_selection(problem, options=None):
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
-    s = problem.n_scenarios
-    stats = {"nodes": 0, "qp": 0, "iterations": 0}
+    s, k = problem.n_scenarios, problem.k
+    nodes = qp_count = iterations = 0
     anchor = None  # all-enforced optimum: every node system loosens it
-    budget = s - problem.k
 
-    def finish(status, x=None, z=None, value=np.nan, enforced=(), gap=np.nan,
-               duals=None, message=""):
+    def finish(status, best=None, gap=np.nan, duals=(None, None),
+               message=""):
+        """The solution of the search; best is the (value, x, kept mask)
+        it returns, None when it returns no dispatch."""
+        value, x, kept = best or (np.nan, None, None)
         return SelectionSolution(
-            x_star=x, z_star=z, objective=value, enforced_set=tuple(enforced),
-            status=status, nodes=stats["nodes"], qp_count=stats["qp"],
-            iterations=stats["iterations"],
-            wall_time=time.perf_counter() - t0, gap=gap,
-            duals_ineq=duals[0] if duals else None,
-            duals_eq=duals[1] if duals else None, message=message)
+            x_star=x, z_star=None if kept is None else (~kept).astype(int),
+            objective=value,
+            enforced_set=() if kept is None else tuple(
+                np.flatnonzero(kept).tolist()),
+            status=status, nodes=nodes, qp_count=qp_count,
+            iterations=iterations, wall_time=time.perf_counter() - t0,
+            gap=gap, duals_ineq=duals[0], duals_eq=duals[1], message=message)
 
-    def solve_node(enforced, undecided=None, relaxed_count=0):
-        stats["qp"] += 1
-        system = problem.node_system(sorted(enforced), undecided=undecided,
-                                     budget=budget - relaxed_count)
-        result = qp_solve(problem.cost, system, warm_start=anchor)
-        stats["iterations"] += result.iterations
+    def solve_node(enforced, relaxed=None):
+        nonlocal qp_count, iterations
+        qp_count += 1
+        result = qp_solve(problem.cost,
+                          problem.node_system(enforced, relaxed),
+                          warm_start=anchor)
+        iterations += result.iterations
         return result
 
-    if problem.k == s:
-        result = solve_node(list(range(s)))
-        if result.status != OPTIMAL:
-            return finish(result.status, message=(
-                f"all-enforced QP (|E| = {s}, |R| = 0): {result.message}"))
-        z = np.zeros(s, dtype=int)
-        return finish(OPTIMAL, result.x, z, result.value, range(s), 0.0,
-                      (result.duals_ineq, result.duals_eq))
-
-    incumbent = None  # (value, x, z, enforced)
-    all_enforced = solve_node(range(s))
+    every = np.ones(s, dtype=bool)
+    all_enforced = solve_node(every)
+    if k == s:
+        if all_enforced.status != OPTIMAL:
+            return finish(all_enforced.status, message=(
+                f"all-enforced QP (|E| = {s}, |R| = 0): "
+                f"{all_enforced.message}"))
+        return finish(OPTIMAL, (all_enforced.value, all_enforced.x, every),
+                      0.0, (all_enforced.duals_ineq, all_enforced.duals_eq))
     if all_enforced.status == OPTIMAL:
         anchor = all_enforced
+    incumbent = None  # (value, x, kept mask)
     warm = greedy_incumbent(problem, all_enforced)
     if warm is not None:
         x_w, z_w, v_w = warm
-        incumbent = (v_w, x_w, z_w, tuple(np.flatnonzero(z_w == 0)))
+        incumbent = (v_w, x_w, z_w == 0)
 
-    counter = 0
-    heap = []
+    heap, tick = [], itertools.count()
 
     def push(bound, enforced, relaxed, result):
-        nonlocal counter
-        counter += 1
-        heapq.heappush(heap, (bound, counter, enforced, relaxed, result))
+        heapq.heappush(heap, (bound, next(tick), enforced, relaxed, result))
 
-    push(-np.inf, frozenset(), frozenset(), None)
+    push(-np.inf, ~every, ~every, None)
 
     def prune_eps(v):
         return 1e-9 * max(1.0, abs(v)) + options.rel_gap * abs(v)
@@ -815,25 +820,23 @@ def solve_selection(problem, options=None):
             # Best-bound order: every remaining node is at least as bad.
             fathomed = min(fathomed, bound)
             break
-        if (options.node_limit is not None
-                and stats["nodes"] >= options.node_limit):
+        if options.node_limit is not None and nodes >= options.node_limit:
             push(bound, enforced, relaxed, result)  # keep it in the gap
             limit_hit = True
             break
 
-        undecided = [j for j in range(s)
-                     if j not in enforced and j not in relaxed]
+        undecided = ~(enforced | relaxed)
         if result is None:
-            stats["nodes"] += 1
-            result = solve_node(enforced, undecided, len(relaxed))
+            nodes += 1
+            result = solve_node(enforced, relaxed)
             if result.status == INFEASIBLE:
                 # The aggregation relaxes every completion of this node, so
                 # all of them are infeasible too.
                 continue
             if result.status == NUMERICAL_FAILURE:
                 return finish(NUMERICAL_FAILURE, message=(
-                    f"node {stats['nodes']} (|E| = {len(enforced)}, "
-                    f"|R| = {len(relaxed)}): {result.message}"))
+                    f"node {nodes} (|E| = {enforced.sum()}, "
+                    f"|R| = {relaxed.sum()}): {result.message}"))
             if result.status == OPTIMAL:
                 bound = result.value
                 if incumbent is not None and \
@@ -847,50 +850,45 @@ def solve_selection(problem, options=None):
             else:  # UNBOUNDED relaxation: keep exploring below
                 bound = -np.inf
 
-        if not undecided and result.status != OPTIMAL:
+        if result.status == OPTIMAL:
+            # Largest row violation per scenario, -inf outside Undecided.
+            worst = (problem.a @ result.x - problem.b).max(axis=1,
+                                                           initial=-np.inf)
+            viol = np.where(undecided, worst, -np.inf)
+            satisfied = undecided & (viol <= ROW_TOL)
+            if enforced.sum() + satisfied.sum() >= k:
+                if incumbent is None or result.value < incumbent[0] - 1e-12 * max(
+                        1.0, abs(incumbent[0])):
+                    incumbent = (result.value, result.x, enforced | satisfied)
+                continue  # fathomed by optimality at this node
+            branch = np.argmax(viol)  # ties: argmax takes the first
+        elif undecided.any():
+            # Unbounded node relaxation: no point to branch on; take the
+            # lowest-index undecided scenario.
+            branch = np.argmax(undecided)
+        else:
             # Fully decided node (>= k enforced) whose QP had no finite
             # optimum: the master itself is unbounded on this selection.
             return finish(result.status)
-        if result.status == OPTIMAL:
-            x = result.x
-            viol = (problem.a @ x)[None, :] - problem.b[undecided]
-            viol = viol.max(axis=1) if viol.size else np.zeros(
-                len(undecided))
-            violations = dict(zip(undecided, viol))
-            satisfied = [j for j in undecided if violations[j] <= ROW_TOL]
-            if len(enforced) + len(satisfied) >= problem.k:
-                if incumbent is None or result.value < incumbent[0] - 1e-12 * max(
-                        1.0, abs(incumbent[0])):
-                    keep = sorted(enforced | set(satisfied))
-                    z = np.ones(s, dtype=int)
-                    z[keep] = 0
-                    incumbent = (result.value, x, z, tuple(keep))
-                continue  # fathomed by optimality at this node
-            branch = max(undecided,
-                         key=lambda j: (violations[j], -j))
-        else:
-            # Unbounded node relaxation: no point to branch on; take the
-            # lowest-index undecided scenario.
-            branch = undecided[0]
 
         # Children inherit this node's bound and are solved at pop.
-        push(bound, frozenset(enforced | {branch}), relaxed, None)
-        child_rel = frozenset(relaxed | {branch})
-        if s - len(child_rel) >= problem.k:
-            push(bound, enforced, child_rel, None)
+        pick = np.arange(s) == branch
+        push(bound, enforced | pick, relaxed, None)
+        if relaxed.sum() < s - k:
+            push(bound, enforced, relaxed | pick, None)
 
     if incumbent is None:
         return finish(GAP_LIMIT if limit_hit else INFEASIBLE)
     # The proved gap: the incumbent over the least bound of a node left
     # open or closed by prune_eps; within the exact 1e-9 it counts as none.
-    value, x, z, keep = incumbent
+    value = incumbent[0]
     lower = min([fathomed] + [entry[0] for entry in heap])
     gap = 0.0
     if lower < value - 1e-9 * max(1.0, abs(value)):
         gap = (value - lower) / max(1.0, abs(value))
     status = (GAP_LIMIT if limit_hit and gap > options.rel_gap + 1e-15
               else OPTIMAL)
-    return finish(status, x, z, value, keep, gap)
+    return finish(status, incumbent, gap)
 
 
 def build_selection_from_ccopf(cc, xi, cost, k, *, equalities):

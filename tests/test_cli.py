@@ -227,9 +227,22 @@ class TestSolveDc:
         external = [digest("scenarios.ro_s=200", f"scenarios.ro_seed={seed}")
                     for seed in (3, 4)]
         assert len({plain, *external}) == 3
-        # A robust set that sets no reported ratio leaves the digest alone.
+        # Without the reported ratio the robust set leaves the digest
+        # alone, but the switch itself changes the report and the digest.
+        unreported = digest("solve.report_ro=false")
         assert digest("scenarios.ro_s=200", "scenarios.ro_seed=3",
-                      "solve.report_ro=false") == plain
+                      "solve.report_ro=false") == unreported
+        assert unreported != plain
+
+    @pytest.mark.parametrize("key, value", [
+        ("rel_gap", "-0.01"), ("rel_gap", "nan"), ("node_limit", "-3")])
+    def test_bad_solver_option_names_its_key(self, tmp_path, key, value):
+        result = run_cli(
+            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+             "--set", f"solve.{key}={value}"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert (f"config key solve.{key}: {key} must be" in result.stderr)
+        assert not (tmp_path / "out" / "tutorial_solution.csv").exists()
 
     def test_missing_case_file_exit_1(self, tmp_path):
         result = run_cli(

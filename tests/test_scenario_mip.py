@@ -484,6 +484,13 @@ def make_threshold_problem(a_values, k, *, quadratic=False):
     return SelectionProblem(cost=cost, base=base, b=b, k=k)
 
 
+def mask(s, indices):
+    """Boolean mask over s scenarios, set at the given indices."""
+    out = np.zeros(s, dtype=bool)
+    out[list(indices)] = True
+    return out
+
+
 def random_selection_problem(rng, *, n_max=4, s_max=12):
     n = int(rng.integers(2, n_max + 1))
     s = int(rng.integers(5, s_max + 1))
@@ -532,16 +539,26 @@ class TestSelectionProblem:
             self.shaped(np.ones((3, 2)), np.zeros((4, 3)), k=k)
 
     def test_node_system_takes_rowwise_minimum_rhs(self):
-        problem = self.shaped([[1.0, 0.0], [0.0, 1.0]],
-                              [[3.0, 1.0], [2.0, 4.0], [5.0, 0.5]])
-        assert problem.node_system([]) is problem.base
-        system = problem.node_system([0, 1])
+        def problem_at(k):
+            return self.shaped([[1.0, 0.0], [0.0, 1.0]],
+                               [[3.0, 1.0], [2.0, 4.0], [5.0, 0.5]], k=k)
+
+        problem = problem_at(2)
+        assert problem.node_system(mask(3, [])) is problem.base
+        system = problem.node_system(mask(3, [0, 1]))
         np.testing.assert_array_equal(system.a_ineq, problem.a)
         np.testing.assert_array_equal(system.b_ineq, [2.0, 1.0])
-        # Relaxation budget 1 over undecided {0, 2}: the cap per row is
-        # the second smallest undecided RHS.
-        capped = problem.node_system([1], undecided=[0, 2], budget=1)
+        # Relaxation budget S - k - |R| = 1 over undecided {0, 2}: the cap
+        # per row is the second smallest undecided RHS.
+        enforced, relaxed = mask(3, [1]), mask(3, [])
+        capped = problem.node_system(enforced, relaxed)
         np.testing.assert_array_equal(capped.b_ineq, [2.0, 1.0])
+        # Budget 0: the cap is the smallest undecided RHS.
+        np.testing.assert_array_equal(
+            problem_at(3).node_system(enforced, relaxed).b_ineq, [2.0, 0.5])
+        # Budget 2 covers both undecided scenarios: no cap.
+        np.testing.assert_array_equal(
+            problem_at(1).node_system(enforced, relaxed).b_ineq, [2.0, 4.0])
         np.testing.assert_array_equal(problem.blocks[2][1], [5.0, 0.5])
 
     def test_scenario_weights_go_to_the_row_owner(self):
@@ -549,9 +566,9 @@ class TestSelectionProblem:
                               [[2.0, 1.0], [2.0, 4.0], [5.0, 0.5]])
         # Row 0 ties between scenarios 0 and 1 (lowest index owns it);
         # row 1 is owned by scenario 2; scenario 1 is left with nothing.
-        weights = problem.scenario_weights([0, 1, 2], [3.0, 0.25])
+        weights = problem.scenario_weights(mask(3, [0, 1, 2]), [3.0, 0.25])
         np.testing.assert_array_equal(weights, [3.0, 0.0, 0.25])
-        weights = problem.scenario_weights([1, 2], [3.0, 0.25])
+        weights = problem.scenario_weights(mask(3, [1, 2]), [3.0, 0.25])
         np.testing.assert_array_equal(weights, [0.0, 3.0, 0.25])
 
     def test_scenario_weights_match_a_row_by_row_loop(self):
@@ -561,7 +578,7 @@ class TestSelectionProblem:
             cost=problem.cost, base=problem.base,
             b=np.round(problem.b, 1), k=problem.k)  # rounding makes ties
         enforced = [0, 2, 3, 4]
-        system = problem.node_system(enforced)
+        system = problem.node_system(mask(problem.n_scenarios, enforced))
         lam = np.abs(rng.normal(size=system.b_ineq.size))
         lam[::3] = 0.0
         # The box rows repeat the base bound, so no scenario owns them.
@@ -571,7 +588,8 @@ class TestSelectionProblem:
             if min(rhs) < problem.base.b_ineq[row]:
                 expected[enforced[rhs.index(min(rhs))]] += lam[row]
         np.testing.assert_array_equal(
-            problem.scenario_weights(enforced, lam), expected)
+            problem.scenario_weights(mask(problem.n_scenarios, enforced),
+                                     lam), expected)
 
 
 class TestMergedRowSet:
@@ -599,16 +617,15 @@ class TestMergedRowSet:
 
     def test_node_system_has_one_row_per_shared_row(self, problem):
         m, n = problem.a.shape
-        for enforced, bounds in [(range(12), {}), ([0, 3, 5], {}),
-                                 ([1], dict(undecided=[2, 4, 6, 7],
-                                            budget=2))]:
-            system = problem.node_system(enforced, **bounds)
+        for enforced, relaxed in [(range(12), None), ([0, 3, 5], None),
+                                  ([1], mask(12, [0, 3]))]:
+            system = problem.node_system(mask(12, enforced), relaxed)
             assert system.a_ineq.shape == (m, n)
             assert system.a_eq is problem.base.a_eq
 
     @pytest.mark.parametrize("enforced", [[0, 3, 5], [3, 5]])
     def test_feasible_set_equals_the_stacked_systems(self, problem, enforced):
-        merged = problem.node_system(enforced)
+        merged = problem.node_system(mask(12, enforced))
         ref = self.stacked(problem, enforced)
         m = problem.a.shape[0]
 
@@ -662,7 +679,7 @@ class TestMergedRowSet:
         assert given_to_base > 0
         assert expected[5] == 0.0 and expected[3] > 0.0
         np.testing.assert_array_equal(
-            problem.scenario_weights(enforced, lam), expected)
+            problem.scenario_weights(mask(12, enforced), lam), expected)
 
 
 class TestSolveSelection:
@@ -750,6 +767,14 @@ class TestSolveSelection:
         assert np.array_equal(a.z_star, b.z_star)
         assert a.objective == b.objective
         assert a.enforced_set == b.enforced_set
+
+    @pytest.mark.parametrize("options", [
+        dict(node_limit=-1), dict(rel_gap=-1e-3), dict(rel_gap=np.nan),
+        dict(rel_gap=np.inf)])
+    def test_options_reject_negative_or_non_finite_limits(self, options):
+        with pytest.raises(ValueError, match=next(iter(options))):
+            SolverOptions(**options)
+        assert SolverOptions(node_limit=0).node_limit == 0
 
     def test_node_limit_reports_gap(self):
         rng = np.random.default_rng(29)
@@ -860,7 +885,7 @@ class TestSolveSelection:
     def test_greedy_incumbent_feasible(self):
         problem = make_threshold_problem([1.0, 5.0, 9.0, 2.0], k=3)
         all_enforced = qp_solve(problem.cost,
-                                problem.node_system(range(4)))
+                                problem.node_system(np.ones(4, dtype=bool)))
         warm = greedy_incumbent(problem, all_enforced)
         assert warm is not None
         x, z, value = warm
@@ -929,6 +954,29 @@ def config_problem(name, k):
     return build_selection_from_ccopf(
         cc, train.xi, make_cost(case), k,
         equalities=balance_equality(case, fleet))
+
+
+class TestSearchPins:
+    """The search on the bundled configs, pinned per k: any change to the
+    node bookkeeping, the bound or the branching rule shows here.  The
+    deep sweep300 trees are pinned by tools/search_trace.py against
+    tests/data/sweep300_search.csv."""
+
+    @pytest.mark.parametrize("name, k, nodes, qp_count, relaxed", [
+        ("tutorial", None, 1, 2, [45, 53]),
+        ("sweep14", 190, 1, 2, [8, 20, 41, 77, 86, 95, 127, 169, 185, 188]),
+        ("sweep14", 198, 1, 2, [95, 185]),
+        ("sweep14", 200, 0, 1, []),
+        ("sweep300", 297, 21, 22, [93, 105, 270]),
+        ("sweep300", 294, 63, 64, [74, 93, 105, 248, 249, 270]),
+        ("sweep300", 291, 57, 58,
+         [55, 74, 93, 105, 119, 146, 248, 249, 270]),
+    ])
+    def test_search(self, name, k, nodes, qp_count, relaxed):
+        sol = solve_selection(config_problem(name, k))
+        assert sol.status == OPTIMAL
+        assert (sol.nodes, sol.qp_count) == (nodes, qp_count)
+        assert np.flatnonzero(sol.z_star).tolist() == relaxed
 
 
 class TestRelativeGap:
@@ -1008,8 +1056,8 @@ class TestParametricWarmStart:
         # optimum.  A cold solve takes about 48 iterations per node; the
         # path changes about 2 working rows.
         problem = config_problem("sweep300", 297)
-        anchor = qp_solve(problem.cost,
-                          problem.node_system(range(problem.n_scenarios)))
+        anchor = qp_solve(problem.cost, problem.node_system(
+            np.ones(problem.n_scenarios, dtype=bool)))
 
         def warm_mean(sol):
             return (sol.iterations - anchor.iterations) / (sol.qp_count - 1)
