@@ -13,11 +13,13 @@ solve dc|ac     solve one dispatch instance and score it out of sample
 sweep           solve a range of enforced counts, export CSV and SVG
 eval            re-score a stored solution CSV on a fresh test set
 
-solve, sweep and eval run one object per network model, chosen by name in
-_network_model: _DcModel (the linearized rows) or _AcModel (the alternating
-solve).  It solves a k-of-S selection, gives the robust cost that
-normalizes it, and scores a dispatch out of sample; sweep_k, the k sweep,
-lives here next to its command.
+solve, sweep and eval read their config once, in _resolve_run, into the
+run it describes: the scenario sets, the output directory and file stem,
+and one object per network model, chosen by name in _network_model:
+_DcModel (the linearized rows) or _AcModel (the alternating solve).  It
+solves a k-of-S selection, gives the robust cost that normalizes it, and
+scores a dispatch out of sample; sweep_k, the k sweep, lives here next to
+its command.
 
 A run is described by one INI config file (see ``configs/``); any key can
 be overridden on the command line with ``--set section.key=value``.  The
@@ -31,6 +33,7 @@ Exit codes: 0 solved/success, 1 configuration or input error, 2 infeasible,
 """
 
 import argparse
+import collections
 import configparser
 import contextlib
 import dataclasses
@@ -232,7 +235,8 @@ def _build_spec(cfg, fleet):
 
 
 def _load_set(cfg, which, spec):
-    """Scenario set named ``which`` (train/test/ro): CSV wins over sampling."""
+    """Scenario set named ``which`` (train/test/ro): CSV wins over sampling.
+    Only ro is optional (None: the training set is the robust set)."""
     csv_path = _get(cfg, "scenarios", f"{which}_csv")
     if csv_path is not None:
         if not os.path.isfile(csv_path):
@@ -240,21 +244,16 @@ def _load_set(cfg, which, spec):
                            f"no such file: {csv_path}")
         return load_csv(csv_path, spec)
     s = _get_typed(cfg, "scenarios", f"{which}_s", int)
-    if s is None:
+    if s is None and which == "ro":
         return None
+    if s is None:
+        raise CliError(f"config key scenarios.{which}_s (or "
+                       f"scenarios.{which}_csv) is required")
     seed = _get_typed(cfg, "scenarios", f"{which}_seed", int)
     if seed is None:
         raise CliError(f"config key scenarios.{which}_seed is required "
                        f"when scenarios.{which}_s is set")
     return sample(spec, s, seed)
-
-
-def _require_set(cfg, which, spec):
-    sset = _load_set(cfg, which, spec)
-    if sset is None:
-        raise CliError(f"config key scenarios.{which}_s (or "
-                       f"scenarios.{which}_csv) is required")
-    return sset
 
 
 def _choose_params(cfg, s):
@@ -289,20 +288,43 @@ def _solver_options(cfg):
     return options
 
 
-def _output_dir(cfg):
-    out = _get(cfg, "output", "dir", "out")
-    os.makedirs(out, exist_ok=True)
-    return out
+# A config resolved once: the parsed config for the command's own keys, the
+# network model (which holds the case, fleet, solver options and row set),
+# the scenario sets by name, and the artifact directory and file stem.
+_Run = collections.namedtuple("_Run", "cfg model sets outdir prefix")
 
 
-def _prefix(cfg, case, model):
-    return _get(cfg, "output", "prefix", f"{case.name}_{model}")
+def _resolve_run(path, overrides=(), sets=("train", "test"), model=None):
+    """The _Run of the config at path with its section.key=value overrides
+    and the scenario sets named in sets.  model is the command's own model
+    (solve dc|ac), which solve.model may only repeat; without one,
+    solve.model chooses, dc by default.  Nothing is written."""
+    cfg = _read_config(path, overrides)
+    named = _get(cfg, "solve", "model")
+    if named is not None and model not in (None, named):
+        raise CliError(f"config key solve.model: {named!r}, but the command "
+                       f"solves {model!r}")
+    model = model or named or "dc"
+    if model not in _MODELS:
+        raise CliError(f"config key solve.model: must be dc or ac, "
+                       f"got {model!r}")
+    case = _build_case(cfg)
+    fleet = _build_fleet(cfg, case)
+    spec = _build_spec(cfg, fleet)
+    loaded = {which: _load_set(cfg, which, spec) for which in sets}
+    net = _network_model(
+        model, case, fleet, options=_solver_options(cfg),
+        include_slack_rows=_get_typed(cfg, "solve", "include_slack_rows",
+                                      _to_bool, False))
+    return _Run(cfg, net, loaded, _get(cfg, "output", "dir", "out"),
+                _get(cfg, "output", "prefix", f"{case.name}_{model}"))
 
 
 @contextlib.contextmanager
 def _run_log(outdir, prefix):
-    """Send INFO lines to a deterministic per-run log file in outdir, and
-    name it last when the run returns."""
+    """Send INFO lines to a deterministic per-run log file in outdir, made
+    if missing, and name it last when the run returns."""
+    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{prefix}.log")
     handler = logging.FileHandler(path, mode="w", encoding="utf-8")
     handler.setFormatter(logging.Formatter("%(message)s"))
@@ -578,7 +600,8 @@ def cmd_scenario_gen(args):
         spec = _build_spec(cfg, fleet)
         labels = [f"bus{case.bus_ids[b]}" for b in fleet.vre_buses]
     sset = sample(spec, args.s, args.seed)
-    outdir = _output_dir(cfg)
+    outdir = _get(cfg, "output", "dir", "out")
+    os.makedirs(outdir, exist_ok=True)
     name = args.out or f"scenarios_s{args.s}_seed{args.seed}.csv"
     path = os.path.join(outdir, name)
     save_csv(sset, path, labels)
@@ -652,41 +675,14 @@ def _exit_code_for(status):
     return EXIT_NUMERICAL
 
 
-def _solve_common(args):
-    """Shared setup for solve dc / solve ac and sweep."""
-    cfg = _read_config(args.config, args.set or ())
-    case = _build_case(cfg)
-    fleet = _build_fleet(cfg, case)
-    spec = _build_spec(cfg, fleet)
-    train = _require_set(cfg, "train", spec)
-    test = _require_set(cfg, "test", spec)
-    ro_set = _load_set(cfg, "ro", spec)
-    outdir = _output_dir(cfg)
-    include_slack = _get_typed(cfg, "solve", "include_slack_rows",
-                               _to_bool, False)
-    options = _solver_options(cfg)
-    return cfg, case, fleet, train, test, ro_set, outdir, include_slack, \
-        options
-
-
-def _config_model(cfg):
-    """solve.model for sweep and eval: dc (the default) or ac."""
-    model = _get(cfg, "solve", "model", "dc")
-    if model not in _MODELS:
-        raise CliError(f"config key solve.model: must be dc or ac, "
-                       f"got {model!r}")
-    return model
-
-
 def cmd_solve(args):
-    (cfg, case, fleet, train, test, ro_set, outdir, include_slack,
-     options) = _solve_common(args)
-    prefix = _prefix(cfg, case, args.model)
-    with _run_log(outdir, prefix):
+    run = _resolve_run(args.config, args.set or (), ("train", "test", "ro"),
+                       model=args.model)
+    cfg, model, case = run.cfg, run.model, run.model.case
+    train, test, ro_set = (run.sets[name] for name in ("train", "test", "ro"))
+    with _run_log(run.outdir, run.prefix):
         params = _choose_params(cfg, train.s)
         report_ro = _get_typed(cfg, "solve", "report_ro", _to_bool, True)
-        model = _network_model(args.model, case, fleet, options=options,
-                               include_slack_rows=include_slack)
         digest = _run_digest(
             model, {"train": train, "test": test,
                     "ro": ro_set if report_ro else None}, k=params.k,
@@ -726,12 +722,12 @@ def cmd_solve(args):
                  "(certified epsilon* %.6g)", sol.objective,
                  report.joint_violation_rate, test.s, params.epsilon)
 
-        paths = [os.path.join(outdir, f"{prefix}_{name}.csv")
+        paths = [os.path.join(run.outdir, f"{run.prefix}_{name}.csv")
                  for name in ("solution", "report")]
         _write_solution_csv(paths[0], case, sol.x_star, digest,
                             cost=sol.objective, status=sol.status)
         _write_report_csv(paths[1], report)
-        paths += model.write_extras(outdir, prefix, digest, result)
+        paths += model.write_extras(run.outdir, run.prefix, digest, result)
         log.info("wrote %s", " and ".join(paths) if len(paths) == 2
                  else ", ".join(paths))
         return EXIT_OK
@@ -747,10 +743,10 @@ def _sweep_k_values(k_values, s):
     return k_values
 
 
-def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
-            ro_set=None, options=None, include_slack_rows=False,
+def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
             record_time=True, csv_path=None, svg_path=None):
-    """Solve the k-of-S problem for each k and score it out of sample.
+    """Solve the k-of-S problem for each k on the network model net and
+    score it out of sample.
 
     Rows are emitted in ascending epsilon* (descending k).  ro_set chooses
     the normalization baseline: by default the training set itself; pass a
@@ -759,8 +755,6 @@ def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
     With record_time=False the time column is written as zero so repeated
     runs produce byte-identical files.
     """
-    net = _network_model(model, case, fleet, options=options,
-                         include_slack_rows=include_slack_rows)
     s = training_set.s
     k_values = _sweep_k_values(k_values, s)
     ro_objective = _robust_objective(
@@ -793,14 +787,13 @@ def sweep_k(case, fleet, training_set, test_set, k_values, model="dc", *,
     if csv_path is not None:
         write_sweep_csv(rows, csv_path, digest)
     if svg_path is not None:
-        write_sweep_svg(rows, svg_path, case.name)
+        write_sweep_svg(rows, svg_path, net.case.name)
     return rows, digest
 
 
 def cmd_sweep(args):
-    (cfg, case, fleet, train, test, ro_set, outdir, include_slack,
-     options) = _solve_common(args)
-    model = _config_model(cfg)
+    run = _resolve_run(args.config, args.set or (), ("train", "test", "ro"))
+    cfg, train = run.cfg, run.sets["train"]
     raw = _get(cfg, "sweep", "k_values")
     if raw is None:
         raise CliError("config key sweep.k_values is required")
@@ -810,14 +803,13 @@ def cmd_sweep(args):
         raise CliError(f"config key sweep.k_values: {exc}") from exc
     record_time = _get_typed(cfg, "sweep", "record_time", _to_bool, True)
 
-    prefix = _prefix(cfg, case, model)
-    with _run_log(outdir, prefix):
-        csv_path = os.path.join(outdir, f"{prefix}_sweep.csv")
-        svg_path = os.path.join(outdir, f"{prefix}_sweep.svg")
+    with _run_log(run.outdir, run.prefix):
+        csv_path = os.path.join(run.outdir, f"{run.prefix}_sweep.csv")
+        svg_path = os.path.join(run.outdir, f"{run.prefix}_sweep.svg")
         rows, digest = sweep_k(
-            case, fleet, train, test, k_values, model, ro_set=ro_set,
-            options=options, include_slack_rows=include_slack,
-            record_time=record_time, csv_path=csv_path, svg_path=svg_path)
+            run.model, train, run.sets["test"], k_values,
+            ro_set=run.sets["ro"], record_time=record_time,
+            csv_path=csv_path, svg_path=svg_path)
         log.info("config digest %s", digest)
         errors = 0
         for row in rows:
@@ -836,30 +828,21 @@ def cmd_sweep(args):
 
 
 def cmd_eval(args):
-    cfg = _read_config(args.config, args.set or ())
-    case = _build_case(cfg)
-    fleet = _build_fleet(cfg, case)
-    spec = _build_spec(cfg, fleet)
-    test = _require_set(cfg, "test", spec)
-    outdir = _output_dir(cfg)
-    model_name = _config_model(cfg)
-    include_slack = _get_typed(cfg, "solve", "include_slack_rows",
-                               _to_bool, False)
+    run = _resolve_run(args.config, args.set or (), ("test",))
+    model, test = run.model, run.sets["test"]
     if not os.path.isfile(args.solution):
         raise CliError(f"solution file not found: {args.solution}")
     dispatch = _read_solution_csv(args.solution)
-    if dispatch.size != case.n_gen:
+    if dispatch.size != model.case.n_gen:
         raise CliError(f"solution has {dispatch.size} generators, case "
-                       f"{case.name} has {case.n_gen}")
-    cost = make_cost(case).value(dispatch)
-    model = _network_model(model_name, case, fleet,
-                           include_slack_rows=include_slack)
+                       f"{model.case.name} has {model.case.n_gen}")
+    cost = make_cost(model.case).value(dispatch)
     digest = _run_digest(model, {"test": test},
                          dispatch=tuple(dispatch.tolist()))
     report = model.score(dispatch, test, cost=cost, seeds={"test": test.seed},
                          config_digest=digest)
-    rep_path = os.path.join(outdir,
-                            f"{_prefix(cfg, case, model_name)}_eval.csv")
+    os.makedirs(run.outdir, exist_ok=True)
+    rep_path = os.path.join(run.outdir, f"{run.prefix}_eval.csv")
     _write_report_csv(rep_path, report)
     print(f"joint_violation_rate: {report.joint_violation_rate:.6g}")
     print(f"cost: {cost:.12g}")

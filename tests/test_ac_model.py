@@ -35,7 +35,7 @@ from ccopf.case_io import (
     to_network,
 )
 from ccopf.dc_model import dc_response
-from ccopf.cli import sweep_k
+from ccopf.cli import _network_model, sweep_k
 from ccopf.scenario_mip import ROW_TOL
 from ccopf.scenarios import GaussianSpec, sample
 
@@ -655,16 +655,17 @@ class TestEvaluationHooks:
                             rho=0.2)
         train = sample(spec, 40, seed=7)
         test = sample(spec, 300, seed=8)
-        rows, digest = sweep_k(case14_ac, fleet14_ac, train, test,
-                               [36, 40], model="ac", record_time=False)
+        rows, digest = sweep_k(_network_model("ac", case14_ac, fleet14_ac),
+                               train, test, [36, 40], record_time=False)
         assert [r["k"] for r in rows] == [40, 36]  # ascending epsilon*
         assert all(r["status"] == "OPTIMAL" for r in rows)
         assert rows[0]["cost_vs_ro"] == 1.0
         assert all(0.0 <= r["joint_violation"] <= 1.0 for r in rows)
         assert rows[1]["cost"] <= rows[0]["cost"] + 1e-9
 
-        rows2, digest2 = sweep_k(case14_ac, fleet14_ac, train, test,
-                                 [36, 40], model="ac", record_time=False)
+        rows2, digest2 = sweep_k(
+            _network_model("ac", case14_ac, fleet14_ac), train, test,
+            [36, 40], record_time=False)
         assert digest2 == digest
         assert rows2 == rows
 
@@ -672,8 +673,9 @@ class TestEvaluationHooks:
         # The slack rows bind on ac14 (6679.23 with them, 6520.72 without),
         # so a sweep that drops the flag reports the wrong optimum.
         case, fleet, train, test = ac14_inputs
-        rows, _ = sweep_k(case, fleet, train, test, [38], model="ac",
-                          include_slack_rows=True, record_time=False)
+        rows, _ = sweep_k(
+            _network_model("ac", case, fleet, include_slack_rows=True),
+            train, test, [38], record_time=False)
         result = fixed_point_solve(case, fleet, train,
                                    AmbiguityParams.from_k(38, 40),
                                    include_slack_rows=True)

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from ccopf.ambiguity import AmbiguityParams, min_k_for_target, optimal_epsilon
-from ccopf.cli import sweep_k
+from ccopf.cli import _network_model, sweep_k
 from ccopf.dc_model import assemble_cc_system, solve_deterministic_dc
 from ccopf.evaluation import (
     DcEvaluator,
@@ -79,8 +79,8 @@ def sweep14(case14, fleet14):
     spec = GaussianSpec(forecasts=fleet14.forecasts, zeta=0.05, rho=0.2)
     train = sample(spec, 200, TRAIN_SEED)
     test = sample(spec, 10000, TEST_SEED)
-    rows, digest = sweep_k(case14, fleet14, train, test, SWEEP_K,
-                           record_time=False)
+    rows, digest = sweep_k(_network_model("dc", case14, fleet14), train,
+                           test, SWEEP_K, record_time=False)
     det = solve_deterministic_dc(case14, fleet14)
     assert det.status == OPTIMAL
     return {"rows": rows, "digest": digest, "det_cost": det.cost,
@@ -313,8 +313,8 @@ def test_criterion_8_determinism(case14, fleet14, case14_tutorial,
     train = sample(spec, 200, TRAIN_SEED)
     test = sample(spec, 2000, TEST_SEED)
     for run in range(2):
-        sweep_k(case14, fleet14, train, test, [196, 200],
-                record_time=False,
+        sweep_k(_network_model("dc", case14, fleet14), train, test,
+                [196, 200], record_time=False,
                 csv_path=tmp_path / f"sweep{run}.csv")
     checks.append(((tmp_path / "sweep0.csv").read_bytes()
                    == (tmp_path / "sweep1.csv").read_bytes(), "sweep CSV"))

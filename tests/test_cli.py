@@ -14,13 +14,10 @@ from ccopf.ac_model import fixed_point_solve
 from ccopf.ambiguity import AmbiguityParams
 from ccopf.cli import (
     CliError,
-    _build_case,
-    _build_fleet,
-    _build_spec,
     _exit_code_for,
     _parse_k_values,
     _read_config,
-    _require_set,
+    _resolve_run,
     _robust_objective,
 )
 from conftest import subprocess_env
@@ -367,10 +364,9 @@ class TestSolveAc:
 
     def test_cost_ratio_is_against_the_robust_fixed_point(self, ac14_run):
         workdir, _ = ac14_run
-        cfg = _read_config(CONFIG_DIR / "ac14.ini")
-        case = _build_case(cfg)
-        fleet = _build_fleet(cfg, case)
-        train = _require_set(cfg, "train", _build_spec(cfg, fleet))
+        run = _resolve_run(CONFIG_DIR / "ac14.ini", sets=("train",))
+        case, fleet = run.model.case, run.model.fleet
+        train = run.sets["train"]
         robust = fixed_point_solve(case, fleet, train,
                                    AmbiguityParams.from_k(40, 40))
         scalars = report_scalars(workdir / "out" / "ac14_report.csv")

@@ -20,14 +20,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from ccopf.case_io import build_fleet, parse_matpower, to_network
-from ccopf.cli import (
-    _build_case,
-    _build_fleet,
-    _build_spec,
-    _read_config,
-    _require_set,
-    sweep_k,
-)
+from ccopf.cli import _network_model, _resolve_run, sweep_k
 from ccopf.dc_model import (
     CcSystem,
     assemble_cc_system,
@@ -120,14 +113,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def config_sets(name):
     """Case, fleet, training set and test set of a bundled config."""
-    cfg = _read_config(CONFIG_DIR / f"{name}.ini")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # case14's dropped branch data
-        case = _build_case(cfg)
-    fleet = _build_fleet(cfg, case)
-    spec = _build_spec(cfg, fleet)
-    return (case, fleet, _require_set(cfg, "train", spec),
-            _require_set(cfg, "test", spec))
+        run = _resolve_run(CONFIG_DIR / f"{name}.ini")
+    return (run.model.case, run.model.fleet, run.sets["train"],
+            run.sets["test"])
 
 
 def dense_check(cc, dispatch, xi):
@@ -297,8 +287,9 @@ class TestSweep:
         csv_path = tmp_path / "sweep.csv"
         svg_path = tmp_path / "sweep.svg"
         rows, digest = sweep_k(
-            case14_tutorial, fleet14_tutorial, train, test,
-            k_values=[36, 38, 40], csv_path=csv_path, svg_path=svg_path)
+            _network_model("dc", case14_tutorial, fleet14_tutorial), train,
+            test, k_values=[36, 38, 40], csv_path=csv_path,
+            svg_path=svg_path)
         assert [r["k"] for r in rows] == [40, 38, 36]  # ascending eps*
         eps = [r["epsilon_star"] for r in rows]
         assert eps == sorted(eps)
@@ -325,8 +316,9 @@ class TestSweep:
         train, test = tutorial_sets
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            sweep_k(case14_tutorial, fleet14_tutorial, train, test,
-                    k_values=[38, 40], record_time=False, csv_path=path)
+            sweep_k(_network_model("dc", case14_tutorial, fleet14_tutorial),
+                    train, test, k_values=[38, 40], record_time=False,
+                    csv_path=path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         for row in read_sweep_csv(paths[0]):
             assert row["time_s"] == 0.0
@@ -337,9 +329,10 @@ class TestSweep:
         train, test = tutorial_sets
         spec = GaussianSpec(forecasts=fleet14_tutorial.forecasts, zeta=0.05,
                             rho=0.2)
+        net = _network_model("dc", case14_tutorial, fleet14_tutorial)
         digests = {
-            sweep_k(case14_tutorial, fleet14_tutorial, train, test, [40],
-                    ro_set=ro_set, record_time=False)[1]
+            sweep_k(net, train, test, [40], ro_set=ro_set,
+                    record_time=False)[1]
             for ro_set in (None, sample(spec, 40, seed=303),
                            sample(spec, 40, seed=304),
                            sample(spec, 50, seed=303))}
@@ -348,13 +341,13 @@ class TestSweep:
     def test_bad_inputs(self, case14_tutorial, fleet14_tutorial,
                         tutorial_sets):
         train, test = tutorial_sets
+        net = _network_model("dc", case14_tutorial, fleet14_tutorial)
         with pytest.raises(ValueError, match="empty k list"):
-            sweep_k(case14_tutorial, fleet14_tutorial, train, test, [])
+            sweep_k(net, train, test, [])
         with pytest.raises(ValueError, match=r"\[1, 40\]"):
-            sweep_k(case14_tutorial, fleet14_tutorial, train, test, [41])
+            sweep_k(net, train, test, [41])
         with pytest.raises(ValueError, match="unknown model"):
-            sweep_k(case14_tutorial, fleet14_tutorial, train, test, [40],
-                    model="newton")
+            _network_model("newton", case14_tutorial, fleet14_tutorial)
 
     def test_csv_writer_handles_failed_rows(self, tmp_path):
         rows = [{"k": 5, "epsilon_star": 0.3, "bound": 0.5,

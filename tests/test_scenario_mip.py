@@ -15,14 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccopf.cli import (
-    _build_case,
-    _build_fleet,
-    _build_spec,
-    _choose_params,
-    _read_config,
-    _require_set,
-)
+from ccopf.cli import _build_spec, _choose_params, _resolve_run
 from ccopf.dc_model import (
     CcSystem,
     assemble_cc_system,
@@ -938,13 +931,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 @functools.lru_cache(maxsize=None)
 def config_inputs(name):
     """Case, fleet, training set and DC rows of a bundled config."""
-    cfg = _read_config(CONFIG_DIR / f"{name}.ini")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # case14's dropped branch data
-        case = _build_case(cfg)
-    fleet = _build_fleet(cfg, case)
-    train = _require_set(cfg, "train", _build_spec(cfg, fleet))
-    return cfg, case, fleet, train, assemble_cc_system(case, fleet)
+        run = _resolve_run(CONFIG_DIR / f"{name}.ini", sets=("train",))
+    net = run.model
+    return run.cfg, net.case, net.fleet, run.sets["train"], net.cc
 
 
 def config_problem(name, k):

@@ -24,19 +24,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ccopf.cli import (  # noqa: E402
     CliError,
-    _build_case,
-    _build_fleet,
-    _build_spec,
-    _config_model,
     _get,
-    _get_typed,
-    _network_model,
     _parse_k_values,
-    _read_config,
-    _require_set,
-    _solver_options,
+    _resolve_run,
     _sweep_k_values,
-    _to_bool,
 )
 
 
@@ -44,21 +35,16 @@ def main(argv):
     if len(argv) != 1:
         sys.exit("usage: search_trace.py CONFIG")
     try:
-        cfg = _read_config(argv[0])
-        case = _build_case(cfg)
-        fleet = _build_fleet(cfg, case)
-        train = _require_set(cfg, "train", _build_spec(cfg, fleet))
-        model = _network_model(
-            _config_model(cfg), case, fleet, options=_solver_options(cfg),
-            include_slack_rows=_get_typed(cfg, "solve", "include_slack_rows",
-                                          _to_bool, False))
+        run = _resolve_run(argv[0], sets=("train",))
+        train = run.sets["train"]
         k_values = _sweep_k_values(
-            _parse_k_values(_get(cfg, "sweep", "k_values") or ""), train.s)
+            _parse_k_values(_get(run.cfg, "sweep", "k_values") or ""),
+            train.s)
     except (CliError, ValueError) as exc:
         sys.exit(f"search_trace: {exc}")
     print("k,status,nodes,qp_count,relaxed")
     for k in k_values:
-        sol, _ = model.solve(train, k)
+        sol, _ = run.model.solve(train, k)
         relaxed = ([] if sol.z_star is None
                    else np.flatnonzero(sol.z_star).tolist())
         print(f"{k},{sol.status},{sol.nodes},{sol.qp_count},"
