@@ -22,11 +22,11 @@ scores a dispatch out of sample; sweep_k, the k sweep, lives here next to
 its command.
 
 A run is described by one INI config file (see ``configs/``); any key can
-be overridden on the command line with ``--set section.key=value``.  The
-documented key set lives in the README.  Artifacts are written only inside
-the configured output directory, and every file carries the digest of the
-configuration that produced it, so identical configs and seeds reproduce
-identical files.
+be overridden on the command line with ``--set section.key=value``.  A key
+outside the documented set (the README's table, _KEYS here) is an error.
+Artifacts are written only inside the configured output directory, and
+every file carries the digest of the configuration that produced it, so
+identical configs and seeds reproduce identical files.
 
 Exit codes: 0 solved/success, 1 configuration or input error, 2 infeasible,
 3 numerical failure or no proof of optimality.
@@ -92,8 +92,21 @@ class CliError(Exception):
 # configuration
 
 
+# The documented run configuration keys (README, "Run configuration keys").
+_KEYS = frozenset("""
+    case.path case.default_line_limit case.cost_override fleet.buses
+    fleet.forecasts_mw fleet.gamma scenarios.zeta scenarios.rho
+    scenarios.train_s scenarios.train_seed scenarios.train_csv
+    scenarios.test_s scenarios.test_seed scenarios.test_csv scenarios.ro_s
+    scenarios.ro_seed scenarios.ro_csv solve.model solve.k
+    solve.epsilon_target solve.report_ro solve.include_slack_rows
+    solve.node_limit solve.rel_gap sweep.k_values sweep.record_time
+    output.dir output.prefix""".split())
+
+
 def _read_config(path, overrides=()):
-    """Parse an INI run config and apply section.key=value overrides."""
+    """Parse an INI run config and apply section.key=value overrides; a key
+    outside the documented set is an error."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
         if not os.path.isfile(path):
@@ -105,10 +118,14 @@ def _read_config(path, overrides=()):
         if not sep or "." not in key:
             raise CliError(
                 f"override {item!r} must look like section.key=value")
-        section, _, option = key.partition(".")
+        section, _, option = (part.strip() for part in key.partition("."))
         if not cfg.has_section(section):
             cfg.add_section(section)
-        cfg.set(section.strip(), option.strip(), value.strip())
+        cfg.set(section, option, value.strip())
+    for section in cfg.sections():
+        for option in cfg.options(section):
+            if f"{section}.{option}" not in _KEYS:
+                raise CliError(f"unknown config key {section}.{option}")
     return cfg
 
 
@@ -209,15 +226,13 @@ def _build_fleet(cfg, case):
     if buses is None:
         raise CliError("config key fleet.buses is required")
     mw = _get_typed(cfg, "fleet", "forecasts_mw", _to_floats)
-    pu = _get_typed(cfg, "fleet", "forecasts_pu", _to_floats)
-    if (mw is None) == (pu is None):
-        raise CliError("config keys fleet.forecasts_mw / fleet.forecasts_pu: "
-                       "set exactly one")
+    if mw is None:
+        raise CliError("config key fleet.forecasts_mw is required")
     gamma = _get_typed(cfg, "fleet", "gamma", float, 0.0)
     try:
         idx = [case.bus_index(b) for b in buses]
-        return build_fleet(case, idx, np.asarray(mw if pu is None else pu),
-                           gamma, forecasts_in_mw=pu is None)
+        return build_fleet(case, idx, np.asarray(mw), gamma,
+                           forecasts_in_mw=True)
     except (KeyError, ValueError) as exc:
         raise CliError(f"config key fleet.buses: {exc}") from exc
 
@@ -361,8 +376,9 @@ def _write_solution_csv(path, case, dispatch, digest, *, cost, status):
                 f"{x * case.base_mva:.12g}" for g, x in enumerate(dispatch)))
 
 
-def _read_solution_csv(path):
-    """Dispatch vector (p.u., generator order) from a solution CSV."""
+def _read_solution_csv(path, case):
+    """Dispatch vector (p.u.) from a solution CSV whose rows are case's
+    generators in order, each at its own bus."""
     dispatch = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -372,6 +388,12 @@ def _read_solution_csv(path):
             parts = text.split(",")
             if len(parts) < 3:
                 raise CliError(f"malformed solution row in {path}: {text!r}")
+            g = len(dispatch)
+            if g < case.n_gen:
+                bus = int(case.bus_ids[case.gen_bus[g]])
+                if [p.strip() for p in parts[:2]] != [str(g), str(bus)]:
+                    raise CliError(f"solution row {g} in {path} must be "
+                                   f"generator {g} at bus {bus}: {text!r}")
             try:
                 value = float(parts[2])
             except ValueError:
@@ -382,6 +404,9 @@ def _read_solution_csv(path):
             dispatch.append(value)
     if not dispatch:
         raise CliError(f"no dispatch rows found in {path}")
+    if len(dispatch) != case.n_gen:
+        raise CliError(f"solution has {len(dispatch)} generators, case "
+                       f"{case.name} has {case.n_gen}")
     return np.asarray(dispatch)
 
 
@@ -588,8 +613,11 @@ def cmd_scenario_gen(args):
     if args.forecasts is not None:
         if args.zeta is None or args.rho is None:
             raise CliError("--forecasts needs --zeta and --rho as well")
-        spec = GaussianSpec(forecasts=np.asarray(args.forecasts),
-                            zeta=args.zeta, rho=args.rho)
+        try:
+            spec = GaussianSpec(forecasts=np.asarray(args.forecasts),
+                                zeta=args.zeta, rho=args.rho)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         labels = None
     else:
         if args.config is None:
@@ -599,7 +627,10 @@ def cmd_scenario_gen(args):
         fleet = _build_fleet(cfg, case)
         spec = _build_spec(cfg, fleet)
         labels = [f"bus{case.bus_ids[b]}" for b in fleet.vre_buses]
-    sset = sample(spec, args.s, args.seed)
+    try:
+        sset = sample(spec, args.s, args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     outdir = _get(cfg, "output", "dir", "out")
     os.makedirs(outdir, exist_ok=True)
     name = args.out or f"scenarios_s{args.s}_seed{args.seed}.csv"
@@ -611,7 +642,10 @@ def cmd_scenario_gen(args):
 
 
 def cmd_scenario_stats(args):
-    sset = load_csv(args.file)
+    try:
+        sset = load_csv(args.file)
+    except (OSError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
     stats = summarize(sset)
     for key in ("s", "n_vre", "total_mean", "total_std"):
         print(f"{key}: {_fmt(stats[key])}")
@@ -628,18 +662,17 @@ def cmd_scenario_stats(args):
 def cmd_ambiguity_eps(args):
     if (args.k is None) == (args.k_range is None):
         raise CliError("set exactly one of --k and --k-range")
-    if args.k is not None:
-        eps, _ = optimal_epsilon(args.k, args.s)
-        print(f"{eps:.6g}")
-        return EXIT_OK
     try:
-        k_values = _parse_k_values(args.k_range)
+        if args.k is not None:
+            print(f"{optimal_epsilon(args.k, args.s)[0]:.6g}")
+            return EXIT_OK
+        lines = ["k,epsilon_star,bound"]
+        for k in _parse_k_values(args.k_range):
+            eps, bound = optimal_epsilon(k, args.s)
+            lines.append(f"{k},{eps:.12g},{bound:.12g}")
     except ValueError as exc:
-        raise CliError(f"--k-range: {exc}") from exc
-    lines = ["k,epsilon_star,bound"]
-    for k in k_values:
-        eps, bound = optimal_epsilon(k, args.s)
-        lines.append(f"{k},{eps:.12g},{bound:.12g}")
+        flag = "--k" if args.k is not None else "--k-range"
+        raise CliError(f"{flag}: {exc}") from exc
     text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -651,7 +684,10 @@ def cmd_ambiguity_eps(args):
 
 
 def cmd_ambiguity_k(args):
-    k = k_for(args.eps, args.radius, args.s)
+    try:
+        k = k_for(args.eps, args.radius, args.s)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if k is WORST_CASE_REQUIRED:
         print("WORST_CASE_REQUIRED")
     else:
@@ -832,10 +868,7 @@ def cmd_eval(args):
     model, test = run.model, run.sets["test"]
     if not os.path.isfile(args.solution):
         raise CliError(f"solution file not found: {args.solution}")
-    dispatch = _read_solution_csv(args.solution)
-    if dispatch.size != model.case.n_gen:
-        raise CliError(f"solution has {dispatch.size} generators, case "
-                       f"{model.case.name} has {model.case.n_gen}")
+    dispatch = _read_solution_csv(args.solution, model.case)
     cost = make_cost(model.case).value(dispatch)
     digest = _run_digest(model, {"test": test},
                          dispatch=tuple(dispatch.tolist()))

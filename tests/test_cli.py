@@ -2,6 +2,7 @@
 stability.  Commands run as subprocesses so exit codes, streams, and file
 side effects are observed exactly as a shell user sees them."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from ccopf.ac_model import fixed_point_solve
 from ccopf.ambiguity import AmbiguityParams
 from ccopf.cli import (
+    _KEYS,
     CliError,
     _exit_code_for,
     _parse_k_values,
@@ -175,6 +177,54 @@ class TestAmbiguity:
             cwd=tmp_path)
         assert result.returncode == 0
         assert result.stdout.strip().isdigit()
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("args", [
+        ["scenario", "gen", "--s", 0, "--seed", 1, "--forecasts", 0.2,
+         "--zeta", 0.05, "--rho", 0.2],
+        ["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", 0.2,
+         "--zeta", 0.05, "--rho", 1.5],
+        ["ambiguity", "eps", "--k", 0, "--s", 10],
+        ["ambiguity", "k", "--eps", 0, "--radius", 0.1, "--s", 10],
+        ["scenario", "stats", "missing.csv"],
+    ], ids=["gen-s0", "gen-rho", "eps-k0", "k-eps0", "stats-missing"])
+    def test_bad_input_is_an_error_line(self, tmp_path, args):
+        result = run_cli(args, cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
+
+class TestConfigKeys:
+    def test_readme_table_lists_the_accepted_keys(self):
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        table = readme.split("| Key | Meaning |")[1].split("\n\n")[0]
+        keys = set()
+        for cell in re.findall(r"^\| (.*?) \|", table, re.M):
+            for name in re.findall(r"`([a-z_.{},]+)`", cell):
+                stem, _, alts = name.partition("{")
+                alts, _, tail = alts.partition("}")
+                keys.update(stem + alt + tail for alt in alts.split(","))
+        assert keys == set(_KEYS)
+        assert len(keys) == 28
+
+    def test_misspelled_key_in_the_file_rejected(self, tmp_path):
+        config = tmp_path / "typo.ini"
+        config.write_text((CONFIG_DIR / "tutorial.ini").read_text().replace(
+            "[solve]\n", "[solve]\nnode_limt = 0\n"))
+        result = run_cli(["solve", "dc", "--config", config], cwd=tmp_path)
+        assert result.returncode == 1
+        assert "unknown config key solve.node_limt" in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_misspelled_override_rejected(self, tmp_path):
+        result = run_cli(
+            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+             "--set", "solve.rel-gap=0.5"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert "unknown config key solve.rel-gap" in result.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolveDc:
@@ -362,6 +412,15 @@ class TestSolveAc:
                 "no convergence" in log_text)
         assert not (tmp_path / "out" / "ac14_solution.csv").exists()
 
+    def test_config_model_must_match_the_command(self, tmp_path):
+        # configs/ac14.ini names model = ac: solve dc must not overwrite
+        # the AC run's files with a DC dispatch.
+        result = run_cli(["solve", "dc", "--config", CONFIG_DIR / "ac14.ini",
+                          "--set", "scenarios.test_s=100"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert "solve.model" in result.stderr
+        assert not list(tmp_path.glob("out/ac14*"))
+
     def test_cost_ratio_is_against_the_robust_fixed_point(self, ac14_run):
         workdir, _ = ac14_run
         run = _resolve_run(CONFIG_DIR / "ac14.ini", sets=("train",))
@@ -493,6 +552,29 @@ class TestEval:
              "--solution", bad], cwd=tmp_path)
         assert result.returncode == 1
         assert "not a finite number" in result.stderr
+        assert not list(tmp_path.glob("out/*_eval.csv"))
+
+    @pytest.mark.parametrize("change", ["reversed", "wrong-bus"])
+    def test_rows_must_be_the_case_generators(self, tutorial_run, tmp_path,
+                                              change):
+        # Generators 0..4 in order, each at its own bus: a reversed file
+        # or a wrong bus id would otherwise be scored as generator order.
+        workdir, _ = tutorial_run
+        lines = (workdir / "out" / "tutorial_solution.csv").read_text(
+            ).splitlines()
+        head, rows = lines[:3], lines[3:]
+        if change == "reversed":
+            rows = rows[::-1]
+        else:
+            gen, _, p_pu, p_mw = rows[2].split(",")
+            rows[2] = ",".join([gen, "99", p_pu, p_mw])
+        bad = tmp_path / "bad_solution.csv"
+        bad.write_text("\n".join(head + rows) + "\n")
+        result = run_cli(
+            ["eval", "--config", CONFIG_DIR / "tutorial.ini",
+             "--solution", bad], cwd=tmp_path)
+        assert result.returncode == 1
+        assert "must be generator" in result.stderr
         assert not list(tmp_path.glob("out/*_eval.csv"))
 
     def test_unknown_model_rejected(self, tutorial_run, tmp_path):

@@ -9,6 +9,8 @@ Two independent oracles, both exhaustive rather than iterative:
 
 import functools
 import itertools
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -951,7 +953,8 @@ class TestSearchPins:
     """The search on the bundled configs, pinned per k: any change to the
     node bookkeeping, the bound or the branching rule shows here.  The
     deep sweep300 trees are pinned by tools/search_trace.py against
-    tests/data/sweep300_search.csv."""
+    tests/data/sweep300_search.csv; test_search_trace_tool runs that tool
+    on sweep14."""
 
     @pytest.mark.parametrize("name, k, nodes, qp_count, relaxed", [
         ("tutorial", None, 1, 2, [45, 53]),
@@ -968,6 +971,19 @@ class TestSearchPins:
         assert sol.status == OPTIMAL
         assert (sol.nodes, sol.qp_count) == (nodes, qp_count)
         assert np.flatnonzero(sol.z_star).tolist() == relaxed
+
+    def test_search_trace_tool(self, tmp_path):
+        # Every k of sweep14 through tools/search_trace.py, which writes
+        # nothing in its working directory.
+        root = CONFIG_DIR.parent
+        result = subprocess.run(
+            [sys.executable, root / "tools" / "search_trace.py",
+             CONFIG_DIR / "sweep14.ini"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stderr
+        expected = root / "tests" / "data" / "sweep14_search.csv"
+        assert result.stdout == expected.read_text()
+        assert not list(tmp_path.iterdir())
 
 
 class TestRelativeGap:

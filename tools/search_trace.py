@@ -11,8 +11,9 @@ and solver options, and prints one CSV line per k:
 
 where relaxed lists the relaxed training scenarios, space-separated.
 Nothing is scored and no file is written, so the output pins the branch-
-and-bound search alone; tests/data/sweep300_search.csv is this script's
-output for configs/sweep300.ini.
+and-bound search alone; tests/data/sweep300_search.csv and
+tests/data/sweep14_search.csv are this script's output for
+configs/sweep300.ini and configs/sweep14.ini.
 """
 
 import pathlib
