@@ -560,8 +560,8 @@ class TestEval:
         # Generators 0..4 in order, each at its own bus: a reversed file
         # or a wrong bus id would otherwise be scored as generator order.
         workdir, _ = tutorial_run
-        lines = (workdir / "out" / "tutorial_solution.csv").read_text(
-            ).splitlines()
+        solution = workdir / "out" / "tutorial_solution.csv"
+        lines = solution.read_text().splitlines()
         head, rows = lines[:3], lines[3:]
         if change == "reversed":
             rows = rows[::-1]
