@@ -22,8 +22,8 @@ scores a dispatch out of sample; sweep_k, the k sweep, lives here next to
 its command.
 
 A run is described by one INI config file (see ``configs/``); any key can
-be overridden on the command line with ``--set section.key=value``.  A key
-outside the documented set (the README's table, _KEYS here) is an error.
+be overridden with ``--set section.key=value``.  _KEYS types and checks
+the value of each key in the README's table; another key is an error.
 Artifacts are written only inside the configured output directory, and
 every file carries the digest of the configuration that produced it, so
 identical configs and seeds reproduce identical files.
@@ -39,6 +39,7 @@ import contextlib
 import dataclasses
 import hashlib
 import logging
+import math
 import os
 import sys
 import time
@@ -92,21 +93,120 @@ class CliError(Exception):
 # configuration
 
 
-# The documented run configuration keys (README, "Run configuration keys").
-_KEYS = frozenset("""
-    case.path case.default_line_limit case.cost_override fleet.buses
-    fleet.forecasts_mw fleet.gamma scenarios.zeta scenarios.rho
-    scenarios.train_s scenarios.train_seed scenarios.train_csv
-    scenarios.test_s scenarios.test_seed scenarios.test_csv scenarios.ro_s
-    scenarios.ro_seed scenarios.ro_csv solve.model solve.k
-    solve.epsilon_target solve.report_ro solve.include_slack_rows
-    solve.node_limit solve.rel_gap sweep.k_values sweep.record_time
-    output.dir output.prefix""".split())
+def _number(convert, what, ok=lambda value: True):
+    """Parser of one finite number: convert (int or float) types the text
+    and ok checks its range; what names the accepted values in the error."""
+    def parse(raw):
+        try:
+            value = convert(raw)
+            if abs(value) < math.inf and ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"must be {what}, got {raw!r}")
+    return parse
+
+
+def _list(item):
+    """Parser of a comma- or space-separated list of item values."""
+    return lambda raw: [item(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _bool(raw):
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+    if value is None:
+        raise ValueError(f"must be true or false, got {raw!r}")
+    return value
+
+
+def _file(raw):
+    if not os.path.isfile(raw):
+        raise ValueError(f"no such file: {raw}")
+    return raw
+
+
+def _case_file(raw):
+    """pkg:NAME names a bundled case, anything else a file path."""
+    return packaged_case_path(raw[4:]) if raw.startswith("pkg:") else \
+        _file(raw)
+
+
+def _cost_rows(raw):
+    """One c2 c1 c0 row per nonblank line, finite, with c2 >= 0."""
+    rows = []
+    for line in filter(str.strip, raw.splitlines()):
+        row = _list(_FINITE)(line)
+        if len(row) != 3 or row[0] < 0:
+            raise ValueError(f"each row must be c2 c1 c0 with c2 >= 0, "
+                             f"got {line.strip()!r}")
+        rows.append(tuple(row))
+    return rows
+
+
+def _model_name(raw):
+    if raw not in _MODELS:
+        raise ValueError(f"must be {' or '.join(_MODELS)}, got {raw!r}")
+    return raw
+
+
+def _parse_k_values(raw):
+    """Counts >= 1 from ``lo:hi[:step]`` (inclusive) or an explicit list."""
+    if ":" in raw:
+        parts = raw.split(":")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"range must be lo:hi[:step], got {raw!r}")
+        lo, hi = int(parts[0]), int(parts[1])
+        step = int(parts[2]) if len(parts) == 3 else 1
+        if step <= 0:
+            raise ValueError(f"range step must be positive, got {step}")
+        k_values = list(range(lo, hi + 1, step))
+    else:
+        k_values = _list(int)(raw)
+    if not k_values or min(k_values) < 1:
+        raise ValueError(f"must name counts >= 1, got {raw!r}")
+    return k_values
+
+
+_FINITE = _number(float, "a finite number")
+_POSITIVE = _number(float, "a finite number > 0", lambda x: x > 0)
+_COUNT = _number(int, "an integer >= 1", lambda n: n >= 1)
+_SEED = _number(int, "an integer >= 0", lambda n: n >= 0)
+
+# Every documented run configuration key (README, "Run configuration keys")
+# and the parser that types its text and checks its range.
+_KEYS = {
+    "case.path": _case_file,
+    "case.default_line_limit": _POSITIVE,
+    "case.cost_override": _cost_rows,
+    "fleet.buses": _list(_number(int, "an integer bus id")),
+    "fleet.forecasts_mw": _list(_POSITIVE),
+    "fleet.gamma": _FINITE,
+    "scenarios.zeta": _POSITIVE,
+    "scenarios.rho": _number(float, "a number in [0, 1)",
+                             lambda x: 0 <= x < 1),
+    **{f"scenarios.{which}_{part}": parser
+       for which in ("train", "test", "ro")
+       for part, parser in (("s", _COUNT), ("seed", _SEED), ("csv", _file))},
+    "solve.model": _model_name,
+    "solve.k": _COUNT,
+    "solve.epsilon_target": _number(float, "a number in (0, 1]",
+                                    lambda x: 0 < x <= 1),
+    "solve.report_ro": _bool,
+    "solve.include_slack_rows": _bool,
+    "solve.node_limit": lambda raw: SolverOptions(
+        node_limit=int(raw)).node_limit,
+    "solve.rel_gap": lambda raw: SolverOptions(rel_gap=float(raw)).rel_gap,
+    "sweep.k_values": _parse_k_values,
+    "sweep.record_time": _bool,
+    "output.dir": str,
+    "output.prefix": str,
+}
 
 
 def _read_config(path, overrides=()):
-    """Parse an INI run config and apply section.key=value overrides; a key
-    outside the documented set is an error."""
+    """The typed values of an INI run config with its section.key=value
+    overrides applied, by section.key; an empty value is unset.  A key
+    outside _KEYS, or a value its parser rejects, is an error."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
         if not os.path.isfile(path):
@@ -122,98 +222,31 @@ def _read_config(path, overrides=()):
         if not cfg.has_section(section):
             cfg.add_section(section)
         cfg.set(section, option, value.strip())
+    values = {}
     for section in cfg.sections():
-        for option in cfg.options(section):
-            if f"{section}.{option}" not in _KEYS:
-                raise CliError(f"unknown config key {section}.{option}")
-    return cfg
+        for option, raw in cfg.items(section):
+            key = f"{section}.{option}"
+            if key not in _KEYS:
+                raise CliError(f"unknown config key {key}")
+            if raw:  # configparser strips values
+                try:
+                    values[key] = _KEYS[key](raw)
+                except (OSError, ValueError) as exc:
+                    raise CliError(f"config key {key}: {exc}") from exc
+    return values
 
 
-def _get(cfg, section, option, default=None):
-    if cfg.has_option(section, option):
-        value = cfg.get(section, option).strip()
-        if value:
-            return value
-    return default
-
-
-def _get_typed(cfg, section, option, conv, default=None):
-    raw = _get(cfg, section, option)
-    if raw is None:
-        return default
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise CliError(f"config key {section}.{option}: {exc}") from exc
-
-
-_BOOL = {"true": True, "yes": True, "1": True, "on": True,
-         "false": False, "no": False, "0": False, "off": False}
-
-
-def _to_bool(raw):
-    try:
-        return _BOOL[raw.lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {raw!r}") from None
-
-
-def _to_floats(raw):
-    return [float(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _to_ints(raw):
-    return [int(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _parse_k_values(raw):
-    """Accept ``lo:hi[:step]`` (inclusive) or an explicit list of counts."""
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"range must be lo:hi[:step], got {raw!r}")
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step <= 0:
-            raise ValueError(f"range step must be positive, got {step}")
-        return list(range(lo, hi + 1, step))
-    return _to_ints(raw)
-
-
-def _resolve_case_path(spec_str):
-    """Map ``pkg:name`` to a bundled case, anything else to a file path."""
-    if spec_str.startswith("pkg:"):
-        try:
-            return packaged_case_path(spec_str[4:])
-        except FileNotFoundError as exc:
-            raise CliError(f"config key case.path: {exc}") from exc
-    if not os.path.isfile(spec_str):
-        raise CliError(f"config key case.path: no such file: {spec_str}")
-    return spec_str
+def _required(cfg, key, when=""):
+    if key not in cfg:
+        raise CliError(f"config key {key} is required{when}")
+    return cfg[key]
 
 
 def _build_case(cfg):
-    raw = _get(cfg, "case", "path")
-    if raw is None:
-        raise CliError("config key case.path is required")
-    path = _resolve_case_path(raw)
-    kwargs = {}
-    limit = _get_typed(cfg, "case", "default_line_limit", float)
-    if limit is not None:
-        kwargs["default_line_limit"] = limit
-    override = _get(cfg, "case", "cost_override")
-    if override is not None:
-        rows = []
-        for line in override.splitlines():
-            vals = _to_floats(line)
-            if not vals:
-                continue
-            if len(vals) != 3:
-                raise CliError(
-                    "config key case.cost_override: each row needs "
-                    f"c2 c1 c0, got {line.strip()!r}")
-            rows.append(tuple(vals))
-        kwargs["cost_override"] = rows
+    path = _required(cfg, "case.path")
+    kwargs = {name: cfg[f"case.{name}"]
+              for name in ("default_line_limit", "cost_override")
+              if f"case.{name}" in cfg}
     try:
         return load_case(path, **kwargs)
     except Exception as exc:
@@ -222,59 +255,42 @@ def _build_case(cfg):
 
 
 def _build_fleet(cfg, case):
-    buses = _get_typed(cfg, "fleet", "buses", _to_ints)
-    if buses is None:
-        raise CliError("config key fleet.buses is required")
-    mw = _get_typed(cfg, "fleet", "forecasts_mw", _to_floats)
-    if mw is None:
-        raise CliError("config key fleet.forecasts_mw is required")
-    gamma = _get_typed(cfg, "fleet", "gamma", float, 0.0)
+    buses = _required(cfg, "fleet.buses")
+    mw = _required(cfg, "fleet.forecasts_mw")
     try:
         idx = [case.bus_index(b) for b in buses]
-        return build_fleet(case, idx, np.asarray(mw), gamma,
-                           forecasts_in_mw=True)
+        return build_fleet(case, idx, np.asarray(mw),
+                           cfg.get("fleet.gamma", 0.0), forecasts_in_mw=True)
     except (KeyError, ValueError) as exc:
         raise CliError(f"config key fleet.buses: {exc}") from exc
 
 
 def _build_spec(cfg, fleet):
-    zeta = _get_typed(cfg, "scenarios", "zeta", float)
-    rho = _get_typed(cfg, "scenarios", "rho", float)
-    if zeta is None or rho is None:
-        raise CliError(
-            "config keys scenarios.zeta and scenarios.rho are required")
-    try:
-        return GaussianSpec(forecasts=fleet.forecasts, zeta=zeta, rho=rho)
-    except ValueError as exc:
-        raise CliError(f"config section scenarios: {exc}") from exc
+    return GaussianSpec(forecasts=fleet.forecasts,
+                        zeta=_required(cfg, "scenarios.zeta"),
+                        rho=_required(cfg, "scenarios.rho"))
 
 
 def _load_set(cfg, which, spec):
     """Scenario set named ``which`` (train/test/ro): CSV wins over sampling.
     Only ro is optional (None: the training set is the robust set)."""
-    csv_path = _get(cfg, "scenarios", f"{which}_csv")
+    csv_path = cfg.get(f"scenarios.{which}_csv")
     if csv_path is not None:
-        if not os.path.isfile(csv_path):
-            raise CliError(f"config key scenarios.{which}_csv: "
-                           f"no such file: {csv_path}")
         return load_csv(csv_path, spec)
-    s = _get_typed(cfg, "scenarios", f"{which}_s", int)
+    s = cfg.get(f"scenarios.{which}_s")
     if s is None and which == "ro":
         return None
     if s is None:
         raise CliError(f"config key scenarios.{which}_s (or "
                        f"scenarios.{which}_csv) is required")
-    seed = _get_typed(cfg, "scenarios", f"{which}_seed", int)
-    if seed is None:
-        raise CliError(f"config key scenarios.{which}_seed is required "
-                       f"when scenarios.{which}_s is set")
+    seed = _required(cfg, f"scenarios.{which}_seed",
+                     f" when scenarios.{which}_s is set")
     return sample(spec, s, seed)
 
 
 def _choose_params(cfg, s):
     """Enforced count from solve.k or solve.epsilon_target (exactly one)."""
-    k = _get_typed(cfg, "solve", "k", int)
-    target = _get_typed(cfg, "solve", "epsilon_target", float)
+    k, target = cfg.get("solve.k"), cfg.get("solve.epsilon_target")
     if (k is None) == (target is None):
         state = "both given" if k is not None else "neither given"
         raise CliError("config keys solve.k / solve.epsilon_target: "
@@ -291,19 +307,7 @@ def _choose_params(cfg, s):
         raise CliError(f"config key {key}: {exc}") from exc
 
 
-def _solver_options(cfg):
-    options = SolverOptions()
-    for key, conv in (("node_limit", int), ("rel_gap", float)):
-        value = _get_typed(cfg, "solve", key, conv)
-        if value is not None:
-            try:
-                options = dataclasses.replace(options, **{key: value})
-            except ValueError as exc:
-                raise CliError(f"config key solve.{key}: {exc}") from exc
-    return options
-
-
-# A config resolved once: the parsed config for the command's own keys, the
+# A config resolved once: the typed config values by section.key, the
 # network model (which holds the case, fleet, solver options and row set),
 # the scenario sets by name, and the artifact directory and file stem.
 _Run = collections.namedtuple("_Run", "cfg model sets outdir prefix")
@@ -315,24 +319,22 @@ def _resolve_run(path, overrides=(), sets=("train", "test"), model=None):
     (solve dc|ac), which solve.model may only repeat; without one,
     solve.model chooses, dc by default.  Nothing is written."""
     cfg = _read_config(path, overrides)
-    named = _get(cfg, "solve", "model")
+    named = cfg.get("solve.model")
     if named is not None and model not in (None, named):
         raise CliError(f"config key solve.model: {named!r}, but the command "
                        f"solves {model!r}")
     model = model or named or "dc"
-    if model not in _MODELS:
-        raise CliError(f"config key solve.model: must be dc or ac, "
-                       f"got {model!r}")
     case = _build_case(cfg)
     fleet = _build_fleet(cfg, case)
     spec = _build_spec(cfg, fleet)
     loaded = {which: _load_set(cfg, which, spec) for which in sets}
     net = _network_model(
-        model, case, fleet, options=_solver_options(cfg),
-        include_slack_rows=_get_typed(cfg, "solve", "include_slack_rows",
-                                      _to_bool, False))
-    return _Run(cfg, net, loaded, _get(cfg, "output", "dir", "out"),
-                _get(cfg, "output", "prefix", f"{case.name}_{model}"))
+        model, case, fleet,
+        options=SolverOptions(node_limit=cfg.get("solve.node_limit"),
+                              rel_gap=cfg.get("solve.rel_gap", 0.0)),
+        include_slack_rows=cfg.get("solve.include_slack_rows", False))
+    return _Run(cfg, net, loaded, cfg.get("output.dir", "out"),
+                cfg.get("output.prefix", f"{case.name}_{model}"))
 
 
 @contextlib.contextmanager
@@ -631,7 +633,7 @@ def cmd_scenario_gen(args):
         sset = sample(spec, args.s, args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    outdir = _get(cfg, "output", "dir", "out")
+    outdir = cfg.get("output.dir", "out")
     os.makedirs(outdir, exist_ok=True)
     name = args.out or f"scenarios_s{args.s}_seed{args.seed}.csv"
     path = os.path.join(outdir, name)
@@ -718,7 +720,7 @@ def cmd_solve(args):
     train, test, ro_set = (run.sets[name] for name in ("train", "test", "ro"))
     with _run_log(run.outdir, run.prefix):
         params = _choose_params(cfg, train.s)
-        report_ro = _get_typed(cfg, "solve", "report_ro", _to_bool, True)
+        report_ro = cfg.get("solve.report_ro", True)
         digest = _run_digest(
             model, {"train": train, "test": test,
                     "ro": ro_set if report_ro else None}, k=params.k,
@@ -830,14 +832,11 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
 def cmd_sweep(args):
     run = _resolve_run(args.config, args.set or (), ("train", "test", "ro"))
     cfg, train = run.cfg, run.sets["train"]
-    raw = _get(cfg, "sweep", "k_values")
-    if raw is None:
-        raise CliError("config key sweep.k_values is required")
     try:
-        k_values = _sweep_k_values(_parse_k_values(raw), train.s)
+        k_values = _sweep_k_values(_required(cfg, "sweep.k_values"), train.s)
     except ValueError as exc:
         raise CliError(f"config key sweep.k_values: {exc}") from exc
-    record_time = _get_typed(cfg, "sweep", "record_time", _to_bool, True)
+    record_time = cfg.get("sweep.record_time", True)
 
     with _run_log(run.outdir, run.prefix):
         csv_path = os.path.join(run.outdir, f"{run.prefix}_sweep.csv")

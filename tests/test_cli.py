@@ -709,5 +709,4 @@ class TestHelpers:
     def test_override_requires_section_key_value(self):
         with pytest.raises(CliError):
             _read_config(None, ["not-an-override"])
-        cfg = _read_config(None, ["solve.k=5"])
-        assert cfg.get("solve", "k") == "5"
+        assert _read_config(None, ["solve.k=5"]) == {"solve.k": 5}

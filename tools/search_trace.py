@@ -25,8 +25,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ccopf.cli import (  # noqa: E402
     CliError,
-    _get,
-    _parse_k_values,
     _resolve_run,
     _sweep_k_values,
 )
@@ -38,9 +36,8 @@ def main(argv):
     try:
         run = _resolve_run(argv[0], sets=("train",))
         train = run.sets["train"]
-        k_values = _sweep_k_values(
-            _parse_k_values(_get(run.cfg, "sweep", "k_values") or ""),
-            train.s)
+        k_values = _sweep_k_values(run.cfg.get("sweep.k_values", []),
+                                   train.s)
     except (CliError, ValueError) as exc:
         sys.exit(f"search_trace: {exc}")
     print("k,status,nodes,qp_count,relaxed")
