@@ -60,7 +60,7 @@ from .ambiguity import (
     optimal_epsilon,
 )
 from .case_io import build_fleet, load_case, packaged_case_path
-from .dc_model import assemble_cc_system, make_cost
+from .dc_model import assemble_cc_system, is_connected, make_cost
 from .evaluation import (
     DcEvaluator,
     config_digest,
@@ -143,6 +143,12 @@ def _cost_rows(raw):
     return rows
 
 
+def _stem(raw):
+    if "/" in raw or os.sep in raw:
+        raise ValueError(f"must be a file-name stem without /, got {raw!r}")
+    return raw
+
+
 def _model_name(raw):
     if raw not in _MODELS:
         raise ValueError(f"must be {' or '.join(_MODELS)}, got {raw!r}")
@@ -199,7 +205,7 @@ _KEYS = {
     "sweep.k_values": _parse_k_values,
     "sweep.record_time": _bool,
     "output.dir": str,
-    "output.prefix": str,
+    "output.prefix": _stem,
 }
 
 
@@ -257,6 +263,9 @@ def _build_case(cfg):
 def _build_fleet(cfg, case):
     buses = _required(cfg, "fleet.buses")
     mw = _required(cfg, "fleet.forecasts_mw")
+    if len(mw) != len(buses):
+        raise CliError(f"config key fleet.forecasts_mw: must give one value "
+                       f"per bus, got {len(mw)} for {len(buses)} buses")
     try:
         idx = [case.bus_index(b) for b in buses]
         return build_fleet(case, idx, np.asarray(mw),
@@ -276,7 +285,10 @@ def _load_set(cfg, which, spec):
     Only ro is optional (None: the training set is the robust set)."""
     csv_path = cfg.get(f"scenarios.{which}_csv")
     if csv_path is not None:
-        return load_csv(csv_path, spec)
+        try:
+            return load_csv(csv_path, spec)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"config key scenarios.{which}_csv: {exc}") from exc
     s = cfg.get(f"scenarios.{which}_s")
     if s is None and which == "ro":
         return None
@@ -325,6 +337,9 @@ def _resolve_run(path, overrides=(), sets=("train", "test"), model=None):
                        f"solves {model!r}")
     model = model or named or "dc"
     case = _build_case(cfg)
+    if not is_connected(case):
+        raise CliError("config key case.path: the network is not connected "
+                       "through its branches")
     fleet = _build_fleet(cfg, case)
     spec = _build_spec(cfg, fleet)
     loaded = {which: _load_set(cfg, which, spec) for which in sets}
@@ -337,11 +352,19 @@ def _resolve_run(path, overrides=(), sets=("train", "test"), model=None):
                 cfg.get("output.prefix", f"{case.name}_{model}"))
 
 
+def _make_outdir(outdir):
+    """Make the artifact directory if missing; failing is a config error."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"config key output.dir: {exc}") from exc
+
+
 @contextlib.contextmanager
 def _run_log(outdir, prefix):
     """Send INFO lines to a deterministic per-run log file in outdir, made
     if missing, and name it last when the run returns."""
-    os.makedirs(outdir, exist_ok=True)
+    _make_outdir(outdir)
     path = os.path.join(outdir, f"{prefix}.log")
     handler = logging.FileHandler(path, mode="w", encoding="utf-8")
     handler.setFormatter(logging.Formatter("%(message)s"))
@@ -634,7 +657,7 @@ def cmd_scenario_gen(args):
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     outdir = cfg.get("output.dir", "out")
-    os.makedirs(outdir, exist_ok=True)
+    _make_outdir(outdir)
     name = args.out or f"scenarios_s{args.s}_seed{args.seed}.csv"
     path = os.path.join(outdir, name)
     save_csv(sset, path, labels)
@@ -873,7 +896,7 @@ def cmd_eval(args):
                          dispatch=tuple(dispatch.tolist()))
     report = model.score(dispatch, test, cost=cost, seeds={"test": test.seed},
                          config_digest=digest)
-    os.makedirs(run.outdir, exist_ok=True)
+    _make_outdir(run.outdir)
     rep_path = os.path.join(run.outdir, f"{run.prefix}_eval.csv")
     _write_report_csv(rep_path, report)
     print(f"joint_violation_rate: {report.joint_violation_rate:.6g}")

@@ -41,6 +41,13 @@ def incidence_matrix(case):
     return a
 
 
+def is_connected(case):
+    """Whether every bus reaches every other bus through the branches."""
+    graph = csr_matrix((np.ones(case.n_branch), (case.br_from, case.br_to)),
+                       shape=(case.n_bus, case.n_bus))
+    return connected_components(graph, directed=False)[0] == 1
+
+
 def build_ptdf(case):
     """Power transfer distribution factors from series reactances: the
     read-only (n_branch, n_bus) matrix phi with flows = phi @ injections
@@ -54,7 +61,7 @@ def build_ptdf(case):
     a = incidence_matrix(case)
     b_series = 1.0 / case.br_x
     b_bus = a.T @ (b_series[:, None] * a)
-    if connected_components(csr_matrix(b_bus), directed=False)[0] > 1:
+    if not is_connected(case):
         raise ValueError(
             "susceptance matrix is singular: the network is not connected "
             "through in-service branches")

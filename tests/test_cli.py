@@ -6,13 +6,17 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ccopf.ac_model import fixed_point_solve
 from ccopf.ambiguity import AmbiguityParams
+from ccopf.case_io import packaged_case_path
 from ccopf.cli import (
     _KEYS,
     CliError,
@@ -196,6 +200,57 @@ class TestInputErrors:
         assert "Traceback" not in result.stderr
 
 
+# Text that every key of _KEYS but output.dir must reject (any text names a
+# directory; one that cannot be made is test_uncreatable_output_dir_names_
+# its_key).  Each is wrong for its key alone: nan, inf, a number out of the
+# key's range, text that is not a number, or empty text for a key that the
+# tutorial config needs.
+NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e400", "x"])
+NOT_INTEGER = st.sampled_from(["nan", "inf", "1.5", "1e3", "x"])
+NEGATIVE = st.floats(max_value=-5e-324).map(str)  # -0.0 is not negative
+NOT_POSITIVE = st.floats(max_value=0).map(str) | NOT_FINITE
+NOT_COUNT = st.integers(max_value=0).map(str) | NOT_INTEGER
+NOT_SEED = st.integers(max_value=-1).map(str) | NOT_INTEGER
+NOT_BOOL = st.sampled_from(["maybe", "2", "-1", "nan", "tru"])
+EMPTY = st.just("")
+BAD_VALUES = {
+    "case.path": EMPTY | st.sampled_from(["pkg:case9999", "no/such/grid.m"]),
+    "case.default_line_limit": NOT_POSITIVE,
+    "case.cost_override": st.sampled_from(
+        ["nan 20 0", "0 inf 0", "-1 20 0", "0 20", "0 20 0 1", "x 20 0"]),
+    "fleet.buses": EMPTY | st.sampled_from(["x 3", "1.5 3", "2 2"])
+    | st.integers().filter(lambda b: not 1 <= b <= 14).map(
+        lambda b: f"{b} 3"),
+    "fleet.forecasts_mw": EMPTY | st.just("20")
+    | NOT_POSITIVE.map(lambda mw: f"{mw} 20"),
+    "fleet.gamma": NOT_FINITE,
+    "scenarios.zeta": EMPTY | NOT_POSITIVE,
+    "scenarios.rho": EMPTY | NOT_FINITE
+    | NEGATIVE
+    | st.floats(min_value=1).map(str),
+    **{f"scenarios.{which}_s": EMPTY | NOT_COUNT
+       for which in ("train", "test")},
+    **{f"scenarios.{which}_seed": EMPTY | NOT_SEED
+       for which in ("train", "test")},
+    "scenarios.ro_s": NOT_COUNT,
+    "scenarios.ro_seed": NOT_SEED,
+    **{f"scenarios.{which}_csv": st.just("no/such.csv")
+       for which in ("train", "test", "ro")},
+    "solve.model": st.sampled_from(["acx", "DC", "nan", "0"]),
+    "solve.k": NOT_COUNT,
+    "solve.epsilon_target": NOT_FINITE | st.floats(max_value=0).map(str)
+    | st.floats(min_value=1, exclude_min=True).map(str),
+    "solve.report_ro": NOT_BOOL,
+    "solve.include_slack_rows": NOT_BOOL,
+    "solve.node_limit": st.integers(max_value=-1).map(str) | NOT_INTEGER,
+    "solve.rel_gap": NOT_FINITE | NEGATIVE,
+    "sweep.k_values": NOT_COUNT | st.sampled_from(
+        ["-1 5", "1:10:0", "1:2:3:4", "5:1", "1:x", ","]),
+    "sweep.record_time": NOT_BOOL,
+    "output.prefix": st.sampled_from(["a/b", "../up"]),
+}
+
+
 class TestConfigKeys:
     def test_readme_table_lists_the_accepted_keys(self):
         readme = (CONFIG_DIR.parent / "README.md").read_text()
@@ -225,6 +280,91 @@ class TestConfigKeys:
         assert result.returncode == 1
         assert "unknown config key solve.rel-gap" in result.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_every_key_but_output_dir_has_bad_values(self):
+        assert set(BAD_VALUES) == set(_KEYS) - {"output.dir"}
+
+    @given(st.sampled_from(sorted(BAD_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), BAD_VALUES[key])))
+    def test_bad_value_is_rejected_under_its_key(self, key_value):
+        key, value = key_value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # case14's dropped branch data
+            with pytest.raises(CliError) as info:
+                _resolve_run(CONFIG_DIR / "tutorial.ini", [f"{key}={value}"])
+        assert str(info.value).startswith(f"config key {key}"), info.value
+        assert info.value.exit_code == 1
+
+    def test_bad_value_is_an_error_line_and_writes_nothing(self, tmp_path):
+        result = run_cli(
+            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+             "--set", "fleet.forecasts_mw=nan 20"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == ("error: config key fleet.forecasts_mw: "
+                                 "must be a finite number > 0, got 'nan'\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value, reason", [
+        ("-5 20", "must be a finite number > 0, got '-5'"),
+        ("20", "must give one value per bus, got 1 for 2 buses")])
+    def test_forecast_error_names_its_key(self, value, reason):
+        with pytest.raises(CliError) as info:
+            _resolve_run(CONFIG_DIR / "tutorial.ini",
+                         [f"fleet.forecasts_mw={value}"])
+        assert str(info.value) == f"config key fleet.forecasts_mw: {reason}"
+
+    @pytest.mark.parametrize("command, config", [
+        ("dc", "tutorial.ini"), ("ac", "ac14.ini")])
+    def test_disconnected_network_names_case_path(self, tmp_path, command,
+                                                  config):
+        # case14 without its 7-8 branch: bus 8 hangs on no branch.
+        lines = Path(packaged_case_path("case14")).read_text().splitlines()
+        kept = [ln for ln in lines if not re.match(r"\s*7\s+8\s", ln)]
+        assert len(kept) == len(lines) - 1
+        case = tmp_path / "split.m"
+        case.write_text("\n".join(kept) + "\n")
+        result = run_cli(["solve", command, "--config", CONFIG_DIR / config,
+                          "--set", f"case.path={case}"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == (
+            "error: config key case.path: the network is not connected "
+            "through its branches")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_scenario_csv_names_its_key(self, tmp_path):
+        csv = tmp_path / "train.csv"
+        csv.write_text("bus2,bus3\n0.01,0.02\n0.01,oops\n")
+        result = run_cli(
+            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+             "--set", f"scenarios.train_csv={csv}"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == (
+            f"error: config key scenarios.train_csv: {csv}: non-numeric "
+            "cell at row 3, column 2: 'oops'")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "eval",
+                                         "scenario gen"])
+    def test_uncreatable_output_dir_names_its_key(self, tutorial_run,
+                                                  tmp_path, command):
+        solution = tutorial_run[0] / "out" / "tutorial_solution.csv"
+        tutorial = ["--config", CONFIG_DIR / "tutorial.ini"]
+        args = {"solve": ["solve", "dc", *tutorial],
+                "sweep": ["sweep", "--config", CONFIG_DIR / "sweep14.ini"],
+                "eval": ["eval", *tutorial, "--solution", solution],
+                "scenario gen": ["scenario", "gen", *tutorial, "--s", 5,
+                                 "--seed", 1]}[command]
+        (tmp_path / "file").write_text("")
+        result = run_cli([*args, "--set",
+                          f"output.dir={tmp_path / 'file' / 'out'}"],
+                         cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1].startswith(
+            "error: config key output.dir: ")
+        assert "Traceback" not in result.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 class TestSolveDc:
