@@ -430,7 +430,7 @@ class AcRowSet:
     the forecast errors (each from the case and fleet its caller passes),
     and q_idx, signs, signed_names and rhs expand them into the one-sided
     rows of the selection program (per kind an upper block then a lower
-    block; flow rows upper only).
+    block; flow rows upper only), less the rows with no finite bound.
     """
 
     def __init__(self, case, gens, q_buses, v_buses, names, lo, hi):
@@ -461,12 +461,14 @@ class AcRowSet:
         for group in (pgen, self.q_rows, self.v_rows):
             blocks += [(group, 1.0, "_hi"), (group, -1.0, "_lo")]
         blocks.append((self.flow_rows, 1.0, ""))
-        self.q_idx = np.concatenate([g for g, _, _ in blocks])
-        self.signs = np.concatenate([np.full(g.size, s) for g, s, _ in blocks])
-        self.signed_names = tuple(f"{self.names[r]}{suffix}"
-                                  for g, _, suffix in blocks for r in g)
-        self.rhs = np.where(self.signs > 0, self.hi[self.q_idx],
-                            -self.lo[self.q_idx])
+        q_idx = np.concatenate([g for g, _, _ in blocks])
+        signs = np.concatenate([np.full(g.size, s) for g, s, _ in blocks])
+        names = [f"{self.names[r]}{suffix}"
+                 for g, _, suffix in blocks for r in g]
+        rhs = np.where(signs > 0, self.hi[q_idx], -self.lo[q_idx])
+        keep = np.isfinite(rhs)
+        self.q_idx, self.signs, self.rhs = q_idx[keep], signs[keep], rhs[keep]
+        self.signed_names = tuple(n for n, k in zip(names, keep) if k)
         for arr in (self.lo, self.hi, self.q_idx, self.signs, self.rhs):
             arr.setflags(write=False)
 
@@ -864,14 +866,15 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
 class AcEvaluator:
     """Out-of-sample scoring by full nonlinear re-solve per scenario.
 
-    Every scenario is responded to with Newton from the nominal point and
-    the monitored quantities are checked against their bounds; a response
-    that fails to solve scores as a joint violation under the synthetic
-    'newton_failure' row.  The scenarios go through the Newton kernel in
-    blocks, each scenario with the rules pf_solve applies to one; the block
-    size follows from the bus count and NEWTON_BLOCK_BYTES.  After each
-    check, iterations holds every scenario's Newton iteration count and
-    failed the indices of the scenarios whose response did not solve.
+    Every scenario is responded to with Newton from the nominal point of
+    the dispatch the evaluator is built at, and the signed rows of the
+    row set are checked; a response that fails to solve scores as a joint
+    violation under the synthetic 'newton_failure' row.  The scenarios go
+    through the Newton kernel in blocks, each scenario with the rules
+    pf_solve applies to one; the block size follows from the bus count
+    and NEWTON_BLOCK_BYTES.  After each check, iterations holds every
+    scenario's Newton iteration count and failed the indices of the
+    scenarios whose response did not solve.
     """
 
     def __init__(self, case, fleet, dispatch, *, include_slack_rows=False):
@@ -886,13 +889,7 @@ class AcEvaluator:
         self._net = _network(case)
         self._start = _start_point(case, self.state.v, self.state.theta,
                                    np.sqrt(self.state.v))
-        finite = np.isfinite(self.rows.rhs)
-        self._q_idx = self.rows.q_idx[finite]
-        self._signs = self.rows.signs[finite]
-        self._rhs = self.rows.rhs[finite]
-        self.row_names = tuple(
-            n for n, f in zip(self.rows.signed_names, finite) if f) + (
-                "newton_failure",)
+        self.row_names = self.rows.signed_names + ("newton_failure",)
         self.iterations = np.zeros(0, dtype=int)
         self.failed = np.zeros(0, dtype=int)
 
@@ -910,17 +907,18 @@ class AcEvaluator:
         """(joint violation mask over scenarios, per-row violation rates)."""
         dispatch = np.asarray(dispatch, dtype=float)
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        violated = np.zeros((xi.shape[0], self._rhs.size + 1), dtype=bool)
+        rows = self.rows
+        violated = np.zeros((xi.shape[0], len(self.row_names)), dtype=bool)
         iterations = np.zeros(xi.shape[0], dtype=int)
         step = _block_size(self.case.n_bus)
         for lo in range(0, xi.shape[0], step):
             block = slice(lo, lo + step)
             its, norm, vmag, theta = self._respond(xi[block])
             solved = norm <= NEWTON_TOL
-            values = self.rows.values(
+            values = rows.values(
                 self.case, self.fleet, *_quantities(self._net, vmag, theta),
                 dispatch, xi[block])
-            margins = self._rhs - self._signs * values[:, self._q_idx]
+            margins = rows.rhs - rows.signs * values[:, rows.q_idx]
             violated[block, :-1] = (margins < -ROW_TOL) & solved[:, None]
             violated[block, -1] = ~solved
             iterations[block] = its

@@ -100,12 +100,10 @@ def dc_response(case, fleet, phi=None):
 class CcSystem:
     """Stacked one-sided rows base_lin @ x + base_const + sens @ xi <= rhs.
 
-    Row order: generator upper bounds, generator lower bounds (negated),
-    branch upper limits, branch lower limits (negated).  Rows with an
-    infinite bound are kept so indices line up with the network.  This
-    class alone decides which rows are constraints: bounded() drops the
-    infinite-bound rows, and nominal_system and conflict_row work on the
-    rows that are left.
+    Every row is a constraint with a finite bound; a quantity with no
+    limit (an unrated branch) has no row.  DC row order: generator upper
+    bounds, generator lower bounds (negated), rated branch upper limits,
+    rated branch lower limits (negated).
     """
 
     row_names: tuple
@@ -113,6 +111,10 @@ class CcSystem:
     base_const: np.ndarray
     sens: np.ndarray  # (n_rows, n_vre)
     rhs: np.ndarray
+
+    def __post_init__(self):
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("every row needs a finite bound")
 
     @property
     def n_rows(self):
@@ -127,38 +129,28 @@ class CcSystem:
             return base + self.sens @ xi
         return base[None, :] + xi @ self.sens.T
 
-    def bounded(self):
-        """The rows with a finite bound (self when every row has one)."""
-        keep = np.isfinite(self.rhs)
-        if keep.all():
-            return self
-        return CcSystem(
-            row_names=tuple(n for n, f in zip(self.row_names, keep) if f),
-            base_lin=self.base_lin[keep], base_const=self.base_const[keep],
-            sens=self.sens[keep], rhs=self.rhs[keep])
-
     def nominal_system(self, equalities):
-        """The bounded rows at xi = 0 plus the equalities (a_eq, b_eq):
+        """The rows at xi = 0 plus the equalities (a_eq, b_eq):
         base_lin @ x <= rhs - base_const and a_eq @ x = b_eq."""
-        rows = self.bounded()
         a_eq, b_eq = equalities
         return LinearSystem.make(
-            a_ineq=rows.base_lin, b_ineq=rows.rhs - rows.base_const,
+            a_ineq=self.base_lin, b_ineq=self.rhs - self.base_const,
             a_eq=a_eq, b_eq=b_eq, n=self.base_lin.shape[1])
 
     def conflict_row(self, result):
-        """Name of the bounded row with the largest Farkas weight in the
+        """Name of the row with the largest Farkas weight in the
         certificate of a qp_solve result over nominal_system, or None
         when the result carries no certificate."""
         weights = (result.certificate or {}).get("y_ineq")
         if weights is None or not weights.size:
             return None
-        return self.bounded().row_names[int(np.argmax(weights))]
+        return self.row_names[int(np.argmax(weights))]
 
 
 def assemble_cc_system(case, fleet, *, include_slack_rows=False):
     """Chance-constraint rows for generator limits and branch limits, as
-    the four blocks CcSystem documents, each one stacked array.
+    the four blocks CcSystem documents: one stacked array each, less the
+    rows with no finite bound.
 
     Generators at the slack bus are left out by default: the balancing
     reserve is assumed to live there, and the columns would otherwise make
@@ -183,21 +175,23 @@ def assemble_cc_system(case, fleet, *, include_slack_rows=False):
         [1.0, -1.0], gens.size)
     gen_sens = response.gen_sens[gens]
     ids = case.bus_ids
-    names = tuple(
+    names = (
         [f"gen{g}_{tag}@bus{ids[case.gen_bus[g]]}"
          for tag in ("hi", "lo") for g in gens]
         + [f"flow{l}_{tag}:{ids[f]}-{ids[t]}" for tag in ("hi", "lo")
            for l, (f, t) in enumerate(zip(case.br_from, case.br_to))])
 
+    rhs = np.concatenate([case.p_max[gens], -case.p_min[gens],
+                          case.br_limit, case.br_limit])
+    keep = np.isfinite(rhs)
     cc = CcSystem(
-        row_names=names,
-        base_lin=np.vstack([gen_lin, flow_lin, -flow_lin]),
+        row_names=tuple(n for n, k in zip(names, keep) if k),
+        base_lin=np.vstack([gen_lin, flow_lin, -flow_lin])[keep],
         base_const=np.concatenate([np.zeros(2 * gens.size), flow_const,
-                                   -flow_const]),
+                                   -flow_const])[keep],
         sens=np.vstack([gen_sens, -gen_sens, response.flow_sens,
-                        -response.flow_sens]),
-        rhs=np.concatenate([case.p_max[gens], -case.p_min[gens],
-                            case.br_limit, case.br_limit]),
+                        -response.flow_sens])[keep],
+        rhs=rhs[keep],
     )
     for arr in (cc.base_lin, cc.base_const, cc.sens, cc.rhs):
         arr.setflags(write=False)

@@ -72,7 +72,7 @@ class EvalReport:
 
 
 class DcEvaluator:
-    """Evaluation of the bounded rows of a dispatch over a scenario batch.
+    """Evaluation of the rows of a dispatch over a scenario batch.
 
     Only the rows that some scenario of the batch could violate are
     evaluated.  Over the batch's componentwise box [lo, hi] the largest
@@ -87,7 +87,7 @@ class DcEvaluator:
     """
 
     def __init__(self, cc):
-        self.cc = cc.bounded()
+        self.cc = cc
         self.row_names = self.cc.row_names
 
     def check(self, dispatch, xi):

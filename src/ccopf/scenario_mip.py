@@ -899,11 +899,9 @@ def build_selection_from_ccopf(cc, xi, cost, k, *, equalities):
     base_lin @ x <= rhs - base_const - sens @ xi_j, so base_lin is the
     shared LHS and row j of the RHS matrix is the shifted bound.  The base
     system is cc.nominal_system(equalities): the deterministic block
-    (xi = 0) plus the equalities (power balance).  Only the rows that
-    cc.bounded() keeps take part.
+    (xi = 0) plus the equalities (power balance).
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    rows = cc.bounded()
-    base = rows.nominal_system(equalities)
-    b = np.array([base.b_ineq - rows.sens @ xi_j for xi_j in xi])
+    base = cc.nominal_system(equalities)
+    b = np.array([base.b_ineq - cc.sens @ xi_j for xi_j in xi])
     return SelectionProblem(cost=cost, base=base, b=b, k=k)

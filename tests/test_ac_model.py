@@ -2,7 +2,7 @@
 response sensitivities, and the alternating dispatch/selection loop."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -457,16 +457,27 @@ class TestResponseJacobian:
         np.testing.assert_allclose(rev, -fwd, atol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def case14_ac_rated(case14_ac):
+    """case14_ac with every branch rated at 1 p.u., as
+    case.default_line_limit = 1 rates case14's unrated branches, so every
+    directed flow has its signed row."""
+    br_limit = np.full(case14_ac.n_branch, 1.0)
+    br_limit.setflags(write=False)
+    return replace(case14_ac, br_limit=br_limit)
+
+
 class TestLinearization:
-    def test_rows_exact_at_expansion_point(self, case14_ac, fleet14_ac):
+    def test_rows_exact_at_expansion_point(self, case14_ac_rated,
+                                           fleet14_ac):
+        case, fleet = case14_ac_rated, fleet14_ac
         dispatch = np.full(5, 0.438)
-        state = solve_operating_point(case14_ac, fleet14_ac, dispatch)
-        rows = ac_row_set(case14_ac, fleet14_ac)
-        jac = response_jacobian(case14_ac, fleet14_ac, state, rows=rows)
-        cc = linearize_cc_system(case14_ac, fleet14_ac, state, dispatch,
-                                 rows=rows, sens_rows=jac.j_matrix)
-        values = quantity_values(case14_ac, fleet14_ac, rows, state,
-                                 dispatch)
+        state = solve_operating_point(case, fleet, dispatch)
+        rows = ac_row_set(case, fleet)
+        jac = response_jacobian(case, fleet, state, rows=rows)
+        cc = linearize_cc_system(case, fleet, state, dispatch, rows=rows,
+                                 sens_rows=jac.j_matrix)
+        values = quantity_values(case, fleet, rows, state, dispatch)
         expected = signed_expected(rows, values)
         np.testing.assert_allclose(cc.row_values(dispatch, np.zeros(2)),
                                    expected, atol=1e-9)
@@ -722,7 +733,8 @@ def batch_of_one_check(evaluator, dispatch, xi):
             continue
         values = quantity_values(evaluator.case, evaluator.fleet,
                                  evaluator.rows, responded, dispatch, xi_j)
-        margins = evaluator._rhs - evaluator._signs * values[evaluator._q_idx]
+        rows = evaluator.rows
+        margins = rows.rhs - rows.signs * values[rows.q_idx]
         violated[j, :-1] = margins < -ROW_TOL
     return violated.any(axis=1), violated.mean(axis=0), iterations
 

@@ -10,6 +10,7 @@ against closed-form two-variable KKT algebra.
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,34 +185,57 @@ class TestDcResponse:
                                    atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def case14_rated(case14_raw):
+    """case14 with case.default_line_limit = 1 p.u.: every branch is rated,
+    so every flow has its rows.  fleet14 fits it (same buses and
+    capacities)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return to_network(case14_raw, default_line_limit=1.0)
+
+
 class TestCcSystem:
-    def test_row_layout(self, case14, fleet14):
-        cc = assemble_cc_system(case14, fleet14)
+    def test_row_layout(self, case14_rated, fleet14, case14):
+        cc = assemble_cc_system(case14_rated, fleet14)
         # 4 non-slack generators, 20 branches, upper and lower each.
         assert cc.n_rows == 2 * 4 + 2 * 20
-        assert cc.base_lin.shape == (48, case14.n_gen)
+        assert cc.base_lin.shape == (48, case14_rated.n_gen)
         assert cc.sens.shape == (48, fleet14.n_vre)
         assert cc.row_names[0].startswith("gen1_hi")
         assert cc.row_names[8].startswith("flow0_hi")
-        with_slack = assemble_cc_system(case14, fleet14,
+        with_slack = assemble_cc_system(case14_rated, fleet14,
                                         include_slack_rows=True)
         assert with_slack.n_rows == 2 * 5 + 2 * 20
+        # Unrated, no branch has a limit: only the 8 generator rows, bit
+        # for bit those of the rated case.
+        unrated = assemble_cc_system(case14, fleet14)
+        assert unrated.row_names == cc.row_names[:8]
+        for field in ("base_lin", "base_const", "sens", "rhs"):
+            np.testing.assert_array_equal(getattr(unrated, field),
+                                          getattr(cc, field)[:8])
 
-    def test_rows_match_physical_recomputation(self, case14, fleet14):
-        cc = assemble_cc_system(case14, fleet14, include_slack_rows=True)
-        phi = build_ptdf(case14)
+    def test_rows_need_finite_bounds(self):
+        with pytest.raises(ValueError, match="finite bound"):
+            CcSystem(row_names=("hi", "unrated"),
+                     base_lin=np.ones((2, 1)), base_const=np.zeros(2),
+                     sens=np.zeros((2, 1)), rhs=np.array([1.0, np.inf]))
+
+    def test_rows_match_physical_recomputation(self, case14_rated, fleet14):
+        cc = assemble_cc_system(case14_rated, fleet14, include_slack_rows=True)
+        phi = build_ptdf(case14_rated)
         rng = np.random.default_rng(9)
-        x = rng.uniform(0, 1, case14.n_gen)
+        x = rng.uniform(0, 1, case14_rated.n_gen)
         for _ in range(3):
             xi = rng.normal(scale=0.05, size=fleet14.n_vre)
             shift = float(np.sum(xi))
             gen_out = x - fleet14.gen_participation * shift
-            inj = -case14.p_load.copy()
-            np.add.at(inj, case14.gen_bus, gen_out)
+            inj = -case14_rated.p_load.copy()
+            np.add.at(inj, case14_rated.gen_bus, gen_out)
             np.add.at(inj, fleet14.vre_buses, fleet14.forecasts + xi)
             flows = phi @ inj
             values = cc.row_values(x, xi)
-            n_gen = case14.n_gen
+            n_gen = case14_rated.n_gen
             np.testing.assert_allclose(values[:n_gen], gen_out, atol=1e-10)
             np.testing.assert_allclose(values[n_gen:2 * n_gen], -gen_out,
                                        atol=1e-10)
@@ -244,15 +268,14 @@ class TestCcSystem:
                                        atol=1e-12)
 
 
-    def test_nominal_system_and_conflict_row_skip_unbounded_rows(self):
-        # 2x <= 2, an unrated row, and -x <= -2 conflict.  The Farkas
-        # weights on the bounded rows are 1/4 and 1/2 (y'A = 0, ||a||'y
-        # = 1), so the last row is named, past the unrated one.
-        cc = CcSystem(row_names=("hi", "unrated", "lo"),
-                      base_lin=np.array([[2.0], [1.0], [-1.0]]),
-                      base_const=np.array([0.0, 0.0, 1.0]),
-                      sens=np.zeros((3, 1)),
-                      rhs=np.array([2.0, np.inf, -1.0]))
+    def test_nominal_system_and_conflict_row(self):
+        # 2x <= 2 and -x <= -2 conflict.  The Farkas weights are 1/4 and
+        # 1/2 (y'A = 0, ||a||'y = 1), so the last row is named.
+        cc = CcSystem(row_names=("hi", "lo"),
+                      base_lin=np.array([[2.0], [-1.0]]),
+                      base_const=np.array([0.0, 1.0]),
+                      sens=np.zeros((2, 1)),
+                      rhs=np.array([2.0, -1.0]))
         system = cc.nominal_system((np.zeros((0, 1)), np.zeros(0)))
         np.testing.assert_array_equal(system.a_ineq, [[2.0], [-1.0]])
         np.testing.assert_array_equal(system.b_ineq, [2.0, -2.0])

@@ -896,20 +896,20 @@ class TestSolveSelection:
 
 
 class TestBuildFromChanceRows:
-    def test_blocks_shift_by_scenario_and_drop_infinite_rows(self):
+    def test_blocks_shift_by_scenario(self):
         rows = CcSystem(
-            row_names=("r0", "r1", "r2"),
-            base_lin=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-            base_const=np.array([0.1, 0.0, -0.2]),
-            sens=np.array([[2.0], [0.0], [1.0]]),
-            rhs=np.array([1.0, np.inf, 3.0]))
+            row_names=("r0", "r2"),
+            base_lin=np.array([[1.0, 0.0], [1.0, 1.0]]),
+            base_const=np.array([0.1, -0.2]),
+            sens=np.array([[2.0], [1.0]]),
+            rhs=np.array([1.0, 3.0]))
 
         xi = np.array([[0.5], [-0.5]])
         cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
         problem = build_selection_from_ccopf(
             rows, xi, cost, k=1,
             equalities=(np.array([[1.0, 1.0]]), np.array([1.0])))
-        assert problem.base.a_ineq.shape == (2, 2)  # inf row dropped
+        assert problem.base.a_ineq.shape == (2, 2)
         assert problem.base.a_eq.shape == (1, 2)
         assert problem.b.shape == (2, 2)
         np.testing.assert_allclose(problem.b[0], [1.0 - 0.1 - 2.0 * 0.5,
