@@ -35,6 +35,11 @@ class CaseFormatError(ValueError):
     """Malformed case text or a violated case invariant."""
 
 
+class CostOverrideError(CaseFormatError):
+    """A cost_override that is not one row of three per in-service
+    generator."""
+
+
 @dataclass(frozen=True, eq=False)
 class RawCase:
     """Verbatim MATPOWER matrices, still in mixed MW / per-unit units."""
@@ -310,7 +315,7 @@ def to_network(raw, *, default_line_limit=math.inf, cost_override=None):
     if cost_override is not None:
         cost_override = np.asarray(cost_override, dtype=float)
         if cost_override.shape != (gen.shape[0], 3):
-            raise CaseFormatError(
+            raise CostOverrideError(
                 f"cost_override shape {cost_override.shape} does not match "
                 f"{gen.shape[0]} in-service generators x 3 coefficients"
             )

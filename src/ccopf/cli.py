@@ -59,7 +59,12 @@ from .ambiguity import (
     min_k_for_target,
     optimal_epsilon,
 )
-from .case_io import build_fleet, load_case, packaged_case_path
+from .case_io import (
+    CostOverrideError,
+    build_fleet,
+    load_case,
+    packaged_case_path,
+)
 from .dc_model import assemble_cc_system, is_connected, make_cost
 from .evaluation import (
     DcEvaluator,
@@ -255,6 +260,8 @@ def _build_case(cfg):
               if f"case.{name}" in cfg}
     try:
         return load_case(path, **kwargs)
+    except CostOverrideError as exc:
+        raise CliError(f"config key case.cost_override: {exc}") from exc
     except Exception as exc:
         raise CliError(f"config key case.path: failed to load "
                        f"{path}: {exc}") from exc
@@ -309,10 +316,7 @@ def _choose_params(cfg, s):
                        f"set exactly one ({state})")
     try:
         if target is not None:
-            params = AmbiguityParams.from_target(target, s)
-            log.info("k = %d chosen for epsilon target %g "
-                     "(epsilon* = %.6g)", params.k, target, params.epsilon)
-            return params
+            return AmbiguityParams.from_target(target, s)
         return AmbiguityParams.from_k(k, s)
     except ValueError as exc:
         key = "solve.epsilon_target" if target is not None else "solve.k"
@@ -741,8 +745,12 @@ def cmd_solve(args):
                        model=args.model)
     cfg, model, case = run.cfg, run.model, run.model.case
     train, test, ro_set = (run.sets[name] for name in ("train", "test", "ro"))
+    params = _choose_params(cfg, train.s)  # before the log is truncated
     with _run_log(run.outdir, run.prefix):
-        params = _choose_params(cfg, train.s)
+        target = cfg.get("solve.epsilon_target")
+        if target is not None:
+            log.info("k = %d chosen for epsilon target %g "
+                     "(epsilon* = %.6g)", params.k, target, params.epsilon)
         report_ro = cfg.get("solve.report_ro", True)
         digest = _run_digest(
             model, {"train": train, "test": test,
@@ -894,9 +902,9 @@ def cmd_eval(args):
     cost = make_cost(model.case).value(dispatch)
     digest = _run_digest(model, {"test": test},
                          dispatch=tuple(dispatch.tolist()))
+    _make_outdir(run.outdir)
     report = model.score(dispatch, test, cost=cost, seeds={"test": test.seed},
                          config_digest=digest)
-    _make_outdir(run.outdir)
     rep_path = os.path.join(run.outdir, f"{run.prefix}_eval.csv")
     _write_report_csv(rep_path, report)
     print(f"joint_violation_rate: {report.joint_violation_rate:.6g}")

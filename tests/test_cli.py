@@ -20,6 +20,8 @@ from ccopf.case_io import packaged_case_path
 from ccopf.cli import (
     _KEYS,
     CliError,
+    _DcModel,
+    build_parser,
     _exit_code_for,
     _parse_k_values,
     _read_config,
@@ -345,6 +347,14 @@ class TestConfigKeys:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_cost_row_count_names_its_key(self):
+        with pytest.raises(CliError) as info:
+            _resolve_run(CONFIG_DIR / "tutorial.ini",
+                         ["case.cost_override=0 20 0"])
+        assert str(info.value) == (
+            "config key case.cost_override: cost_override shape (1, 3) does "
+            "not match 5 in-service generators x 3 coefficients")
+
     @pytest.mark.parametrize("command", ["solve", "sweep", "eval",
                                          "scenario gen"])
     def test_uncreatable_output_dir_names_its_key(self, tutorial_run,
@@ -452,6 +462,22 @@ class TestSolveDc:
              "--set", "solve.epsilon_target="], cwd=tmp_path)
         assert result.returncode == 1
         assert "neither" in result.stderr
+
+    @pytest.mark.parametrize("sets", [
+        ["solve.k=500"], ["solve.k=500", "solve.epsilon_target="]])
+    def test_rejected_count_keeps_the_last_log(self, tmp_path, sets):
+        log_path = tmp_path / "out" / "tutorial.log"
+        log_path.parent.mkdir()
+        log_path.write_text("the last good run\n")
+        result = run_cli(
+            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+             *[arg for item in sets for arg in ("--set", item)]],
+            cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1].startswith(
+            "error: config key")
+        assert "solve.k" in result.stderr
+        assert log_path.read_text() == "the last good run\n"
 
     def test_malformed_override_rejected(self, tmp_path):
         result = run_cli(
@@ -716,6 +742,23 @@ class TestEval:
         assert result.returncode == 1
         assert "must be generator" in result.stderr
         assert not list(tmp_path.glob("out/*_eval.csv"))
+
+    def test_output_dir_is_checked_before_scoring(self, tutorial_run,
+                                                  tmp_path, monkeypatch):
+        scored = []
+        monkeypatch.setattr(_DcModel, "score",
+                            lambda self, *args, **kw: scored.append(args))
+        (tmp_path / "file").write_text("")
+        args = build_parser().parse_args(
+            ["eval", "--config", str(CONFIG_DIR / "tutorial.ini"),
+             "--solution",
+             str(tutorial_run[0] / "out" / "tutorial_solution.csv"),
+             "--set", f"output.dir={tmp_path / 'file' / 'out'}"])
+        with pytest.raises(CliError) as info:
+            args.func(args)
+        assert str(info.value).startswith("config key output.dir: ")
+        assert info.value.exit_code == 1
+        assert scored == []
 
     def test_unknown_model_rejected(self, tutorial_run, tmp_path):
         # The same check and message as sweep, before anything is scored.
