@@ -904,8 +904,11 @@ class AcEvaluator:
         return iterations, norm, vmag, theta
 
     def check(self, dispatch, xi):
-        """(joint violation mask over scenarios, per-row violation rates)."""
-        dispatch = np.asarray(dispatch, dtype=float)
+        """(joint violation mask over scenarios, per-row violation rates)
+        of the dispatch the evaluator was built at."""
+        if not np.array_equal(dispatch, self.dispatch):
+            raise ValueError("check needs the dispatch the evaluator was "
+                             "built at")
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         rows = self.rows
         violated = np.zeros((xi.shape[0], len(self.row_names)), dtype=bool)
@@ -917,7 +920,7 @@ class AcEvaluator:
             solved = norm <= NEWTON_TOL
             values = rows.values(
                 self.case, self.fleet, *_quantities(self._net, vmag, theta),
-                dispatch, xi[block])
+                self.dispatch, xi[block])
             margins = rows.rhs - rows.signs * values[:, rows.q_idx]
             violated[block, :-1] = (margins < -ROW_TOL) & solved[:, None]
             violated[block, -1] = ~solved

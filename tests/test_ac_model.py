@@ -794,6 +794,13 @@ class TestBatchedNewton:
         np.testing.assert_array_equal(evaluator.iterations, ref_its)
         assert evaluator.iterations.shape == (count,)
 
+    def test_check_needs_the_built_at_dispatch(self, ac14):
+        _, _, dispatch, evaluator, xi = ac14
+        with pytest.raises(ValueError, match="dispatch the evaluator was"):
+            evaluator.check(dispatch + 1e-3, xi[:1])
+        joint, _ = evaluator.check(dispatch.copy(), xi[:1])
+        assert joint.shape == (1,)
+
     def test_singular_jacobian_stops_only_that_scenario(self, ac14,
                                                         monkeypatch):
         _, _, _, evaluator, xi = ac14
