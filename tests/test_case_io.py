@@ -1,7 +1,9 @@
 """Tests for MATPOWER parsing and per-unit conversion."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ccopf.case_io import (
     SLACK,
     CaseFormatError,
     build_fleet,
+    packaged_case_path,
     parse_matpower,
     to_network,
 )
@@ -190,3 +193,14 @@ class TestBuildFleet:
             build_fleet(case14, [1], [-0.2], 0.1)
         with pytest.raises(ValueError, match="equal length"):
             build_fleet(case14, [1, 2], [0.2], 0.1)
+
+
+def test_case300_generator_reproduces_the_bundled_file():
+    """tools/gen_case300.py renders data/case300s.m byte for byte."""
+    tool_path = Path(__file__).resolve().parents[1] / "tools/gen_case300.py"
+    spec = importlib.util.spec_from_file_location("gen_case300", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    text = tool.render(*tool.build())
+    bundled = Path(packaged_case_path("case300s")).read_bytes()
+    assert text.encode("utf-8") == bundled
