@@ -10,10 +10,11 @@ sensitivities to forecast errors and to dispatch, by the implicit-function
 rule on the power-flow Jacobian; and an alternating loop that linearizes
 the monitored quantities around the latest operating point, solves the
 scenario-selection program on those rows, and re-projects onto the
-power-flow manifold until the operating point settles.  AcRowSet, built
-once by ac_row_set, owns the row layout: how each kind of row is indexed,
-read, differentiated and signed; _Sensitivity factorizes the Jacobian
-once per operating point for the rows, loss balance and error response.
+power-flow manifold until the operating point settles.  AcRowSet, whose
+constructor chooses the monitored set, owns the row layout: how each kind
+of row is indexed, read, differentiated and signed; _Sensitivity factorizes
+the Jacobian once per operating point for the rows, loss balance and error
+response.
 
 Conventions: voltage magnitudes are carried squared (p.u.^2), matching the
 squared bounds of the bus-voltage rows; branch flows are directed active
@@ -175,27 +176,26 @@ def _ds_bus(net, v):
     return ds_dva, ds_dvm
 
 
-def _ds_branch(net, v):
-    """Partials of directed complex branch powers [from; to], (2L, n)."""
-    n = v.size
-    ll = net.f.size
+def _ds_branch(net, v, flows):
+    """Partials of the directed complex branch powers that flows indexes
+    in the stacked [from; to] order, one (flows.size, n) array each."""
+    a = np.concatenate([net.f, net.t])[flows]  # own end
+    b = np.concatenate([net.t, net.f])[flows]  # far end
+    y = np.tile(net.y_series, 2)[flows]
     u = v / np.abs(v)
-    rows = np.arange(ll)
-    out_va = np.zeros((2 * ll, n), dtype=complex)
-    out_vm = np.zeros((2 * ll, n), dtype=complex)
-    for block, (a, b) in enumerate(((net.f, net.t), (net.t, net.f))):
-        va_, vb_ = v[a], v[b]
-        y = net.y_series
-        i_dir = y * (va_ - vb_)
-        base = block * ll
-        # d S / d theta: own-end and far-end columns.
-        out_va[base + rows, a] = 1j * (va_ * np.conj(i_dir)
-                                       - np.conj(y) * np.abs(va_) ** 2)
-        out_va[base + rows, b] += 1j * np.conj(y) * va_ * np.conj(vb_)
-        # d S / d vmag.
-        out_vm[base + rows, a] = (u[a] * np.conj(i_dir)
-                                  + np.conj(y) * va_ * np.conj(u[a]))
-        out_vm[base + rows, b] += -np.conj(y) * va_ * np.conj(u[b])
+    va_, vb_ = v[a], v[b]
+    i_dir = y * (va_ - vb_)
+    rows = np.arange(flows.size)
+    out_va = np.zeros((flows.size, v.size), dtype=complex)
+    out_vm = np.zeros((flows.size, v.size), dtype=complex)
+    # d S / d theta: own-end and far-end columns.
+    out_va[rows, a] = 1j * (va_ * np.conj(i_dir)
+                            - np.conj(y) * np.abs(va_) ** 2)
+    out_va[rows, b] += 1j * np.conj(y) * va_ * np.conj(vb_)
+    # d S / d vmag.
+    out_vm[rows, a] = (u[a] * np.conj(i_dir)
+                       + np.conj(y) * va_ * np.conj(u[a]))
+    out_vm[rows, b] += -np.conj(y) * va_ * np.conj(u[b])
     return out_va, out_vm
 
 
@@ -420,8 +420,10 @@ class AcRowSet:
     branch active power, index = row into the stacked [from; to] flows,
     upper bound only).
 
-    Built once per case by ac_row_set from the index arrays of the kind
-    groups, in kind order (the flow group is every directed flow); the
+    The constructor chooses the kind groups in kind order, with their
+    names and bounds: the machines and their buses (slack ones only with
+    include_slack_rows), the PQ buses, and the directed flows of the rated
+    branches only (an unrated branch has no limit, so no quantity).  The
     case fixes which machine rows sit at the slack bus and how they share
     its output, and is not kept.  Everything that depends on a row's kind
     works on the kind groups, one array operation per group: values reads
@@ -433,12 +435,39 @@ class AcRowSet:
     block; flow rows upper only), less the rows with no finite bound.
     """
 
-    def __init__(self, case, gens, q_buses, v_buses, names, lo, hi):
-        self.names = tuple(names)
-        self.lo, self.hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        self.q_buses, self.v_buses = q_buses, v_buses
-        self.flows = np.arange(2 * case.n_branch)
-        groups = (gens, q_buses, v_buses, self.flows)
+    def __init__(self, case, *, include_slack_rows=False):
+        order = np.argsort(case.gen_bus, kind="stable")
+        gen_buses, starts = np.unique(case.gen_bus[order], return_index=True)
+        at_pq = gen_buses[case.bus_kind[gen_buses] == PQ]
+        if at_pq.size:
+            raise ValueError(
+                f"generator at PQ bus {case.bus_ids[at_pq[0]]} is not "
+                "supported by the nonlinear model (bus must hold voltage)")
+        gens = np.flatnonzero(include_slack_rows | ~case.slack_gen_mask())
+        q_keep = include_slack_rows | (gen_buses != case.slack)
+        self.q_buses = gen_buses[q_keep]
+        self.v_buses = np.flatnonzero(case.bus_kind == PQ)
+        rated = np.flatnonzero(np.isfinite(case.br_limit))
+        self.flows = np.concatenate([rated, case.n_branch + rated])
+        branch = self.flows % case.n_branch
+        ids = case.bus_ids
+        self.names = tuple(
+            [f"gen{g}@bus{ids[case.gen_bus[g]]}" for g in gens]
+            + [f"qgen@bus{ids[b]}" for b in self.q_buses]
+            + [f"v@bus{ids[b]}" for b in self.v_buses]
+            + [f"flow{l}_{'fwd' if row < case.n_branch else 'rev'}:"
+               f"{ids[case.br_from[l]]}-{ids[case.br_to[l]]}"
+               for row, l in zip(self.flows, branch)])
+        # Machine Q ranges summed per generator bus.
+        q_lo, q_hi = (np.add.reduceat(q[order], starts)[q_keep]
+                      for q in (case.q_min, case.q_max))
+        self.lo = np.concatenate([case.p_min[gens], q_lo,
+                                  case.v_min2[self.v_buses],
+                                  np.full(branch.size, -np.inf)])
+        self.hi = np.concatenate([case.p_max[gens], q_hi,
+                                  case.v_max2[self.v_buses],
+                                  case.br_limit[branch]])
+        groups = (gens, self.q_buses, self.v_buses, self.flows)
         self.kinds = tuple(kind for kind, group in zip(
             ("pgen", "qbus", "v", "flow"), groups) for _ in group)
         ends = np.cumsum([group.size for group in groups])
@@ -509,14 +538,16 @@ class AcRowSet:
         Non-slack machine outputs do not move with the state; v rows sit
         at PQ buses, whose magnitudes are unknowns.
         """
-        dp_du, dq_du, dl_du = sens.partials
+        dp_du, dq_du = sens.partials
         out = np.zeros((self.n_rows, sens.n_u))
         out[self.slack_rows] = (self.slack_shares[:, None]
                                 * dp_du[sens.case.slack])
         out[self.q_rows] = dq_du[self.q_buses]
         out[self.v_rows, sens.q_row[self.v_buses]] = (
             2.0 * sens.vmag[self.v_buses])
-        out[self.flow_rows] = dl_du[self.flows]
+        dl_dva, dl_dvm = _ds_branch(sens.net, sens.v, self.flows)
+        out[self.flow_rows] = np.hstack([dl_dva.real[:, sens.ns],
+                                         dl_dvm.real[:, sens.pq]])
         return out
 
     def direct_xi(self, case, fleet):
@@ -532,40 +563,9 @@ class AcRowSet:
 
 
 def ac_row_set(case, fleet, *, include_slack_rows=False):
-    """The default monitored set: non-slack machine P, per-gen-bus
-    aggregate machine Q, PQ-bus squared voltages, directed flows.
-
-    Slack-machine rows (P and Q) are the balancing reserve and enter only
-    with include_slack_rows=True, mirroring the DC schema.
-    """
-    order = np.argsort(case.gen_bus, kind="stable")
-    gen_buses, starts = np.unique(case.gen_bus[order], return_index=True)
-    at_pq = gen_buses[case.bus_kind[gen_buses] == PQ]
-    if at_pq.size:
-        raise ValueError(
-            f"generator at PQ bus {case.bus_ids[at_pq[0]]} is not supported "
-            "by the nonlinear model (bus must hold voltage)")
-    gens = np.flatnonzero(include_slack_rows | ~case.slack_gen_mask())
-    q_keep = include_slack_rows | (gen_buses != case.slack)
-    q_buses = gen_buses[q_keep]
-    v_buses = np.flatnonzero(case.bus_kind == PQ)
-    branch = np.arange(2 * case.n_branch) % case.n_branch
-    ids = case.bus_ids
-    names = (
-        [f"gen{g}@bus{ids[case.gen_bus[g]]}" for g in gens]
-        + [f"qgen@bus{ids[b]}" for b in q_buses]
-        + [f"v@bus{ids[b]}" for b in v_buses]
-        + [f"flow{l}_{'fwd' if row < case.n_branch else 'rev'}:"
-           f"{ids[case.br_from[l]]}-{ids[case.br_to[l]]}"
-           for row, l in enumerate(branch)])
-    # Machine Q ranges summed per generator bus.
-    q_ranges = [np.add.reduceat(q[order], starts)[q_keep]
-                for q in (case.q_min, case.q_max)]
-    lo = np.concatenate([case.p_min[gens], q_ranges[0], case.v_min2[v_buses],
-                         np.full(branch.size, -np.inf)])
-    hi = np.concatenate([case.p_max[gens], q_ranges[1], case.v_max2[v_buses],
-                         case.br_limit[branch]])
-    return AcRowSet(case, gens, q_buses, v_buses, names, lo, hi)
+    """The monitored set of the nonlinear model on case: AcRowSet, which
+    needs no fleet."""
+    return AcRowSet(case, include_slack_rows=include_slack_rows)
 
 
 def quantity_values(case, fleet, rows, state, dispatch, xi=None):
@@ -618,14 +618,11 @@ class _Sensitivity:
 
     @cached_property
     def partials(self):
-        """(dp_du, dq_du, dl_du): bus P, bus Q and branch flow against the
-        power-flow unknowns."""
+        """(dp_du, dq_du): bus P and bus Q against the power-flow unknowns."""
         ds_dva, ds_dvm = _ds_bus(self.net, self.v)
-        dl_dva, dl_dvm = _ds_branch(self.net, self.v)
         return tuple(np.hstack([d_va[:, self.ns], d_vm[:, self.pq]])
                      for d_va, d_vm in ((ds_dva.real, ds_dvm.real),
-                                        (ds_dva.imag, ds_dvm.imag),
-                                        (dl_dva.real, dl_dvm.real)))
+                                        (ds_dva.imag, ds_dvm.imag)))
 
     @cached_property
     def du_x(self):

@@ -390,12 +390,16 @@ class TestResponseJacobian:
 
     # Bus 1 is the slack: with slack rows, its machine rows and the direct
     # error term of a source at the slack bus are differentiated too.
-    @pytest.mark.parametrize("vre_buses, include_slack_rows",
-                             [((2, 3), False), ((9, 14), False),
-                              ((1, 3), True)],
-                             ids=["vre_buses0", "vre_buses1", "slack_rows"])
+    # case14 rates no branch, so only the rated input has flow rows.
+    @pytest.mark.parametrize("vre_buses, include_slack_rows, rated",
+                             [((2, 3), False, False), ((9, 14), False, False),
+                              ((1, 3), True, False), ((9, 14), False, True)],
+                             ids=["vre_buses0", "vre_buses1", "slack_rows",
+                                  "rated"])
     def test_finite_differences(self, case14, vre_buses,
-                                include_slack_rows):
+                                include_slack_rows, rated):
+        if rated:
+            case14 = replace(case14, br_limit=np.full(case14.n_branch, 1.0))
         fleet = build_fleet(case14, [case14.bus_index(b)
                                      for b in vre_buses],
                             np.array([0.15, 0.15]), 0.1)
@@ -403,6 +407,8 @@ class TestResponseJacobian:
         state = solve_operating_point(case14, fleet, dispatch)
         rows = ac_row_set(case14, fleet,
                           include_slack_rows=include_slack_rows)
+        assert rows.kinds.count("flow") == (2 * case14.n_branch if rated
+                                            else 0)
         jac = response_jacobian(case14, fleet, state, rows=rows)
         fd = self.fd_matrix(case14, fleet, rows, state, dispatch)
         big = np.abs(jac.j_matrix) > 1e-8
@@ -442,6 +448,7 @@ class TestResponseJacobian:
 
     def test_flow_rows_approach_dc_sensitivities(self):
         case = triangle(0.0, 0.1, 0.1)  # lossless, near-flat
+        case = replace(case, br_limit=np.full(3, 1.0))  # flows have rows
         fleet = build_fleet(case, [1, 2], np.array([0.01, 0.01]), 0.1)
         dispatch = np.array([0.001, 0.001])
         state = solve_operating_point(case, fleet, dispatch)
@@ -465,6 +472,27 @@ def case14_ac_rated(case14_ac):
     br_limit = np.full(case14_ac.n_branch, 1.0)
     br_limit.setflags(write=False)
     return replace(case14_ac, br_limit=br_limit)
+
+
+class TestRowSet:
+    def test_only_quantities_with_a_bound_are_monitored(self, ac14_inputs):
+        # case14q rates no branch: no directed flow is a quantity, and the
+        # 17 quantities expand into 34 signed rows.  Rated, all 40 are.
+        case, fleet, _, _ = ac14_inputs
+        rows = ac_row_set(case, fleet)
+        assert (rows.n_rows, len(rows.signed_names)) == (17, 34)
+        assert "flow" not in rows.kinds
+        rated = replace(case, br_limit=np.full(case.n_branch, 1.0))
+        rows = ac_row_set(rated, fleet)
+        assert (rows.n_rows, len(rows.signed_names)) == (57, 74)
+        assert rows.kinds.count("flow") == 40
+        # One rated branch: its two directed flows, from-side first.
+        one = replace(case, br_limit=np.where(np.arange(case.n_branch) == 3,
+                                              0.5, np.inf))
+        rows = ac_row_set(one, fleet)
+        assert rows.names[17:] == ("flow3_fwd:2-4", "flow3_rev:2-4")
+        np.testing.assert_array_equal(rows.flows, [3, 3 + case.n_branch])
+        np.testing.assert_array_equal(rows.hi[17:], [0.5, 0.5])
 
 
 class TestLinearization:
@@ -781,11 +809,17 @@ class TestBatchedNewton:
         assert_block_matches_batch_of_one(
             evaluator, mixed, (iterations, norm, vmag, theta))
 
-    @pytest.mark.parametrize("size", ["one", "block", "ragged"])
+    # case14q rates no branch; rated at 0.6 p.u., the block scorer reads
+    # the 40 flow rows too, and some of them are violated.
+    @pytest.mark.parametrize("size", ["one", "block", "ragged", "rated"])
     def test_check_equals_the_scalar_loop(self, ac14, size):
-        case, _, dispatch, evaluator, xi = ac14
+        case, fleet, dispatch, evaluator, xi = ac14
+        if size == "rated":
+            evaluator = AcEvaluator(
+                replace(case, br_limit=np.full(case.n_branch, 0.6)), fleet,
+                dispatch)
         step = ac_model._block_size(case.n_bus)
-        count = {"one": 1, "block": step, "ragged": 2 * step + 7}[size]
+        count = {"one": 1, "block": step}.get(size, 2 * step + 7)
         joint, per_row = evaluator.check(dispatch, xi[:count])
         ref_joint, ref_rows, ref_its = batch_of_one_check(
             evaluator, dispatch, xi[:count])
@@ -793,6 +827,10 @@ class TestBatchedNewton:
         np.testing.assert_array_equal(per_row, ref_rows)
         np.testing.assert_array_equal(evaluator.iterations, ref_its)
         assert evaluator.iterations.shape == (count,)
+        flow = np.char.startswith(evaluator.row_names, "flow")
+        assert flow.sum() == (40 if size == "rated" else 0)
+        if size == "rated":
+            assert np.any((per_row[flow] > 0) & (per_row[flow] < 1))
 
     def test_check_needs_the_built_at_dispatch(self, ac14):
         _, _, dispatch, evaluator, xi = ac14
