@@ -62,11 +62,7 @@ class NewtonError(RuntimeError):
 
 
 class FixedPointError(RuntimeError):
-    """The alternating solve did not settle; carries the distance trail."""
-
-    def __init__(self, message, d_history=()):
-        super().__init__(message)
-        self.d_history = tuple(d_history)
+    """The alternating solve did not settle."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -814,8 +810,8 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     linearization loop included), and measures the distance between
     consecutive operating points over the controlled subvector.  The
     frozen sensitivities and the first inner pass share one factorization.
-    Stops when the distance falls to OUTER_TOL; raises FixedPointError
-    with the full distance trail otherwise.
+    Stops when the distance falls to OUTER_TOL; raises FixedPointError,
+    whose message lists the full distance trail, otherwise.
     """
     xi = np.atleast_2d(np.asarray(getattr(scenarios, "xi", scenarios),
                                   dtype=float))
@@ -853,8 +849,7 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     raise FixedPointError(
         "operating point still moving after "
         f"{MAX_OUTER_ITER} outer iterations: distances "
-        + ", ".join(f"{d:.3e}" for d in d_history),
-        d_history=d_history)
+        + ", ".join(f"{d:.3e}" for d in d_history))
 
 
 # --- evaluation hooks ------------------------------------------------------

@@ -50,6 +50,7 @@ from .ac_model import (
     AcEvaluator,
     FixedPointError,
     NewtonError,
+    ac_row_set,
     fixed_point_solve,
 )
 from .ambiguity import (
@@ -347,11 +348,14 @@ def _resolve_run(path, overrides=(), sets=("train", "test"), model=None):
     fleet = _build_fleet(cfg, case)
     spec = _build_spec(cfg, fleet)
     loaded = {which: _load_set(cfg, which, spec) for which in sets}
-    net = _network_model(
-        model, case, fleet,
-        options=SolverOptions(node_limit=cfg.get("solve.node_limit"),
-                              rel_gap=cfg.get("solve.rel_gap", 0.0)),
-        include_slack_rows=cfg.get("solve.include_slack_rows", False))
+    try:
+        net = _network_model(
+            model, case, fleet,
+            options=SolverOptions(node_limit=cfg.get("solve.node_limit"),
+                                  rel_gap=cfg.get("solve.rel_gap", 0.0)),
+            include_slack_rows=cfg.get("solve.include_slack_rows", False))
+    except ValueError as exc:  # a case the model cannot take
+        raise CliError(f"config key case.path: {exc}") from exc
     return _Run(cfg, net, loaded, cfg.get("output.dir", "out"),
                 cfg.get("output.prefix", f"{case.name}_{model}"))
 
@@ -503,6 +507,9 @@ class _AcModel:
     def __init__(self, case, fleet, options, include_slack_rows):
         self.case, self.fleet, self.options = case, fleet, options
         self.include_slack_rows = include_slack_rows
+        # Solve and score build their own; this one rejects, before any
+        # work, a case the nonlinear model cannot take.
+        ac_row_set(case, fleet, include_slack_rows=include_slack_rows)
 
     def solve(self, train, k):
         """(selection timed over the whole alternating solve, its
@@ -783,10 +790,15 @@ def cmd_solve(args):
                 log.info("robust baseline cost %.6g; cost ratio %.6g",
                          ro_objective, cost_vs_ro)
 
-        report = model.score(
-            sol.x_star, test, cost=sol.objective, cost_vs_ro=cost_vs_ro,
-            solve_stats=stats, seeds={"train": train.seed, "test": test.seed},
-            config_digest=digest)
+        try:
+            report = model.score(
+                sol.x_star, test, cost=sol.objective, cost_vs_ro=cost_vs_ro,
+                solve_stats=stats,
+                seeds={"train": train.seed, "test": test.seed},
+                config_digest=digest)
+        except NewtonError as exc:
+            log.info("out-of-sample scoring failed: %s", exc)
+            return EXIT_NUMERICAL
         log.info("cost %.6g; joint violation %.6g on %d test scenarios "
                  "(certified epsilon* %.6g)", sol.objective,
                  report.joint_violation_rate, test.s, params.epsilon)
@@ -821,6 +833,8 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
     the normalization baseline: by default the training set itself; pass a
     larger independent set to normalize against the sampled robust proxy;
     its size, seed and spec digest then enter the digest.
+    A k whose solve or score raises is a row with status
+    ERROR:<exception name>, and the sweep goes on.
     With record_time=False the time column is written as zero so repeated
     runs produce byte-identical files.
     """
@@ -836,6 +850,8 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
                "joint_violation": np.nan, "time_s": 0.0, "status": ""}
         try:
             sol, _ = net.solve(training_set, k)
+            if sol.status == OPTIMAL:
+                report = net.score(sol.x_star, test_set)
         except Exception as exc:  # row-level failure, sweep continues
             row["status"] = f"ERROR:{type(exc).__name__}"
             rows.append(row)
@@ -846,8 +862,7 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
         if sol.status == OPTIMAL:
             row["cost"] = sol.objective
             row["cost_vs_ro"] = sol.objective / ro_objective
-            row["joint_violation"] = net.score(
-                sol.x_star, test_set).joint_violation_rate
+            row["joint_violation"] = report.joint_violation_rate
         rows.append(row)
     rows.sort(key=lambda r: r["epsilon_star"])
 
@@ -903,8 +918,11 @@ def cmd_eval(args):
     digest = _run_digest(model, {"test": test},
                          dispatch=tuple(dispatch.tolist()))
     _make_outdir(run.outdir)
-    report = model.score(dispatch, test, cost=cost, seeds={"test": test.seed},
-                         config_digest=digest)
+    try:
+        report = model.score(dispatch, test, cost=cost,
+                             seeds={"test": test.seed}, config_digest=digest)
+    except NewtonError as exc:
+        raise CliError(str(exc), EXIT_NUMERICAL) from exc
     rep_path = os.path.join(run.outdir, f"{run.prefix}_eval.csv")
     _write_report_csv(rep_path, report)
     print(f"joint_violation_rate: {report.joint_violation_rate:.6g}")

@@ -143,15 +143,15 @@ def violation_frequency(solution, test_set, model, **report_fields):
 
 
 def solve_dc_selection(case, fleet, training_set, k, *, cc=None,
-                       options=None, include_slack_rows=False):
-    """End-to-end k-of-S dispatch on the linearized model.
+                       options=None):
+    """End-to-end k-of-S dispatch on the linearized model, on cc or, by
+    default, the default DC rows of case.
 
     Returns (solution, cc) so callers can evaluate the same row system
     out of sample.
     """
     if cc is None:
-        cc = assemble_cc_system(case, fleet,
-                                include_slack_rows=include_slack_rows)
+        cc = assemble_cc_system(case, fleet)
     problem = build_selection_from_ccopf(
         cc, training_set.xi, make_cost(case), k,
         equalities=balance_equality(case, fleet))

@@ -2,6 +2,7 @@
 stability.  Commands run as subprocesses so exit codes, streams, and file
 side effects are observed exactly as a shell user sees them."""
 
+import logging
 import re
 import shutil
 import subprocess
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccopf.ac_model import fixed_point_solve
+from ccopf import cli
+from ccopf.ac_model import NewtonError, fixed_point_solve
 from ccopf.ambiguity import AmbiguityParams
 from ccopf.case_io import packaged_case_path
 from ccopf.cli import (
@@ -27,6 +29,7 @@ from ccopf.cli import (
     _read_config,
     _resolve_run,
     _robust_objective,
+    sweep_k,
 )
 from conftest import subprocess_env
 
@@ -578,6 +581,65 @@ class TestSolveAc:
                 "no convergence" in log_text)
         assert not (tmp_path / "out" / "ac14_solution.csv").exists()
 
+    def test_rated_branches_are_monitored(self, tmp_path):
+        # Every branch rated at 2 p.u.: the 34 machine and voltage rows,
+        # the 40 directed flows and the Newton failure line are reported.
+        result = run_cli(
+            ["solve", "ac", "--config", CONFIG_DIR / "ac14.ini",
+             "--set", "case.default_line_limit=2.0",
+             "--set", "scenarios.test_s=100"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        names = [r["name"] for r in read_table(tmp_path / "out"
+                                               / "ac14_report.csv")
+                 if r["metric"] == "per_row"]
+        assert len(names) == 75 and names[-1] == "newton_failure"
+        assert sum(name.startswith("flow") for name in names) == 40
+
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_generator_at_a_pq_bus_names_case_path(self, tmp_path, command):
+        # case14q with bus 3, which holds a machine, typed PQ: the AC model
+        # rejects it before the last run's log is touched.
+        text = Path(packaged_case_path("case14q")).read_text()
+        text, count = re.subn(r"(?m)^(\s+3\s+)2(\s+94\.2\s)", r"\g<1>1\2",
+                              text)
+        assert count == 1
+        case = tmp_path / "pq3.m"
+        case.write_text(text)
+        log_path = tmp_path / "out" / "ac14.log"
+        log_path.parent.mkdir()
+        log_path.write_text("the last good run\n")
+        args = {"solve": ["solve", "ac"],
+                "eval": ["eval", "--solution", "void.csv"]}[command]
+        result = run_cli([*args, "--config", CONFIG_DIR / "ac14.ini",
+                          "--set", f"case.path={case}"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == (
+            "error: config key case.path: generator at PQ bus 3 is not "
+            "supported by the nonlinear model (bus must hold voltage)")
+        assert "Traceback" not in result.stderr
+        assert log_path.read_text() == "the last good run\n"
+        assert [p.name for p in log_path.parent.iterdir()] == ["ac14.log"]
+        # The linearized model takes the same case.
+        run = _resolve_run(CONFIG_DIR / "tutorial.ini",
+                           [f"case.path={case}"], sets=("train",))
+        assert run.model.name == "dc"
+
+    def test_failed_scoring_is_a_numerical_failure(self, tmp_path,
+                                                   monkeypatch, caplog):
+        def fail(*args, **kwargs):
+            raise NewtonError("nominal power flow for evaluation: injected")
+
+        monkeypatch.setattr(cli, "AcEvaluator", fail)
+        out = tmp_path / "out"
+        args = build_parser().parse_args(
+            ["solve", "ac", "--config", str(CONFIG_DIR / "ac14.ini"),
+             "--set", "scenarios.test_s=100", "--set", f"output.dir={out}"])
+        with caplog.at_level(logging.INFO, logger="ccopf"):
+            assert args.func(args) == 3
+        assert ("out-of-sample scoring failed: nominal power flow for "
+                "evaluation: injected") in (out / "ac14.log").read_text()
+        assert [p.name for p in out.iterdir()] == ["ac14.log"]
+
     def test_config_model_must_match_the_command(self, tmp_path):
         # configs/ac14.ini names model = ac: solve dc must not overwrite
         # the AC run's files with a DC dispatch.
@@ -645,6 +707,30 @@ class TestSweep:
         assert all(float(r["cost_vs_ro"]) <= 1.0 + 1e-6 for r in rows)
 
 
+    def test_failed_scoring_fails_only_its_row(self, monkeypatch):
+        # The first evaluator raises as a nominal power flow that does not
+        # solve would; that k is an error row and the sweep goes on.
+        built = []
+
+        def evaluator(*args, **kwargs):
+            built.append(args)
+            if len(built) == 1:
+                raise NewtonError("nominal power flow for evaluation: "
+                                  "injected")
+            return real(*args, **kwargs)
+
+        real = cli.AcEvaluator
+        monkeypatch.setattr(cli, "AcEvaluator", evaluator)
+        run = _resolve_run(CONFIG_DIR / "ac14.ini", ["scenarios.test_s=50"])
+        rows, _ = sweep_k(run.model, run.sets["train"], run.sets["test"],
+                          [36, 38], record_time=False)
+        assert len(built) == 2
+        assert [(r["k"], r["status"]) for r in rows] == [
+            (38, "OPTIMAL"), (36, "ERROR:NewtonError")]
+        assert 0.0 <= rows[0]["joint_violation"] <= 1.0
+        assert np.isnan(rows[1]["cost"])
+        assert np.isnan(rows[1]["joint_violation"])
+
     def test_failed_robust_baseline_keeps_the_solved_rows(self, tmp_path):
         result = run_cli(
             ["sweep", "--config", CONFIG_DIR / "sweep14.ini",
@@ -694,6 +780,29 @@ class TestEval:
         solved = rates("ac14_report.csv")
         assert ("per_row", "newton_failure") in solved
         assert rates("ac14_eval.csv") == solved
+
+    def test_failed_nominal_power_flow_is_a_numerical_failure(self,
+                                                              ac14_run,
+                                                              tmp_path):
+        # 30 p.u. on every machine of a 259 MW network has no power flow.
+        lines = (ac14_run[0] / "out" / "ac14_solution.csv").read_text()
+        lines = lines.splitlines()
+        for i in range(3, len(lines)):
+            row = lines[i].split(",")
+            row[2] = "30"
+            lines[i] = ",".join(row)
+        bad = tmp_path / "bad_solution.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        result = run_cli(
+            ["eval", "--config", CONFIG_DIR / "ac14.ini",
+             "--set", "scenarios.test_s=100", "--solution", bad],
+            cwd=tmp_path)
+        assert result.returncode == 3
+        assert result.stderr.splitlines()[-1].startswith(
+            "error: nominal power flow for evaluation: step rejected at "
+            "mismatch ")
+        assert "Traceback" not in result.stderr
+        assert not list(tmp_path.glob("out/*_eval.csv"))
 
     def test_missing_solution_file(self, tmp_path):
         result = run_cli(
