@@ -836,7 +836,8 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
     A k whose solve or score raises is a row with status
     ERROR:<exception name>, and the sweep goes on.
     With record_time=False the time column is written as zero so repeated
-    runs produce byte-identical files.
+    runs produce byte-identical files.  A k's time leaves out the work
+    it shares with earlier solves on the same scenario set.
     """
     s = training_set.s
     k_values = _sweep_k_values(k_values, s)

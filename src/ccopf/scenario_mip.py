@@ -36,15 +36,23 @@ a few breakpoints where a cold solve takes some fifty iterations.  When
 the path gives up, the same qp_solve call solves the QP cold, so one
 node is one QP.  All tie-breaks are by lowest index so results are
 reproducible.
+
+The all-enforced QP and the greedy incumbent's path do not depend on k.
+Every problem build_selection_from_ccopf makes from one cc object and
+one scenario, cost and equality data set shares them, for as long as
+that cc lives: a sweep and its robust baseline solve that QP once and
+walk the path once.  Shared results are read-only.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -585,6 +593,42 @@ def _blocking_step(a_ineq, b_ineq, x, direction, working, rhs_rate=None):
     return alpha, j_enter
 
 
+def _read_only(result):
+    """result, with its arrays made read-only: the solutions that share a
+    result share its arrays, so an in-place write must raise instead of
+    changing another solve's answer."""
+    for array in (result.x, result.duals_ineq, result.duals_eq, result.rhs):
+        if array is not None:
+            array.flags.writeable = False
+    return result
+
+
+@dataclass(eq=False)
+class _Shared:
+    """The k-independent work of one selection data set: the all-enforced
+    qp_solve result, the greedy path walked so far as (enforced mask,
+    OPTIMAL result) steps, and whether that path stopped at a trial that
+    was not OPTIMAL."""
+
+    all_enforced: QpSubproblemResult | None = None
+    path: list = field(default_factory=list)
+    stopped: bool = False
+
+
+# cc object -> {digest of the data a selection reads from it: _Shared}.
+_SHARED = weakref.WeakKeyDictionary()
+
+
+def _digest(*arrays):
+    """Digest of the shapes and float64 bytes of arrays."""
+    digest = hashlib.blake2b(digest_size=16)
+    for array in arrays:
+        array = np.ascontiguousarray(array, dtype=float)
+        digest.update(repr(array.shape).encode())
+        digest.update(array)
+    return digest.digest()
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionProblem:
     """k-of-S selection instance whose scenarios shift only the RHS.
@@ -595,12 +639,17 @@ class SelectionProblem:
     only shifts the right-hand side.  Any set of enforced blocks therefore
     collapses, with the base, into the single row set
     a x <= min(base bound, row-wise minimum of their b[j]).
+
+    _shared holds the k-independent work.  build_selection_from_ccopf
+    hands one holder to every problem on the same data; a problem
+    constructed directly gets a new, empty one and shares nothing.
     """
 
     cost: QuadraticCost
     base: LinearSystem
     b: np.ndarray
     k: int
+    _shared: _Shared = field(default_factory=_Shared, repr=False)
 
     def __post_init__(self):
         m, n = self.base.a_ineq.shape
@@ -672,6 +721,16 @@ class SelectionProblem:
         lam = np.where(rhs.min(axis=0) < self.base.b_ineq, lam, 0.0)
         return np.bincount(owner, weights=lam, minlength=self.n_scenarios)
 
+    def _all_enforced(self):
+        """The read-only qp_solve result of node_system(all scenarios),
+        solved cold once per shared holder."""
+        shared = self._shared
+        if shared.all_enforced is None:
+            every = np.ones(self.n_scenarios, dtype=bool)
+            shared.all_enforced = _read_only(
+                qp_solve(self.cost, self.node_system(every)))
+        return shared.all_enforced
+
 
 @dataclass
 class SolverOptions:
@@ -708,24 +767,34 @@ def greedy_incumbent(problem, all_enforced):
     largest aggregate dual weight, S - k times.
 
     all_enforced is the solved QP of node_system(all scenarios).  Returns
-    (x, z, value), or None when that QP is not OPTIMAL.
+    (x, z, value), or None when that QP is not OPTIMAL.  k sets only the
+    path's length: from the problem's shared all-enforced result, the
+    steps earlier calls walked are replayed, and only the rest is solved.
     """
     if all_enforced.status != OPTIMAL:
         return None
-    enforced = np.ones(problem.n_scenarios, dtype=bool)
-    result = all_enforced
-    for _ in range(problem.n_scenarios - problem.k):
-        weights = problem.scenario_weights(enforced, result.duals_ineq)
-        trial = enforced.copy()
-        # max weight, ties to the lowest scenario index
-        trial[np.argmax(np.where(enforced, weights, -np.inf))] = False
-        # dropping a block only loosens the system, so the trial moves
-        # the current optimum to its RHS
-        trial_result = qp_solve(problem.cost, problem.node_system(trial),
-                                warm_start=result)
-        if trial_result.status != OPTIMAL:
-            break  # fall back to the last feasible iterate
-        enforced, result = trial, trial_result
+    shared = problem._shared
+    if all_enforced is not shared.all_enforced:
+        shared = _Shared()  # another start: a path of its own
+    enforced, result = np.ones(problem.n_scenarios, dtype=bool), all_enforced
+    for step in range(problem.n_scenarios - problem.k):
+        if step == len(shared.path):
+            if shared.stopped:
+                break
+            weights = problem.scenario_weights(enforced, result.duals_ineq)
+            trial = enforced.copy()
+            # max weight, ties to the lowest scenario index
+            trial[np.argmax(np.where(enforced, weights, -np.inf))] = False
+            # dropping a block only loosens the system, so the trial moves
+            # the current optimum to its RHS
+            trial_result = qp_solve(problem.cost, problem.node_system(trial),
+                                    warm_start=result)
+            if trial_result.status != OPTIMAL:
+                shared.stopped = True
+                break  # fall back to the last feasible iterate
+            trial.flags.writeable = False
+            shared.path.append((trial, _read_only(trial_result)))
+        enforced, result = shared.path[step]
     return result.x, (~enforced).astype(int), result.value
 
 
@@ -755,11 +824,16 @@ def solve_selection(problem, options=None):
     then the gap the search proved (zero for the exact search).  The
     solution's iterations sums the active-set iterations of the qp_count
     QPs (the greedy incumbent's trials count in neither).
+
+    The all-enforced QP and the greedy path come from the problem's
+    shared holder.  qp_count and iterations count that QP in every
+    search, but wall_time includes the shared work only in the first
+    solve on the data.  Arrays from the holder are read-only.
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
     s, k = problem.n_scenarios, problem.k
-    nodes = qp_count = iterations = 0
+    nodes = 0
     anchor = None  # all-enforced optimum: every node system loosens it
 
     def finish(status, best=None, gap=np.nan, duals=(None, None),
@@ -786,7 +860,9 @@ def solve_selection(problem, options=None):
         return result
 
     every = np.ones(s, dtype=bool)
-    all_enforced = solve_node(every)
+    all_enforced = problem._all_enforced()
+    # shared or not, the all-enforced QP is this search's first QP
+    qp_count, iterations = 1, all_enforced.iterations
     if k == s:
         if all_enforced.status != OPTIMAL:
             return finish(all_enforced.status, message=(
@@ -900,8 +976,15 @@ def build_selection_from_ccopf(cc, xi, cost, k, *, equalities):
     shared LHS and row j of the RHS matrix is the shifted bound.  The base
     system is cc.nominal_system(equalities): the deterministic block
     (xi = 0) plus the equalities (power balance).
+
+    Problems on the same cc object, xi, cost and equalities share one
+    holder of the k-independent work, found by a digest of every array
+    read here but k (so never stale) and kept as long as cc lives.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     base = cc.nominal_system(equalities)
     b = np.array([base.b_ineq - cc.sens @ xi_j for xi_j in xi])
-    return SelectionProblem(cost=cost, base=base, b=b, k=k)
+    key = _digest(cc.base_lin, cc.base_const, cc.sens, cc.rhs, xi,
+                  cost.h, cost.g, cost.c0, *equalities)
+    shared = _SHARED.setdefault(cc, {}).setdefault(key, _Shared())
+    return SelectionProblem(cost=cost, base=base, b=b, k=k, _shared=shared)

@@ -1008,12 +1008,18 @@ class TestRelativeGap:
         assert early.objective * (1.0 - early.gap) <= exact.objective
 
 
+def unshared(problem):
+    """The same problem with a holder of its own: nothing solved on its
+    data before, such as the greedy path, is replayed."""
+    return SelectionProblem(problem.cost, problem.base, problem.b, problem.k)
+
+
 def cold_path_solve(problem, monkeypatch):
     from ccopf import scenario_mip
 
     with monkeypatch.context() as patch:
         patch.setattr(scenario_mip, "_rhs_homotopy", lambda *args: (None, 0))
-        return solve_selection(problem)
+        return solve_selection(unshared(problem))
 
 
 class TestParametricWarmStart:
@@ -1053,7 +1059,7 @@ class TestParametricWarmStart:
             return found, spent
 
         monkeypatch.setattr(scenario_mip, "_rhs_homotopy", recorded)
-        sol = solve_selection(config_problem(name, k))
+        sol = solve_selection(unshared(config_problem(name, k)))
         assert sol.status == OPTIMAL
         assert len(ended) >= sol.qp_count - 1  # every QP but the anchor
         assert all(ended)
