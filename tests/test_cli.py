@@ -595,6 +595,24 @@ class TestSolveAc:
         assert len(names) == 75 and names[-1] == "newton_failure"
         assert sum(name.startswith("flow") for name in names) == 40
 
+    def test_rated_run_reproduces_its_pinned_files(self, tmp_path):
+        # Every branch rated at 1.3 p.u.: 40 flow rows enter the
+        # linearization and the scorer, which the unrated out/ac14_* run
+        # never reaches.  solve (3 outer iterations) and eval on its
+        # solution write the bytes pinned in tests/data/ac14_rated/.
+        pinned = Path(__file__).resolve().parent / "data" / "ac14_rated"
+        rated = ["--config", CONFIG_DIR / "ac14.ini",
+                 "--set", "case.default_line_limit=1.3"]
+        for args in (["solve", "ac", *rated],
+                     ["eval", *rated, "--solution", "out/ac14_solution.csv"]):
+            result = run_cli(args, cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == sorted(p.name for p in pinned.iterdir())
+        for name in written:
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (pinned / name).read_bytes()), name
+
     @pytest.mark.parametrize("command", ["solve", "eval"])
     def test_generator_at_a_pq_bus_names_case_path(self, tmp_path, command):
         # case14q with bus 3, which holds a machine, typed PQ: the AC model
