@@ -12,9 +12,9 @@ the monitored quantities around the latest operating point, solves the
 scenario-selection program on those rows, and re-projects onto the
 power-flow manifold until the operating point settles.  AcRowSet, whose
 constructor chooses the monitored set, owns the row layout: how each kind
-of row is indexed, read, differentiated and signed; _Sensitivity factorizes
-the Jacobian once per operating point for the rows, loss balance and error
-response.
+of row is indexed, read, differentiated and signed; _Sensitivity is the one
+linearization at an operating point, computing each piece at most once;
+scoring builds only the monitored branch flows.
 
 Conventions: voltage magnitudes are carried squared (p.u.^2), matching the
 squared bounds of the bus-voltage rows; branch flows are directed active
@@ -89,15 +89,18 @@ class AcState:
 
 @dataclass(frozen=True, eq=False)
 class _Network:
-    """Dense admittance data and bus groups shared by every evaluation at
-    one case."""
+    """Dense admittance data, directed branches and bus groups shared by
+    every evaluation at one case."""
 
     ybus: np.ndarray  # (n, n) complex
-    y_series: np.ndarray  # (L,) complex branch admittances
-    f: np.ndarray  # (L,) from-bus indices
-    t: np.ndarray  # (L,) to-bus indices
+    own: np.ndarray  # (2L,) measured end of each directed branch [from; to]
+    far: np.ndarray  # (2L,) its far end
+    y_dir: np.ndarray  # (2L,) its series admittance
     ns: np.ndarray  # non-slack buses: active targets bind here
     pq: np.ndarray  # PQ buses: reactive targets bind, magnitudes move
+    p_row: np.ndarray  # row of each bus's P equation among the unknowns, -1
+    q_row: np.ndarray  # row of each bus's Q equation among the unknowns, -1
+    n_u: int  # unknowns: [angles at ns; magnitudes at pq]
 
 
 def _network(case):
@@ -109,14 +112,20 @@ def _network(case):
     np.add.at(ybus, (t, t), y)
     np.add.at(ybus, (f, t), -y)
     np.add.at(ybus, (t, f), -y)
-    return _Network(ybus=ybus, y_series=y, f=f, t=t,
-                    ns=np.flatnonzero(case.bus_kind != SLACK),
-                    pq=np.flatnonzero(case.bus_kind == PQ))
+    ns = np.flatnonzero(case.bus_kind != SLACK)
+    pq = np.flatnonzero(case.bus_kind == PQ)
+    p_row, q_row = np.full(n, -1), np.full(n, -1)
+    p_row[ns] = np.arange(ns.size)
+    q_row[pq] = ns.size + np.arange(pq.size)
+    return _Network(ybus=ybus, own=np.concatenate([f, t]),
+                    far=np.concatenate([t, f]), y_dir=np.tile(y, 2),
+                    ns=ns, pq=pq, p_row=p_row, q_row=q_row,
+                    n_u=ns.size + pq.size)
 
 
-# _ybus_times, _injections, _quantities, _ds_bus and _pf_jacobian take one
-# operating point as (n,) vectors or a block of them as (B, n) rows, with
-# the same arithmetic per row either way.
+# _ybus_times, _injections, _branch_power, _quantities, _ds_bus and
+# _pf_jacobian take one operating point as (n,) vectors or a block of them
+# as (B, n) rows, with the same arithmetic per row either way.
 
 
 def _ybus_times(net, v):
@@ -130,32 +139,27 @@ def _injections(net, vmag, theta):
     return v, v * np.conj(_ybus_times(net, v))
 
 
-def _quantities(net, vmag, theta):
-    """(p, q, squared magnitudes, directed branch flows [from; to])."""
+def _branch_power(net, v, flows):
+    """Directed branch active powers at complex voltages v, one column per
+    entry of flows (an index into the stacked [from; to] order)."""
+    va, vb = v[..., net.own[flows]], v[..., net.far[flows]]
+    return (va * np.conj(net.y_dir[flows] * (va - vb))).real
+
+
+def _quantities(net, vmag, theta, flows=slice(None)):
+    """(p, q, squared magnitudes, the directed branch flows that flows
+    indexes; all of them by default)."""
     v, s_bus = _injections(net, vmag, theta)
-    vf, vt = v[..., net.f], v[..., net.t]
-    s_from = vf * np.conj(net.y_series * (vf - vt))
-    s_to = vt * np.conj(net.y_series * (vt - vf))
-    return (s_bus.real, s_bus.imag, vmag**2,
-            np.concatenate([s_from.real, s_to.real], axis=-1))
+    return s_bus.real, s_bus.imag, vmag**2, _branch_power(net, v, flows)
 
 
 def _make_state(net, vmag, theta, solved, iterations, mismatch, message=""):
     p, q, v, ell = _quantities(net, vmag, theta)
-    state = AcState(
-        p=p.copy(),
-        q=q.copy(),
-        v=v,
-        theta=theta.copy(),
-        ell=ell,
-        solved=solved,
-        iterations=iterations,
-        mismatch=mismatch,
-        message=message,
-    )
-    for arr in (state.p, state.q, state.v, state.theta, state.ell):
+    p, q, theta, ell = p.copy(), q.copy(), theta.copy(), ell.copy()
+    for arr in (p, q, v, theta, ell):
         arr.setflags(write=False)
-    return state
+    return AcState(p=p, q=q, v=v, theta=theta, ell=ell, solved=solved,
+                   iterations=iterations, mismatch=mismatch, message=message)
 
 
 def _ds_bus(net, v):
@@ -175,9 +179,7 @@ def _ds_bus(net, v):
 def _ds_branch(net, v, flows):
     """Partials of the directed complex branch powers that flows indexes
     in the stacked [from; to] order, one (flows.size, n) array each."""
-    a = np.concatenate([net.f, net.t])[flows]  # own end
-    b = np.concatenate([net.t, net.f])[flows]  # far end
-    y = np.tile(net.y_series, 2)[flows]
+    a, b, y = net.own[flows], net.far[flows], net.y_dir[flows]
     u = v / np.abs(v)
     va_, vb_ = v[a], v[b]
     i_dir = y * (va_ - vb_)
@@ -343,21 +345,6 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None):
                        int(iterations), float(norm), message)
 
 
-def state_at(case, vmag, theta):
-    """Consistent operating point synthesized from given voltages.
-
-    All power quantities are evaluated from (vmag, theta); the state lies
-    on the power-flow manifold by construction but is not marked solved
-    (it answers to no setpoints).
-    """
-    vmag = np.asarray(vmag, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(vmag <= 0):
-        raise ValueError("voltage magnitudes must be positive")
-    return _make_state(_network(case), vmag, theta, False, 0, np.inf,
-                       "synthesized from voltages")
-
-
 def _require_solved(state, what):
     if not state.solved:
         raise NewtonError(f"{what}: {state.message}")
@@ -423,12 +410,13 @@ class AcRowSet:
     case fixes which machine rows sit at the slack bus and how they share
     its output, and is not kept.  Everything that depends on a row's kind
     works on the kind groups, one array operation per group: values reads
-    the rows off blocks of operating points, state_partials and direct_xi
-    give their derivatives with respect to the power-flow unknowns and to
-    the forecast errors (each from the case and fleet its caller passes),
-    and q_idx, signs, signed_names and rhs expand them into the one-sided
-    rows of the selection program (per kind an upper block then a lower
-    block; flow rows upper only), less the rows with no finite bound.
+    the rows off blocks of operating points and their monitored flows,
+    state_partials and direct_xi give their derivatives with respect to
+    the power-flow unknowns (at a _Sensitivity's state) and to the
+    forecast errors, and q_idx, signs, signed_names and rhs expand them
+    into the one-sided rows of the selection program (per kind an upper
+    block then a lower block; flow rows upper only), less the rows with no
+    finite bound.
     """
 
     def __init__(self, case, *, include_slack_rows=False):
@@ -501,8 +489,9 @@ class AcRowSet:
     def n_rows(self):
         return len(self.kinds)
 
-    def values(self, case, fleet, p, q, v, ell, dispatch, xi):
-        """(B, n_rows) values; p, q, v, ell and xi hold one point per row.
+    def values(self, case, fleet, p, q, v, flows, dispatch, xi):
+        """(B, n_rows) values; p, q, v, flows and xi hold one point per
+        row, flows one column per entry of self.flows.
 
         Machine active outputs follow the dispatch plus participation
         response directly (the power flow realizes exactly that rule);
@@ -524,26 +513,27 @@ class AcRowSet:
         out[:, self.q_rows] = (q[:, qb] + case.q_load[qb]
                                - fleet.gamma * direct[:, qb])
         out[:, self.v_rows] = v[:, self.v_buses]
-        out[:, self.flow_rows] = ell[:, self.flows]
+        out[:, self.flow_rows] = flows
         return out
 
-    def state_partials(self, sens):
-        """d(value)/d(power-flow unknowns) at the state sens factorizes,
-        on the case sens was built for.
+    def state_partials(self, lin):
+        """d(value)/d(power-flow unknowns) at the state of the _Sensitivity
+        lin, on the case lin was built for.
 
         Non-slack machine outputs do not move with the state; v rows sit
         at PQ buses, whose magnitudes are unknowns.
         """
-        dp_du, dq_du = sens.partials
-        out = np.zeros((self.n_rows, sens.n_u))
+        net = lin.net
+        dp_du, dq_du = lin.partials
+        out = np.zeros((self.n_rows, net.n_u))
         out[self.slack_rows] = (self.slack_shares[:, None]
-                                * dp_du[sens.case.slack])
+                                * dp_du[lin.case.slack])
         out[self.q_rows] = dq_du[self.q_buses]
-        out[self.v_rows, sens.q_row[self.v_buses]] = (
-            2.0 * sens.vmag[self.v_buses])
-        dl_dva, dl_dvm = _ds_branch(sens.net, sens.v, self.flows)
-        out[self.flow_rows] = np.hstack([dl_dva.real[:, sens.ns],
-                                         dl_dvm.real[:, sens.pq]])
+        out[self.v_rows, net.q_row[self.v_buses]] = (
+            2.0 * lin.vmag[self.v_buses])
+        dl_dva, dl_dvm = _ds_branch(net, lin.v, self.flows)
+        out[self.flow_rows] = np.hstack([dl_dva.real[:, net.ns],
+                                         dl_dvm.real[:, net.pq]])
         return out
 
     def direct_xi(self, case, fleet):
@@ -571,7 +561,7 @@ def quantity_values(case, fleet, rows, state, dispatch, xi=None):
     xi = np.zeros(fleet.n_vre) if xi is None else np.asarray(xi, float)
     (values,) = rows.values(
         case, fleet, state.p[None], state.q[None], state.v[None],
-        state.ell[None], dispatch, xi[None])
+        state.ell[None, rows.flows], dispatch, xi[None])
     return values
 
 
@@ -584,29 +574,28 @@ class ResponseJacobian:
 
 
 class _Sensitivity:
-    """The one factorization of the power-flow Jacobian at a solved state.
+    """The one linearization of the monitored rows at one solved state.
 
-    Building one checks the state.  The Jacobian is factored, and du_x
-    (the state shift per unit of each machine's dispatch; slack machines:
-    zero) solved for, on first use: the loop builds one at every
-    re-projected point, and at its last point only the state is read.
-    The error response, the CcSystem rows and the loss balance are
-    methods on it; the alternating loop builds one per operating point,
-    each public wrapper one per call.
+    It binds the case, the fleet, the row set and the case's _Network, and
+    at(state) gives the next operating point's linearization on the same
+    bindings.  Building one checks the state; the rest is computed on first
+    use and kept, so at most once per point: the Jacobian factorization,
+    the bus and row state partials, du_x (the state shift per unit of each
+    machine's dispatch; slack machines: zero) and the error response.  The
+    last re-projected point of the loop, whose state alone is read, is
+    never factored.  rows may be None where only loss_balance is read.
     """
 
-    def __init__(self, case, state):
+    def __init__(self, case, fleet, rows, state, net=None):
         _require_solved(state, "linearization needs a solved state")
-        self.case, self.state = case, state
-        self.net = _network(case)
-        self.ns, self.pq = self.net.ns, self.net.pq
+        self.case, self.fleet, self.rows, self.state = case, fleet, rows, state
+        self.net = _network(case) if net is None else net
         self.vmag = np.sqrt(state.v)
         self.v = self.vmag * np.exp(1j * state.theta)
-        self.p_row = np.full(case.n_bus, -1)
-        self.p_row[self.ns] = np.arange(self.ns.size)
-        self.q_row = np.full(case.n_bus, -1)
-        self.q_row[self.pq] = self.ns.size + np.arange(self.pq.size)
-        self.n_u = self.ns.size + self.pq.size
+
+    def at(self, state):
+        """The linearization at another solved state of the same case."""
+        return _Sensitivity(self.case, self.fleet, self.rows, state, self.net)
 
     @cached_property
     def lu(self):
@@ -615,38 +604,50 @@ class _Sensitivity:
     @cached_property
     def partials(self):
         """(dp_du, dq_du): bus P and bus Q against the power-flow unknowns."""
+        ns, pq = self.net.ns, self.net.pq
         ds_dva, ds_dvm = _ds_bus(self.net, self.v)
-        return tuple(np.hstack([d_va[:, self.ns], d_vm[:, self.pq]])
+        return tuple(np.hstack([d_va[:, ns], d_vm[:, pq]])
                      for d_va, d_vm in ((ds_dva.real, ds_dvm.real),
                                         (ds_dva.imag, ds_dvm.imag)))
 
     @cached_property
+    def state_partials(self):
+        """AcRowSet.state_partials at this state, read-only."""
+        out = self.rows.state_partials(self)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def du_x(self):
-        gen_rows = self.p_row[self.case.gen_bus]
+        gen_rows = self.net.p_row[self.case.gen_bus]
         steered = np.flatnonzero(gen_rows >= 0)
-        rhs = np.zeros((self.n_u, self.case.n_gen))
+        rhs = np.zeros((self.net.n_u, self.case.n_gen))
         rhs[gen_rows[steered], steered] = 1.0
         return scipy.linalg.lu_solve(self.lu, rhs)
 
-    def response(self, fleet, rows):
+    @cached_property
+    def response(self):
         """response_jacobian's (n_rows, n_vre) matrix at this state."""
-        rhs = np.zeros((self.n_u, fleet.n_vre))
-        rhs[:self.ns.size, :] -= fleet.participation[self.ns][:, None]
+        fleet, net = self.fleet, self.net
+        rhs = np.zeros((net.n_u, fleet.n_vre))
+        rhs[:net.ns.size, :] -= fleet.participation[net.ns][:, None]
         cols = np.arange(fleet.n_vre)
-        p_rows = self.p_row[fleet.vre_buses]
-        q_rows = self.q_row[fleet.vre_buses]
+        p_rows = net.p_row[fleet.vre_buses]
+        q_rows = net.q_row[fleet.vre_buses]
         rhs[p_rows[p_rows >= 0], cols[p_rows >= 0]] += 1.0
         rhs[q_rows[q_rows >= 0], cols[q_rows >= 0]] += fleet.gamma
-        j = (rows.state_partials(self) @ scipy.linalg.lu_solve(self.lu, rhs)
-             + rows.direct_xi(self.case, fleet))
+        j = (self.state_partials @ scipy.linalg.lu_solve(self.lu, rhs)
+             + self.rows.direct_xi(self.case, fleet))
         j.setflags(write=False)
         return j
 
-    def cc_system(self, fleet, rows, dispatch, sens_rows):
+    def cc_system(self, dispatch, sens_rows):
         """linearize_cc_system at this state."""
-        lin = rows.state_partials(self) @ self.du_x
+        rows = self.rows
+        lin = self.state_partials @ self.du_x
         lin[rows.gen_rows, rows.gens] += 1.0
-        const = (quantity_values(self.case, fleet, rows, self.state, dispatch)
+        const = (quantity_values(self.case, self.fleet, rows, self.state,
+                                 dispatch)
                  - lin @ dispatch)
         signs, q_idx = rows.signs, rows.q_idx
         cc = CcSystem(
@@ -660,14 +661,14 @@ class _Sensitivity:
             arr.setflags(write=False)
         return cc
 
-    def loss_balance(self, fleet, dispatch):
+    def loss_balance(self, dispatch):
         """loss_balance_equality at this state."""
         case = self.case
         grad = self.partials[0][case.slack] @ self.du_x
         grad[~case.slack_gen_mask()] += 1.0
         grad[case.slack_gen_mask()] = 0.0
         losses = float(self.state.p.sum())
-        total = float(case.p_load.sum() - fleet.forecasts.sum())
+        total = float(case.p_load.sum() - self.fleet.forecasts.sum())
         a_eq = (1.0 - grad)[None, :]
         b_eq = np.array([total + losses - grad @ dispatch])
         return a_eq, b_eq
@@ -682,7 +683,7 @@ def response_jacobian(case, fleet, state, *, rows):
     """
     return ResponseJacobian(
         row_names=rows.names,
-        j_matrix=_Sensitivity(case, state).response(fleet, rows))
+        j_matrix=_Sensitivity(case, fleet, rows, state).response)
 
 
 def linearize_cc_system(case, fleet, state, dispatch, *, rows, sens_rows):
@@ -694,8 +695,8 @@ def linearize_cc_system(case, fleet, state, dispatch, *, rows, sens_rows):
     sensitivities, frozen at this state or an earlier one
     (response_jacobian).
     """
-    return _Sensitivity(case, state).cc_system(
-        fleet, rows, np.asarray(dispatch, dtype=float), sens_rows)
+    return _Sensitivity(case, fleet, rows, state).cc_system(
+        np.asarray(dispatch, dtype=float), sens_rows)
 
 
 def loss_balance_equality(case, fleet, state, dispatch):
@@ -705,8 +706,8 @@ def loss_balance_equality(case, fleet, state, dispatch):
     first-order model around the current dispatch; the loss gradient comes
     from the slack-injection sensitivity columns.
     """
-    return _Sensitivity(case, state).loss_balance(
-        fleet, np.asarray(dispatch, dtype=float))
+    return _Sensitivity(case, fleet, None, state).loss_balance(
+        np.asarray(dispatch, dtype=float))
 
 
 # --- the alternating dispatch/selection loop ------------------------------
@@ -742,22 +743,22 @@ def _proximal_cost(cost, center):
     )
 
 
-def _inner_slp(case, fleet, cost, rows, x_start, sens_start, frozen_j, *,
-               xi=None, k=None, options=None):
+def _inner_slp(cost, lin, x_start, frozen_j, *, xi=None, k=None,
+               options=None):
     """Linearize, solve, re-project until the dispatch settles.
 
-    sens_start is the _Sensitivity at x_start's operating point; each pass
-    linearizes on the current one and builds the next at the re-projected
+    lin is the _Sensitivity at x_start's operating point; each pass
+    linearizes on the current one and takes the next at the re-projected
     point.  With xi=None this is the deterministic stage (single QP per
     pass); otherwise the selection program runs per pass with frozen_j as
     the error sensitivities.  Returns (dispatch, its _Sensitivity,
     selection-or-None).
     """
-    x_cur, sens = np.asarray(x_start, float), sens_start
+    x_cur = np.asarray(x_start, float)
     sel = None
     for _ in range(MAX_INNER_PASSES):
-        cc = sens.cc_system(fleet, rows, x_cur, frozen_j)
-        equalities = sens.loss_balance(fleet, x_cur)
+        cc = lin.cc_system(x_cur, frozen_j)
+        equalities = lin.loss_balance(x_cur)
         prox = _proximal_cost(cost, x_cur)
         if xi is None:
             result = qp_solve(prox, cc.nominal_system(equalities))
@@ -778,13 +779,12 @@ def _inner_slp(case, fleet, cost, rows, x_start, sens_start, frozen_j, *,
             x_new = sel.x_star
         step = float(np.abs(x_new - x_cur).max())
         w_new = _require_solved(
-            solve_operating_point(case, fleet, x_new,
-                                  theta0=sens.state.theta,
-                                  vmag0=np.sqrt(sens.state.v)),
+            solve_operating_point(lin.case, lin.fleet, x_new,
+                                  theta0=lin.state.theta, vmag0=lin.vmag),
             "re-projection power flow")
-        x_cur, sens = x_new, _Sensitivity(case, w_new)
+        x_cur, lin = x_new, lin.at(w_new)
         if step <= INNER_STEP_TOL:
-            return x_cur, sens, sel
+            return x_cur, lin, sel
     raise FixedPointError(
         f"linearization loop still moving after {MAX_INNER_PASSES} passes "
         f"(last step {step:.3e})")
@@ -809,7 +809,7 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     operating point, solves the k-of-S selection program (inner
     linearization loop included), and measures the distance between
     consecutive operating points over the controlled subvector.  The
-    frozen sensitivities and the first inner pass share one factorization.
+    frozen sensitivities and the first inner pass share one linearization.
     Stops when the distance falls to OUTER_TOL; raises FixedPointError,
     whose message lists the full distance trail, otherwise.
     """
@@ -828,21 +828,19 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     x0 = _initial_dispatch(case, fleet)
     w0 = _require_solved(solve_operating_point(case, fleet, x0),
                          "starting-point power flow")
-    x_t, sens_t, _ = _inner_slp(case, fleet, cost, rows, x0,
-                                _Sensitivity(case, w0),
-                                np.zeros((rows.n_rows, fleet.n_vre)))
+    x_t, lin_t, _ = _inner_slp(cost, _Sensitivity(case, fleet, rows, w0), x0,
+                               np.zeros((rows.n_rows, fleet.n_vre)))
     d_history = []
     obj_history = []
     for t in range(1, MAX_OUTER_ITER + 1):
-        x_new, sens_new, sel = _inner_slp(
-            case, fleet, cost, rows, x_t, sens_t,
-            sens_t.response(fleet, rows), xi=xi, k=params.k, options=options)
-        d = _state_distance(case, sens_new.state, sens_t.state)
+        x_new, lin_new, sel = _inner_slp(cost, lin_t, x_t, lin_t.response,
+                                         xi=xi, k=params.k, options=options)
+        d = _state_distance(case, lin_new.state, lin_t.state)
         d_history.append(d)
         obj_history.append(sel.objective)
-        x_t, sens_t = x_new, sens_new
+        x_t, lin_t = x_new, lin_new
         if d <= OUTER_TOL:
-            return FixedPointResult(state=sens_t.state, selection=sel,
+            return FixedPointResult(state=lin_t.state, selection=sel,
                                     outer_iterations=t,
                                     d_history=tuple(d_history),
                                     obj_history=tuple(obj_history))
@@ -860,13 +858,13 @@ class AcEvaluator:
 
     Every scenario is responded to with Newton from the nominal point of
     the dispatch the evaluator is built at, and the signed rows of the
-    row set are checked; a response that fails to solve scores as a joint
-    violation under the synthetic 'newton_failure' row.  The scenarios go
-    through the Newton kernel in blocks, each scenario with the rules
-    pf_solve applies to one; the block size follows from the bus count
-    and NEWTON_BLOCK_BYTES.  After each check, iterations holds every
-    scenario's Newton iteration count and failed the indices of the
-    scenarios whose response did not solve.
+    row set are checked (only the monitored flows are built); a response
+    that fails to solve scores as a joint violation under the synthetic
+    'newton_failure' row.  The scenarios go through the Newton kernel in
+    blocks, each scenario with the rules pf_solve applies to one; the
+    block size follows from the bus count and NEWTON_BLOCK_BYTES.  After
+    each check, iterations holds every scenario's Newton iteration count
+    and failed the indices of the scenarios whose response did not solve.
     """
 
     def __init__(self, case, fleet, dispatch, *, include_slack_rows=False):
@@ -911,7 +909,8 @@ class AcEvaluator:
             its, norm, vmag, theta = self._respond(xi[block])
             solved = norm <= NEWTON_TOL
             values = rows.values(
-                self.case, self.fleet, *_quantities(self._net, vmag, theta),
+                self.case, self.fleet,
+                *_quantities(self._net, vmag, theta, rows.flows),
                 self.dispatch, xi[block])
             margins = rows.rhs - rows.signs * values[:, rows.q_idx]
             violated[block, :-1] = (margins < -ROW_TOL) & solved[:, None]

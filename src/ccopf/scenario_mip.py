@@ -762,20 +762,18 @@ class SelectionSolution:
     message: str = ""  # which node failed, for NUMERICAL_FAILURE
 
 
-def greedy_incumbent(problem, all_enforced):
+def greedy_incumbent(problem):
     """Feasible warm start: repeatedly relax the enforced scenario with the
     largest aggregate dual weight, S - k times.
 
-    all_enforced is the solved QP of node_system(all scenarios).  Returns
+    The path starts from the problem's all-enforced QP.  Returns
     (x, z, value), or None when that QP is not OPTIMAL.  k sets only the
-    path's length: from the problem's shared all-enforced result, the
-    steps earlier calls walked are replayed, and only the rest is solved.
+    path's length: the steps earlier calls on the problem's shared holder
+    walked are replayed, and only the rest is solved.
     """
+    all_enforced, shared = problem._all_enforced(), problem._shared
     if all_enforced.status != OPTIMAL:
         return None
-    shared = problem._shared
-    if all_enforced is not shared.all_enforced:
-        shared = _Shared()  # another start: a path of its own
     enforced, result = np.ones(problem.n_scenarios, dtype=bool), all_enforced
     for step in range(problem.n_scenarios - problem.k):
         if step == len(shared.path):
@@ -873,7 +871,7 @@ def solve_selection(problem, options=None):
     if all_enforced.status == OPTIMAL:
         anchor = all_enforced
     incumbent = None  # (value, x, kept mask)
-    warm = greedy_incumbent(problem, all_enforced)
+    warm = greedy_incumbent(problem)
     if warm is not None:
         x_w, z_w, v_w = warm
         incumbent = (v_w, x_w, z_w == 0)
@@ -983,7 +981,7 @@ def build_selection_from_ccopf(cc, xi, cost, k, *, equalities):
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     base = cc.nominal_system(equalities)
-    b = np.array([base.b_ineq - cc.sens @ xi_j for xi_j in xi])
+    b = base.b_ineq - (cc.sens @ xi[:, :, None])[..., 0]
     key = _digest(cc.base_lin, cc.base_const, cc.sens, cc.rhs, xi,
                   cost.h, cost.g, cost.c0, *equalities)
     shared = _SHARED.setdefault(cc, {}).setdefault(key, _Shared())

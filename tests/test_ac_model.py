@@ -24,7 +24,6 @@ from ccopf.ac_model import (
     respond,
     response_jacobian,
     solve_operating_point,
-    state_at,
 )
 from ccopf.case_io import (
     PQ,
@@ -122,6 +121,21 @@ def polar_injections_loop(case, vmag, theta):
             q[i] += vmag[i] * vmag[k] * (g[i, k] * math.sin(th)
                                          - b[i, k] * math.cos(th))
     return p, q
+
+
+def state_at(case, vmag, theta):
+    """Consistent operating point synthesized from given voltages.
+
+    All power quantities are evaluated from (vmag, theta); the state lies
+    on the power-flow manifold by construction but is not marked solved
+    (it answers to no setpoints).
+    """
+    vmag = np.asarray(vmag, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if np.any(vmag <= 0):
+        raise ValueError("voltage magnitudes must be positive")
+    return ac_model._make_state(ac_model._network(case), vmag, theta, False,
+                                0, np.inf, "synthesized from voltages")
 
 
 def stock_case14_setpoints(case14):
@@ -237,7 +251,9 @@ def _im_form(h):
 def build_quadratic_model(case):
     net = ac_model._network(case)
     n = case.n_bus
-    ll = net.f.size
+    f, t = case.br_from, case.br_to
+    y_series = 1.0 / (case.br_r + 1j * case.br_x)
+    ll = f.size
     y_p = np.empty((n, 2 * n, 2 * n))
     y_q = np.empty((n, 2 * n, 2 * n))
     m_v = np.empty((n, 2 * n, 2 * n))
@@ -252,11 +268,10 @@ def build_quadratic_model(case):
     y_br = np.empty((2 * ll, 2 * n, 2 * n))
     for row in range(2 * ll):
         l = row % ll
-        a, b = ((net.f[l], net.t[l]) if row < ll
-                else (net.t[l], net.f[l]))
+        a, b = (f[l], t[l]) if row < ll else (t[l], f[l])
         h = np.zeros((n, n), dtype=complex)
-        h[a, a] = np.conj(net.y_series[l])
-        h[b, a] = -np.conj(net.y_series[l])
+        h[a, a] = np.conj(y_series[l])
+        h[b, a] = -np.conj(y_series[l])
         y_br[row] = _re_form(h)
     return QuadraticFormModel(y_p=y_p, y_q=y_q, m_v=m_v, y_br=y_br)
 
@@ -671,6 +686,23 @@ class TestFixedPoint:
         assert counts["power_flow"] > 2
         assert counts["lu_factor"] == counts["power_flow"] - 1
 
+    def test_row_partials_once_per_operating_point(self, ac14_inputs,
+                                                   monkeypatch):
+        # The frozen error response and the first inner pass at the point
+        # an outer iteration starts from read one copy of the rows' state
+        # partials: 17 points on ac14 at k = 38, each differentiated once.
+        case, fleet, train, _ = ac14_inputs
+        states = []
+        real = ac_model.AcRowSet.state_partials
+
+        def counted(rows, lin):
+            states.append(lin.state)
+            return real(rows, lin)
+
+        monkeypatch.setattr(ac_model.AcRowSet, "state_partials", counted)
+        fixed_point_solve(case, fleet, train, AmbiguityParams.from_k(38, 40))
+        assert len({id(state) for state in states}) == len(states) == 17
+
     def test_infeasible_reactive_range_is_reported(self, case14, fleet14):
         # stock ranges cannot cover the dropped charging/shunt support
         params = AmbiguityParams.from_k(4, 4)
@@ -831,6 +863,31 @@ class TestBatchedNewton:
         assert flow.sum() == (40 if size == "rated" else 0)
         if size == "rated":
             assert np.any((per_row[flow] > 0) & (per_row[flow] < 1))
+
+    @pytest.mark.parametrize("rated", [False, True])
+    def test_check_builds_only_the_monitored_flows(self, ac14, rated,
+                                                   monkeypatch):
+        # case14q rates no branch, so scoring builds no flow; with every
+        # branch rated it builds each of the 40 directed flows once per
+        # scenario.
+        case, fleet, dispatch, evaluator, xi = ac14
+        if rated:
+            evaluator = AcEvaluator(
+                replace(case, br_limit=np.full(case.n_branch, 0.6)), fleet,
+                dispatch)
+        built = []
+        real = ac_model._branch_power
+
+        def counted(net, v, flows):
+            out = real(net, v, flows)
+            built.append(out.shape)
+            return out
+
+        monkeypatch.setattr(ac_model, "_branch_power", counted)
+        evaluator.check(dispatch, xi[:300])
+        assert len(built) > 1 and sum(b for b, _ in built) == 300
+        assert {f for _, f in built} == {evaluator.rows.flows.size}
+        assert evaluator.rows.flows.size == (40 if rated else 0)
 
     def test_check_needs_the_built_at_dispatch(self, ac14):
         _, _, dispatch, evaluator, xi = ac14

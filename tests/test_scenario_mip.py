@@ -12,6 +12,7 @@ import itertools
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from ccopf.scenario_mip import (
     QuadraticCost,
     SelectionProblem,
     SolverOptions,
+    _Shared,
     build_selection_from_ccopf,
     greedy_incumbent,
     qp_solve,
@@ -811,7 +813,7 @@ class TestSolveSelection:
         monkeypatch.setattr(scenario_mip, "qp_solve", counted)
         monkeypatch.setattr(scenario_mip, "_rhs_homotopy", gives_up_first)
         monkeypatch.setattr(scenario_mip, "greedy_incumbent",
-                            lambda problem, all_enforced: None)
+                            lambda problem: None)
         sol = solve_selection(problem)
         assert calls[:2] == [False, True]
         assert paths[0] == (None, 2)
@@ -837,7 +839,7 @@ class TestSolveSelection:
 
         monkeypatch.setattr(scenario_mip, "qp_solve", flaky)
         monkeypatch.setattr(scenario_mip, "greedy_incumbent",
-                            lambda problem, all_enforced: None)
+                            lambda problem: None)
         sol = solve_selection(problem)
         # all-enforced anchor, then the failed warm-started root: no retry
         assert calls == [False, True]
@@ -872,16 +874,14 @@ class TestSolveSelection:
         # Without the greedy incumbent every QP is one qp_count counts.
         monkeypatch.setattr(scenario_mip, "qp_solve", counted)
         monkeypatch.setattr(scenario_mip, "greedy_incumbent",
-                            lambda problem, all_enforced: None)
+                            lambda problem: None)
         sol = solve_selection(problem)
         assert sol.qp_count == len(taken) > 1
         assert sol.iterations == sum(taken) > 0
 
     def test_greedy_incumbent_feasible(self):
         problem = make_threshold_problem([1.0, 5.0, 9.0, 2.0], k=3)
-        all_enforced = qp_solve(problem.cost,
-                                problem.node_system(np.ones(4, dtype=bool)))
-        warm = greedy_incumbent(problem, all_enforced)
+        warm = greedy_incumbent(problem)
         assert warm is not None
         x, z, value = warm
         assert int(np.sum(z)) == 1
@@ -892,7 +892,8 @@ class TestSolveSelection:
         # relaxes it and lands on the true optimum directly.
         assert value == pytest.approx(5.0, abs=1e-8)
         failed = QpSubproblemResult(status=NUMERICAL_FAILURE)
-        assert greedy_incumbent(problem, failed) is None
+        assert greedy_incumbent(replace(
+            problem, _shared=_Shared(all_enforced=failed))) is None
 
 
 class TestBuildFromChanceRows:
