@@ -315,7 +315,8 @@ def _start_point(case, v_set2, theta0, vmag0):
     return vmag, theta
 
 
-def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None):
+def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
+             net=None):
     """Polar Newton-Raphson power flow: the Newton kernel on one scenario.
 
     p_set / q_set are target net bus injections; the active targets bind
@@ -326,9 +327,10 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None):
     five times whenever the mismatch norm grows or a magnitude would leave
     the positive domain; non-convergence is reported on the returned
     state, never raised.  AcEvaluator runs the same kernel on blocks of
-    scenarios.
+    scenarios.  net is the case's _Network when the caller holds one
+    (built here otherwise).
     """
-    net = _network(case)
+    net = _network(case) if net is None else net
     n = case.n_bus
     p_set = np.asarray(p_set, dtype=float)
     q_set = np.asarray(q_set, dtype=float)
@@ -353,7 +355,8 @@ def _require_solved(state, what):
 
 def solve_operating_point(case, fleet, dispatch, **pf_kwargs):
     """Power flow at a dispatch with zero forecast error: the net bus
-    injections are dispatch plus forecasts minus load."""
+    injections are dispatch plus forecasts minus load.  pf_kwargs go to
+    pf_solve (its start, and net)."""
     p_set = -case.p_load.copy()
     np.add.at(p_set, case.gen_bus, np.asarray(dispatch, dtype=float))
     p_set[fleet.vre_buses] += fleet.forecasts
@@ -780,7 +783,8 @@ def _inner_slp(cost, lin, x_start, frozen_j, *, xi=None, k=None,
         step = float(np.abs(x_new - x_cur).max())
         w_new = _require_solved(
             solve_operating_point(lin.case, lin.fleet, x_new,
-                                  theta0=lin.state.theta, vmag0=lin.vmag),
+                                  theta0=lin.state.theta, vmag0=lin.vmag,
+                                  net=lin.net),
             "re-projection power flow")
         x_cur, lin = x_new, lin.at(w_new)
         if step <= INNER_STEP_TOL:
@@ -826,10 +830,11 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
     cost = make_cost(case)
 
     x0 = _initial_dispatch(case, fleet)
-    w0 = _require_solved(solve_operating_point(case, fleet, x0),
+    net = _network(case)
+    w0 = _require_solved(solve_operating_point(case, fleet, x0, net=net),
                          "starting-point power flow")
-    x_t, lin_t, _ = _inner_slp(cost, _Sensitivity(case, fleet, rows, w0), x0,
-                               np.zeros((rows.n_rows, fleet.n_vre)))
+    x_t, lin_t, _ = _inner_slp(cost, _Sensitivity(case, fleet, rows, w0, net),
+                               x0, np.zeros((rows.n_rows, fleet.n_vre)))
     d_history = []
     obj_history = []
     for t in range(1, MAX_OUTER_ITER + 1):
@@ -873,10 +878,10 @@ class AcEvaluator:
         self.dispatch = np.asarray(dispatch, dtype=float)
         self.rows = ac_row_set(case, fleet,
                                include_slack_rows=include_slack_rows)
-        self.state = _require_solved(
-            solve_operating_point(case, fleet, self.dispatch),
-            "nominal power flow for evaluation")
         self._net = _network(case)
+        self.state = _require_solved(
+            solve_operating_point(case, fleet, self.dispatch, net=self._net),
+            "nominal power flow for evaluation")
         self._start = _start_point(case, self.state.v, self.state.theta,
                                    np.sqrt(self.state.v))
         self.row_names = self.rows.signed_names + ("newton_failure",)

@@ -17,13 +17,20 @@ step comes from the Cholesky factor of the reduced Hessian when its
 pivots pass a fixed test, and otherwise from a least-squares solve plus
 an explicit descent ray, so PSD and singular Hessians are supported.
 Every optimum is checked against its KKT residual before it is returned.
-A cold QP starts from phase 1, one max-slack LP solved by scipy's HiGHS
+A cold QP starts free, as in qpOASES: the cost's own minimizer on the
+equalities is the optimum, with an empty working set, of the QP whose
+RHS is raised until that point meets it strictly, and the RHS homotopy
+below tightens the RHS back.  Every point of that path is feasible when
+the QP is, so the path ends at the optimum.  When it gives up (the QP is
+infeasible, or a degenerate breakpoint stops it), or when the cost has
+no Cholesky factor on the equalities' null space (a linear cost), the
+QP starts from phase 1 instead, one max-slack LP solved by scipy's HiGHS
 linprog: maximize t subject to A x + t ||a_i|| <= b, E x = f, t <= a
 fixed cap.  t is the radius of a ball around x inside the inequalities,
 so x is their Chebyshev centre and the active-set run leaves it with an
 almost empty working set.  t* < 0 means the system is infeasible, and
-the same LP's duals are the Farkas certificate.  Linear costs take the
-same path; HiGHS solves only the phase-1 LP.
+the same LP's duals are the Farkas certificate, so phase 1 alone
+reports INFEASIBLE.  HiGHS solves only the phase-1 LP.
 
 A warm QP starts from an earlier optimum instead: every warm-started
 system in the search loosens the system of its start (a node loosens the
@@ -32,9 +39,9 @@ right-hand side moves.  The start's working set, point and multipliers
 follow that RHS from the old value to the new one (a parametric
 active-set homotopy, as in qpOASES), one working-set change per
 breakpoint and with the same QR and Cholesky steps; a node usually needs
-a few breakpoints where a cold solve takes some fifty iterations.  When
-the path gives up, the same qp_solve call solves the QP cold, so one
-node is one QP.  All tie-breaks are by lowest index so results are
+a few breakpoints where a cold solve takes some forty.  When the path
+gives up, the same qp_solve call solves the QP from phase 1, so one node
+is one QP.  All tie-breaks are by lowest index so results are
 reproducible.
 
 The all-enforced QP and the greedy incumbent's path do not depend on k.
@@ -76,7 +83,9 @@ _KKT_TOL = 1e-6  # largest KKT residual of the normalized QP at an optimum
 # "feasible iff t* >= 0" exact.  At 1 p.u. it sits above the inscribed
 # radius of every node set the bundled configs build (0.20 on case300s,
 # 0.43-0.50 on case14 at the configs' seeds), so there it never binds and
-# phase 1 returns the Chebyshev centre itself.
+# phase 1 returns the Chebyshev centre itself.  No bundled workload runs
+# phase 1, because their cold QPs start free: it decides infeasible QPs,
+# starts linear costs and recovers when an RHS path gives up.
 _PHASE1_T_CAP = 1.0
 # A zero row reads 0 <= b_i.  With weight 1 it becomes t <= b_i, which
 # holds at some t >= 0 exactly when the row holds, and a negative b_i caps
@@ -314,9 +323,17 @@ def qp_solve(cost, system, *, warm_start=None):
     moved along b0 + t (b - b0) to this system's RHS (see _rhs_homotopy),
     usually in a few working-set changes.  Callers warm-start only
     loosenings, b >= b0, so every QP on that path is feasible (a
-    tightening still gets the right answer, but nothing is gained).
+    tightening gets the right answer too: the free start below is one).
     When the path gives up, or its answer fails the KKT gate, the same
-    call solves the QP cold, which is the one recovery.  A cold start is
+    call solves the QP from phase 1, which is the one recovery.
+
+    Without warm_start the call starts free (see _free_start): from the
+    normalized cost's minimizer x0 on the equalities, an OPTIMAL start
+    with an empty working set for b0 = max(b, A x0 + 1), which the same
+    homotopy tightens to b.  A cost whose reduced Hessian fails the
+    _PIVOT_TOL test skips the free start, and so does a system with no
+    inequality rows, whose phase 1 needs no LP.  When that path gives
+    up, or its answer fails the KKT gate, the call starts from phase 1,
     the max-slack LP's point (see _phase1_lp): every row keeps slack
     t* ||a_i||, so the working set starts empty unless t* is about 0,
     and t* < 0 returns INFEASIBLE with that LP's Farkas certificate.
@@ -368,8 +385,11 @@ def qp_solve(cost, system, *, warm_start=None):
             working=tuple(working), rhs=b_ineq)
 
     spent = 0  # iterations on the homotopy path
-    if warm_start is not None:
-        found, spent = _rhs_homotopy(h, g, system, warm_start, scale,
+    start = warm_start
+    if start is None and m:
+        start = _free_start(h, g, system, eq_rows, h_max)
+    if start is not None:
+        found, spent = _rhs_homotopy(h, g, system, start, scale,
                                      eq_rows, h_max)
         if found is not None:
             result = optimum(*found, spent)
@@ -451,6 +471,34 @@ def qp_solve(cost, system, *, warm_start=None):
         status=NUMERICAL_FAILURE,
         message=f"active-set iteration cap {max_iter} reached",
         iterations=spent + max_iter)
+
+
+def _free_start(h, g, system, eq_rows, h_max):
+    """The start of a cold solve: the minimizer x0 of the normalized cost
+    on the independent equality rows, posed as an OPTIMAL result with an
+    empty working set for the RHS b0 = max(b, A x0 + 1), which x0 meets
+    strictly.  Tightening b0 to b keeps every point of the RHS path
+    feasible when b is, so _rhs_homotopy reaches the optimum.
+
+    x0 is the null-space Newton step, its reduced Hessian factored by
+    _cholesky_step; None when that fails the pivot test (a linear cost,
+    or a PSD one that is flat on the equalities' null space).
+    """
+    n = g.size
+    x, z = np.zeros(n), np.eye(n)
+    if eq_rows:
+        p = len(eq_rows)
+        q, r = np.linalg.qr(system.a_eq[eq_rows].T, mode="complete")
+        u, _ = lapack.dtrtrs(r[:p], system.b_eq[eq_rows], trans=1)
+        x, z = q[:, :p] @ u, q[:, p:]
+    if z.shape[1]:
+        pz = _cholesky_step(z.T @ h @ z, z.T @ (h @ x + g), h_max)
+        if pz is None:
+            return None
+        x = x + z @ pz
+    return QpSubproblemResult(
+        status=OPTIMAL, x=x, duals_ineq=np.zeros(system.b_ineq.size),
+        rhs=np.maximum(system.b_ineq, system.a_ineq @ x + 1.0))
 
 
 def _rhs_homotopy(h, g, system, start, scale, eq_rows, h_max):

@@ -703,6 +703,25 @@ class TestFixedPoint:
         fixed_point_solve(case, fleet, train, AmbiguityParams.from_k(38, 40))
         assert len({id(state) for state in states}) == len(states) == 17
 
+    def test_one_network_per_solve_and_per_evaluator(self, ac14_inputs,
+                                                     monkeypatch):
+        # Every power flow of a solve, and the evaluator's nominal one,
+        # runs on the _Network its caller already holds.
+        case, fleet, train, test = ac14_inputs
+        builds = []
+        real = ac_model._network
+
+        def counted(case):
+            builds.append(case)
+            return real(case)
+
+        monkeypatch.setattr(ac_model, "_network", counted)
+        result = fixed_point_solve(case, fleet, train,
+                                   AmbiguityParams.from_k(38, 40))
+        assert len(builds) == 1
+        AcEvaluator(case, fleet, result.selection.x_star)
+        assert len(builds) == 2
+
     def test_infeasible_reactive_range_is_reported(self, case14, fleet14):
         # stock ranges cannot cover the dropped charging/shunt support
         params = AmbiguityParams.from_k(4, 4)

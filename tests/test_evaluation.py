@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from ccopf import evaluation
 from ccopf.case_io import build_fleet, parse_matpower, to_network
 from ccopf.cli import _network_model, _resolve_run, sweep_k
 from ccopf.dc_model import (
@@ -212,6 +213,19 @@ class TestRowScreen:
             live = evaluator.live_rows(rows.base_lin @ x + rows.base_const,
                                        test.xi)
             assert live.size < rows.n_rows // 10
+
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 37 * 300 + 7, 2**40])
+    def test_block_size_changes_no_answer(self, block_bytes, monkeypatch):
+        # One scenario per block, uneven blocks of 300 (the last one
+        # short) and the whole test set at once all score bit for bit alike.
+        case, fleet, train, test = config_sets("sweep300")
+        cc = assemble_cc_system(case, fleet)
+        x = ro_baseline(case, fleet, train, cc=cc).x_star
+        joint, rates = DcEvaluator(cc).check(x, test.xi)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", block_bytes)
+        other_joint, other_rates = DcEvaluator(cc).check(x, test.xi)
+        assert np.array_equal(other_joint, joint)
+        assert other_rates.tobytes() == rates.tobytes()
 
     @given(screened_batches())
     def test_screen_matches_dense_rows(self, example):

@@ -9,12 +9,15 @@ a from-scratch Farkas check of every infeasibility certificate.
 The examples and their number are fixed by the profile in conftest.py.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from ccopf import scenario_mip
 from ccopf.scenario_mip import (
     INFEASIBLE,
     OPTIMAL,
@@ -185,14 +188,9 @@ def infeasible_systems(draw):
     return LinearSystem(rows[order], rhs[order], system.a_eq, system.b_eq)
 
 
-@given(st.data())
-def test_infeasible_system_has_a_farkas_certificate(data):
-    # Quadratic and linear costs alike go through phase 1, and the
-    # certificate comes from the phase-1 LP's duals.
-    system = data.draw(infeasible_systems())
-    n = system.n
-    h = np.eye(n) if data.draw(st.booleans()) else np.zeros((n, n))
-    res = qp_solve(QuadraticCost(h=h, g=_ints(data.draw, (n,))), system)
+def assert_farkas(system, res):
+    """An INFEASIBLE result whose certificate y >= 0, mu combines the rows
+    to 0 with a negative right-hand side, checked from scratch."""
     assert res.status == INFEASIBLE, res.message
     cert = res.certificate
     assert cert is not None
@@ -201,6 +199,52 @@ def test_infeasible_system_has_a_farkas_certificate(data):
     combo = y @ system.a_ineq + mu @ system.a_eq
     assert np.max(np.abs(combo)) <= 1e-6 * max(1.0, np.max(np.abs(y)))
     assert y @ system.b_ineq + mu @ system.b_eq < 0.0
+
+
+@given(st.data())
+def test_infeasible_system_has_a_farkas_certificate(data):
+    # Quadratic and linear costs alike end in phase 1 (a quadratic one
+    # after its free start's path gives up), and the certificate comes
+    # from the phase-1 LP's duals.
+    system = data.draw(infeasible_systems())
+    n = system.n
+    h = np.eye(n) if data.draw(st.booleans()) else np.zeros((n, n))
+    assert_farkas(system,
+                  qp_solve(QuadraticCost(h=h, g=_ints(data.draw, (n,))),
+                           system))
+
+
+@given(st.data())
+def test_infeasible_system_takes_exactly_one_lp(data):
+    # With a PD cost the free start's path runs first; it cannot end on a
+    # point of an empty set, so phase 1 decides, in one LP.
+    system = data.draw(infeasible_systems())
+    n = system.n
+    cost = QuadraticCost(h=psd_hessian(data.draw, n, n) + np.eye(n),
+                         g=_ints(data.draw, (n,)))
+    with mock.patch.object(scenario_mip, "linprog",
+                           wraps=scenario_mip.linprog) as lp:
+        res = qp_solve(cost, system)
+    assert lp.call_count == 1
+    assert_farkas(system, res)
+
+
+@given(st.data())
+def test_free_start_reaches_the_phase_1_optimum(data):
+    # A PD cost starts at its own minimizer on the equalities and follows
+    # the RHS path down to the system; switching that start off gives the
+    # run from the phase-1 point.  Both are KKT-certified, with one value.
+    system = data.draw(feasible_systems(boxed=data.draw(st.booleans())))
+    n = system.n
+    cost = QuadraticCost(h=psd_hessian(data.draw, n, n) + np.eye(n),
+                         g=_ints(data.draw, (n,)))
+    free = qp_solve(cost, system)
+    with mock.patch.object(scenario_mip, "_free_start", return_value=None):
+        forced = qp_solve(cost, system)
+    assert_kkt(cost, system, free)
+    assert_kkt(cost, system, forced)
+    assert abs(free.value - forced.value) <= 1e-9 * max(1.0,
+                                                        abs(forced.value))
 
 
 @given(st.data())

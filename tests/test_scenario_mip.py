@@ -95,6 +95,31 @@ def selection_oracle(problem):
     return best
 
 
+def phase1_solve(cost, system, monkeypatch):
+    """qp_solve cold from the phase-1 LP's point: the free start is
+    switched off, as for a cost that is flat on the equalities."""
+    from ccopf import scenario_mip
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario_mip, "_free_start", lambda *args: None)
+        return qp_solve(cost, system)
+
+
+def counting_linprog(monkeypatch):
+    """Patch scenario_mip's linprog to record its calls; returns the list."""
+    from ccopf import scenario_mip
+
+    calls = []
+    real_linprog = scenario_mip.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_mip, "linprog", counted)
+    return calls
+
+
 def random_qp(rng, n, m, *, strictly_convex=True):
     q = rng.normal(size=(n, n))
     h = q.T @ q + (np.eye(n) if strictly_convex else 0.0)
@@ -162,16 +187,7 @@ class TestQpSolve:
         assert res.certificate is not None
 
     def test_phase1_infeasibility_solves_one_elastic_lp(self, monkeypatch):
-        from ccopf import scenario_mip
-
-        calls = []
-
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return real_linprog(*args, **kwargs)
-
-        real_linprog = scenario_mip.linprog
-        monkeypatch.setattr(scenario_mip, "linprog", counting_linprog)
+        calls = counting_linprog(monkeypatch)
         cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
         system = LinearSystem.make(a_ineq=[[1.0], [-1.0]],
                                    b_ineq=[0.0, -1.0])  # x <= 0 and x >= 1
@@ -186,16 +202,7 @@ class TestQpSolve:
     def test_zero_row_with_negative_bound_is_infeasible(self, monkeypatch):
         # 0 x <= -1 can never hold: the overloaded-network case, where a
         # row's flow sensitivities vanish but its bound is already broken.
-        from ccopf import scenario_mip
-
-        calls = []
-
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return real_linprog(*args, **kwargs)
-
-        real_linprog = scenario_mip.linprog
-        monkeypatch.setattr(scenario_mip, "linprog", counting_linprog)
+        calls = counting_linprog(monkeypatch)
         cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
         system = LinearSystem.make(a_ineq=[[1.0, 0.0], [0.0, 0.0]],
                                    b_ineq=[5.0, -1.0])
@@ -219,11 +226,12 @@ class TestQpSolve:
 
     @pytest.mark.parametrize("half_width", [0.5, 1.5])
     def test_cold_start_inside_the_box_needs_no_working_rows(
-            self, half_width):
+            self, half_width, monkeypatch):
         # Phase 1 starts at the box's centre (half width 0.5, below the cap
         # on t) or at least 1 from every face (1.5, the cap binds).  No row
         # is active there, so one Newton step reaches the interior minimizer
         # and the next iteration certifies it with an empty working set.
+        # (A PD cost skips phase 1; TestFreeStart covers that path.)
         centre = np.array([2.0, -1.0, 0.5])
         target = centre + half_width * np.array([0.4, -0.3, 0.1])
         cost = QuadraticCost(h=np.eye(3), g=-target)
@@ -231,7 +239,7 @@ class TestQpSolve:
             a_ineq=np.vstack([np.eye(3), -np.eye(3)]),
             b_ineq=np.concatenate([centre + half_width,
                                    half_width - centre]))
-        res = qp_solve(cost, system)
+        res = phase1_solve(cost, system, monkeypatch)
         assert res.status == OPTIMAL
         assert res.iterations <= 2
         assert np.all(res.duals_ineq == 0.0)
@@ -248,15 +256,22 @@ class TestQpSolve:
             QuadraticCost(h=np.diag([2.0, 0.0]), g=np.array([-2.0, 1.0])),
             LinearSystem.make(a_ineq=[[1.0, 0.0]], b_ineq=[10.0]))
         assert unbounded.status == UNBOUNDED and unbounded.iterations >= 1
+        # x1 <= 0 and x1 >= 1: the free start's path tightens x1 <= 2 to
+        # x1 <= 0 (x1 <= 0 enters at the first breakpoint), then x1 >= 1
+        # becomes tight at the second, depends on x1 <= 0 and cannot take
+        # its place; the path gives up and phase 1 decides.
         infeasible = qp_solve(cost, LinearSystem.make(
             a_ineq=[[1.0, 0.0], [-1.0, 0.0]], b_ineq=[0.0, -1.0]))
         assert infeasible.status == INFEASIBLE
-        assert infeasible.iterations == 0  # decided by phase 1
+        assert infeasible.iterations == 2
 
+        forced = phase1_solve(cost, system, monkeypatch)
+        assert forced.status == OPTIMAL and forced.iterations >= 1
         monkeypatch.setattr(scenario_mip, "_KKT_TOL", -1.0)
         failed = qp_solve(cost, system)
         assert failed.status == NUMERICAL_FAILURE
-        assert failed.iterations == optimal.iterations
+        # the free start's path, then the run from phase 1
+        assert failed.iterations == optimal.iterations + forced.iterations
         monkeypatch.undo()
 
         # A step that never shrinks and never blocks runs into the cap
@@ -394,8 +409,10 @@ class TestQpSolve:
         monkeypatch.setattr(scenario_mip, "_rhs_homotopy", recorded)
         warm = qp_solve(cost, loosened, warm_start=first)
         cold = qp_solve(cost, loosened)
-        [(found, spent)] = paths
+        assert len(paths) == 2  # the warm path, then the cold free start's
+        found, spent = paths[0]
         assert found is not None and spent == 3  # the path, no fallback
+        assert paths[1][0] is not None
         assert warm.status == OPTIMAL
         assert warm.working == (2,)
         assert warm.iterations == 3
@@ -413,17 +430,12 @@ class TestQpSolve:
         loosened = LinearSystem(system.a_ineq,
                                 system.b_ineq + rng.uniform(0.0, 1.0, 10),
                                 system.a_eq, system.b_eq)
-        cold = qp_solve(cost, loosened)
+        # A warm path that gives up falls back to phase 1, not to the
+        # free start, so the reference is the solve from phase 1.
+        cold = phase1_solve(cost, loosened, monkeypatch)
         monkeypatch.setattr(scenario_mip, "_rhs_homotopy",
                             lambda *args: (None, 3))
-        phase1 = []
-
-        def counting_linprog(*args, **kwargs):
-            phase1.append(1)
-            return real_linprog(*args, **kwargs)
-
-        real_linprog = scenario_mip.linprog
-        monkeypatch.setattr(scenario_mip, "linprog", counting_linprog)
+        phase1 = counting_linprog(monkeypatch)
         warm = qp_solve(cost, loosened, warm_start=first)
         assert first.status == cold.status == warm.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, rel=1e-12)
@@ -804,8 +816,9 @@ class TestSolveSelection:
             return real_qp_solve(cost, system, warm_start=warm_start)
 
         def gives_up_first(*args):
-            # The root node's path gives up; later nodes take the path.
-            paths.append(real_path(*args) if paths else (None, 2))
+            # The all-enforced QP's free start takes its path, the root
+            # node's warm path gives up, and later nodes take the path.
+            paths.append(real_path(*args) if len(paths) != 1 else (None, 2))
             return paths[-1]
 
         # Without the greedy incumbent the first warm-started QP is the
@@ -816,7 +829,7 @@ class TestSolveSelection:
                             lambda problem: None)
         sol = solve_selection(problem)
         assert calls[:2] == [False, True]
-        assert paths[0] == (None, 2)
+        assert paths[0][0] is not None and paths[1] == (None, 2)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
         assert sol.message == ""
@@ -1080,3 +1093,88 @@ class TestParametricWarmStart:
         assert sol.qp_count > 10
         assert warm_mean(sol) <= 5.0
         assert warm_mean(cold_path_solve(problem, monkeypatch)) > 20.0
+
+
+class TestFreeStart:
+    """A cold QP whose cost has a Cholesky factor on the equalities' null
+    space starts at that cost's minimizer and follows the RHS path; phase
+    1 runs only when the path gives up."""
+
+    def test_interior_minimizer_needs_no_phase_1(self, monkeypatch):
+        # The minimizer lies inside the box: the path meets no row, and
+        # its one iteration certifies it with an empty working set.
+        lps = counting_linprog(monkeypatch)
+        target = np.array([2.2, -1.15, 0.55])
+        cost = QuadraticCost(h=np.eye(3), g=-target)
+        system = LinearSystem.make(
+            a_ineq=np.vstack([np.eye(3), -np.eye(3)]),
+            b_ineq=[2.5, -0.5, 1.0, -1.5, 1.5, 0.0])
+        res = qp_solve(cost, system)
+        assert res.status == OPTIMAL
+        assert lps == []
+        assert res.iterations == 1 and res.working == ()
+        assert np.all(res.duals_ineq == 0.0)
+        np.testing.assert_allclose(res.x, target, atol=1e-12)
+
+    def test_minimizer_on_the_equalities_starts_the_path(self, monkeypatch):
+        # min |x - (5, 5, 0)|^2 / 2 on x1 + x2 + x3 = 3 under x1, x2 <= 1:
+        # the free start is (8, 8, -7) / 3, the equality holds on the whole
+        # path, and both bounds end in the working set.
+        lps = counting_linprog(monkeypatch)
+        cost = QuadraticCost(h=np.eye(3), g=np.array([-5.0, -5.0, 0.0]))
+        system = LinearSystem.make(
+            a_ineq=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], b_ineq=[1.0, 1.0],
+            a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0])
+        res = qp_solve(cost, system)
+        assert res.status == OPTIMAL and lps == []
+        assert res.working == (0, 1)
+        np.testing.assert_allclose(res.x, [1.0, 1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(res.duals_eq, [-1.0], atol=1e-12)
+        np.testing.assert_allclose(res.duals_ineq, [5.0, 5.0], atol=1e-12)
+
+    @pytest.mark.parametrize("h, a_eq", [
+        (np.zeros((2, 2)), None),  # a linear cost
+        (np.diag([2.0, 0.0]), None),  # PSD, flat along x2
+        (np.diag([2.0, 0.0]), [[1.0, 0.0]]),  # flat on x1 = 1's null space
+    ])
+    def test_cost_flat_on_the_equalities_takes_phase_1(self, h, a_eq,
+                                                       monkeypatch):
+        lps = counting_linprog(monkeypatch)
+        cost = QuadraticCost(h=h, g=np.array([-2.0, 1.0]))
+        system = LinearSystem.make(
+            a_ineq=[[0.0, -1.0], [1.0, 0.0]], b_ineq=[0.0, 3.0],
+            a_eq=a_eq, b_eq=None if a_eq is None else [1.0], n=2)
+        res = qp_solve(cost, system)
+        assert res.status == OPTIMAL, res.message
+        assert lps == [1]
+        assert res.x[1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_cost_curved_on_the_equalities_needs_no_phase_1(
+            self, monkeypatch):
+        # The same PSD cost, flat along x2 only, with x2 = 1 pinned: the
+        # reduced Hessian is [2], so the free start exists.
+        lps = counting_linprog(monkeypatch)
+        cost = QuadraticCost(h=np.diag([2.0, 0.0]), g=np.array([-2.0, 1.0]))
+        system = LinearSystem.make(
+            a_ineq=[[1.0, 0.0]], b_ineq=[0.5], a_eq=[[0.0, 1.0]], b_eq=[1.0])
+        res = qp_solve(cost, system)
+        assert res.status == OPTIMAL and lps == []
+        np.testing.assert_allclose(res.x, [0.5, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("name, k", [
+        ("tutorial", None), ("sweep14", 200), ("sweep300", 300)])
+    def test_all_enforced_qp_matches_the_phase_1_run(self, name, k,
+                                                     monkeypatch):
+        # The cold QP of every bundled DC config: no LP, the same working
+        # set and the same optimum as the run from the phase-1 point.
+        problem = config_problem(name, k)
+        system = problem.node_system(np.ones(problem.n_scenarios, dtype=bool))
+        forced = phase1_solve(problem.cost, system, monkeypatch)
+        lps = counting_linprog(monkeypatch)
+        free = qp_solve(problem.cost, system)
+        assert lps == []
+        assert free.status == forced.status == OPTIMAL
+        assert free.working == forced.working
+        assert free.value == pytest.approx(forced.value, rel=1e-12)
+        np.testing.assert_allclose(free.x, forced.x, atol=1e-9)
+        assert free.iterations <= forced.iterations

@@ -143,11 +143,12 @@ def test_a_random_k_sequence_on_one_cc_matches_new_problems(seed, s, order):
 
 class TestSharedWorkCounts:
     """Counters on HiGHS and qp_solve pin what is shared, and for how
-    long."""
+    long.  A cold QP is a qp_solve call with no warm start: here always
+    an all-enforced QP, which starts free and needs no LP."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        counts = {"lp": 0, "qp": 0, "greedy_qp": 0}
+        counts = {"lp": 0, "qp": 0, "cold_qp": 0, "greedy_qp": 0}
         inside_greedy = []
         real_linprog = scenario_mip.linprog
         real_qp_solve = scenario_mip.qp_solve
@@ -159,6 +160,7 @@ class TestSharedWorkCounts:
 
         def qp_solve(*args, **kwargs):
             counts["qp"] += 1
+            counts["cold_qp"] += kwargs.get("warm_start") is None
             counts["greedy_qp"] += bool(inside_greedy)
             return real_qp_solve(*args, **kwargs)
 
@@ -180,7 +182,7 @@ class TestSharedWorkCounts:
         run = config_run("sweep14", sets=("train", "ro"))
         return run.model, run.sets["train"], run.sets["ro"]
 
-    def test_one_phase_1_lp_and_one_greedy_path_per_scenario_set(
+    def test_one_cold_qp_and_one_greedy_path_per_scenario_set(
             self, sweep14, counted):
         net, train, ro_set = sweep14
         cc = fresh_cc(net)
@@ -190,21 +192,22 @@ class TestSharedWorkCounts:
         # 20 trials.  Every other QP is a node QP.
         nodes = sum(sol.nodes for sol in solves.values())
         counts = dict(counted)
-        assert counts == {"lp": 1, "qp": 1 + 20 + nodes, "greedy_qp": 20}
+        assert counts == {"lp": 0, "qp": 1 + 20 + nodes, "cold_qp": 1,
+                          "greedy_qp": 20}
         assert [solves[k].qp_count for k in range(180, 201, 2)] == [
             1 + solves[k].nodes for k in range(180, 201, 2)]
         # Solving it all again through cc solves nothing cold and walks
         # no greedy step.
         again = sweep(net, train, cc, range(180, 201, 2), robust_first=False)
-        assert counted == {"lp": 1, "qp": counts["qp"] + nodes,
-                           "greedy_qp": 20}
+        assert counted == {"lp": 0, "qp": counts["qp"] + nodes,
+                           "cold_qp": 1, "greedy_qp": 20}
         for key, sol in again.items():
             assert_same_solution(sol, solves[key])
         # The separate robust set on the same cc has a holder of its own.
         ro_baseline(net.case, net.fleet, ro_set, cc=cc)
-        assert counted["lp"] == 2
+        assert counted["cold_qp"] == 2
         ro_baseline(net.case, net.fleet, ro_set, cc=cc)
-        assert counted["lp"] == 2
+        assert counted["cold_qp"] == 2 and counted["lp"] == 0
         assert len(scenario_mip._SHARED[cc]) == 2
 
     def test_a_stopped_path_stays_stopped(self, sweep14, counted,
@@ -235,10 +238,11 @@ class TestSharedWorkCounts:
             fresh_cc(net), train.xi, make_cost(net.case), 190,
             equalities=balance_equality(net.case, net.fleet))
         first = solve_selection(built)
-        assert counted["lp"] == 1 and counted["greedy_qp"] == 10
+        assert counted["cold_qp"] == 1 and counted["greedy_qp"] == 10
         direct = SelectionProblem(built.cost, built.base, built.b, built.k)
         assert_same_solution(solve_selection(direct), first)
-        assert counted["lp"] == 2 and counted["greedy_qp"] == 20
+        assert counted["cold_qp"] == 2 and counted["greedy_qp"] == 20
+        assert counted["lp"] == 0
 
     def test_the_holder_dies_with_its_cc(self, sweep14):
         net, train, _ = sweep14
