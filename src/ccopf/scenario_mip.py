@@ -9,40 +9,40 @@ combinatorially — each branch-and-bound node partitions scenarios into
 plus Enforced blocks, one row set at the row-wise minimum bound — so no
 big-M constant is ever materialized.
 
-The continuous engine is a dense primal active-set method with
-equalities pinned in the working set.  Each iteration factors the
+The continuous engine is one parametric active-set loop, as in qpOASES,
+with equalities pinned in the working set.  It starts from a known
+optimum of a nearby QP (one with the same rows but another inequality
+RHS or linear term) and follows the straight path from that QP to this
+one, one working-set change per breakpoint.  Each iteration factors the
 working rows once by QR: the trailing columns of Q span their null
 space, and the multipliers come from one triangular solve with R.  The
 step comes from the Cholesky factor of the reduced Hessian when its
-pivots pass a fixed test, and otherwise from a least-squares solve plus
-an explicit descent ray, so PSD and singular Hessians are supported.
-Every optimum is checked against its KKT residual before it is returned.
-A cold QP starts free, as in qpOASES: the cost's own minimizer on the
-equalities is the optimum, with an empty working set, of the QP whose
-RHS is raised until that point meets it strictly, and the RHS homotopy
-below tightens the RHS back.  Every point of that path is feasible when
-the QP is, so the path ends at the optimum.  When it gives up (the QP is
-infeasible, or a degenerate breakpoint stops it), or when the cost has
-no Cholesky factor on the equalities' null space (a linear cost), the
-QP starts from phase 1 instead, one max-slack LP solved by scipy's HiGHS
+pivots pass a fixed test; a flat one (a linear or rank-deficient cost)
+gets a least-squares step, or a ray of linear descent to the first
+blocking row, and a ray that no row blocks means UNBOUNDED.  Every
+optimum is checked against its KKT residual before it is returned.
+
+The loop has three starts.  A warm start is an earlier optimum: every
+warm-started system in the search loosens the system of its start (a
+node loosens the all-enforced anchor, a greedy trial the trial before
+it), so only the RHS moves, and a node usually needs a few breakpoints.
+A cold QP starts free: the cost's own minimizer on the equalities is the
+optimum, with an empty working set, of the QP whose RHS is raised until
+that point meets it strictly, and the path tightens the RHS back.  Every
+point of those paths is feasible when the QP is.  When a path gives up
+(the QP is infeasible, or a degenerate breakpoint stops it), or when the
+cost has no Cholesky factor on the equalities' null space, the same call
+starts from phase 1 instead, one max-slack LP solved by scipy's HiGHS
 linprog: maximize t subject to A x + t ||a_i|| <= b, E x = f, t <= a
 fixed cap.  t is the radius of a ball around x inside the inequalities,
-so x is their Chebyshev centre and the active-set run leaves it with an
-almost empty working set.  t* < 0 means the system is infeasible, and
-the same LP's duals are the Farkas certificate, so phase 1 alone
-reports INFEASIBLE.  HiGHS solves only the phase-1 LP.
-
-A warm QP starts from an earlier optimum instead: every warm-started
-system in the search loosens the system of its start (a node loosens the
-all-enforced anchor, a greedy trial the trial before it), so only the
-right-hand side moves.  The start's working set, point and multipliers
-follow that RHS from the old value to the new one (a parametric
-active-set homotopy, as in qpOASES), one working-set change per
-breakpoint and with the same QR and Cholesky steps; a node usually needs
-a few breakpoints where a cold solve takes some forty.  When the path
-gives up, the same qp_solve call solves the QP from phase 1, so one node
-is one QP.  All tie-breaks are by lowest index so results are
-reproducible.
+so x is their Chebyshev centre.  With its tight rows as the working set
+and zero multipliers, x is the optimum of the QP whose linear term makes
+it stationary, and the path moves that linear term to the cost's.  t* <
+0 means the system is infeasible, and the same LP's duals are the Farkas
+certificate, so phase 1 alone reports INFEASIBLE (inconsistent
+equalities are caught before the LP, by least squares).  HiGHS solves
+only the phase-1 LP.  So one node is one QP, and all tie-breaks are by
+lowest index so results are reproducible.
 
 The all-enforced QP and the greedy incumbent's path do not depend on k.
 Every problem build_selection_from_ccopf makes from one cc object and
@@ -85,7 +85,8 @@ _KKT_TOL = 1e-6  # largest KKT residual of the normalized QP at an optimum
 # 0.43-0.50 on case14 at the configs' seeds), so there it never binds and
 # phase 1 returns the Chebyshev centre itself.  No bundled workload runs
 # phase 1, because their cold QPs start free: it decides infeasible QPs,
-# starts linear costs and recovers when an RHS path gives up.
+# and its point is the homotopy's third start, for a cost with no free
+# start (a linear one, say) and after a warm or free path gives up.
 _PHASE1_T_CAP = 1.0
 # A zero row reads 0 <= b_i.  With weight 1 it becomes t <= b_i, which
 # holds at some t >= 0 exactly when the row holds, and a negative b_i caps
@@ -196,7 +197,7 @@ def _phase1_lp(system):
     t* >= 0; then x is a start deep inside the set.  When t* < 0 the duals
     carry the Farkas certificate.  res.fun is -t*.
     """
-    m, n = system.a_ineq.shape
+    n = system.a_ineq.shape[1]
     p = system.a_eq.shape[0]
     w = np.linalg.norm(system.a_ineq, axis=1)
     w[w == 0.0] = _ZERO_ROW_WEIGHT
@@ -204,8 +205,8 @@ def _phase1_lp(system):
     c[n] = -1.0
     return linprog(
         c,
-        A_ub=np.hstack([system.a_ineq, w[:, None]]) if m else None,
-        b_ub=system.b_ineq if m else None,
+        A_ub=np.hstack([system.a_ineq, w[:, None]]),
+        b_ub=system.b_ineq,
         A_eq=np.hstack([system.a_eq, np.zeros((p, 1))]) if p else None,
         b_eq=system.b_eq if p else None,
         bounds=[(None, None)] * n + [(None, _PHASE1_T_CAP)],
@@ -214,21 +215,19 @@ def _phase1_lp(system):
 
 
 def _infeasibility_certificate(system, res):
-    """Farkas combination from the solved phase-1 LP's duals.
+    """Farkas combination from the duals of a solved phase-1 LP with t* < 0.
 
-    At t* < 0 the duals y >= 0 and mu of the max-slack LP satisfy
+    There the duals y >= 0 and mu of the max-slack LP satisfy
     y'A + mu'E = 0, w'y = 1 and y'b + mu'f = t* < 0.
     """
-    m = system.a_ineq.shape[0]
-    p = system.a_eq.shape[0]
+    y_ineq = np.maximum(-res.ineqlin.marginals, 0.0)
+    y_eq = -res.eqlin.marginals if system.a_eq.shape[0] else np.zeros(0)
+    combo = y_ineq @ system.a_ineq + y_eq @ system.a_eq
+    rhs = y_ineq @ system.b_ineq + y_eq @ system.b_eq
     cert = None
-    if res.status == 0 and res.fun > 1e-9:
-        y_ineq = np.maximum(-res.ineqlin.marginals, 0.0) if m else np.zeros(0)
-        y_eq = -res.eqlin.marginals if p else np.zeros(0)
-        combo = y_ineq @ system.a_ineq + (y_eq @ system.a_eq if p else 0.0)
-        rhs = y_ineq @ system.b_ineq + (y_eq @ system.b_eq if p else 0.0)
-        if np.max(np.abs(combo)) < 1e-6 * max(1.0, np.max(np.abs(y_ineq), initial=1.0)) and rhs < 0:
-            cert = {"y_ineq": y_ineq, "y_eq": y_eq, "combined_rhs": float(rhs)}
+    tol = 1e-6 * max(1.0, np.max(np.abs(y_ineq)))
+    if np.max(np.abs(combo)) < tol and rhs < 0:
+        cert = {"y_ineq": y_ineq, "y_eq": y_eq, "combined_rhs": float(rhs)}
     return QpSubproblemResult(status=INFEASIBLE, certificate=cert,
                               message="constraints are inconsistent")
 
@@ -255,20 +254,26 @@ def _kkt_residual(h, g, system, x, lam, mu):
 def _phase1_point(system):
     """Feasible point via the max-slack LP, or an INFEASIBLE result.
 
+    The equalities are tested first, by least squares: when f is not in
+    the range of E, the residual r = f - E x of the least-squares x has
+    E'r = 0 and f'r = ||r||^2 > 0, so y_ineq = 0, y_eq = -r is the Farkas
+    certificate.  Only a system with inequality rows then solves the LP.
     The point is the (capped) Chebyshev centre of the inequalities on the
-    equalities: every row keeps slack t* * ||a_i||, so a cold active-set
-    run starts with an almost empty working set.
+    equalities: every row keeps slack t* * ||a_i||, so the active-set run
+    from phase 1 starts with an almost empty working set.
     """
     m, n = system.a_ineq.shape
+    x0 = np.zeros(n)
+    if system.a_eq.shape[0]:
+        x0, *_ = np.linalg.lstsq(system.a_eq, system.b_eq, rcond=None)
+        r = system.b_eq - system.a_eq @ x0
+        if np.max(np.abs(r)) > 1e-8:
+            return None, QpSubproblemResult(
+                status=INFEASIBLE, message="equalities are inconsistent",
+                certificate={"y_ineq": np.zeros(m), "y_eq": -r,
+                             "combined_rhs": float(-r @ system.b_eq)})
     if m == 0:
-        if system.a_eq.shape[0]:
-            x0, *_ = np.linalg.lstsq(system.a_eq, system.b_eq, rcond=None)
-            if np.max(np.abs(system.a_eq @ x0 - system.b_eq),
-                      initial=0.0) > 1e-8:
-                return None, _infeasibility_certificate(
-                    system, _phase1_lp(system))
-            return x0, None
-        return np.zeros(n), None
+        return x0, None
     res = _phase1_lp(system)
     if res.status != 0:
         return None, QpSubproblemResult(
@@ -304,41 +309,42 @@ def _independent_rows(rows, basis):
 def qp_solve(cost, system, *, warm_start=None):
     """Minimize a convex QP over a linear system with a KKT certificate.
 
-    Dense primal active-set method: equalities stay in the working set,
-    inequality rows enter on blocking and leave on negative multipliers
-    (most negative first, lowest index on ties).  Each iteration takes one
-    complete QR factorization of the working rows: the trailing columns
-    of Q are the null-space basis Z, and the multipliers solve the
-    triangular system with R.  The step is the Newton step on Z from the
-    Cholesky factor of Z'HZ when every pivot passes the _PIVOT_TOL test;
-    otherwise a least-squares step plus an explicit descent ray handles
-    the singular reduced Hessian, so linear costs and linear pieces of a
-    cost are fine and an unblocked ray is reported UNBOUNDED.  An optimum
-    whose KKT residual on the normalized problem exceeds _KKT_TOL is
-    reported as NUMERICAL_FAILURE with that residual in the message.
+    One parametric active-set loop (_homotopy) does every solve: it moves
+    a start to this QP's optimum, with equalities in the working set and
+    inequality rows entering on blocking and leaving when their
+    multipliers reach zero.  A start is an OPTIMAL result for the same
+    rows and the inequality RHS start.rhs, and it keeps the invariant the
+    loop needs: its point is feasible for start.rhs, its working rows are
+    tight there and its multipliers are >= 0.  A flat reduced Hessian
+    gets a least-squares step or a descent ray, so linear costs and
+    linear pieces of a cost are fine and an unblocked ray is reported
+    UNBOUNDED.  An optimum whose KKT residual on the normalized problem
+    exceeds _KKT_TOL is reported as NUMERICAL_FAILURE with that residual
+    in the message.  There are three starts:
 
-    warm_start is an optional OPTIMAL result of an earlier call with the
-    same cost and the same rows, solved for another inequality RHS b0
-    (its rhs field).  Its working set, point and multipliers are then
-    moved along b0 + t (b - b0) to this system's RHS (see _rhs_homotopy),
-    usually in a few working-set changes.  Callers warm-start only
-    loosenings, b >= b0, so every QP on that path is feasible (a
-    tightening gets the right answer too: the free start below is one).
-    When the path gives up, or its answer fails the KKT gate, the same
-    call solves the QP from phase 1, which is the one recovery.
+    - warm_start, an optional OPTIMAL result of an earlier call with the
+      same cost and rows for another inequality RHS b0 (its rhs field).
+      Its working set, point and multipliers move along b0 + t (b - b0),
+      usually in a few working-set changes.  Callers warm-start only
+      loosenings, b >= b0, so every QP on that path is feasible (a
+      tightening gets the right answer too: the free start is one).
+    - Without warm_start, the free start (see _free_start): the
+      normalized cost's minimizer x0 on the equalities, with an empty
+      working set for b0 = max(b, A x0 + 1), which the path tightens to
+      b.  A cost whose reduced Hessian fails the _PIVOT_TOL test has no
+      free start, and neither does a system with no inequality rows.
+    - Phase 1, when there is no other start, or when the warm or free
+      path gives up, ends UNBOUNDED or fails the KKT gate.  The max-slack
+      LP's point (see _phase1_lp), projected onto the equalities, with
+      its tight independent rows as the working set, zero multipliers
+      and b0 = b: only the linear term moves on its path.  Every row
+      keeps slack t* ||a_i||, so the working set starts empty unless t*
+      is about 0, and t* < 0 returns INFEASIBLE with that LP's Farkas
+      certificate.
 
-    Without warm_start the call starts free (see _free_start): from the
-    normalized cost's minimizer x0 on the equalities, an OPTIMAL start
-    with an empty working set for b0 = max(b, A x0 + 1), which the same
-    homotopy tightens to b.  A cost whose reduced Hessian fails the
-    _PIVOT_TOL test skips the free start, and so does a system with no
-    inequality rows, whose phase 1 needs no LP.  When that path gives
-    up, or its answer fails the KKT gate, the call starts from phase 1,
-    the max-slack LP's point (see _phase1_lp): every row keeps slack
-    t* ||a_i||, so the working set starts empty unless t* is about 0,
-    and t* < 0 returns INFEASIBLE with that LP's Farkas certificate.
-    The result's iterations field counts the active-set iterations
-    taken, on the path and after it.
+    A warm or free path may take n + m + 10 iterations, the run from
+    phase 1 50 (n + m + 10).  The result's iterations field counts the
+    active-set iterations of both.
     """
     if not isinstance(system, LinearSystem):
         raise TypeError("system must be a LinearSystem")
@@ -358,7 +364,6 @@ def qp_solve(cost, system, *, warm_start=None):
     # equality gets a zero multiplier), so that Q's trailing columns span
     # their null space.
     eq_rows, basis = _independent_rows(a_eq, np.zeros((0, n)))
-    a_eq_w = a_eq[eq_rows]
     n_eq = len(eq_rows)
 
     def optimum(x, working, y, iterations):
@@ -384,93 +389,47 @@ def qp_solve(cost, system, *, warm_start=None):
             kkt_residual=kkt, iterations=iterations,
             working=tuple(working), rhs=b_ineq)
 
-    spent = 0  # iterations on the homotopy path
+    def run(start, max_iter, spent):
+        """The result of the homotopy from start, after spent iterations."""
+        found, it = _homotopy(h, g, system, start, scale, eq_rows, h_max,
+                              max_iter)
+        spent += it
+        if found is None:
+            return QpSubproblemResult(
+                status=NUMERICAL_FAILURE, iterations=spent,
+                message=f"active-set iteration cap {max_iter} reached"
+                if it == max_iter else "a tight dependent row cannot enter")
+        if found == UNBOUNDED:
+            return QpSubproblemResult(
+                status=UNBOUNDED, message="descent ray never blocked",
+                iterations=spent)
+        return optimum(*found, spent)
+
+    spent = 0  # iterations on the warm or free path
     start = warm_start
     if start is None and m:
         start = _free_start(h, g, system, eq_rows, h_max)
     if start is not None:
-        found, spent = _rhs_homotopy(h, g, system, start, scale,
-                                     eq_rows, h_max)
-        if found is not None:
-            result = optimum(*found, spent)
-            if result.status == OPTIMAL:
-                return result
+        result = run(start, n + m + 10, 0)
+        if result.status == OPTIMAL:
+            return result
+        spent = result.iterations
     x, fail = _phase1_point(system)
     if fail is not None:
         fail.iterations = spent
         return fail
-
     if a_eq.shape[0]:
         # Project the starting point exactly onto the equalities.
         corr, *_ = np.linalg.lstsq(a_eq, b_eq - a_eq @ x, rcond=None)
         x = x + corr
-
+    # The optimum of the QP whose linear term makes x stationary with zero
+    # multipliers: its tight independent rows, ascending, at the RHS b.
     active = np.flatnonzero(b_ineq - a_ineq @ x <= 1e-9)
     picked, _ = _independent_rows(a_ineq[active], basis)
-    working = [int(j) for j in active[picked]]
-    max_iter = 50 * (n + m + 10)
-
-    for it in range(spent + 1, spent + max_iter + 1):
-        a_w = np.vstack([a_eq_w, a_ineq[working]])
-        p = a_w.shape[0]
-        if p:
-            q, r = np.linalg.qr(a_w.T, mode="complete")
-            z = q[:, p:]
-        else:
-            z = np.eye(n)
-
-        grad = h @ x + g
-        step = np.zeros(n)
-        ray = None
-        if z.shape[1]:
-            hz = z.T @ h @ z
-            gz = z.T @ grad
-            pz = _cholesky_step(hz, gz, h_max)
-            if pz is None:
-                if np.max(np.abs(hz)) <= _ZERO_CURVATURE * h_max:
-                    hz = np.zeros_like(hz)  # only rounding noise from Z
-                pz, *_ = np.linalg.lstsq(hz, -gz, rcond=None)
-                resid = hz @ pz + gz
-                if np.max(np.abs(resid), initial=0.0) > 1e-9:
-                    # gz has a component in the null space of hz: a
-                    # direction of linear, unblocked descent.
-                    ray = z @ (-resid)
-            if ray is None:
-                step = z @ pz
-
-        if ray is not None:
-            alpha, j_enter = _blocking_step(a_ineq, b_ineq, x, ray, working)
-            if j_enter is None:
-                return QpSubproblemResult(
-                    status=UNBOUNDED, message="descent ray never blocked",
-                    iterations=it)
-            x = x + alpha * ray
-            working = sorted(working + [j_enter])
-            continue
-
-        if np.max(np.abs(step), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x))):
-            # Stationary on the working set: check multipliers.
-            if p:
-                y, _ = lapack.dtrtrs(r[:p], -(q[:, :p].T @ grad))
-            else:
-                y = np.zeros(0)
-            lam_w = y[n_eq:]
-            if lam_w.size == 0 or np.min(lam_w) >= -1e-9:
-                return optimum(x, working, y, it)
-            worst = int(np.argmin(lam_w))  # ties: argmin takes the first
-            working.pop(worst)
-            continue
-
-        alpha, j_enter = _blocking_step(a_ineq, b_ineq, x, step, working)
-        if j_enter is not None and alpha < 1.0:
-            x = x + alpha * step
-            working = sorted(working + [j_enter])
-        else:
-            x = x + step
-    return QpSubproblemResult(
-        status=NUMERICAL_FAILURE,
-        message=f"active-set iteration cap {max_iter} reached",
-        iterations=spent + max_iter)
+    start = QpSubproblemResult(
+        status=OPTIMAL, x=x, duals_ineq=np.zeros(m),
+        working=tuple(int(j) for j in active[picked]), rhs=b_ineq)
+    return run(start, 50 * (n + m + 10), spent)
 
 
 def _free_start(h, g, system, eq_rows, h_max):
@@ -478,7 +437,7 @@ def _free_start(h, g, system, eq_rows, h_max):
     on the independent equality rows, posed as an OPTIMAL result with an
     empty working set for the RHS b0 = max(b, A x0 + 1), which x0 meets
     strictly.  Tightening b0 to b keeps every point of the RHS path
-    feasible when b is, so _rhs_homotopy reaches the optimum.
+    feasible when b is, so _homotopy reaches the optimum.
 
     x0 is the null-space Newton step, its reduced Hessian factored by
     _cholesky_step; None when that fails the pivot test (a linear cost,
@@ -501,28 +460,38 @@ def _free_start(h, g, system, eq_rows, h_max):
         rhs=np.maximum(system.b_ineq, system.a_ineq @ x + 1.0))
 
 
-def _rhs_homotopy(h, g, system, start, scale, eq_rows, h_max):
-    """Move an earlier optimum to system's RHS along b0 + t (b - b0).
+def _homotopy(h, g, system, start, scale, eq_rows, h_max, max_iter):
+    """Move a known optimum to this QP's along a parametric path.
 
-    start is an OPTIMAL result for the same normalized cost h, g (times
-    scale) and the same rows, solved for the inequality RHS b0 =
-    start.rhs.  On each piece of the path the working set W is fixed and
-    x(t) and the multipliers lam_W(t) are affine in t.  A piece ends at a
-    breakpoint that changes W by one row: a multiplier reaches zero and
-    its row leaves, or an outside row becomes tight and enters.  Each
-    iteration solves the equality-constrained QP on W at the target RHS
-    (the range part from R', the null-space part from the Cholesky factor
-    of Z'HZ, as in qp_solve); the segment from the current point to that
-    solution is the rest of the piece, so the two ratio tests find its
-    end.  Ties go to the lowest index, and a leaving row before an
-    entering one.
+    start is an OPTIMAL result for the same rows and an inequality RHS b0
+    = start.rhs: its point is feasible for b0, its working rows are tight
+    there and its multipliers duals_ineq are >= 0.  It is then the optimum
+    of the QP with this normalized cost's h (times scale), the RHS b0 and
+    the linear term g0 that makes it stationary; g0 is never needed.  A
+    warm start is an earlier optimum (g0 = g), the free start the cost's
+    own minimizer at a raised RHS, and phase 1 a feasible point at b0 = b
+    with zero multipliers.  Along g0 + t (g - g0), b0 + t (b - b0) the
+    working set W is fixed on each piece, and x(t) and the multipliers
+    lam_W(t) are affine in t.  A piece ends at a breakpoint that changes W
+    by one row: a multiplier reaches zero and its row leaves, or an outside
+    row becomes tight and enters.  Each iteration solves the equality-
+    constrained QP on W at the target g and b (the range part from R', the
+    null-space part from the Cholesky factor of Z'HZ); the segment from the
+    current point to that solution is the rest of the piece, so the two
+    ratio tests find its end.  Ties go to the lowest index, and a leaving
+    row before an entering one.
+
+    A flat reduced Hessian, one that fails the pivot test, gets the
+    least-squares step instead.  When that leaves a residual, the cost
+    falls linearly along a ray on W: the point moves along it, with the
+    bounds held, to the first blocking row, which enters with multiplier 0.
 
     Returns ((x, working, y), iterations) at t = 1, y the multipliers of
-    the working rows with the equalities first; or (None, iterations)
-    when the path gives up: a reduced Hessian without a Cholesky factor,
-    a tight dependent row that no working row can make room for, or more
-    than n + m + 10 breakpoints (which also ends any cycle of zero-length
-    steps at a degenerate breakpoint).
+    the working rows with the equalities first; (UNBOUNDED, iterations)
+    when no row blocks a ray; or (None, iterations) when the path gives
+    up: a tight dependent row that no working row can make room for, or
+    max_iter breakpoints (which also ends any cycle of zero-length steps
+    at a degenerate breakpoint).
     """
     a, b = system.a_ineq, system.b_ineq
     m, n = a.shape
@@ -536,7 +505,7 @@ def _rhs_homotopy(h, g, system, start, scale, eq_rows, h_max):
     working = list(start.working)
     lam = start.duals_ineq[working] / scale
     b_t = start.rhs  # the bounds at the current t
-    for it in range(1, n + m + 11):
+    for it in range(1, max_iter + 1):
         a_w = np.vstack([a_eq_w, a[working]])
         p = a_w.shape[0]
         grad = h @ x + g
@@ -550,9 +519,26 @@ def _rhs_homotopy(h, g, system, start, scale, eq_rows, h_max):
                                  - a_w @ x, trans=1)
             step = y_basis @ u
         if z.shape[1]:
-            pz = _cholesky_step(z.T @ h @ z, z.T @ (grad + h @ step), h_max)
+            hz = z.T @ h @ z
+            gz = z.T @ (grad + h @ step)
+            pz = _cholesky_step(hz, gz, h_max)
             if pz is None:
-                return None, it
+                if np.max(np.abs(hz)) <= _ZERO_CURVATURE * h_max:
+                    hz = np.zeros_like(hz)  # only rounding noise from Z
+                pz, *_ = np.linalg.lstsq(hz, -gz, rcond=None)
+                resid = hz @ pz + gz
+                if np.max(np.abs(resid)) > 1e-9:
+                    # gz has a component in the null space of hz: a ray
+                    # of linear descent, along which H x stays the same.
+                    ray = z @ -resid
+                    alpha, enter = _blocking_step(a, b_t, x, ray, working)
+                    if enter is None:
+                        return UNBOUNDED, it
+                    x = x + alpha * ray
+                    at = bisect.bisect(working, enter)
+                    working.insert(at, enter)
+                    lam = np.insert(lam, at, 0.0)
+                    continue
             step = step + z @ pz
         y = (lapack.dtrtrs(r, -(y_basis.T @ (grad + h @ step)))[0] if p
              else np.zeros(0))
@@ -599,7 +585,7 @@ def _rhs_homotopy(h, g, system, start, scale, eq_rows, h_max):
             at = bisect.bisect(working, enter)
             working.insert(at, enter)
             lam = np.insert(lam, at, lam_enter)
-    return None, n + m + 10
+    return None, max_iter
 
 
 def _cholesky_step(hz, gz, h_max):

@@ -195,9 +195,10 @@ def assert_farkas(system, res):
     cert = res.certificate
     assert cert is not None
     y, mu = cert["y_ineq"], cert["y_eq"]
-    assert np.min(y) >= 0.0
+    assert np.min(y, initial=0.0) >= 0.0
     combo = y @ system.a_ineq + mu @ system.a_eq
-    assert np.max(np.abs(combo)) <= 1e-6 * max(1.0, np.max(np.abs(y)))
+    assert np.max(np.abs(combo)) <= 1e-6 * max(1.0, np.max(np.abs(y),
+                                                            initial=0.0))
     assert y @ system.b_ineq + mu @ system.b_eq < 0.0
 
 
@@ -212,6 +213,24 @@ def test_infeasible_system_has_a_farkas_certificate(data):
     assert_farkas(system,
                   qp_solve(QuadraticCost(h=h, g=_ints(data.draw, (n,))),
                            system))
+
+
+@pytest.mark.parametrize("row", [True, False])
+@pytest.mark.parametrize("curved", [True, False])
+def test_inconsistent_equalities_have_a_farkas_certificate(row, curved):
+    # x1 + x2 = 1 and x1 + x2 = 2, with or without the row x1 <= 5, under
+    # a PD or a linear cost: the least-squares test of the equalities
+    # decides, and no LP runs.
+    system = LinearSystem.make(
+        a_ineq=[[1.0, 0.0]] if row else None, b_ineq=[5.0] if row else None,
+        a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0])
+    cost = QuadraticCost(h=np.eye(2) if curved else np.zeros((2, 2)),
+                         g=np.array([1.0, -1.0]))
+    with mock.patch.object(scenario_mip, "linprog",
+                           wraps=scenario_mip.linprog) as lp:
+        res = qp_solve(cost, system)
+    assert lp.call_count == 0
+    assert_farkas(system, res)
 
 
 @given(st.data())

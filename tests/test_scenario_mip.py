@@ -105,6 +105,22 @@ def phase1_solve(cost, system, monkeypatch):
         return qp_solve(cost, system)
 
 
+def on_the_warm_or_free_path(stand_in):
+    """A stand-in for scenario_mip._homotopy: stand_in answers the call on
+    the warm or free path (cap n + m + 10), and the real homotopy runs
+    from phase 1 (cap 50 (n + m + 10))."""
+    from ccopf import scenario_mip
+
+    real = scenario_mip._homotopy
+
+    def homotopy(h, g, system, start, scale, eq_rows, h_max, max_iter):
+        if max_iter == sum(system.a_ineq.shape) + 10:
+            return stand_in
+        return real(h, g, system, start, scale, eq_rows, h_max, max_iter)
+
+    return homotopy
+
+
 def counting_linprog(monkeypatch):
     """Patch scenario_mip's linprog to record its calls; returns the list."""
     from ccopf import scenario_mip
@@ -229,8 +245,8 @@ class TestQpSolve:
             self, half_width, monkeypatch):
         # Phase 1 starts at the box's centre (half width 0.5, below the cap
         # on t) or at least 1 from every face (1.5, the cap binds).  No row
-        # is active there, so one Newton step reaches the interior minimizer
-        # and the next iteration certifies it with an empty working set.
+        # is active there, so the path's one Newton step reaches the
+        # interior minimizer with an empty working set and no multiplier.
         # (A PD cost skips phase 1; TestFreeStart covers that path.)
         centre = np.array([2.0, -1.0, 0.5])
         target = centre + half_width * np.array([0.4, -0.3, 0.1])
@@ -241,7 +257,7 @@ class TestQpSolve:
                                    half_width - centre]))
         res = phase1_solve(cost, system, monkeypatch)
         assert res.status == OPTIMAL
-        assert res.iterations <= 2
+        assert res.iterations == 1
         assert np.all(res.duals_ineq == 0.0)
         np.testing.assert_allclose(res.x, target, atol=1e-12)
 
@@ -274,15 +290,17 @@ class TestQpSolve:
         assert failed.iterations == optimal.iterations + forced.iterations
         monkeypatch.undo()
 
-        # A step that never shrinks and never blocks runs into the cap
-        # 50 * (n + m + 10) on one free variable.
+        # A step that always pushes x into x <= 1 while the cost pulls it
+        # back: the row enters and leaves at every breakpoint, so the free
+        # start's path stops at its cap n + m + 10 = 12 and the run from
+        # phase 1 at its cap 50 * (n + m + 10) = 600.
         monkeypatch.setattr(scenario_mip, "_cholesky_step",
-                            lambda hz, gz, h_max: np.full_like(gz, 1e-3))
+                            lambda hz, gz, h_max: np.full_like(gz, 1e3))
         capped = qp_solve(QuadraticCost(h=np.eye(1), g=np.zeros(1)),
-                          LinearSystem.make(n=1))
+                          LinearSystem.make(a_ineq=[[1.0]], b_ineq=[1.0]))
         assert capped.status == NUMERICAL_FAILURE
-        assert capped.iterations == 550
-        assert "iteration cap 550" in capped.message
+        assert capped.iterations == 12 + 600
+        assert "iteration cap 600" in capped.message
 
     def test_unbounded_lp(self):
         cost = QuadraticCost(h=np.zeros((1, 1)), g=np.array([1.0]))
@@ -344,9 +362,11 @@ class TestQpSolve:
         from ccopf import scenario_mip
 
         # Unit-scale cost, so the normalized residual is the reported one.
+        # The free start's answer fails the check too, so the message
+        # names the residual of the run from phase 1.
         cost = QuadraticCost(h=np.eye(2), g=np.array([-1.0, 0.5]))
         system = LinearSystem.make(a_ineq=[[1.0, 1.0]], b_ineq=[0.25])
-        res = qp_solve(cost, system)
+        res = phase1_solve(cost, system, monkeypatch)
         assert res.status == OPTIMAL
         monkeypatch.setattr(scenario_mip, "_KKT_TOL", -1.0)
         failed = qp_solve(cost, system)
@@ -385,6 +405,25 @@ class TestQpSolve:
         np.testing.assert_allclose(warm.x, [3.0, 2.5], atol=1e-12)
         np.testing.assert_allclose(warm.duals_ineq, [2.0, 2.5], atol=1e-12)
 
+    def test_flat_cost_warm_start_stays_on_the_path(self, monkeypatch):
+        # (x1 + x2)^2 / 2 + x1 + x2 is flat along (1, -1).  The cold solve
+        # starts from phase 1 (no free start) and its least-squares step
+        # reaches (-0.5, -0.5); loosening the box keeps that point, and the
+        # warm path certifies it with one least-squares step and no LP.
+        cost = QuadraticCost(h=np.ones((2, 2)), g=np.ones(2))
+        a = np.vstack([np.eye(2), -np.eye(2)])
+        first = qp_solve(cost, LinearSystem.make(a_ineq=a,
+                                                 b_ineq=np.full(4, 10.0)))
+        assert first.status == OPTIMAL
+        lps = counting_linprog(monkeypatch)
+        warm = qp_solve(cost, LinearSystem.make(a_ineq=a,
+                                                b_ineq=np.full(4, 12.0)),
+                        warm_start=first)
+        assert warm.status == OPTIMAL
+        assert lps == [] and warm.iterations == 1
+        np.testing.assert_allclose(warm.x, [-0.5, -0.5], atol=1e-12)
+        assert warm.value == pytest.approx(-0.5, abs=1e-12)
+
     def test_dependent_row_becoming_tight_is_exchanged(self, monkeypatch):
         from ccopf import scenario_mip
 
@@ -400,13 +439,13 @@ class TestQpSolve:
         assert first.working == (0, 1)
         loosened = LinearSystem.make(a_ineq=a, b_ineq=[3.0, 3.0, 3.0])
         paths = []
-        real_path = scenario_mip._rhs_homotopy
+        real_path = scenario_mip._homotopy
 
         def recorded(*args):
             paths.append(real_path(*args))
             return paths[-1]
 
-        monkeypatch.setattr(scenario_mip, "_rhs_homotopy", recorded)
+        monkeypatch.setattr(scenario_mip, "_homotopy", recorded)
         warm = qp_solve(cost, loosened, warm_start=first)
         cold = qp_solve(cost, loosened)
         assert len(paths) == 2  # the warm path, then the cold free start's
@@ -421,7 +460,7 @@ class TestQpSolve:
                                    atol=1e-12)
         assert warm.value == pytest.approx(cold.value, rel=1e-12)
 
-    def test_path_failure_falls_back_to_the_primal_run(self, monkeypatch):
+    def test_path_failure_falls_back_to_the_phase_1_run(self, monkeypatch):
         from ccopf import scenario_mip
 
         rng = np.random.default_rng(5)
@@ -433,14 +472,14 @@ class TestQpSolve:
         # A warm path that gives up falls back to phase 1, not to the
         # free start, so the reference is the solve from phase 1.
         cold = phase1_solve(cost, loosened, monkeypatch)
-        monkeypatch.setattr(scenario_mip, "_rhs_homotopy",
-                            lambda *args: (None, 3))
+        monkeypatch.setattr(scenario_mip, "_homotopy",
+                            on_the_warm_or_free_path((None, 3)))
         phase1 = counting_linprog(monkeypatch)
         warm = qp_solve(cost, loosened, warm_start=first)
         assert first.status == cold.status == warm.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, rel=1e-12)
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)
-        # the path's 3, then the cold solve: phase 1 and the primal run
+        # the path's 3, then the cold solve: phase 1 and the run from it
         assert warm.iterations == 3 + cold.iterations
         assert phase1 == [1]
 
@@ -454,7 +493,7 @@ class TestQpSolve:
         a = np.array([[1.0], [-1.0]])
         first = qp_solve(cost, LinearSystem.make(a_ineq=a, b_ineq=[1.0, 0.0]))
         tightened = LinearSystem.make(a_ineq=a, b_ineq=[-1.0, 0.0])
-        monkeypatch.setattr(scenario_mip, "_rhs_homotopy",
+        monkeypatch.setattr(scenario_mip, "_homotopy",
                             lambda *args: (None, 3))
         warm = qp_solve(cost, tightened, warm_start=first)
         assert first.status == OPTIMAL
@@ -473,8 +512,8 @@ class TestQpSolve:
         first = qp_solve(cost, LinearSystem.make(a_ineq=a, b_ineq=[1.0, 2.0]))
         loosened = LinearSystem.make(a_ineq=a, b_ineq=[3.0, 2.5])
         monkeypatch.setattr(
-            scenario_mip, "_rhs_homotopy",
-            lambda *args: ((np.zeros(2), [0, 1], np.zeros(2)), 1))
+            scenario_mip, "_homotopy",
+            on_the_warm_or_free_path(((np.zeros(2), [0, 1], np.zeros(2)), 1)))
         warm = qp_solve(cost, loosened, warm_start=first)
         assert warm.status == OPTIMAL
         np.testing.assert_allclose(warm.x, [3.0, 2.5], atol=1e-12)
@@ -808,7 +847,7 @@ class TestSolveSelection:
 
         problem, oracle = self.feasible_branching_problem()
         real_qp_solve = scenario_mip.qp_solve
-        real_path = scenario_mip._rhs_homotopy
+        real_path = scenario_mip._homotopy
         calls, paths = [], []
 
         def counted(cost, system, *, warm_start=None):
@@ -824,7 +863,7 @@ class TestSolveSelection:
         # Without the greedy incumbent the first warm-started QP is the
         # root node's.
         monkeypatch.setattr(scenario_mip, "qp_solve", counted)
-        monkeypatch.setattr(scenario_mip, "_rhs_homotopy", gives_up_first)
+        monkeypatch.setattr(scenario_mip, "_homotopy", gives_up_first)
         monkeypatch.setattr(scenario_mip, "greedy_incumbent",
                             lambda problem: None)
         sol = solve_selection(problem)
@@ -937,9 +976,9 @@ class TestBuildFromChanceRows:
 
 # ---------------------------------------------------------------------------
 # Warm-started node QPs move the anchor's working set along the RHS.  The
-# cold solve, phase 1 and then the primal run (what qp_solve falls back to
-# when the path gives up), is the oracle: with the path switched off, every
-# warm start takes it.
+# cold solve, phase 1 and then the run from its point (what qp_solve falls
+# back to when the path gives up), is the oracle: with the warm and free
+# paths switched off, every QP takes it.
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1029,10 +1068,13 @@ def unshared(problem):
 
 
 def cold_path_solve(problem, monkeypatch):
+    """solve_selection with every warm or free path giving up at once, so
+    that each QP runs from phase 1."""
     from ccopf import scenario_mip
 
     with monkeypatch.context() as patch:
-        patch.setattr(scenario_mip, "_rhs_homotopy", lambda *args: (None, 0))
+        patch.setattr(scenario_mip, "_homotopy",
+                      on_the_warm_or_free_path((None, 0)))
         return solve_selection(unshared(problem))
 
 
@@ -1064,7 +1106,7 @@ class TestParametricWarmStart:
         # the path; the cold solve behind it is only a recovery.
         from ccopf import scenario_mip
 
-        real_path = scenario_mip._rhs_homotopy
+        real_path = scenario_mip._homotopy
         ended = []
 
         def recorded(*args):
@@ -1072,7 +1114,7 @@ class TestParametricWarmStart:
             ended.append(found is not None)
             return found, spent
 
-        monkeypatch.setattr(scenario_mip, "_rhs_homotopy", recorded)
+        monkeypatch.setattr(scenario_mip, "_homotopy", recorded)
         sol = solve_selection(unshared(config_problem(name, k)))
         assert sol.status == OPTIMAL
         assert len(ended) >= sol.qp_count - 1  # every QP but the anchor

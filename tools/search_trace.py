@@ -7,11 +7,12 @@ Solves each k of sweep.k_values (distinct, ascending, as `ccopf sweep`
 takes them) with the config's case, fleet, training set, model, row set
 and solver options, and prints one CSV line per k:
 
-    k,status,nodes,qp_count,relaxed
+    k,status,nodes,qp_count,iterations,relaxed
 
-where relaxed lists the relaxed training scenarios, space-separated.
-Nothing is scored and no file is written, so the output pins the branch-
-and-bound search alone; tests/data/sweep300_search.csv and
+where iterations sums the active-set iterations of the counted QPs and
+relaxed lists the relaxed training scenarios, space-separated.  Nothing
+is scored and no file is written, so the output pins the branch-and-
+bound search and the QP engine's work alone; tests/data/sweep300_search.csv and
 tests/data/sweep14_search.csv are this script's output for
 configs/sweep300.ini and configs/sweep14.ini.
 """
@@ -40,13 +41,13 @@ def main(argv):
                                    train.s)
     except (CliError, ValueError) as exc:
         sys.exit(f"search_trace: {exc}")
-    print("k,status,nodes,qp_count,relaxed")
+    print("k,status,nodes,qp_count,iterations,relaxed")
     for k in k_values:
         sol, _ = run.model.solve(train, k)
         relaxed = ([] if sol.z_star is None
                    else np.flatnonzero(sol.z_star).tolist())
         print(f"{k},{sol.status},{sol.nodes},{sol.qp_count},"
-              f"{' '.join(map(str, relaxed))}", flush=True)
+              f"{sol.iterations},{' '.join(map(str, relaxed))}", flush=True)
 
 
 if __name__ == "__main__":
