@@ -40,7 +40,7 @@ def radius_for(k, epsilon, s):
     """
     _check_k_s(k, s)
     lo = 1.0 - k / s
-    if epsilon < lo - 1e-12 or epsilon > 1.0 + 1e-12:
+    if not lo - 1e-12 <= epsilon <= 1.0 + 1e-12:
         raise ValueError(
             f"epsilon={epsilon} outside [{lo}, 1] for k={k}, s={s}"
         )
@@ -67,7 +67,7 @@ def k_for(epsilon, radius, s):
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if not (isinstance(s, int) and s >= 1):
         raise ValueError(f"s must be a positive integer, got {s}")
@@ -226,7 +226,7 @@ class AmbiguityParams:
     """Mutually consistent (S, k, epsilon, radius) quadruple.
 
     Construct through the classmethods so the consistency invariants
-    (k admissible for epsilon, radius within the certified maximum) hold
+    (epsilon in [1 - k/S, 1], radius in [0, the certified maximum]) hold
     by construction.
     """
 
@@ -236,16 +236,12 @@ class AmbiguityParams:
     radius: float
 
     def __post_init__(self):
-        _check_k_s(self.k, self.s)
-        if self.epsilon < 1.0 - self.k / self.s - 1e-12:
-            raise ValueError(
-                f"epsilon={self.epsilon} below admissible "
-                f"{1.0 - self.k / self.s} for k={self.k}, s={self.s}"
-            )
+        # radius_for checks k and s, and that epsilon lies in [1 - k/S, 1].
         max_r = radius_for(self.k, self.epsilon, self.s)
-        if self.radius > max_r + 1e-12:
+        if not 0.0 <= self.radius <= max_r + 1e-12:
             raise ValueError(
-                f"radius={self.radius} exceeds certified maximum {max_r}"
+                f"radius={self.radius} outside [0, {max_r}] certified "
+                f"for k={self.k}, s={self.s}, epsilon={self.epsilon}"
             )
 
     @classmethod

@@ -73,6 +73,7 @@ from .evaluation import (
     ro_baseline,
     solve_dc_selection,
     violation_frequency,
+    write_csv,
     write_sweep_csv,
     write_sweep_svg,
 )
@@ -149,9 +150,11 @@ def _cost_rows(raw):
     return rows
 
 
-def _stem(raw):
-    if "/" in raw or os.sep in raw:
-        raise ValueError(f"must be a file-name stem without /, got {raw!r}")
+def _file_name(raw):
+    """A name for a file inside the output directory: no path separator,
+    and not a name of the directory itself or its parent."""
+    if "/" in raw or os.sep in raw or raw in (".", ".."):
+        raise ValueError(f"must be a file name without /, got {raw!r}")
     return raw
 
 
@@ -211,7 +214,7 @@ _KEYS = {
     "sweep.k_values": _parse_k_values,
     "sweep.record_time": _bool,
     "output.dir": str,
-    "output.prefix": _stem,
+    "output.prefix": _file_name,
 }
 
 
@@ -396,17 +399,11 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, digest, header, lines):
-    """A '# config=' line, the header line(s), then the data lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([f"# config={digest}", header, *lines]) + "\n")
-
-
 def _write_solution_csv(path, case, dispatch, digest, *, cost, status):
-    _write_csv(path, digest,
-               f"# status={status} cost={cost:.12g}\ngen,bus,p_pu,p_mw",
-               (f"{g},{case.bus_ids[case.gen_bus[g]]},{x:.17g},"
-                f"{x * case.base_mva:.12g}" for g, x in enumerate(dispatch)))
+    write_csv(path, digest,
+              f"# status={status} cost={cost:.12g}\ngen,bus,p_pu,p_mw",
+              (f"{g},{case.bus_ids[case.gen_bus[g]]},{x:.17g},"
+               f"{x * case.base_mva:.12g}" for g, x in enumerate(dispatch)))
 
 
 def _read_solution_csv(path, case):
@@ -443,18 +440,20 @@ def _read_solution_csv(path, case):
     return np.asarray(dispatch)
 
 
-def _write_report_csv(path, report):
-    """EvalReport as a flat metric,name,value table."""
+def _write_report_csv(path, digest, report, *, cost, seeds, cost_vs_ro,
+                      solve_stats):
+    """A run's cost, robust cost ratio, scenario seeds (name -> seed),
+    solve statistics (name -> value, or None) and the EvalReport's rates
+    as a flat metric,name,value table."""
     lines = [f"joint_violation_rate,,{report.joint_violation_rate:.12g}",
-             f"cost,,{_fmt(report.cost)}",
-             f"cost_vs_ro,,{_fmt(report.cost_vs_ro)}"]
-    for key, value in sorted((report.seeds or {}).items()):
+             f"cost,,{_fmt(cost)}", f"cost_vs_ro,,{_fmt(cost_vs_ro)}"]
+    for key, value in sorted(seeds.items()):
         lines.append(f"seed,{key},{value}")
-    for key, value in sorted((report.solve_stats or {}).items()):
+    for key, value in sorted((solve_stats or {}).items()):
         lines.append(f"solve,{key},{_fmt(value)}")
     for name, rate in zip(report.row_names, report.per_row_rates):
         lines.append(f"per_row,{name},{rate:.12g}")
-    _write_csv(path, report.config_digest, "metric,name,value", lines)
+    write_csv(path, digest, "metric,name,value", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +482,8 @@ class _DcModel:
     def robust(self, baseline_set):
         return ro_baseline(self.case, self.fleet, baseline_set, cc=self.cc)
 
-    def score(self, dispatch, test, **report_fields):
-        return violation_frequency(dispatch, test, self._evaluator,
-                                   **report_fields)
+    def score(self, dispatch, test):
+        return violation_frequency(dispatch, test, self._evaluator)
 
     def summarize(self, sol, _):
         """Log the solve; return the report's solve statistics."""
@@ -525,11 +523,10 @@ class _AcModel:
     def robust(self, baseline_set):
         return self.solve(baseline_set, baseline_set.s)[0]
 
-    def score(self, dispatch, test, **report_fields):
+    def score(self, dispatch, test):
         evaluator = AcEvaluator(self.case, self.fleet, dispatch,
                                 include_slack_rows=self.include_slack_rows)
-        report = violation_frequency(dispatch, test, evaluator,
-                                     **report_fields)
+        report = violation_frequency(dispatch, test, evaluator)
         _log_newton_failures(evaluator)
         return report
 
@@ -548,19 +545,18 @@ class _AcModel:
         paths = [os.path.join(outdir, f"{prefix}_{name}.csv")
                  for name in ("state_bus", "state_branch", "trace")]
         vmag = np.sqrt(state.v)
-        _write_csv(paths[0], digest, "bus,id,kind,p_pu,q_pu,vmag_pu,theta_rad",
-                   (f"{i},{case.bus_ids[i]},{case.bus_kind[i]},"
-                    f"{state.p[i]:.12g},{state.q[i]:.12g},{vmag[i]:.12g},"
-                    f"{state.theta[i]:.12g}" for i in range(case.n_bus)))
+        write_csv(paths[0], digest, "bus,id,kind,p_pu,q_pu,vmag_pu,theta_rad",
+                  (f"{i},{case.bus_ids[i]},{case.bus_kind[i]},"
+                   f"{state.p[i]:.12g},{state.q[i]:.12g},{vmag[i]:.12g},"
+                   f"{state.theta[i]:.12g}" for i in range(case.n_bus)))
         n_br = case.n_branch
-        _write_csv(paths[1], digest,
-                   "branch,from_bus,to_bus,p_from_pu,p_to_pu",
-                   (f"{b},{case.bus_ids[case.br_from[b]]},"
-                    f"{case.bus_ids[case.br_to[b]]},{state.ell[b]:.12g},"
-                    f"{state.ell[n_br + b]:.12g}" for b in range(n_br)))
-        _write_csv(paths[2], digest, "t,d,objective",
-                   (f"{t},{d:.12g},{obj:.12g}" for t, (d, obj) in enumerate(
-                       zip(result.d_history, result.obj_history), start=1)))
+        write_csv(paths[1], digest, "branch,from_bus,to_bus,p_from_pu,p_to_pu",
+                  (f"{b},{case.bus_ids[case.br_from[b]]},"
+                   f"{case.bus_ids[case.br_to[b]]},{state.ell[b]:.12g},"
+                   f"{state.ell[n_br + b]:.12g}" for b in range(n_br)))
+        write_csv(paths[2], digest, "t,d,objective",
+                  (f"{t},{d:.12g},{obj:.12g}" for t, (d, obj) in enumerate(
+                      zip(result.d_history, result.obj_history), start=1)))
         return paths
 
 
@@ -645,6 +641,11 @@ def cmd_case_info(args):
 
 
 def cmd_scenario_gen(args):
+    if args.out:
+        try:
+            _file_name(args.out)
+        except ValueError as exc:
+            raise CliError(f"--out: {exc}") from exc
     cfg = _read_config(args.config, args.set or ())
     if args.forecasts is not None:
         if args.zeta is None or args.rho is None:
@@ -711,8 +712,11 @@ def cmd_ambiguity_eps(args):
         raise CliError(f"{flag}: {exc}") from exc
     text = "\n".join(lines) + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"--csv: {exc}") from exc
         print(f"wrote {args.csv}")
     else:
         sys.stdout.write(text)
@@ -791,11 +795,7 @@ def cmd_solve(args):
                          ro_objective, cost_vs_ro)
 
         try:
-            report = model.score(
-                sol.x_star, test, cost=sol.objective, cost_vs_ro=cost_vs_ro,
-                solve_stats=stats,
-                seeds={"train": train.seed, "test": test.seed},
-                config_digest=digest)
+            report = model.score(sol.x_star, test)
         except NewtonError as exc:
             log.info("out-of-sample scoring failed: %s", exc)
             return EXIT_NUMERICAL
@@ -807,7 +807,9 @@ def cmd_solve(args):
                  for name in ("solution", "report")]
         _write_solution_csv(paths[0], case, sol.x_star, digest,
                             cost=sol.objective, status=sol.status)
-        _write_report_csv(paths[1], report)
+        _write_report_csv(paths[1], digest, report, cost=sol.objective,
+                          seeds={"train": train.seed, "test": test.seed},
+                          cost_vs_ro=cost_vs_ro, solve_stats=stats)
         paths += model.write_extras(run.outdir, run.prefix, digest, result)
         log.info("wrote %s", " and ".join(paths) if len(paths) == 2
                  else ", ".join(paths))
@@ -825,19 +827,21 @@ def _sweep_k_values(k_values, s):
 
 
 def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
-            record_time=True, csv_path=None, svg_path=None):
+            record_time=True):
     """Solve the k-of-S problem for each k on the network model net and
-    score it out of sample.
+    score it out of sample; return (rows, digest) and write nothing.
 
-    Rows are emitted in ascending epsilon* (descending k).  ro_set chooses
-    the normalization baseline: by default the training set itself; pass a
-    larger independent set to normalize against the sampled robust proxy;
-    its size, seed and spec digest then enter the digest.
+    Rows are dicts keyed by evaluation.CSV_COLUMNS, in ascending epsilon*
+    (descending k), and digest is that of the sweep's resolved inputs;
+    cmd_sweep writes both with write_sweep_csv and write_sweep_svg.
+    ro_set chooses the normalization baseline: by default the training set
+    itself; pass a larger independent set to normalize against the sampled
+    robust proxy; its size, seed and spec digest then enter the digest.
     A k whose solve or score raises is a row with status
     ERROR:<exception name>, and the sweep goes on.
-    With record_time=False the time column is written as zero so repeated
-    runs produce byte-identical files.  A k's time leaves out the work
-    it shares with earlier solves on the same scenario set.
+    With record_time=False every time is zero so repeated runs produce
+    byte-identical files.  A k's time leaves out the work it shares with
+    earlier solves on the same scenario set.
     """
     s = training_set.s
     k_values = _sweep_k_values(k_values, s)
@@ -869,10 +873,6 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
 
     digest = _run_digest(net, {"train": training_set, "test": test_set,
                                "ro": ro_set}, k_values=tuple(k_values))
-    if csv_path is not None:
-        write_sweep_csv(rows, csv_path, digest)
-    if svg_path is not None:
-        write_sweep_svg(rows, svg_path, net.case.name)
     return rows, digest
 
 
@@ -886,12 +886,13 @@ def cmd_sweep(args):
     record_time = cfg.get("sweep.record_time", True)
 
     with _run_log(run.outdir, run.prefix):
-        csv_path = os.path.join(run.outdir, f"{run.prefix}_sweep.csv")
-        svg_path = os.path.join(run.outdir, f"{run.prefix}_sweep.svg")
         rows, digest = sweep_k(
             run.model, train, run.sets["test"], k_values,
-            ro_set=run.sets["ro"], record_time=record_time,
-            csv_path=csv_path, svg_path=svg_path)
+            ro_set=run.sets["ro"], record_time=record_time)
+        csv_path = os.path.join(run.outdir, f"{run.prefix}_sweep.csv")
+        svg_path = os.path.join(run.outdir, f"{run.prefix}_sweep.svg")
+        write_sweep_csv(rows, csv_path, digest)
+        write_sweep_svg(rows, svg_path, run.model.case.name)
         log.info("config digest %s", digest)
         errors = 0
         for row in rows:
@@ -920,12 +921,13 @@ def cmd_eval(args):
                          dispatch=tuple(dispatch.tolist()))
     _make_outdir(run.outdir)
     try:
-        report = model.score(dispatch, test, cost=cost,
-                             seeds={"test": test.seed}, config_digest=digest)
+        report = model.score(dispatch, test)
     except NewtonError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL) from exc
     rep_path = os.path.join(run.outdir, f"{run.prefix}_eval.csv")
-    _write_report_csv(rep_path, report)
+    _write_report_csv(rep_path, digest, report, cost=cost,
+                      seeds={"test": test.seed}, cost_vs_ro=np.nan,
+                      solve_stats=None)
     print(f"joint_violation_rate: {report.joint_violation_rate:.6g}")
     print(f"cost: {cost:.12g}")
     print(f"wrote {rep_path}")

@@ -11,8 +11,11 @@ rounding of the row products (the dense test's own rounding depends on
 the shape of the BLAS call).  The robust baseline enforces every training
 scenario (zero relaxation budget); relative-entropy solutions at any k on
 the same training set can only be cheaper, and the deterministic dispatch
-cheaper still, so the three objectives nest.  A sweep (cli.sweep_k) is
-written as one CSV row per k plus a three-panel SVG.
+cheaper still, so the three objectives nest.  Scoring returns the
+violation rates only; the commands that run it decide what else a file
+holds.  Every result CSV opens with the digest of the configuration that
+made it (write_csv); a sweep's rows (cli.sweep_k) are written as one CSV
+row per k plus a three-panel SVG.
 """
 
 from __future__ import annotations
@@ -55,16 +58,11 @@ CSV_COLUMNS = ("k", "epsilon_star", "bound", "cost", "cost_vs_ro",
 
 @dataclass
 class EvalReport:
-    """Out-of-sample scorecard for one solved dispatch."""
+    """Out-of-sample violation rates of one dispatch."""
 
     joint_violation_rate: float
     per_row_rates: np.ndarray
     row_names: tuple
-    cost: float = np.nan
-    cost_vs_ro: float = np.nan
-    solve_stats: dict | None = None
-    seeds: dict | None = None
-    config_digest: str = ""
 
     def __post_init__(self):
         assert -1e-12 <= self.joint_violation_rate <= 1 + 1e-12
@@ -139,7 +137,7 @@ class DcEvaluator:
         return np.flatnonzero(~(cc.rhs - base - sup > allowance - ROW_TOL))
 
 
-def violation_frequency(solution, test_set, model, **report_fields):
+def violation_frequency(solution, test_set, model):
     """Score a solution on a test set through a model evaluator.
 
     model is any object with check(solution, xi) -> (joint mask, row rates)
@@ -151,7 +149,6 @@ def violation_frequency(solution, test_set, model, **report_fields):
         joint_violation_rate=float(np.mean(joint)),
         per_row_rates=per_row,
         row_names=model.row_names,
-        **report_fields,
     )
 
 
@@ -214,21 +211,23 @@ def config_digest(**parts):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def write_sweep_csv(rows, path, digest):
-    lines = [f"# config={digest}", ",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join([
-            str(row["k"]),
-            f"{row['epsilon_star']:.17g}",
-            f"{row['bound']:.17g}",
-            f"{row['cost']:.17g}",
-            f"{row['cost_vs_ro']:.17g}",
-            f"{row['joint_violation']:.17g}",
-            f"{row['time_s']:.6f}",
-            row["status"],
-        ]))
+def write_csv(path, digest, header, lines):
+    """A '# config=' line, the header line(s), then the data lines."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([f"# config={digest}", header, *lines]) + "\n")
+
+
+def write_sweep_csv(rows, path, digest):
+    write_csv(path, digest, ",".join(CSV_COLUMNS), (",".join([
+        str(row["k"]),
+        f"{row['epsilon_star']:.17g}",
+        f"{row['bound']:.17g}",
+        f"{row['cost']:.17g}",
+        f"{row['cost_vs_ro']:.17g}",
+        f"{row['joint_violation']:.17g}",
+        f"{row['time_s']:.6f}",
+        row["status"],
+    ]) for row in rows))
 
 
 def read_sweep_csv(path):
@@ -263,5 +262,4 @@ def write_sweep_svg(rows, path, case_name):
     p2.add("", eps, [r["cost_vs_ro"] for r in ok])
     p3 = Panel("Solve time", "epsilon*", "seconds")
     p3.add("", eps, [r["time_s"] for r in ok])
-    svg_plot.render([p1, p2, p3], path,
-                    figure_title=f"k-sweep on {case_name}")
+    svg_plot.render([p1, p2, p3], path, f"k-sweep on {case_name}")

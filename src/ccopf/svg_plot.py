@@ -71,18 +71,18 @@ class Panel:
         return x0, x1, y0 - pad, y1 + pad
 
 
-def render(panels, path, *, figure_title=None):
-    """Write the panels side by side into one SVG file."""
+def render(panels, path, figure_title):
+    """Write the panels side by side, under figure_title, into one SVG
+    file."""
     width = MARGIN + len(panels) * (PANEL_W + MARGIN)
-    height = PAD_TOP + PANEL_H + PAD_BOTTOM + (22 if figure_title else 0)
+    top = PAD_TOP + 22  # below the figure title
+    height = top + PANEL_H + PAD_BOTTOM
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
            f'height="{height}" viewBox="0 0 {width} {height}">',
-           '<rect width="100%" height="100%" fill="white"/>']
-    top = PAD_TOP + (22 if figure_title else 0)
-    if figure_title:
-        out.append(f'<text x="{width / 2:.1f}" y="20" font-size="15" '
-                   f'text-anchor="middle" font-family="sans-serif">'
-                   f'{figure_title}</text>')
+           '<rect width="100%" height="100%" fill="white"/>',
+           f'<text x="{width / 2:.1f}" y="20" font-size="15" '
+           f'text-anchor="middle" font-family="sans-serif">'
+           f'{figure_title}</text>']
     for idx, panel in enumerate(panels):
         ox = MARGIN + idx * (PANEL_W + MARGIN)
         out.extend(_render_panel(panel, ox, top))

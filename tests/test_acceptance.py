@@ -30,6 +30,7 @@ from ccopf.evaluation import (
     DcEvaluator,
     solve_dc_selection,
     violation_frequency,
+    write_sweep_csv,
 )
 from ccopf.scenario_mip import (
     INFEASIBLE,
@@ -313,9 +314,9 @@ def test_criterion_8_determinism(case14, fleet14, case14_tutorial,
     train = sample(spec, 200, TRAIN_SEED)
     test = sample(spec, 2000, TEST_SEED)
     for run in range(2):
-        sweep_k(_network_model("dc", case14, fleet14), train, test,
-                [196, 200], record_time=False,
-                csv_path=tmp_path / f"sweep{run}.csv")
+        rows, digest = sweep_k(_network_model("dc", case14, fleet14), train,
+                               test, [196, 200], record_time=False)
+        write_sweep_csv(rows, tmp_path / f"sweep{run}.csv", digest)
     checks.append(((tmp_path / "sweep0.csv").read_bytes()
                    == (tmp_path / "sweep1.csv").read_bytes(), "sweep CSV"))
 

@@ -64,6 +64,11 @@ class TestRadiusFor:
         with pytest.raises(ValueError):
             radius_for(90, 0.05, 100)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, 1.5, -0.1])
+    def test_epsilon_outside_domain_raises(self, epsilon):
+        with pytest.raises(ValueError, match="outside"):
+            radius_for(98, epsilon, 100)
+
     def test_bad_k_raises(self):
         with pytest.raises(ValueError):
             radius_for(0, 0.5, 10)
@@ -102,6 +107,13 @@ class TestKFor:
 
     def test_huge_radius_needs_worst_case(self):
         assert k_for(0.1, 1e6, 100) is WORST_CASE_REQUIRED
+
+    @pytest.mark.parametrize("epsilon,radius", [
+        (0.1, math.nan), (0.1, -1.0), (0.1, -math.inf), (math.nan, 0.1),
+    ])
+    def test_nan_or_negative_rejected(self, epsilon, radius):
+        with pytest.raises(ValueError, match="must"):
+            k_for(epsilon, radius, 100)
 
     def test_matches_exhaustive_scan(self):
         """S = 20, eps = 0.2, r = 0.05 against enumerating k = 16..20."""
@@ -228,3 +240,11 @@ class TestAmbiguityParams:
             AmbiguityParams(s=100, k=90, epsilon=0.1, radius=1.0)
         with pytest.raises(ValueError):
             AmbiguityParams(s=100, k=50, epsilon=0.1, radius=0.0)
+
+    @pytest.mark.parametrize("epsilon,radius", [
+        (math.nan, 0.0), (math.nan, math.nan), (0.1, math.nan),
+        (0.1, -1.0), (math.nan, -1.0), (1.5, 0.0),
+    ])
+    def test_nan_or_out_of_range_rejected(self, epsilon, radius):
+        with pytest.raises(ValueError, match="outside"):
+            AmbiguityParams(s=100, k=98, epsilon=epsilon, radius=radius)

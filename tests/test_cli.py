@@ -148,6 +148,20 @@ class TestScenario:
                          cwd=tmp_path)
         assert result.returncode == 1
 
+    def test_gen_out_stays_in_the_output_dir(self, tmp_path):
+        # Each name would land outside out/ (an absolute path anywhere,
+        # out/../escape.csv in the working directory) or name a directory.
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        for name in (tmp_path / "x.csv", "../escape.csv", "..", "."):
+            result = run_cli(
+                ["scenario", "gen", "--config", CONFIG_DIR / "tutorial.ini",
+                 "--s", 5, "--seed", 1, "--out", name], cwd=workdir)
+            assert result.returncode == 1
+            assert result.stderr.startswith("error: --out: ")
+            assert "Traceback" not in result.stderr
+            assert [p.name for p in tmp_path.rglob("*")] == ["work"]
+
 
 class TestAmbiguity:
     def test_eps_prints_decimal(self, tmp_path):
@@ -195,14 +209,22 @@ class TestInputErrors:
         ["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", 0.2,
          "--zeta", 0.05, "--rho", 1.5],
         ["ambiguity", "eps", "--k", 0, "--s", 10],
+        ["ambiguity", "eps", "--k-range", "96:100:2", "--s", 100, "--csv",
+         "no/such/dir/table.csv"],
         ["ambiguity", "k", "--eps", 0, "--radius", 0.1, "--s", 10],
+        ["ambiguity", "k", "--eps", 0.1, "--radius", "nan", "--s", 100],
+        ["ambiguity", "k", "--eps", 0.1, "--radius", -1.0, "--s", 100],
+        ["ambiguity", "k", "--eps", "nan", "--radius", 0.1, "--s", 100],
         ["scenario", "stats", "missing.csv"],
-    ], ids=["gen-s0", "gen-rho", "eps-k0", "k-eps0", "stats-missing"])
+    ], ids=["gen-s0", "gen-rho", "eps-k0", "eps-csv-unwritable", "k-eps0",
+            "k-radius-nan", "k-radius-negative", "k-eps-nan",
+            "stats-missing"])
     def test_bad_input_is_an_error_line(self, tmp_path, args):
         result = run_cli(args, cwd=tmp_path)
         assert result.returncode == 1
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
+        assert not list(tmp_path.iterdir())  # nothing written
 
 
 # Text that every key of _KEYS but output.dir must reject (any text names a
@@ -780,7 +802,26 @@ class TestEval:
         scalars = {r["metric"]: r["value"] for r in report if not r["name"]}
         assert float(printed["joint_violation_rate"]) == pytest.approx(
             float(scalars["joint_violation_rate"]), abs=1e-12)
-        assert (workdir / "out" / "tutorial_eval.csv").is_file()
+
+        # The eval report: the printed cost, no robust ratio, the test
+        # set's seed alone, no solve statistics, and the run's digest.
+        path = workdir / "out" / "tutorial_eval.csv"
+        evaluated = read_table(path)
+        eval_scalars = report_scalars(path)
+        assert eval_scalars["cost"] == printed["cost"]
+        assert eval_scalars["cost_vs_ro"] == "nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # case14's dropped branch data
+            run = _resolve_run(CONFIG_DIR / "tutorial.ini", sets=("test",))
+        test = run.sets["test"]
+        assert [(r["name"], r["value"]) for r in evaluated
+                if r["metric"] == "seed"] == [("test", str(test.seed))]
+        assert not [r for r in evaluated if r["metric"] == "solve"]
+        dispatch = cli._read_solution_csv(
+            workdir / "out" / "tutorial_solution.csv", run.model.case)
+        digest = cli._run_digest(run.model, {"test": test},
+                                 dispatch=tuple(dispatch.tolist()))
+        assert first_line(path) == f"# config={digest}"
 
     def test_ac_matches_solve_time_report(self, ac14_run):
         workdir, _ = ac14_run

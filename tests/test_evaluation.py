@@ -35,6 +35,7 @@ from ccopf.evaluation import (
     solve_dc_selection,
     violation_frequency,
     write_sweep_csv,
+    write_sweep_svg,
 )
 from ccopf.scenario_mip import OPTIMAL, ROW_TOL
 from ccopf.scenarios import GaussianSpec, ScenarioSet, sample
@@ -301,8 +302,9 @@ class TestSweep:
         svg_path = tmp_path / "sweep.svg"
         rows, digest = sweep_k(
             _network_model("dc", case14_tutorial, fleet14_tutorial), train,
-            test, k_values=[36, 38, 40], csv_path=csv_path,
-            svg_path=svg_path)
+            test, k_values=[36, 38, 40])
+        write_sweep_csv(rows, csv_path, digest)
+        write_sweep_svg(rows, svg_path, case14_tutorial.name)
         assert [r["k"] for r in rows] == [40, 38, 36]  # ascending eps*
         eps = [r["epsilon_star"] for r in rows]
         assert eps == sorted(eps)
@@ -329,9 +331,10 @@ class TestSweep:
         train, test = tutorial_sets
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            sweep_k(_network_model("dc", case14_tutorial, fleet14_tutorial),
-                    train, test, k_values=[38, 40], record_time=False,
-                    csv_path=path)
+            rows, digest = sweep_k(
+                _network_model("dc", case14_tutorial, fleet14_tutorial),
+                train, test, k_values=[38, 40], record_time=False)
+            write_sweep_csv(rows, path, digest)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         for row in read_sweep_csv(paths[0]):
             assert row["time_s"] == 0.0
