@@ -363,12 +363,20 @@ def _resolve_run(path, overrides=(), sets=("train", "test"), model=None):
                 cfg.get("output.prefix", f"{case.name}_{model}"))
 
 
+@contextlib.contextmanager
+def _writing(what="cannot write an output file"):
+    """A failed write is an error line, what and then the OSError, not a
+    traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"{what}: {exc}") from exc
+
+
 def _make_outdir(outdir):
     """Make the artifact directory if missing; failing is a config error."""
-    try:
+    with _writing("config key output.dir"):
         os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"config key output.dir: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -377,7 +385,8 @@ def _run_log(outdir, prefix):
     if missing, and name it last when the run returns."""
     _make_outdir(outdir)
     path = os.path.join(outdir, f"{prefix}.log")
-    handler = logging.FileHandler(path, mode="w", encoding="utf-8")
+    with _writing():
+        handler = logging.FileHandler(path, mode="w", encoding="utf-8")
     handler.setFormatter(logging.Formatter("%(message)s"))
     handler.setLevel(logging.INFO)
     log.addHandler(handler)
@@ -672,7 +681,8 @@ def cmd_scenario_gen(args):
     _make_outdir(outdir)
     name = args.out or f"scenarios_s{args.s}_seed{args.seed}.csv"
     path = os.path.join(outdir, name)
-    save_csv(sset, path, labels)
+    with _writing():
+        save_csv(sset, path, labels)
     print(f"wrote {path} (s={sset.s}, n_vre={sset.n_vre}, "
           f"digest={sset.spec_digest})")
     return EXIT_OK
@@ -712,11 +722,8 @@ def cmd_ambiguity_eps(args):
         raise CliError(f"{flag}: {exc}") from exc
     text = "\n".join(lines) + "\n"
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"--csv: {exc}") from exc
+        with _writing("--csv"), open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"wrote {args.csv}")
     else:
         sys.stdout.write(text)
@@ -805,12 +812,14 @@ def cmd_solve(args):
 
         paths = [os.path.join(run.outdir, f"{run.prefix}_{name}.csv")
                  for name in ("solution", "report")]
-        _write_solution_csv(paths[0], case, sol.x_star, digest,
-                            cost=sol.objective, status=sol.status)
-        _write_report_csv(paths[1], digest, report, cost=sol.objective,
-                          seeds={"train": train.seed, "test": test.seed},
-                          cost_vs_ro=cost_vs_ro, solve_stats=stats)
-        paths += model.write_extras(run.outdir, run.prefix, digest, result)
+        with _writing():
+            _write_solution_csv(paths[0], case, sol.x_star, digest,
+                                cost=sol.objective, status=sol.status)
+            _write_report_csv(paths[1], digest, report, cost=sol.objective,
+                              seeds={"train": train.seed, "test": test.seed},
+                              cost_vs_ro=cost_vs_ro, solve_stats=stats)
+            paths += model.write_extras(run.outdir, run.prefix, digest,
+                                        result)
         log.info("wrote %s", " and ".join(paths) if len(paths) == 2
                  else ", ".join(paths))
         return EXIT_OK
@@ -891,8 +900,9 @@ def cmd_sweep(args):
             ro_set=run.sets["ro"], record_time=record_time)
         csv_path = os.path.join(run.outdir, f"{run.prefix}_sweep.csv")
         svg_path = os.path.join(run.outdir, f"{run.prefix}_sweep.svg")
-        write_sweep_csv(rows, csv_path, digest)
-        write_sweep_svg(rows, svg_path, run.model.case.name)
+        with _writing():
+            write_sweep_csv(rows, csv_path, digest)
+            write_sweep_svg(rows, svg_path, run.model.case.name)
         log.info("config digest %s", digest)
         errors = 0
         for row in rows:
@@ -925,9 +935,10 @@ def cmd_eval(args):
     except NewtonError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL) from exc
     rep_path = os.path.join(run.outdir, f"{run.prefix}_eval.csv")
-    _write_report_csv(rep_path, digest, report, cost=cost,
-                      seeds={"test": test.seed}, cost_vs_ro=np.nan,
-                      solve_stats=None)
+    with _writing():
+        _write_report_csv(rep_path, digest, report, cost=cost,
+                          seeds={"test": test.seed}, cost_vs_ro=np.nan,
+                          solve_stats=None)
     print(f"joint_violation_rate: {report.joint_violation_rate:.6g}")
     print(f"cost: {cost:.12g}")
     print(f"wrote {rep_path}")

@@ -29,20 +29,18 @@ it), so only the RHS moves, and a node usually needs a few breakpoints.
 A cold QP starts free: the cost's own minimizer on the equalities is the
 optimum, with an empty working set, of the QP whose RHS is raised until
 that point meets it strictly, and the path tightens the RHS back.  Every
-point of those paths is feasible when the QP is.  When a path gives up
-(the QP is infeasible, or a degenerate breakpoint stops it), or when the
-cost has no Cholesky factor on the equalities' null space, the same call
-starts from phase 1 instead, one max-slack LP solved by scipy's HiGHS
-linprog: maximize t subject to A x + t ||a_i|| <= b, E x = f, t <= a
-fixed cap.  t is the radius of a ball around x inside the inequalities,
-so x is their Chebyshev centre.  With its tight rows as the working set
-and zero multipliers, x is the optimum of the QP whose linear term makes
-it stationary, and the path moves that linear term to the cost's.  t* <
-0 means the system is infeasible, and the same LP's duals are the Farkas
-certificate, so phase 1 alone reports INFEASIBLE (inconsistent
-equalities are caught before the LP, by least squares).  HiGHS solves
-only the phase-1 LP.  So one node is one QP, and all tie-breaks are by
-lowest index so results are reproducible.
+point of those paths is feasible when the QP is; when it is not, a
+blocking row that depends on the working set, with no working row free
+to leave, gives a Farkas certificate, as in qpOASES.  When a path gives
+up or fails otherwise, or when the cost has no Cholesky factor on the
+equalities' null space, the same call starts from phase 1: the loop
+projects the equalities' least-squares point onto the system from that
+QP's own free start, and its INFEASIBLE is the answer.  With its tight
+rows as the working set and zero multipliers, the projection is the
+optimum of the QP whose linear term makes it stationary, and the path
+moves that linear term to the cost's.  So one node is one QP, no LP is
+solved, and all tie-breaks are by lowest index so results are
+reproducible.
 
 The all-enforced QP and the greedy incumbent's path do not depend on k.
 Every problem build_selection_from_ccopf makes from one cc object and
@@ -63,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  (perfbench traces this site)
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -78,22 +76,6 @@ ROW_TOL = 1e-7
 _PIVOT_TOL = 1e-10  # smallest Cholesky pivot the Newton step accepts
 _ZERO_CURVATURE = 1e-12  # Z'HZ no larger than this is rounding noise
 _KKT_TOL = 1e-6  # largest KKT residual of the normalized QP at an optimum
-# Phase-1 LP (_phase1_lp).  The cap on t only keeps the LP bounded when the
-# inequalities hold balls of any size; any positive cap leaves the test
-# "feasible iff t* >= 0" exact.  At 1 p.u. it sits above the inscribed
-# radius of every node set the bundled configs build (0.20 on case300s,
-# 0.43-0.50 on case14 at the configs' seeds), so there it never binds and
-# phase 1 returns the Chebyshev centre itself.  No bundled workload runs
-# phase 1, because their cold QPs start free: it decides infeasible QPs,
-# and its point is the homotopy's third start, for a cost with no free
-# start (a linear one, say) and after a warm or free path gives up.
-_PHASE1_T_CAP = 1.0
-# A zero row reads 0 <= b_i.  With weight 1 it becomes t <= b_i, which
-# holds at some t >= 0 exactly when the row holds, and a negative b_i caps
-# t* below zero, so the row appears in the certificate instead of making
-# the LP itself infeasible.  Any positive weight would do; 1 is the weight
-# of a unit-norm row.
-_ZERO_ROW_WEIGHT = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +149,10 @@ class QpSubproblemResult:
     status OPTIMAL carries x/value/duals and kkt_residual (max over
     stationarity, primal/dual feasibility, complementarity).  status
     INFEASIBLE carries a Farkas certificate (y_ineq >= 0, y_eq) with
-    y'A = 0 and y'b < 0.  UNBOUNDED and NUMERICAL_FAILURE are reported
-    distinctly; neither carries a point.  iterations counts the
-    active-set iterations on every path (a phase 1 that decides the
-    outcome adds none).  An OPTIMAL result also records its final
+    y'A = 0 and y'b < 0, and ||a_i||'y_ineq = 1 unless y_ineq = 0.
+    UNBOUNDED and NUMERICAL_FAILURE are reported distinctly; neither
+    carries a point.  iterations counts the active-set iterations on every
+    path, phase 1's included.  An OPTIMAL result also records its final
     working set (its inequality rows, ascending) and the inequality RHS
     it was solved for: a warm start of qp_solve moves from there.
     """
@@ -186,50 +168,6 @@ class QpSubproblemResult:
     iterations: int = 0  # active-set iterations taken
     working: tuple = ()  # OPTIMAL: inequality rows of the working set
     rhs: np.ndarray | None = None  # OPTIMAL: the b_ineq it solves
-
-
-def _phase1_lp(system):
-    """Solve max t  s.t.  A x + t w <= b, E x = f, t <= _PHASE1_T_CAP  with
-    HiGHS, where w_i = ||a_i|| (_ZERO_ROW_WEIGHT for a zero row).
-
-    t is the radius of the largest ball around x inside the inequalities
-    (Chebyshev centre), capped.  The system is feasible exactly when
-    t* >= 0; then x is a start deep inside the set.  When t* < 0 the duals
-    carry the Farkas certificate.  res.fun is -t*.
-    """
-    n = system.a_ineq.shape[1]
-    p = system.a_eq.shape[0]
-    w = np.linalg.norm(system.a_ineq, axis=1)
-    w[w == 0.0] = _ZERO_ROW_WEIGHT
-    c = np.zeros(n + 1)
-    c[n] = -1.0
-    return linprog(
-        c,
-        A_ub=np.hstack([system.a_ineq, w[:, None]]),
-        b_ub=system.b_ineq,
-        A_eq=np.hstack([system.a_eq, np.zeros((p, 1))]) if p else None,
-        b_eq=system.b_eq if p else None,
-        bounds=[(None, None)] * n + [(None, _PHASE1_T_CAP)],
-        method="highs",
-    )
-
-
-def _infeasibility_certificate(system, res):
-    """Farkas combination from the duals of a solved phase-1 LP with t* < 0.
-
-    There the duals y >= 0 and mu of the max-slack LP satisfy
-    y'A + mu'E = 0, w'y = 1 and y'b + mu'f = t* < 0.
-    """
-    y_ineq = np.maximum(-res.ineqlin.marginals, 0.0)
-    y_eq = -res.eqlin.marginals if system.a_eq.shape[0] else np.zeros(0)
-    combo = y_ineq @ system.a_ineq + y_eq @ system.a_eq
-    rhs = y_ineq @ system.b_ineq + y_eq @ system.b_eq
-    cert = None
-    tol = 1e-6 * max(1.0, np.max(np.abs(y_ineq)))
-    if np.max(np.abs(combo)) < tol and rhs < 0:
-        cert = {"y_ineq": y_ineq, "y_eq": y_eq, "combined_rhs": float(rhs)}
-    return QpSubproblemResult(status=INFEASIBLE, certificate=cert,
-                              message="constraints are inconsistent")
 
 
 def _kkt_residual(h, g, system, x, lam, mu):
@@ -251,16 +189,15 @@ def _kkt_residual(h, g, system, x, lam, mu):
     return r
 
 
-def _phase1_point(system):
-    """Feasible point via the max-slack LP, or an INFEASIBLE result.
+def _phase1_point(system, eq_rows, max_iter):
+    """Phase 1, as a _homotopy path's (found, iterations).
 
     The equalities are tested first, by least squares: when f is not in
-    the range of E, the residual r = f - E x of the least-squares x has
+    the range of E, the residual r = f - E x0 of the least-squares x0 has
     E'r = 0 and f'r = ||r||^2 > 0, so y_ineq = 0, y_eq = -r is the Farkas
-    certificate.  Only a system with inequality rows then solves the LP.
-    The point is the (capped) Chebyshev centre of the inequalities on the
-    equalities: every row keeps slack t* * ||a_i||, so the active-set run
-    from phase 1 starts with an almost empty working set.
+    certificate.  Otherwise (x0,) is the point of a system with no
+    inequality rows, and any other system projects x0 onto itself, min
+    ||x - x0||^2 / 2, on the homotopy from that QP's own free start.
     """
     m, n = system.a_ineq.shape
     x0 = np.zeros(n)
@@ -268,20 +205,13 @@ def _phase1_point(system):
         x0, *_ = np.linalg.lstsq(system.a_eq, system.b_eq, rcond=None)
         r = system.b_eq - system.a_eq @ x0
         if np.max(np.abs(r)) > 1e-8:
-            return None, QpSubproblemResult(
-                status=INFEASIBLE, message="equalities are inconsistent",
-                certificate={"y_ineq": np.zeros(m), "y_eq": -r,
-                             "combined_rhs": float(-r @ system.b_eq)})
+            return {"y_ineq": np.zeros(m), "y_eq": -r,
+                    "combined_rhs": float(-r @ system.b_eq)}, 0
     if m == 0:
-        return x0, None
-    res = _phase1_lp(system)
-    if res.status != 0:
-        return None, QpSubproblemResult(
-            status=NUMERICAL_FAILURE,
-            message=f"phase-1 LP failed: {res.message}")
-    if res.fun > 1e-9:
-        return None, _infeasibility_certificate(system, res)
-    return res.x[:n], None
+        return (x0,), 0
+    h, g = np.eye(n), -x0
+    start = _free_start(h, g, system, eq_rows, 1.0)
+    return _homotopy(h, g, system, start, 1.0, eq_rows, 1.0, max_iter)
 
 
 def _independent_rows(rows, basis):
@@ -334,17 +264,16 @@ def qp_solve(cost, system, *, warm_start=None):
       b.  A cost whose reduced Hessian fails the _PIVOT_TOL test has no
       free start, and neither does a system with no inequality rows.
     - Phase 1, when there is no other start, or when the warm or free
-      path gives up, ends UNBOUNDED or fails the KKT gate.  The max-slack
-      LP's point (see _phase1_lp), projected onto the equalities, with
-      its tight independent rows as the working set, zero multipliers
-      and b0 = b: only the linear term moves on its path.  Every row
-      keeps slack t* ||a_i||, so the working set starts empty unless t*
-      is about 0, and t* < 0 returns INFEASIBLE with that LP's Farkas
-      certificate.
+      path gives up, ends UNBOUNDED or fails the KKT gate: the projection
+      of the equalities' least-squares point onto the system (see
+      _phase1_point), with its tight independent rows as the working set,
+      zero multipliers and b0 = b, so only the linear term moves.  The
+      projection's own INFEASIBLE is the answer.
 
-    A warm or free path may take n + m + 10 iterations, the run from
-    phase 1 50 (n + m + 10).  The result's iterations field counts the
-    active-set iterations of both.
+    A path can prove the QP INFEASIBLE (see _homotopy).  A warm or free
+    path may take n + m + 10 iterations, the projection and the run from
+    its point 50 (n + m + 10) each, and the result's iterations field
+    counts them all.
     """
     if not isinstance(system, LinearSystem):
         raise TypeError("system must be a LinearSystem")
@@ -358,7 +287,7 @@ def qp_solve(cost, system, *, warm_start=None):
     h_max = float(np.max(np.abs(h)))
 
     a_ineq, b_ineq = system.a_ineq, system.b_ineq
-    a_eq, b_eq = system.a_eq, system.b_eq
+    a_eq = system.a_eq
     m = a_ineq.shape[0]
     # Keep the working rows independent, equalities included (a dependent
     # equality gets a zero multiplier), so that Q's trailing columns span
@@ -389,47 +318,50 @@ def qp_solve(cost, system, *, warm_start=None):
             kkt_residual=kkt, iterations=iterations,
             working=tuple(working), rhs=b_ineq)
 
-    def run(start, max_iter, spent):
-        """The result of the homotopy from start, after spent iterations."""
-        found, it = _homotopy(h, g, system, start, scale, eq_rows, h_max,
-                              max_iter)
+    def ended(found, it, max_iter, spent):
+        """The result of a path's (found, it), spent iterations later."""
         spent += it
+        if isinstance(found, tuple):
+            return optimum(*found, spent)
         if found is None:
             return QpSubproblemResult(
                 status=NUMERICAL_FAILURE, iterations=spent,
                 message=f"active-set iteration cap {max_iter} reached"
-                if it == max_iter else "a tight dependent row cannot enter")
+                if it == max_iter else "the start does not fit this QP")
         if found == UNBOUNDED:
             return QpSubproblemResult(
                 status=UNBOUNDED, message="descent ray never blocked",
                 iterations=spent)
-        return optimum(*found, spent)
+        return QpSubproblemResult(
+            status=INFEASIBLE, certificate=found, iterations=spent,
+            message="constraints are inconsistent")
 
-    spent = 0  # iterations on the warm or free path
+    def run(start, max_iter, spent):
+        return ended(*_homotopy(h, g, system, start, scale, eq_rows, h_max,
+                                max_iter), max_iter, spent)
+
+    spent = 0  # iterations before phase 1
     start = warm_start
     if start is None and m:
         start = _free_start(h, g, system, eq_rows, h_max)
     if start is not None:
         result = run(start, n + m + 10, 0)
-        if result.status == OPTIMAL:
+        if result.status in (OPTIMAL, INFEASIBLE):
             return result
         spent = result.iterations
-    x, fail = _phase1_point(system)
-    if fail is not None:
-        fail.iterations = spent
-        return fail
-    if a_eq.shape[0]:
-        # Project the starting point exactly onto the equalities.
-        corr, *_ = np.linalg.lstsq(a_eq, b_eq - a_eq @ x, rcond=None)
-        x = x + corr
+    cap = 50 * (n + m + 10)
+    found, it = _phase1_point(system, eq_rows, cap)
+    if not isinstance(found, tuple):
+        return ended(found, it, cap, spent)
     # The optimum of the QP whose linear term makes x stationary with zero
     # multipliers: its tight independent rows, ascending, at the RHS b.
+    x = found[0]
     active = np.flatnonzero(b_ineq - a_ineq @ x <= 1e-9)
     picked, _ = _independent_rows(a_ineq[active], basis)
     start = QpSubproblemResult(
         status=OPTIMAL, x=x, duals_ineq=np.zeros(m),
         working=tuple(int(j) for j in active[picked]), rhs=b_ineq)
-    return run(start, 50 * (n + m + 10), spent)
+    return run(start, cap, spent + it)
 
 
 def _free_start(h, g, system, eq_rows, h_max):
@@ -486,12 +418,22 @@ def _homotopy(h, g, system, start, scale, eq_rows, h_max, max_iter):
     falls linearly along a ray on W: the point moves along it, with the
     bounds held, to the first blocking row, which enters with multiplier 0.
 
+    A blocking row a_e = A_W' c that depends on W replaces the working
+    row whose multiplier lam - tau c zeroes first.  When c is nowhere
+    positive on the inequalities, y = e_e - c there and -c on the
+    equalities is a Farkas certificate (Best 1996; qpOASES, Ferreau et al.
+    2014): y'A = 0, y'b_t = 0 at the breakpoint and y'(b - b_t) < 0, as a_e
+    blocks.  When rounding leaves y'b about 0 (see _farkas), the block ends
+    the path instead, for the KKT gate to judge: a set that shrinks to a
+    point at t = 1 makes one there, as does rounding on a fixed RHS.
+
     Returns ((x, working, y), iterations) at t = 1, y the multipliers of
     the working rows with the equalities first; (UNBOUNDED, iterations)
-    when no row blocks a ray; or (None, iterations) when the path gives
-    up: a tight dependent row that no working row can make room for, or
-    max_iter breakpoints (which also ends any cycle of zero-length steps
-    at a degenerate breakpoint).
+    when no row blocks a ray; (certificate, iterations), a dict as
+    QpSubproblemResult documents, when the QP is infeasible; or (None,
+    iterations) for a start that does not fit the QP or after max_iter
+    breakpoints (which also ends any cycle of zero-length steps at a
+    degenerate breakpoint).
     """
     a, b = system.a_ineq, system.b_ineq
     m, n = a.shape
@@ -569,11 +511,18 @@ def _homotopy(h, g, system, start, scale, eq_rows, h_max, max_iter):
                 # row = A_W' c depends on W.  Multipliers lam - tau c on
                 # W and tau on row keep stationarity; row takes the place
                 # of the working row whose multiplier that zeroes first.
-                c = (lapack.dtrtrs(r, y_basis.T @ row)[0][n_eq:] if p
-                     else np.zeros(0))
+                coef = (lapack.dtrtrs(r, y_basis.T @ row)[0] if p
+                        else np.zeros(0))
+                c = coef[n_eq:]
                 up = np.flatnonzero(c > 1e-9 * np.max(np.abs(c), initial=0.0))
                 if not up.size:
-                    return None, it  # the path cannot continue
+                    # No working row can leave: the path proves the QP
+                    # infeasible, or, when rounding leaves y'b about 0,
+                    # this breakpoint ends it (see the docstring).
+                    cert = _farkas(system, eq_rows, working, enter, coef)
+                    if cert is not None:
+                        return cert, it
+                    return (x + (1.0 - alpha) * step, working, y), it
                 ratios = np.maximum(lam[up], 0.0) / c[up]
                 leave = int(up[np.argmin(ratios)])
                 lam_enter = float(ratios.min())
@@ -586,6 +535,24 @@ def _homotopy(h, g, system, start, scale, eq_rows, h_max, max_iter):
             working.insert(at, enter)
             lam = np.insert(lam, at, lam_enter)
     return None, max_iter
+
+
+def _farkas(system, eq_rows, working, enter, c):
+    """y = e_enter - c, c the working rows' coefficients of row enter
+    (equalities first), scaled so that ||a_i||'y = 1 (a zero row weighs
+    1), as a certificate; None unless y'b < -1e-9."""
+    n_eq = len(eq_rows)
+    y = np.zeros(system.b_ineq.size)
+    y[working] = np.maximum(-c[n_eq:], 0.0)
+    y[enter] = 1.0
+    y_eq = np.zeros(system.b_eq.size)
+    y_eq[eq_rows] = -c[:n_eq]
+    w = np.linalg.norm(system.a_ineq, axis=1)
+    total = w @ y + np.sum(y[w == 0.0])
+    rhs = float(y @ system.b_ineq + y_eq @ system.b_eq) / total
+    if not rhs < -1e-9:
+        return None
+    return {"y_ineq": y / total, "y_eq": y_eq / total, "combined_rhs": rhs}
 
 
 def _cholesky_step(hz, gz, h_max):

@@ -636,7 +636,7 @@ class TestFixedPoint:
     def test_deterministic_conflict_names_the_row(self, ac14_inputs,
                                                   monkeypatch):
         # Every PQ bus held to 1.2-1.3 p.u. leaves the deterministic stage
-        # no dispatch; the certificate weighs bus 12's lower limit most.
+        # no dispatch; the certificate weighs bus 14's lower limit most.
         import dataclasses
 
         from ccopf.scenario_mip import INFEASIBLE, QpSubproblemResult
@@ -649,10 +649,26 @@ class TestFixedPoint:
         spec = GaussianSpec(forecasts=fleet.forecasts, zeta=0.05, rho=0.2)
         train = sample(spec, 10, seed=7)
         params = AmbiguityParams.from_k(10, 10)
-        with pytest.raises(FixedPointError) as info:
-            fixed_point_solve(case, fleet, train, params)
+        solved = []
+        real_qp_solve = ac_model.qp_solve
+
+        def recorded(cost, system):
+            solved.append((system, real_qp_solve(cost, system)))
+            return solved[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ac_model, "qp_solve", recorded)
+            with pytest.raises(FixedPointError) as info:
+                fixed_point_solve(case, fleet, train, params)
         assert str(info.value) == ("deterministic stage: INFEASIBLE "
-                                   "(most conflicted row: v@bus12_lo)")
+                                   "(most conflicted row: v@bus14_lo)")
+        # The named row is the heaviest of a valid Farkas certificate.
+        system, result = solved[-1]
+        y, mu = result.certificate["y_ineq"], result.certificate["y_eq"]
+        assert np.min(y) >= 0.0
+        combo = y @ system.a_ineq + mu @ system.a_eq
+        assert np.max(np.abs(combo)) <= 1e-6 * max(1.0, np.max(y))
+        assert y @ system.b_ineq + mu @ system.b_eq < 0.0
         # Without a certificate there is no row to name.
         monkeypatch.setattr(ac_model, "qp_solve", lambda cost, system:
                             QpSubproblemResult(status=INFEASIBLE))

@@ -203,28 +203,42 @@ class TestAmbiguity:
 
 
 class TestInputErrors:
-    @pytest.mark.parametrize("args", [
-        ["scenario", "gen", "--s", 0, "--seed", 1, "--forecasts", 0.2,
-         "--zeta", 0.05, "--rho", 0.2],
-        ["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", 0.2,
-         "--zeta", 0.05, "--rho", 1.5],
-        ["ambiguity", "eps", "--k", 0, "--s", 10],
-        ["ambiguity", "eps", "--k-range", "96:100:2", "--s", 100, "--csv",
-         "no/such/dir/table.csv"],
-        ["ambiguity", "k", "--eps", 0, "--radius", 0.1, "--s", 10],
-        ["ambiguity", "k", "--eps", 0.1, "--radius", "nan", "--s", 100],
-        ["ambiguity", "k", "--eps", 0.1, "--radius", -1.0, "--s", 100],
-        ["ambiguity", "k", "--eps", "nan", "--radius", 0.1, "--s", 100],
-        ["scenario", "stats", "missing.csv"],
+    @pytest.mark.parametrize("args, made", [
+        (["scenario", "gen", "--s", 0, "--seed", 1, "--forecasts", 0.2,
+          "--zeta", 0.05, "--rho", 0.2], ()),
+        (["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", 0.2,
+          "--zeta", 0.05, "--rho", 1.5], ()),
+        (["ambiguity", "eps", "--k", 0, "--s", 10], ()),
+        (["ambiguity", "eps", "--k-range", "96:100:2", "--s", 100, "--csv",
+          "no/such/dir/table.csv"], ()),
+        (["ambiguity", "k", "--eps", 0, "--radius", 0.1, "--s", 10], ()),
+        (["ambiguity", "k", "--eps", 0.1, "--radius", "nan", "--s", 100], ()),
+        (["ambiguity", "k", "--eps", 0.1, "--radius", -1.0, "--s", 100], ()),
+        (["ambiguity", "k", "--eps", "nan", "--radius", 0.1, "--s", 100], ()),
+        (["scenario", "stats", "missing.csv"], ()),
+        # An output file whose path inside output.dir is a directory.
+        (["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", 0.2,
+          "--zeta", 0.05, "--rho", 0.2, "--out", "sub"], ("out/sub",)),
+        (["solve", "dc", "-c", CONFIG_DIR / "tutorial.ini"],
+         ("out/tutorial.log",)),
+        (["sweep", "-c", CONFIG_DIR / "sweep14.ini"], ("out/sweep14.log",)),
+        (["eval", "-c", CONFIG_DIR / "tutorial.ini", "--solution",
+          CONFIG_DIR.parent / "out" / "tutorial_solution.csv"],
+         ("out/tutorial_eval.csv",)),
     ], ids=["gen-s0", "gen-rho", "eps-k0", "eps-csv-unwritable", "k-eps0",
             "k-radius-nan", "k-radius-negative", "k-eps-nan",
-            "stats-missing"])
-    def test_bad_input_is_an_error_line(self, tmp_path, args):
+            "stats-missing", "gen-out-is-a-dir", "solve-log-is-a-dir",
+            "sweep-log-is-a-dir", "eval-report-is-a-dir"])
+    def test_bad_input_is_an_error_line(self, tmp_path, args, made):
+        for name in made:
+            (tmp_path / name).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
         result = run_cli(args, cwd=tmp_path)
         assert result.returncode == 1
-        assert result.stderr.startswith("error:")
+        # The error line is last: loading case14 warns first.
+        assert result.stderr.splitlines()[-1].startswith("error:")
         assert "Traceback" not in result.stderr
-        assert not list(tmp_path.iterdir())  # nothing written
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
 # Text that every key of _KEYS but output.dir must reject (any text names a

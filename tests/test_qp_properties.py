@@ -5,7 +5,8 @@ duplicate rows, several rows through one vertex, and zero-curvature
 directions.  The oracles are independent of the active-set engine:
 HiGHS's LP objective, the KKT conditions checked here from scratch, an
 LP over recession directions that says whether a problem is bounded, and
-a from-scratch Farkas check of every infeasibility certificate.
+a from-scratch Farkas check of every infeasibility certificate.  HiGHS
+runs only here, as an oracle: qp_solve solves no LP.
 The examples and their number are fixed by the profile in conftest.py.
 """
 
@@ -202,11 +203,32 @@ def assert_farkas(system, res):
     assert y @ system.b_ineq + mu @ system.b_eq < 0.0
 
 
+def forced_phase1(cost, system):
+    """qp_solve with the free start's path giving up at once (its cap is
+    n + m + 10), so that phase 1's projection and the run from its point
+    decide, as for a cost with no free start."""
+    real = scenario_mip._homotopy
+
+    def homotopy(*args):
+        if args[-1] == sum(system.a_ineq.shape) + 10:
+            return None, 0
+        return real(*args)
+
+    with mock.patch.object(scenario_mip, "_homotopy", homotopy):
+        return qp_solve(cost, system)
+
+
+def counted_phase1():
+    """A patch of scenario_mip._phase1_point that counts its runs."""
+    return mock.patch.object(scenario_mip, "_phase1_point",
+                             wraps=scenario_mip._phase1_point)
+
+
 @given(st.data())
 def test_infeasible_system_has_a_farkas_certificate(data):
-    # Quadratic and linear costs alike end in phase 1 (a quadratic one
-    # after its free start's path gives up), and the certificate comes
-    # from the phase-1 LP's duals.
+    # A quadratic cost's free path finds the certificate, a linear one's
+    # phase-1 projection does; either comes from a blocking row that
+    # depends on the working set.
     system = data.draw(infeasible_systems())
     n = system.n
     h = np.eye(n) if data.draw(st.booleans()) else np.zeros((n, n))
@@ -219,47 +241,52 @@ def test_infeasible_system_has_a_farkas_certificate(data):
 @pytest.mark.parametrize("curved", [True, False])
 def test_inconsistent_equalities_have_a_farkas_certificate(row, curved):
     # x1 + x2 = 1 and x1 + x2 = 2, with or without the row x1 <= 5, under
-    # a PD or a linear cost: the least-squares test of the equalities
-    # decides, and no LP runs.
+    # a PD or a linear cost: phase 1's least-squares test of the
+    # equalities decides (a free path keeps one of the two rows and fails
+    # the KKT check on the other), and no projection runs, so the
+    # certificate has no inequality weight.
     system = LinearSystem.make(
         a_ineq=[[1.0, 0.0]] if row else None, b_ineq=[5.0] if row else None,
         a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0])
     cost = QuadraticCost(h=np.eye(2) if curved else np.zeros((2, 2)),
                          g=np.array([1.0, -1.0]))
-    with mock.patch.object(scenario_mip, "linprog",
-                           wraps=scenario_mip.linprog) as lp:
+    with counted_phase1() as phase1, \
+            mock.patch.object(scenario_mip, "_homotopy",
+                              wraps=scenario_mip._homotopy) as path:
         res = qp_solve(cost, system)
-    assert lp.call_count == 0
+    assert phase1.call_count == 1
+    assert path.call_count == (1 if curved and row else 0)
     assert_farkas(system, res)
+    assert not np.any(res.certificate["y_ineq"])
 
 
 @given(st.data())
-def test_infeasible_system_takes_exactly_one_lp(data):
+def test_infeasible_system_takes_no_phase_1(data):
     # With a PD cost the free start's path runs first; it cannot end on a
-    # point of an empty set, so phase 1 decides, in one LP.
+    # point of an empty set, so it stops at a blocking row that depends
+    # on the working set, and its certificate decides without phase 1.
     system = data.draw(infeasible_systems())
     n = system.n
     cost = QuadraticCost(h=psd_hessian(data.draw, n, n) + np.eye(n),
                          g=_ints(data.draw, (n,)))
-    with mock.patch.object(scenario_mip, "linprog",
-                           wraps=scenario_mip.linprog) as lp:
+    with counted_phase1() as phase1:
         res = qp_solve(cost, system)
-    assert lp.call_count == 1
+    assert phase1.call_count == 0
     assert_farkas(system, res)
 
 
 @given(st.data())
 def test_free_start_reaches_the_phase_1_optimum(data):
     # A PD cost starts at its own minimizer on the equalities and follows
-    # the RHS path down to the system; switching that start off gives the
-    # run from the phase-1 point.  Both are KKT-certified, with one value.
+    # the RHS path down to the system; a free path that gives up at once
+    # leaves the run from phase 1's point.  Both are KKT-certified, with
+    # one value.
     system = data.draw(feasible_systems(boxed=data.draw(st.booleans())))
     n = system.n
     cost = QuadraticCost(h=psd_hessian(data.draw, n, n) + np.eye(n),
                          g=_ints(data.draw, (n,)))
     free = qp_solve(cost, system)
-    with mock.patch.object(scenario_mip, "_free_start", return_value=None):
-        forced = qp_solve(cost, system)
+    forced = forced_phase1(cost, system)
     assert_kkt(cost, system, free)
     assert_kkt(cost, system, forced)
     assert abs(free.value - forced.value) <= 1e-9 * max(1.0,

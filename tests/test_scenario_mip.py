@@ -96,19 +96,20 @@ def selection_oracle(problem):
 
 
 def phase1_solve(cost, system, monkeypatch):
-    """qp_solve cold from the phase-1 LP's point: the free start is
-    switched off, as for a cost that is flat on the equalities."""
+    """qp_solve cold from phase 1's point: the free start's path gives up
+    at once, as if the cost were flat on the equalities."""
     from ccopf import scenario_mip
 
     with monkeypatch.context() as patch:
-        patch.setattr(scenario_mip, "_free_start", lambda *args: None)
+        patch.setattr(scenario_mip, "_homotopy",
+                      on_the_warm_or_free_path((None, 0)))
         return qp_solve(cost, system)
 
 
 def on_the_warm_or_free_path(stand_in):
     """A stand-in for scenario_mip._homotopy: stand_in answers the call on
     the warm or free path (cap n + m + 10), and the real homotopy runs
-    from phase 1 (cap 50 (n + m + 10))."""
+    phase 1's projection and the run from its point (cap 50 (n + m + 10))."""
     from ccopf import scenario_mip
 
     real = scenario_mip._homotopy
@@ -121,18 +122,19 @@ def on_the_warm_or_free_path(stand_in):
     return homotopy
 
 
-def counting_linprog(monkeypatch):
-    """Patch scenario_mip's linprog to record its calls; returns the list."""
+def counting_phase1(monkeypatch):
+    """Patch scenario_mip._phase1_point to record its runs; returns the
+    list."""
     from ccopf import scenario_mip
 
     calls = []
-    real_linprog = scenario_mip.linprog
+    real_phase1 = scenario_mip._phase1_point
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return real_linprog(*args, **kwargs)
+        return real_phase1(*args)
 
-    monkeypatch.setattr(scenario_mip, "linprog", counted)
+    monkeypatch.setattr(scenario_mip, "_phase1_point", counted)
     return calls
 
 
@@ -202,33 +204,40 @@ class TestQpSolve:
         assert res.status == INFEASIBLE
         assert res.certificate is not None
 
-    def test_phase1_infeasibility_solves_one_elastic_lp(self, monkeypatch):
-        calls = counting_linprog(monkeypatch)
+    def test_free_path_decides_infeasibility_without_phase_1(
+            self, monkeypatch):
+        # The free start x = 0 at b0 = (1, 1): x >= 1 enters at t = 1/2,
+        # then x <= 0 blocks at t = 2/3 and depends on it, with no row
+        # free to leave.  y = e_0 - c = (1, 1), scaled to ||a_i||'y = 1.
+        calls = counting_phase1(monkeypatch)
         cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
         system = LinearSystem.make(a_ineq=[[1.0], [-1.0]],
                                    b_ineq=[0.0, -1.0])  # x <= 0 and x >= 1
         res = qp_solve(cost, system)
         assert res.status == INFEASIBLE
-        assert len(calls) == 1
-        y = res.certificate["y_ineq"]
-        assert np.all(y >= 0.0)
-        np.testing.assert_allclose(y @ system.a_ineq, 0.0, atol=1e-9)
-        assert y @ system.b_ineq < 0.0
+        assert calls == [] and res.iterations == 2
+        np.testing.assert_array_equal(res.certificate["y_ineq"], [0.5, 0.5])
+        assert res.certificate["combined_rhs"] == -0.5
 
-    def test_zero_row_with_negative_bound_is_infeasible(self, monkeypatch):
+    @pytest.mark.parametrize("curved, phase1", [(True, []), (False, [1])],
+                             ids=["curved", "linear"])
+    def test_zero_row_with_negative_bound_is_infeasible(self, curved, phase1,
+                                                        monkeypatch):
         # 0 x <= -1 can never hold: the overloaded-network case, where a
         # row's flow sensitivities vanish but its bound is already broken.
-        calls = counting_linprog(monkeypatch)
-        cost = QuadraticCost(h=np.eye(2), g=np.zeros(2))
+        # A PD cost's free path decides; a linear one has no free start,
+        # and phase 1's projection decides.  Either way the zero row,
+        # weighing 1, is the whole certificate.
+        calls = counting_phase1(monkeypatch)
+        cost = QuadraticCost(h=np.eye(2) if curved else np.zeros((2, 2)),
+                             g=np.array([0.0, 1.0]))
         system = LinearSystem.make(a_ineq=[[1.0, 0.0], [0.0, 0.0]],
                                    b_ineq=[5.0, -1.0])
         res = qp_solve(cost, system)
         assert res.status == INFEASIBLE
-        assert len(calls) == 1
-        y = res.certificate["y_ineq"]
-        assert np.all(y >= 0.0)
-        np.testing.assert_allclose(y @ system.a_ineq, 0.0, atol=1e-12)
-        assert y @ system.b_ineq < 0.0
+        assert calls == phase1
+        np.testing.assert_array_equal(res.certificate["y_ineq"], [0.0, 1.0])
+        assert res.certificate["combined_rhs"] == -1.0
 
     @pytest.mark.parametrize("bound", [0.0, 2.0])
     def test_zero_row_with_nonnegative_bound_is_optimal(self, bound):
@@ -240,14 +249,20 @@ class TestQpSolve:
         np.testing.assert_allclose(res.x, [5.0, -1.0], atol=1e-9)
         assert res.kkt_residual <= 1e-9
 
-    @pytest.mark.parametrize("half_width", [0.5, 1.5])
-    def test_cold_start_inside_the_box_needs_no_working_rows(
-            self, half_width, monkeypatch):
-        # Phase 1 starts at the box's centre (half width 0.5, below the cap
-        # on t) or at least 1 from every face (1.5, the cap binds).  No row
-        # is active there, so the path's one Newton step reaches the
-        # interior minimizer with an empty working set and no multiplier.
-        # (A PD cost skips phase 1; TestFreeStart covers that path.)
+    @pytest.mark.parametrize("half_width, point, tight, projection", [
+        (0.5, [1.5, -0.5, 0.0], 3, 3), (1.5, [0.5, 0.0, 0.0], 1, 2)],
+        ids=["0.5", "1.5"])
+    def test_run_from_the_projection_drops_its_tight_rows(
+            self, half_width, point, tight, projection, monkeypatch):
+        # Phase 1 projects the origin, the least-squares point of no
+        # equalities, onto the box: a point on its boundary, here with
+        # three tight rows or one.  The run from there starts with those
+        # rows at zero multipliers; each leaves at the first breakpoint it
+        # reaches, and one more step reaches the interior minimizer with
+        # an empty working set.  (A PD cost skips phase 1; TestFreeStart
+        # covers that path.)
+        from ccopf import scenario_mip
+
         centre = np.array([2.0, -1.0, 0.5])
         target = centre + half_width * np.array([0.4, -0.3, 0.1])
         cost = QuadraticCost(h=np.eye(3), g=-target)
@@ -255,10 +270,14 @@ class TestQpSolve:
             a_ineq=np.vstack([np.eye(3), -np.eye(3)]),
             b_ineq=np.concatenate([centre + half_width,
                                    half_width - centre]))
+        (x, *_), spent = scenario_mip._phase1_point(system, [], 50 * 19)
+        assert spent == projection
+        np.testing.assert_array_equal(x, point)
+        assert np.sum(system.b_ineq - system.a_ineq @ x == 0.0) == tight
         res = phase1_solve(cost, system, monkeypatch)
         assert res.status == OPTIMAL
-        assert res.iterations == 1
-        assert np.all(res.duals_ineq == 0.0)
+        assert res.iterations == projection + tight + 1
+        assert res.working == () and np.all(res.duals_ineq == 0.0)
         np.testing.assert_allclose(res.x, target, atol=1e-12)
 
     def test_iterations_are_reported_on_every_path(self, monkeypatch):
@@ -275,7 +294,7 @@ class TestQpSolve:
         # x1 <= 0 and x1 >= 1: the free start's path tightens x1 <= 2 to
         # x1 <= 0 (x1 <= 0 enters at the first breakpoint), then x1 >= 1
         # becomes tight at the second, depends on x1 <= 0 and cannot take
-        # its place; the path gives up and phase 1 decides.
+        # its place, so the path's own certificate decides.
         infeasible = qp_solve(cost, LinearSystem.make(
             a_ineq=[[1.0, 0.0], [-1.0, 0.0]], b_ineq=[0.0, -1.0]))
         assert infeasible.status == INFEASIBLE
@@ -286,14 +305,15 @@ class TestQpSolve:
         monkeypatch.setattr(scenario_mip, "_KKT_TOL", -1.0)
         failed = qp_solve(cost, system)
         assert failed.status == NUMERICAL_FAILURE
-        # the free start's path, then the run from phase 1
+        # the free start's path, then phase 1's projection and the run from
+        # its point
         assert failed.iterations == optimal.iterations + forced.iterations
         monkeypatch.undo()
 
         # A step that always pushes x into x <= 1 while the cost pulls it
         # back: the row enters and leaves at every breakpoint, so the free
-        # start's path stops at its cap n + m + 10 = 12 and the run from
-        # phase 1 at its cap 50 * (n + m + 10) = 600.
+        # start's path stops at its cap n + m + 10 = 12 and phase 1's
+        # projection at its cap 50 * (n + m + 10) = 600.
         monkeypatch.setattr(scenario_mip, "_cholesky_step",
                             lambda hz, gz, h_max: np.full_like(gz, 1e3))
         capped = qp_solve(QuadraticCost(h=np.eye(1), g=np.zeros(1)),
@@ -363,7 +383,7 @@ class TestQpSolve:
 
         # Unit-scale cost, so the normalized residual is the reported one.
         # The free start's answer fails the check too, so the message
-        # names the residual of the run from phase 1.
+        # names the residual of the run from phase 1's point.
         cost = QuadraticCost(h=np.eye(2), g=np.array([-1.0, 0.5]))
         system = LinearSystem.make(a_ineq=[[1.0, 1.0]], b_ineq=[0.25])
         res = phase1_solve(cost, system, monkeypatch)
@@ -409,18 +429,18 @@ class TestQpSolve:
         # (x1 + x2)^2 / 2 + x1 + x2 is flat along (1, -1).  The cold solve
         # starts from phase 1 (no free start) and its least-squares step
         # reaches (-0.5, -0.5); loosening the box keeps that point, and the
-        # warm path certifies it with one least-squares step and no LP.
+        # warm path certifies it with one least-squares step and no phase 1.
         cost = QuadraticCost(h=np.ones((2, 2)), g=np.ones(2))
         a = np.vstack([np.eye(2), -np.eye(2)])
         first = qp_solve(cost, LinearSystem.make(a_ineq=a,
                                                  b_ineq=np.full(4, 10.0)))
         assert first.status == OPTIMAL
-        lps = counting_linprog(monkeypatch)
+        phase1 = counting_phase1(monkeypatch)
         warm = qp_solve(cost, LinearSystem.make(a_ineq=a,
                                                 b_ineq=np.full(4, 12.0)),
                         warm_start=first)
         assert warm.status == OPTIMAL
-        assert lps == [] and warm.iterations == 1
+        assert phase1 == [] and warm.iterations == 1
         np.testing.assert_allclose(warm.x, [-0.5, -0.5], atol=1e-12)
         assert warm.value == pytest.approx(-0.5, abs=1e-12)
 
@@ -474,12 +494,13 @@ class TestQpSolve:
         cold = phase1_solve(cost, loosened, monkeypatch)
         monkeypatch.setattr(scenario_mip, "_homotopy",
                             on_the_warm_or_free_path((None, 3)))
-        phase1 = counting_linprog(monkeypatch)
+        phase1 = counting_phase1(monkeypatch)
         warm = qp_solve(cost, loosened, warm_start=first)
         assert first.status == cold.status == warm.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, rel=1e-12)
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)
-        # the path's 3, then the cold solve: phase 1 and the run from it
+        # the path's 3, then the cold solve: phase 1's projection and the
+        # run from its point
         assert warm.iterations == 3 + cold.iterations
         assert phase1 == [1]
 
@@ -487,19 +508,22 @@ class TestQpSolve:
             self, monkeypatch):
         from ccopf import scenario_mip
 
-        # x <= 1 tightened to x <= -1 under x >= 0: the path gives up
-        # after 3 iterations and phase 1 finds the system infeasible.
+        # x <= 1 tightened to x <= -1 under x >= 0: the warm path gives up
+        # after 3 iterations and phase 1's projection finds the system
+        # infeasible after 2 of its own.  Its free start x = 0 at b0 =
+        # (1, 1): x <= -1 enters at t = 1/2, and x >= 0 blocks at t = 2/3.
         cost = QuadraticCost(h=np.eye(1), g=np.zeros(1))
         a = np.array([[1.0], [-1.0]])
         first = qp_solve(cost, LinearSystem.make(a_ineq=a, b_ineq=[1.0, 0.0]))
         tightened = LinearSystem.make(a_ineq=a, b_ineq=[-1.0, 0.0])
         monkeypatch.setattr(scenario_mip, "_homotopy",
-                            lambda *args: (None, 3))
+                            on_the_warm_or_free_path((None, 3)))
+        phase1 = counting_phase1(monkeypatch)
         warm = qp_solve(cost, tightened, warm_start=first)
         assert first.status == OPTIMAL
-        assert warm.status == INFEASIBLE
-        assert warm.certificate is not None
-        assert warm.iterations == 3
+        assert warm.status == INFEASIBLE and phase1 == [1]
+        np.testing.assert_array_equal(warm.certificate["y_ineq"], [0.5, 0.5])
+        assert warm.iterations == 3 + 2
 
     def test_path_answer_failing_the_kkt_check_falls_back(self,
                                                           monkeypatch):
@@ -976,9 +1000,9 @@ class TestBuildFromChanceRows:
 
 # ---------------------------------------------------------------------------
 # Warm-started node QPs move the anchor's working set along the RHS.  The
-# cold solve, phase 1 and then the run from its point (what qp_solve falls
-# back to when the path gives up), is the oracle: with the warm and free
-# paths switched off, every QP takes it.
+# cold solve, phase 1's projection and then the run from its point (what
+# qp_solve falls back to when the path gives up), is the oracle: with the
+# warm and free paths switched off, every QP takes it.
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1069,7 +1093,7 @@ def unshared(problem):
 
 def cold_path_solve(problem, monkeypatch):
     """solve_selection with every warm or free path giving up at once, so
-    that each QP runs from phase 1."""
+    that each QP runs from phase 1's point."""
     from ccopf import scenario_mip
 
     with monkeypatch.context() as patch:
@@ -1140,12 +1164,13 @@ class TestParametricWarmStart:
 class TestFreeStart:
     """A cold QP whose cost has a Cholesky factor on the equalities' null
     space starts at that cost's minimizer and follows the RHS path; phase
-    1 runs only when the path gives up."""
+    1 runs only when the path gives up.  Phase 1 is counted by its runs of
+    scenario_mip._phase1_point."""
 
     def test_interior_minimizer_needs_no_phase_1(self, monkeypatch):
         # The minimizer lies inside the box: the path meets no row, and
         # its one iteration certifies it with an empty working set.
-        lps = counting_linprog(monkeypatch)
+        phase1 = counting_phase1(monkeypatch)
         target = np.array([2.2, -1.15, 0.55])
         cost = QuadraticCost(h=np.eye(3), g=-target)
         system = LinearSystem.make(
@@ -1153,7 +1178,7 @@ class TestFreeStart:
             b_ineq=[2.5, -0.5, 1.0, -1.5, 1.5, 0.0])
         res = qp_solve(cost, system)
         assert res.status == OPTIMAL
-        assert lps == []
+        assert phase1 == []
         assert res.iterations == 1 and res.working == ()
         assert np.all(res.duals_ineq == 0.0)
         np.testing.assert_allclose(res.x, target, atol=1e-12)
@@ -1162,13 +1187,13 @@ class TestFreeStart:
         # min |x - (5, 5, 0)|^2 / 2 on x1 + x2 + x3 = 3 under x1, x2 <= 1:
         # the free start is (8, 8, -7) / 3, the equality holds on the whole
         # path, and both bounds end in the working set.
-        lps = counting_linprog(monkeypatch)
+        phase1 = counting_phase1(monkeypatch)
         cost = QuadraticCost(h=np.eye(3), g=np.array([-5.0, -5.0, 0.0]))
         system = LinearSystem.make(
             a_ineq=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], b_ineq=[1.0, 1.0],
             a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0])
         res = qp_solve(cost, system)
-        assert res.status == OPTIMAL and lps == []
+        assert res.status == OPTIMAL and phase1 == []
         assert res.working == (0, 1)
         np.testing.assert_allclose(res.x, [1.0, 1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(res.duals_eq, [-1.0], atol=1e-12)
@@ -1181,40 +1206,40 @@ class TestFreeStart:
     ])
     def test_cost_flat_on_the_equalities_takes_phase_1(self, h, a_eq,
                                                        monkeypatch):
-        lps = counting_linprog(monkeypatch)
+        phase1 = counting_phase1(monkeypatch)
         cost = QuadraticCost(h=h, g=np.array([-2.0, 1.0]))
         system = LinearSystem.make(
             a_ineq=[[0.0, -1.0], [1.0, 0.0]], b_ineq=[0.0, 3.0],
             a_eq=a_eq, b_eq=None if a_eq is None else [1.0], n=2)
         res = qp_solve(cost, system)
         assert res.status == OPTIMAL, res.message
-        assert lps == [1]
+        assert phase1 == [1]
         assert res.x[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_cost_curved_on_the_equalities_needs_no_phase_1(
             self, monkeypatch):
         # The same PSD cost, flat along x2 only, with x2 = 1 pinned: the
         # reduced Hessian is [2], so the free start exists.
-        lps = counting_linprog(monkeypatch)
+        phase1 = counting_phase1(monkeypatch)
         cost = QuadraticCost(h=np.diag([2.0, 0.0]), g=np.array([-2.0, 1.0]))
         system = LinearSystem.make(
             a_ineq=[[1.0, 0.0]], b_ineq=[0.5], a_eq=[[0.0, 1.0]], b_eq=[1.0])
         res = qp_solve(cost, system)
-        assert res.status == OPTIMAL and lps == []
+        assert res.status == OPTIMAL and phase1 == []
         np.testing.assert_allclose(res.x, [0.5, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("name, k", [
         ("tutorial", None), ("sweep14", 200), ("sweep300", 300)])
     def test_all_enforced_qp_matches_the_phase_1_run(self, name, k,
                                                      monkeypatch):
-        # The cold QP of every bundled DC config: no LP, the same working
-        # set and the same optimum as the run from the phase-1 point.
+        # The cold QP of every bundled DC config: no phase 1, the same
+        # working set and the same optimum as the run from phase 1's point.
         problem = config_problem(name, k)
         system = problem.node_system(np.ones(problem.n_scenarios, dtype=bool))
         forced = phase1_solve(problem.cost, system, monkeypatch)
-        lps = counting_linprog(monkeypatch)
+        phase1 = counting_phase1(monkeypatch)
         free = qp_solve(problem.cost, system)
-        assert lps == []
+        assert phase1 == []
         assert free.status == forced.status == OPTIMAL
         assert free.working == forced.working
         assert free.value == pytest.approx(forced.value, rel=1e-12)

@@ -142,21 +142,21 @@ def test_a_random_k_sequence_on_one_cc_matches_new_problems(seed, s, order):
 
 
 class TestSharedWorkCounts:
-    """Counters on HiGHS and qp_solve pin what is shared, and for how
+    """Counters on phase 1 and qp_solve pin what is shared, and for how
     long.  A cold QP is a qp_solve call with no warm start: here always
-    an all-enforced QP, which starts free and needs no LP."""
+    an all-enforced QP, which starts free and needs no phase 1."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        counts = {"lp": 0, "qp": 0, "cold_qp": 0, "greedy_qp": 0}
+        counts = {"phase1": 0, "qp": 0, "cold_qp": 0, "greedy_qp": 0}
         inside_greedy = []
-        real_linprog = scenario_mip.linprog
+        real_phase1 = scenario_mip._phase1_point
         real_qp_solve = scenario_mip.qp_solve
         real_greedy = scenario_mip.greedy_incumbent
 
-        def linprog(*args, **kwargs):
-            counts["lp"] += 1
-            return real_linprog(*args, **kwargs)
+        def phase1_point(*args):
+            counts["phase1"] += 1
+            return real_phase1(*args)
 
         def qp_solve(*args, **kwargs):
             counts["qp"] += 1
@@ -171,7 +171,7 @@ class TestSharedWorkCounts:
             finally:
                 inside_greedy.pop()
 
-        monkeypatch.setattr(scenario_mip, "linprog", linprog)
+        monkeypatch.setattr(scenario_mip, "_phase1_point", phase1_point)
         monkeypatch.setattr(scenario_mip, "qp_solve", qp_solve)
         monkeypatch.setattr(scenario_mip, "greedy_incumbent",
                             greedy_incumbent)
@@ -192,14 +192,14 @@ class TestSharedWorkCounts:
         # 20 trials.  Every other QP is a node QP.
         nodes = sum(sol.nodes for sol in solves.values())
         counts = dict(counted)
-        assert counts == {"lp": 0, "qp": 1 + 20 + nodes, "cold_qp": 1,
+        assert counts == {"phase1": 0, "qp": 1 + 20 + nodes, "cold_qp": 1,
                           "greedy_qp": 20}
         assert [solves[k].qp_count for k in range(180, 201, 2)] == [
             1 + solves[k].nodes for k in range(180, 201, 2)]
         # Solving it all again through cc solves nothing cold and walks
         # no greedy step.
         again = sweep(net, train, cc, range(180, 201, 2), robust_first=False)
-        assert counted == {"lp": 0, "qp": counts["qp"] + nodes,
+        assert counted == {"phase1": 0, "qp": counts["qp"] + nodes,
                            "cold_qp": 1, "greedy_qp": 20}
         for key, sol in again.items():
             assert_same_solution(sol, solves[key])
@@ -207,7 +207,7 @@ class TestSharedWorkCounts:
         ro_baseline(net.case, net.fleet, ro_set, cc=cc)
         assert counted["cold_qp"] == 2
         ro_baseline(net.case, net.fleet, ro_set, cc=cc)
-        assert counted["cold_qp"] == 2 and counted["lp"] == 0
+        assert counted["cold_qp"] == 2 and counted["phase1"] == 0
         assert len(scenario_mip._SHARED[cc]) == 2
 
     def test_a_stopped_path_stays_stopped(self, sweep14, counted,
@@ -242,7 +242,7 @@ class TestSharedWorkCounts:
         direct = SelectionProblem(built.cost, built.base, built.b, built.k)
         assert_same_solution(solve_selection(direct), first)
         assert counted["cold_qp"] == 2 and counted["greedy_qp"] == 20
-        assert counted["lp"] == 0
+        assert counted["phase1"] == 0
 
     def test_the_holder_dies_with_its_cc(self, sweep14):
         net, train, _ = sweep14
