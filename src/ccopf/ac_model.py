@@ -3,9 +3,9 @@
 Three layers, bottom up: a polar Newton-Raphson power flow over the
 series-impedance branch model, written as one kernel over a block of
 scenarios (stacked Jacobians, one batched linear solve per iteration,
-step control and stopping per scenario), which pf_solve and respond run
-on one scenario and out-of-sample scoring on blocks sized from the bus
-count and NEWTON_BLOCK_BYTES; the monitored rows and their response
+step control and stopping per scenario), which pf_solve runs on one
+scenario and out-of-sample scoring on blocks sized from the bus count and
+NEWTON_BLOCK_BYTES; the monitored rows and their response
 sensitivities to forecast errors and to dispatch, by the implicit-function
 rule on the power-flow Jacobian; and an alternating loop that linearizes
 the monitored quantities around the latest operating point, solves the
@@ -364,7 +364,14 @@ def solve_operating_point(case, fleet, dispatch, **pf_kwargs):
 
 
 def _response_setpoints(case, fleet, state, xi):
-    """(B, n) injection targets for forecast errors xi, one per row."""
+    """(B, n) injection targets for forecast errors xi, one per row.
+
+    Active targets at every non-slack bus shift by the direct error at
+    that bus minus its participation share of the total error; reactive
+    targets shift by gamma * xi at PQ-typed error buses (at PV-typed ones
+    the local machine absorbs the reactive swing, which only moves its own
+    output accounting).
+    """
     total = xi.sum(axis=1)
     p_set = state.p - fleet.participation * total[:, None]
     p_set[:, fleet.vre_buses] += xi
@@ -372,25 +379,6 @@ def _response_setpoints(case, fleet, state, xi):
     at_pq = case.bus_kind[fleet.vre_buses] == PQ
     q_set[:, fleet.vre_buses[at_pq]] += fleet.gamma * xi[:, at_pq]
     return p_set, q_set
-
-
-def respond(case, fleet, state, xi):
-    """Re-solve the network with a forecast-error vector applied.
-
-    Active targets at every non-slack bus shift by the direct error at
-    that bus minus its participation share of the total error; reactive
-    targets shift by gamma * xi at PQ-typed error buses (at PV-typed ones
-    the local machine absorbs the reactive swing, which only moves its own
-    output accounting).  Magnitudes stay pinned at PV and slack; Newton
-    starts from the given state.  Failures are reported on the returned
-    state so callers can score the scenario accordingly.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (fleet.n_vre,):
-        raise ValueError("error vector length must match the fleet")
-    (p_set,), (q_set,) = _response_setpoints(case, fleet, state, xi[None])
-    return pf_solve(case, p_set, q_set, v_set2=state.v,
-                    theta0=state.theta, vmag0=np.sqrt(state.v))
 
 
 # --- monitored quantities and their sensitivities -------------------------

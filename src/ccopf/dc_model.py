@@ -5,7 +5,7 @@ Everything downstream of this module sees the grid as one affine map: for
 dispatch x (generator outputs, p.u.) and forecast-error vector xi (one entry
 per renewable bus), every monitored quantity is
 
-    row_values(x, xi) = base_lin @ x + base_const + sens @ xi <= rhs.
+    base_lin @ x + base_const + sens @ xi <= rhs.
 
 The response model: errors enter at their buses, the aggregate imbalance
 sum(xi) is absorbed by generators in proportion to their participation
@@ -119,15 +119,6 @@ class CcSystem:
     @property
     def n_rows(self):
         return self.rhs.size
-
-    def row_values(self, x, xi):
-        """Row left-hand sides at a dispatch and an error vector (or a
-        batch of error vectors, one per row of xi)."""
-        base = self.base_lin @ x + self.base_const
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim == 1:
-            return base + self.sens @ xi
-        return base[None, :] + xi @ self.sens.T
 
     def nominal_system(self, equalities):
         """The rows at xi = 0 plus the equalities (a_eq, b_eq):

@@ -21,7 +21,6 @@ row per k plus a three-panel SVG.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,9 +172,8 @@ def ro_baseline(case, fleet, training_set, *, cc=None):
 
     Solved as the single QP of the all-enforced node system; infeasibility
     names the scenarios that the Farkas certificate weighs.  Selections
-    on the same cc and scenario set share that QP, so wall_time includes
-    it only in the first of those solves, and x_star and the duals are
-    read-only.
+    on the same cc and scenario set share that QP, so x_star and the
+    duals are read-only.
     """
     if cc is None:
         cc = assemble_cc_system(case, fleet)
@@ -183,7 +181,6 @@ def ro_baseline(case, fleet, training_set, *, cc=None):
     problem = build_selection_from_ccopf(
         cc, training_set.xi, make_cost(case), s,
         equalities=balance_equality(case, fleet))
-    t0 = time.perf_counter()
     every = np.ones(s, dtype=bool)
     result = problem._all_enforced()
     if result.status == INFEASIBLE:
@@ -201,8 +198,7 @@ def ro_baseline(case, fleet, training_set, *, cc=None):
         x_star=result.x, z_star=np.zeros(s, dtype=int),
         objective=result.value, enforced_set=tuple(range(s)),
         status=OPTIMAL, nodes=0, qp_count=1, iterations=result.iterations,
-        wall_time=time.perf_counter() - t0, gap=0.0,
-        duals_ineq=result.duals_ineq, duals_eq=result.duals_eq)
+        gap=0.0, duals_ineq=result.duals_ineq, duals_eq=result.duals_eq)
 
 
 def config_digest(**parts):

@@ -55,7 +55,6 @@ import bisect
 import hashlib
 import heapq
 import itertools
-import time
 import weakref
 from dataclasses import dataclass, field
 
@@ -756,11 +755,10 @@ class SelectionSolution:
     nodes: int = 0
     qp_count: int = 0
     iterations: int = 0  # active-set iterations of the qp_count QPs
-    wall_time: float = 0.0
     gap: float = np.nan
     duals_ineq: np.ndarray | None = None
     duals_eq: np.ndarray | None = None
-    message: str = ""  # which node failed, for NUMERICAL_FAILURE
+    message: str = ""  # the failed node, for NUMERICAL_FAILURE or UNBOUNDED
 
 
 def greedy_incumbent(problem):
@@ -816,8 +814,9 @@ def solve_selection(problem, options=None):
     warm-starts from the all-enforced optimum and moves it to the node's
     RHS; qp_solve alone recovers when that path gives up, and one node is
     one QP.  A node QP that ends in NUMERICAL_FAILURE ends the search,
-    with a message naming the node (its count, |E|, |R|) and the QP's
-    own message; at k = S the one QP is the all-enforced one, and its
+    and so does an UNBOUNDED one at a fully decided node, each with a
+    message naming the node (its count, |E|, |R|) and the QP's own
+    message; at k = S the one QP is the all-enforced one, and its
     failure is named that way.  options.rel_gap closes a node whose bound
     is within that fraction of the incumbent, and the solution's gap is
     then the gap the search proved (zero for the exact search).  The
@@ -826,11 +825,9 @@ def solve_selection(problem, options=None):
 
     The all-enforced QP and the greedy path come from the problem's
     shared holder.  qp_count and iterations count that QP in every
-    search, but wall_time includes the shared work only in the first
-    solve on the data.  Arrays from the holder are read-only.
+    search.  Arrays from the holder are read-only.
     """
     options = options or SolverOptions()
-    t0 = time.perf_counter()
     s, k = problem.n_scenarios, problem.k
     nodes = 0
     anchor = None  # all-enforced optimum: every node system loosens it
@@ -846,8 +843,15 @@ def solve_selection(problem, options=None):
             enforced_set=() if kept is None else tuple(
                 np.flatnonzero(kept).tolist()),
             status=status, nodes=nodes, qp_count=qp_count,
-            iterations=iterations, wall_time=time.perf_counter() - t0,
-            gap=gap, duals_ineq=duals[0], duals_eq=duals[1], message=message)
+            iterations=iterations, gap=gap, duals_ineq=duals[0],
+            duals_eq=duals[1], message=message)
+
+    def failed_at(result, enforced, relaxed):
+        """The search ends with the status of the node QP just solved,
+        and a message naming the node."""
+        return finish(result.status, message=(
+            f"node {nodes} (|E| = {enforced.sum()}, "
+            f"|R| = {relaxed.sum()}): {result.message}"))
 
     def solve_node(enforced, relaxed=None):
         nonlocal qp_count, iterations
@@ -909,9 +913,7 @@ def solve_selection(problem, options=None):
                 # all of them are infeasible too.
                 continue
             if result.status == NUMERICAL_FAILURE:
-                return finish(NUMERICAL_FAILURE, message=(
-                    f"node {nodes} (|E| = {enforced.sum()}, "
-                    f"|R| = {relaxed.sum()}): {result.message}"))
+                return failed_at(result, enforced, relaxed)
             if result.status == OPTIMAL:
                 bound = result.value
                 if incumbent is not None and \
@@ -944,7 +946,7 @@ def solve_selection(problem, options=None):
         else:
             # Fully decided node (>= k enforced) whose QP had no finite
             # optimum: the master itself is unbounded on this selection.
-            return finish(result.status)
+            return failed_at(result, enforced, relaxed)
 
         # Children inherit this node's bound and are solved at pop.
         pick = np.arange(s) == branch

@@ -16,7 +16,7 @@ identity is recorded in the provenance digest.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -59,11 +59,6 @@ class GaussianSpec:
     @property
     def n_vre(self):
         return self.forecasts.size
-
-    def without_clipping(self):
-        """Same distribution with the clip step disabled (bounds at inf)."""
-        inf = np.full(self.n_vre, np.inf)
-        return replace(self, clip_low=-inf, clip_high=inf)
 
     def digest_material(self, s, seed):
         return (f"generator={_GENERATOR_ID};seed={int(seed)};s={int(s)};"

@@ -1,5 +1,7 @@
-"""Shared fixtures: the packaged 14-bus case and the tutorial VRE fleet."""
+"""Shared fixtures: the packaged 14-bus case and the tutorial VRE fleet;
+and the reference helpers that only tests call."""
 
+import dataclasses
 import os
 import warnings
 from pathlib import Path
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from ccopf.ac_model import _response_setpoints, pf_solve
 from ccopf.case_io import (
     build_fleet,
     packaged_case_path,
@@ -35,6 +38,39 @@ def subprocess_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
     return env
+
+
+def respond(case, fleet, state, xi):
+    """Re-solve the network with one forecast-error vector applied: the
+    one-scenario reference for the Newton scoring kernel.
+
+    The targets are ac_model's response set points.  Magnitudes stay
+    pinned at PV and slack; Newton starts from the given state.  Failures
+    are reported on the returned state.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (fleet.n_vre,):
+        raise ValueError("error vector length must match the fleet")
+    (p_set,), (q_set,) = _response_setpoints(case, fleet, state, xi[None])
+    return pf_solve(case, p_set, q_set, v_set2=state.v,
+                    theta0=state.theta, vmag0=np.sqrt(state.v))
+
+
+def row_values(cc, x, xi):
+    """The row left-hand sides of a CcSystem at a dispatch and an error
+    vector (or a batch of error vectors, one per row of xi)."""
+    base = cc.base_lin @ x + cc.base_const
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 1:
+        return base + cc.sens @ xi
+    return base[None, :] + xi @ cc.sens.T
+
+
+def without_clipping(spec):
+    """The GaussianSpec's distribution with the clip step disabled (bounds
+    at inf)."""
+    inf = np.full(spec.n_vre, np.inf)
+    return dataclasses.replace(spec, clip_low=-inf, clip_high=inf)
 
 
 # Tutorial cost override: stock coefficients except generator 1's quadratic
@@ -93,8 +129,6 @@ def case14_ac(case14):
     widening the non-slack ranges keeps the simplified network
     self-consistent while leaving the rows live.
     """
-    import dataclasses
-
     q_min = case14.q_min.copy()
     q_max = case14.q_max.copy()
     mask = ~case14.slack_gen_mask()

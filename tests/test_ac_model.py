@@ -21,7 +21,6 @@ from ccopf.ac_model import (
     loss_balance_equality,
     pf_solve,
     quantity_values,
-    respond,
     response_jacobian,
     solve_operating_point,
 )
@@ -37,6 +36,7 @@ from ccopf.dc_model import dc_response
 from ccopf.cli import _network_model, sweep_k
 from ccopf.scenario_mip import ROW_TOL
 from ccopf.scenarios import GaussianSpec, sample
+from conftest import respond, row_values
 
 TWO_BUS = """\
 function mpc = twobus
@@ -522,7 +522,7 @@ class TestLinearization:
                                  sens_rows=jac.j_matrix)
         values = quantity_values(case, fleet, rows, state, dispatch)
         expected = signed_expected(rows, values)
-        np.testing.assert_allclose(cc.row_values(dispatch, np.zeros(2)),
+        np.testing.assert_allclose(row_values(cc, dispatch, np.zeros(2)),
                                    expected, atol=1e-9)
         # bounds: upper bounds for hi rows, negated lower bounds for lo
         kinds = np.asarray(rows.kinds)

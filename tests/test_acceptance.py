@@ -42,7 +42,7 @@ from ccopf.scenario_mip import (
     solve_selection,
 )
 from ccopf.scenarios import GaussianSpec, sample
-from conftest import subprocess_env
+from conftest import respond, subprocess_env
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -225,7 +225,6 @@ def test_criterion_6_nonlinear_machinery(case14, fleet14, case14_ac,
         fixed_point_solve,
         pf_solve,
         quantity_values,
-        respond,
         response_jacobian,
         solve_operating_point,
     )

@@ -209,6 +209,7 @@ class TestInputErrors:
         (["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", 0.2,
           "--zeta", 0.05, "--rho", 1.5], ()),
         (["ambiguity", "eps", "--k", 0, "--s", 10], ()),
+        (["ambiguity", "eps", "--k-range", "5:3", "--s", 10], ()),
         (["ambiguity", "eps", "--k-range", "96:100:2", "--s", 100, "--csv",
           "no/such/dir/table.csv"], ()),
         (["ambiguity", "k", "--eps", 0, "--radius", 0.1, "--s", 10], ()),
@@ -222,13 +223,16 @@ class TestInputErrors:
         (["solve", "dc", "-c", CONFIG_DIR / "tutorial.ini"],
          ("out/tutorial.log",)),
         (["sweep", "-c", CONFIG_DIR / "sweep14.ini"], ("out/sweep14.log",)),
+        (["sweep", "-c", CONFIG_DIR / "sweep14.ini", "--set",
+          "sweep.k_values=190:185"], ()),
         (["eval", "-c", CONFIG_DIR / "tutorial.ini", "--solution",
           CONFIG_DIR.parent / "out" / "tutorial_solution.csv"],
          ("out/tutorial_eval.csv",)),
-    ], ids=["gen-s0", "gen-rho", "eps-k0", "eps-csv-unwritable", "k-eps0",
-            "k-radius-nan", "k-radius-negative", "k-eps-nan",
-            "stats-missing", "gen-out-is-a-dir", "solve-log-is-a-dir",
-            "sweep-log-is-a-dir", "eval-report-is-a-dir"])
+    ], ids=["gen-s0", "gen-rho", "eps-k0", "eps-k-range-descending",
+            "eps-csv-unwritable", "k-eps0", "k-radius-nan",
+            "k-radius-negative", "k-eps-nan", "stats-missing",
+            "gen-out-is-a-dir", "solve-log-is-a-dir", "sweep-log-is-a-dir",
+            "sweep-k-values-descending", "eval-report-is-a-dir"])
     def test_bad_input_is_an_error_line(self, tmp_path, args, made):
         for name in made:
             (tmp_path / name).mkdir(parents=True)
@@ -1051,6 +1055,11 @@ class TestHelpers:
             _parse_k_values("1:10:0")
         with pytest.raises(ValueError):
             _parse_k_values("1:2:3:4")
+
+    @pytest.mark.parametrize("raw", ["190:185", "5:3", "2:1:3"])
+    def test_parse_k_values_names_an_empty_range(self, raw):
+        with pytest.raises(ValueError, match="range is empty"):
+            _parse_k_values(raw)
 
     def test_exit_code_mapping(self):
         assert _exit_code_for("OPTIMAL") == 0

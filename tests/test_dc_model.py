@@ -27,7 +27,7 @@ from ccopf.dc_model import (
     solve_deterministic_dc,
 )
 from ccopf.scenario_mip import INFEASIBLE, OPTIMAL, QuadraticCost, qp_solve
-from conftest import subprocess_env
+from conftest import row_values, subprocess_env
 
 TWO_BUS = """
 function mpc = two_bus
@@ -234,7 +234,7 @@ class TestCcSystem:
             np.add.at(inj, case14_rated.gen_bus, gen_out)
             np.add.at(inj, fleet14.vre_buses, fleet14.forecasts + xi)
             flows = phi @ inj
-            values = cc.row_values(x, xi)
+            values = row_values(cc, x, xi)
             n_gen = case14_rated.n_gen
             np.testing.assert_allclose(values[:n_gen], gen_out, atol=1e-10)
             np.testing.assert_allclose(values[n_gen:2 * n_gen], -gen_out,
@@ -250,10 +250,10 @@ class TestCcSystem:
         x = rng.uniform(0, 1, case14.n_gen)
         xi_a = rng.normal(size=fleet14.n_vre)
         xi_b = rng.normal(size=fleet14.n_vre)
-        base = cc.row_values(x, np.zeros(fleet14.n_vre))
-        combined = cc.row_values(x, xi_a + xi_b)
-        parts = (cc.row_values(x, xi_a) - base) + (cc.row_values(x, xi_b)
-                                                   - base)
+        base = row_values(cc, x, np.zeros(fleet14.n_vre))
+        combined = row_values(cc, x, xi_a + xi_b)
+        parts = ((row_values(cc, x, xi_a) - base)
+                 + (row_values(cc, x, xi_b) - base))
         np.testing.assert_allclose(combined - base, parts, atol=1e-12)
 
     def test_batch_rows(self, case14, fleet14):
@@ -261,10 +261,10 @@ class TestCcSystem:
         rng = np.random.default_rng(17)
         x = rng.uniform(0, 1, case14.n_gen)
         xi = rng.normal(size=(7, fleet14.n_vre))
-        batch = cc.row_values(x, xi)
+        batch = row_values(cc, x, xi)
         assert batch.shape == (7, cc.n_rows)
         for s in range(7):
-            np.testing.assert_allclose(batch[s], cc.row_values(x, xi[s]),
+            np.testing.assert_allclose(batch[s], row_values(cc, x, xi[s]),
                                        atol=1e-12)
 
 

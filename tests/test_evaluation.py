@@ -39,6 +39,7 @@ from ccopf.evaluation import (
 )
 from ccopf.scenario_mip import OPTIMAL, ROW_TOL
 from ccopf.scenarios import GaussianSpec, ScenarioSet, sample
+from conftest import row_values, without_clipping
 
 SINGLE_GEN = """
 function mpc = single_gen
@@ -78,8 +79,8 @@ class TestViolationFrequency:
     def test_matches_analytic_normal_tail(self):
         case = load_text(SINGLE_GEN)
         fleet = build_fleet(case, [1], [0.2], 0.1)
-        spec = GaussianSpec(forecasts=np.array([0.2]), zeta=0.45,
-                            rho=0.0).without_clipping()
+        spec = without_clipping(GaussianSpec(forecasts=np.array([0.2]),
+                                             zeta=0.45, rho=0.0))
         sigma = np.sqrt(0.45 * 0.2)
         test = sample(spec, 20000, seed=77)
         cc = assemble_cc_system(case, fleet)
@@ -125,7 +126,7 @@ def config_sets(name):
 def dense_check(cc, dispatch, xi):
     """The reference: every row tested in every scenario."""
     violated = np.atleast_2d(
-        cc.rhs - cc.row_values(dispatch, xi)) < -ROW_TOL
+        cc.rhs - row_values(cc, dispatch, xi)) < -ROW_TOL
     return violated.any(axis=1), violated.mean(axis=0)
 
 

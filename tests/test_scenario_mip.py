@@ -849,12 +849,48 @@ class TestSolveSelection:
         assert SolverOptions(node_limit=0).node_limit == 0
 
     def test_node_limit_reports_gap(self):
-        rng = np.random.default_rng(29)
-        problem = random_selection_problem(rng, s_max=12)
-        sol = solve_selection(problem, SolverOptions(node_limit=1))
-        assert sol.status in (OPTIMAL, GAP_LIMIT)
-        if sol.status == GAP_LIMIT:
-            assert sol.gap >= 0.0
+        # The exact tree takes 7 nodes, and the greedy dispatch (13.41) is
+        # not the optimum (8.14): every smaller limit stops at greedy.
+        problem = random_selection_problem(np.random.default_rng(18),
+                                           s_max=12)
+        exact = solve_selection(problem)
+        x_greedy, _, v_greedy = greedy_incumbent(problem)
+        assert exact.status == OPTIMAL and exact.nodes == 7
+        assert exact.objective < v_greedy
+        gaps = []
+        for limit in range(exact.nodes):
+            sol = solve_selection(problem, SolverOptions(node_limit=limit))
+            assert (sol.status, sol.nodes) == (GAP_LIMIT, limit)
+            assert sol.objective == v_greedy
+            np.testing.assert_array_equal(sol.x_star, x_greedy)
+            # The proved bound holds the optimum.
+            scale = max(1.0, abs(sol.objective))
+            assert sol.objective - sol.gap * scale <= exact.objective
+            gaps.append(sol.gap)
+        # node_limit = 0 explores no node, so nothing bounds the gap.
+        assert gaps[0] == np.inf and np.isfinite(gaps[1:]).all()
+        assert gaps == sorted(gaps, reverse=True)
+        sol = solve_selection(problem, SolverOptions(node_limit=exact.nodes))
+        assert (sol.status, sol.gap) == (OPTIMAL, 0.0)
+        assert sol.objective == exact.objective
+
+    def test_unbounded_decided_node_names_the_node(self):
+        # min -x1 with x2 <= 1 in the base and x2 <= b_j per scenario:
+        # every node relaxation is unbounded, so the search branches on
+        # the lowest index until a node is fully decided.
+        cost = QuadraticCost(h=np.zeros((2, 2)), g=np.array([-1.0, 0.0]))
+        base = LinearSystem.make(a_ineq=[[0.0, 1.0]], b_ineq=[1.0])
+        problem = SelectionProblem(cost=cost, base=base,
+                                   b=np.array([[1.0], [2.0], [0.5]]), k=1)
+        sol = solve_selection(problem)
+        assert sol.status == UNBOUNDED and sol.x_star is None
+        assert (sol.nodes, sol.qp_count) == (8, 9)
+        assert sol.message == ("node 8 (|E| = 3, |R| = 0): "
+                               "descent ray never blocked")
+        all_enforced = solve_selection(replace(problem, k=3))
+        assert all_enforced.status == UNBOUNDED
+        assert all_enforced.message == ("all-enforced QP (|E| = 3, |R| = 0): "
+                                        "descent ray never blocked")
 
     @staticmethod
     def feasible_branching_problem():
@@ -1048,6 +1084,16 @@ class TestSearchPins:
         assert sol.status == OPTIMAL
         assert (sol.nodes, sol.qp_count) == (nodes, qp_count)
         assert np.flatnonzero(sol.z_star).tolist() == relaxed
+
+    @pytest.mark.parametrize("limit, gap", [
+        (0, np.inf), (1, 5.754e-4), (5, 5.107e-4)])
+    def test_node_limit_stops_at_the_greedy_cost(self, limit, gap):
+        # The exact search at k = 291 takes 57 nodes to 518738.97.
+        sol = solve_selection(config_problem("sweep300", 291),
+                              SolverOptions(node_limit=limit))
+        assert (sol.status, sol.nodes) == (GAP_LIMIT, limit)
+        assert sol.objective == pytest.approx(518878.72, abs=5e-3)
+        assert sol.gap == pytest.approx(gap, rel=1e-3)
 
     def test_search_trace_tool(self, tmp_path):
         # Every k of sweep14 through tools/search_trace.py, which writes

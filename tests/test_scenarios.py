@@ -20,6 +20,7 @@ from ccopf.scenarios import (
     save_csv,
     summarize,
 )
+from conftest import without_clipping
 
 PAPER_14 = dict(forecasts=np.array([0.2, 0.2]), zeta=0.05, rho=0.2)
 
@@ -91,7 +92,7 @@ class TestSample:
         assert np.any(sset.xi == -spec.forecasts[None, :])
 
     def test_unclipped_variant_exceeds_bounds(self):
-        spec = GaussianSpec(**PAPER_14).without_clipping()
+        spec = without_clipping(GaussianSpec(**PAPER_14))
         sset = sample(spec, 10000, seed=7)
         assert np.min(sset.xi) < -0.2
         # Zero-mean symmetric errors: the aggregate is positive about half

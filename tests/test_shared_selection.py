@@ -4,8 +4,8 @@ that build_selection_from_ccopf makes from one row system.
 The all-enforced QP (also the robust baseline on the training set) and
 the greedy incumbent's relaxation path are solved once per cc object and
 scenario set.  The oracle for every shared solve is the same solve on
-freshly built inputs, which share nothing: all fields but wall_time must
-match bit for bit.
+freshly built inputs, which share nothing: every field must match bit
+for bit.
 """
 
 import dataclasses
@@ -66,8 +66,7 @@ def same(got, want):
 
 def assert_same_solution(got, want):
     for f in dataclasses.fields(SelectionSolution):
-        if f.name != "wall_time":
-            assert same(getattr(got, f.name), getattr(want, f.name)), f.name
+        assert same(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 def sweep(net, train, cc, k_values, *, robust_first):
