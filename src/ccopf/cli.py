@@ -615,13 +615,18 @@ def _log_newton_failures(evaluator):
 
 
 def _robust_objective(model, baseline_set):
-    """Cost of the dispatch that enforces every scenario of baseline_set;
-    nan, with the reason logged, when that solve fails."""
+    """Cost of the dispatch that enforces every scenario of baseline_set,
+    the denominator of cost_vs_ro; nan, with the reason logged, when that
+    solve fails or costs 0."""
     try:
-        return model.robust(baseline_set).objective
+        objective = model.robust(baseline_set).objective
     except (ValueError, RuntimeError) as exc:
         log.info("robust baseline failed: %s", exc)
         return np.nan
+    if objective == 0:
+        log.info("robust baseline costs 0: no cost ratio")
+        return np.nan
+    return objective
 
 
 # ---------------------------------------------------------------------------
@@ -841,12 +846,15 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
 
     Rows are dicts keyed by evaluation.CSV_COLUMNS, in ascending epsilon*
     (descending k), and digest is that of the sweep's resolved inputs;
-    cmd_sweep writes both with write_sweep_csv and write_sweep_svg.
+    cmd_sweep writes both with write_sweep_csv and write_sweep_svg.  Each
+    row also holds its solution's nodes, qp_count, iterations, relaxed
+    training scenarios (ascending) and message, which cmd_sweep logs.
     ro_set chooses the normalization baseline: by default the training set
     itself; pass a larger independent set to normalize against the sampled
     robust proxy; its size, seed and spec digest then enter the digest.
     A k whose solve or score raises is a row with status
-    ERROR:<exception name>, and the sweep goes on.
+    ERROR:<exception name> and the exception's text as message (and the
+    search fields None if the solve raised), and the sweep goes on.
     A k's time is the wall time of its net.solve call, so work it shares
     with an earlier solve on the same scenario set counts only in the
     solve that did it first.  With record_time=False every time is zero
@@ -861,15 +869,22 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
         params = AmbiguityParams.from_k(k, s)
         row = {"k": k, "epsilon_star": params.epsilon,
                "bound": params.bound, "cost": np.nan, "cost_vs_ro": np.nan,
-               "joint_violation": np.nan, "time_s": 0.0, "status": ""}
+               "joint_violation": np.nan, "time_s": 0.0, "status": "",
+               "nodes": None, "qp_count": None, "iterations": None,
+               "relaxed": None, "message": ""}
         try:
             start = time.perf_counter()
             sol, _ = net.solve(training_set, k)
             elapsed = time.perf_counter() - start
+            row.update(nodes=sol.nodes, qp_count=sol.qp_count,
+                       iterations=sol.iterations, message=sol.message,
+                       relaxed=() if sol.z_star is None else tuple(
+                           np.flatnonzero(sol.z_star).tolist()))
             if sol.status == OPTIMAL:
                 report = net.score(sol.x_star, test_set)
         except Exception as exc:  # row-level failure, sweep continues
             row["status"] = f"ERROR:{type(exc).__name__}"
+            row["message"] = str(exc)
             rows.append(row)
             continue
         row["status"] = sol.status
@@ -908,15 +923,20 @@ def cmd_sweep(args):
         log.info("config digest %s", digest)
         errors = 0
         for row in rows:
+            search = "" if row["nodes"] is None else (
+                f" nodes={row['nodes']} qps={row['qp_count']} "
+                f"iterations={row['iterations']} "
+                f"relaxed={','.join(map(str, row['relaxed']))}")
             if row["status"] == OPTIMAL:
                 log.info("k=%d epsilon*=%.6g cost=%.6g ratio=%.6g "
-                         "violation=%.6g", row["k"], row["epsilon_star"],
+                         "violation=%.6g%s", row["k"], row["epsilon_star"],
                          row["cost"], row["cost_vs_ro"],
-                         row["joint_violation"])
+                         row["joint_violation"], search)
             else:
                 errors += 1
-                log.info("k=%d epsilon*=%.6g status=%s", row["k"],
-                         row["epsilon_star"], row["status"])
+                reason = f" reason={row['message']}" if row["message"] else ""
+                log.info("k=%d epsilon*=%.6g status=%s%s%s", row["k"],
+                         row["epsilon_star"], row["status"], search, reason)
         log.info("wrote %s and %s (%d rows, %d failed)",
                  csv_path, svg_path, len(rows), errors)
         return EXIT_OK

@@ -36,7 +36,6 @@ from .scenario_mip import (
     OPTIMAL,
     ROW_TOL,
     SelectionSolution,
-    SolverOptions,
     build_selection_from_ccopf,
     qp_solve,  # noqa: F401  (perfbench traces this import site)
     solve_selection,
@@ -196,9 +195,9 @@ def ro_baseline(case, fleet, training_set, *, cc=None):
                            f"{result.message}")
     return SelectionSolution(
         x_star=result.x, z_star=np.zeros(s, dtype=int),
-        objective=result.value, enforced_set=tuple(range(s)),
-        status=OPTIMAL, nodes=0, qp_count=1, iterations=result.iterations,
-        gap=0.0, duals_ineq=result.duals_ineq, duals_eq=result.duals_eq)
+        objective=result.value, status=OPTIMAL, nodes=0, qp_count=1,
+        iterations=result.iterations, gap=0.0, duals_ineq=result.duals_ineq,
+        duals_eq=result.duals_eq)
 
 
 def config_digest(**parts):

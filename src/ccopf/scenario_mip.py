@@ -750,7 +750,6 @@ class SelectionSolution:
     x_star: np.ndarray | None
     z_star: np.ndarray | None  # z_j = 1 iff scenario j is relaxed
     objective: float
-    enforced_set: tuple
     status: str
     nodes: int = 0
     qp_count: int = 0
@@ -839,10 +838,7 @@ def solve_selection(problem, options=None):
         value, x, kept = best or (np.nan, None, None)
         return SelectionSolution(
             x_star=x, z_star=None if kept is None else (~kept).astype(int),
-            objective=value,
-            enforced_set=() if kept is None else tuple(
-                np.flatnonzero(kept).tolist()),
-            status=status, nodes=nodes, qp_count=qp_count,
+            objective=value, status=status, nodes=nodes, qp_count=qp_count,
             iterations=iterations, gap=gap, duals_ineq=duals[0],
             duals_eq=duals[1], message=message)
 

@@ -621,7 +621,7 @@ class TestFixedPoint:
         from ccopf.scenario_mip import NUMERICAL_FAILURE, SelectionSolution
 
         failed = SelectionSolution(
-            x_star=None, z_star=None, objective=np.nan, enforced_set=(),
+            x_star=None, z_star=None, objective=np.nan,
             status=NUMERICAL_FAILURE,
             message="node 3 (|E| = 2, |R| = 1): injected")
         monkeypatch.setattr(ac_model, "solve_selection",

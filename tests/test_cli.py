@@ -34,6 +34,9 @@ from ccopf.cli import (
 from conftest import subprocess_env
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# All-zero cost rows for the five machines of case14: every dispatch,
+# the robust one included, costs 0.
+ZERO_COSTS = "case.cost_override=" + "\n".join(["0 0 0"] * 5)
 
 
 def run_cli(args, cwd):
@@ -70,6 +73,16 @@ def ac14_run(tmp_path_factory):
                       "--set", "solve.report_ro=true"], cwd=workdir)
     assert result.returncode == 0, result.stderr
     return workdir, result
+
+
+@pytest.fixture(scope="module")
+def sweep14_run(tmp_path_factory):
+    """One verbatim run of configs/sweep14.ini in a fresh directory."""
+    workdir = tmp_path_factory.mktemp("sweep14")
+    result = run_cli(["sweep", "--config", CONFIG_DIR / "sweep14.ini"],
+                     cwd=workdir)
+    assert result.returncode == 0, result.stderr
+    return workdir
 
 
 def report_scalars(path):
@@ -578,6 +591,18 @@ class TestSolveDc:
         assert float(scalars["cost"]) > 0
         assert len(read_table(tmp_path / "out" / "tutorial_solution.csv")) == 5
 
+    def test_zero_robust_cost_gives_a_nan_ratio(self, tmp_path):
+        result = run_cli(
+            ["solve", "dc", "--config", CONFIG_DIR / "tutorial.ini",
+             "--set", ZERO_COSTS, "--set", "scenarios.test_s=300"],
+            cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "robust baseline costs 0: no cost ratio" in result.stdout
+        scalars = report_scalars(tmp_path / "out" / "tutorial_report.csv")
+        assert scalars["cost_vs_ro"] == "nan"
+        assert float(scalars["cost"]) == 0.0
+
 
 class TestSolveAc:
     def test_artifacts_written(self, tmp_path):
@@ -749,11 +774,8 @@ class TestSweep:
         assert run_cli(args, cwd=tmp_path).returncode == 0
         assert csv_path.read_bytes() == first
 
-    def test_full_14bus_reproduction_config(self, tmp_path):
-        result = run_cli(["sweep", "--config", CONFIG_DIR / "sweep14.ini"],
-                         cwd=tmp_path)
-        assert result.returncode == 0, result.stderr
-        rows = read_table(tmp_path / "out" / "sweep14_sweep.csv")
+    def test_full_14bus_reproduction_config(self, sweep14_run):
+        rows = read_table(sweep14_run / "out" / "sweep14_sweep.csv")
         assert len(rows) == 11
         assert all(r["status"] == "OPTIMAL" for r in rows)
         eps = [float(r["epsilon_star"]) for r in rows]
@@ -764,11 +786,22 @@ class TestSweep:
         assert all(a <= b + 1e-9 for a, b in zip(costs, costs[1:]))
         assert all(float(r["cost_vs_ro"]) <= 1.0 + 1e-6 for r in rows)
 
+    def test_sweep14_reproduces_out(self, sweep14_run):
+        # The committed log pins each k's search (nodes, QPs, active-set
+        # iterations, relaxed scenarios) next to its score.
+        committed = CONFIG_DIR.parent / "out"
+        names = ["sweep14.log", "sweep14_sweep.csv", "sweep14_sweep.svg"]
+        assert sorted(p.name for p in (sweep14_run / "out").iterdir()) == names
+        for name in names:
+            assert ((sweep14_run / "out" / name).read_bytes()
+                    == (committed / name).read_bytes()), name
 
-    def test_failed_scoring_fails_only_its_row(self, monkeypatch):
+    def test_failed_scoring_fails_only_its_row(self, tmp_path, monkeypatch,
+                                               caplog):
         # The first evaluator raises as a nominal power flow that does not
-        # solve would; that k is an error row and the sweep goes on.
-        built = []
+        # solve would; that k is an error row, its log line gives the
+        # reason after the search that solved it, and the sweep goes on.
+        built, swept = [], []
 
         def evaluator(*args, **kwargs):
             built.append(args)
@@ -777,17 +810,36 @@ class TestSweep:
                                   "injected")
             return real(*args, **kwargs)
 
+        def sweep(*args, **kwargs):
+            result = sweep_k(*args, **kwargs)
+            swept.append(result[0])
+            return result
+
         real = cli.AcEvaluator
         monkeypatch.setattr(cli, "AcEvaluator", evaluator)
-        run = _resolve_run(CONFIG_DIR / "ac14.ini", ["scenarios.test_s=50"])
-        rows, _ = sweep_k(run.model, run.sets["train"], run.sets["test"],
-                          [36, 38], record_time=False)
+        monkeypatch.setattr(cli, "sweep_k", sweep)
+        out = tmp_path / "out"
+        args = build_parser().parse_args(
+            ["sweep", "--config", str(CONFIG_DIR / "ac14.ini"),
+             "--set", "scenarios.test_s=50", "--set", "sweep.k_values=36:38:2",
+             "--set", "sweep.record_time=false", "--set", f"output.dir={out}"])
+        with caplog.at_level(logging.INFO, logger="ccopf"):
+            assert args.func(args) == 0
+        rows, = swept
         assert len(built) == 2
         assert [(r["k"], r["status"]) for r in rows] == [
             (38, "OPTIMAL"), (36, "ERROR:NewtonError")]
         assert 0.0 <= rows[0]["joint_violation"] <= 1.0
         assert np.isnan(rows[1]["cost"])
         assert np.isnan(rows[1]["joint_violation"])
+        assert rows[1]["message"] == ("nominal power flow for evaluation: "
+                                      "injected")
+        assert rows[0]["message"] == ""
+        assert (
+            "k=36 epsilon*=0.269267 status=ERROR:NewtonError nodes=1 qps=2 "
+            "iterations=5 relaxed=10,19,29,35 reason=nominal power flow for "
+            "evaluation: injected"
+        ) in (out / "ac14.log").read_text().splitlines()
 
     def test_failed_robust_baseline_keeps_the_solved_rows(self, tmp_path):
         result = run_cli(
@@ -804,6 +856,25 @@ class TestSweep:
         assert all(float(r["cost"]) > 0 for r in rows[1:])
         log_text = (tmp_path / "out" / "sweep14.log").read_text()
         assert "robust baseline failed: robust baseline infeasible" in log_text
+        assert (
+            "k=200 epsilon*=0.0262734 status=INFEASIBLE nodes=0 qps=1 "
+            "iterations=10 relaxed= reason=all-enforced QP (|E| = 200, "
+            "|R| = 0): constraints are inconsistent"
+        ) in log_text.splitlines()
+
+    def test_zero_robust_cost_gives_nan_ratios(self, tmp_path):
+        result = run_cli(
+            ["sweep", "--config", CONFIG_DIR / "sweep14.ini",
+             "--set", ZERO_COSTS, "--set", "sweep.k_values=196:200:2",
+             "--set", "scenarios.test_s=300", "--set", "scenarios.ro_s=300"],
+            cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "robust baseline costs 0: no cost ratio" in result.stdout
+        rows = read_table(tmp_path / "out" / "sweep14_sweep.csv")
+        assert [(r["k"], r["status"]) for r in rows] == [
+            ("200", "OPTIMAL"), ("198", "OPTIMAL"), ("196", "OPTIMAL")]
+        assert all(r["cost_vs_ro"] == "nan" for r in rows)
 
 
 class TestEval:
