@@ -1,20 +1,24 @@
 """Nonlinear AC network machinery.
 
-Three layers, bottom up: a polar Newton-Raphson power flow over the
-series-impedance branch model, written as one kernel over a block of
-scenarios (stacked Jacobians, one batched linear solve per iteration,
-step control and stopping per scenario), which pf_solve runs on one
-scenario and out-of-sample scoring on blocks sized from the bus count and
-NEWTON_BLOCK_BYTES; the monitored rows and their response
+Three layers, bottom up.  First, a polar Newton-Raphson power flow over
+the series-impedance branch model, written as one kernel over a block of
+scenarios with step control and stopping per scenario.  In exact Newton
+each scenario factors its own Jacobian at every step (stacked, one
+batched linear solve per iteration); pf_solve runs the kernel so on one
+scenario.  Out-of-sample scoring runs it in chord mode on blocks sized
+from the bus count and NEWTON_BLOCK_BYTES: every scenario starts at the
+nominal state and steps with the one factorization of the Jacobian there,
+and continues with exact Newton where its chord iteration stalls or
+reaches its cap.  Second, the monitored rows and their response
 sensitivities to forecast errors and to dispatch, by the implicit-function
-rule on the power-flow Jacobian; and an alternating loop that linearizes
-the monitored quantities around the latest operating point, solves the
-scenario-selection program on those rows, and re-projects onto the
-power-flow manifold until the operating point settles.  AcRowSet, whose
-constructor chooses the monitored set, owns the row layout: how each kind
-of row is indexed, read, differentiated and signed; _Sensitivity is the one
-linearization at an operating point, computing each piece at most once;
-scoring builds only the monitored branch flows.
+rule on the power-flow Jacobian.  Third, an alternating loop that
+linearizes the monitored quantities around the latest operating point,
+solves the scenario-selection program on those rows, and re-projects onto
+the power-flow manifold until the operating point settles.  AcRowSet,
+whose constructor chooses the monitored set, owns the row layout: how each
+kind of row is indexed, read, differentiated and signed; _Sensitivity is
+the one linearization at an operating point, computing each piece at most
+once; scoring builds only the monitored branch flows.
 
 Conventions: voltage magnitudes are carried squared (p.u.^2), matching the
 squared bounds of the bus-voltage rows; branch flows are directed active
@@ -234,7 +238,7 @@ def _block_size(n_bus):
     return max(1, NEWTON_BLOCK_BYTES // (8 * 16 * n_bus * n_bus))
 
 
-def _newton(net, p_set, q_set, vmag, theta):
+def _newton(net, p_set, q_set, vmag, theta, lu=None):
     """Polar Newton-Raphson on a block of scenarios, one per row.
 
     p_set / q_set are (B, n) injection targets; vmag / theta are (B, n)
@@ -245,8 +249,17 @@ def _newton(net, p_set, q_set, vmag, theta):
     when no step length survives MAX_STEP_HALVINGS halvings (a step is
     taken when the norm falls, or at the last halving, and only while
     every PQ magnitude stays positive).  Converged and stopped scenarios
-    leave the active set.  Returns (iterations, final norms, messages);
-    a message is empty exactly when the scenario converged.
+    leave the active set.
+
+    lu, when given, is the LU factorization (scipy.linalg.lu_factor) of
+    the power-flow Jacobian at the block's common start.  Every scenario
+    then starts in chord mode: its steps solve with that one factorization,
+    under the same rules except that a chord step is never forced at the
+    last halving.  A scenario whose chord step survives no halving, or
+    that has taken MAX_NEWTON_ITER chord steps, continues with exact
+    Newton from where it stands, with the full rules and budget above.
+    Returns (chord steps, exact steps, final norms, messages), the counts
+    per scenario; a message is empty exactly when the scenario converged.
     """
     ns, pq = net.ns, net.pq
     target = np.concatenate([p_set[:, ns], q_set[:, pq]], axis=1)
@@ -259,19 +272,33 @@ def _newton(net, p_set, q_set, vmag, theta):
     b = vmag.shape[0]
     f_val = mismatch(np.arange(b), vmag, theta)
     norm = np.abs(f_val).max(axis=1, initial=0.0)
-    iterations = np.zeros(b, dtype=int)
+    chord_steps = np.zeros(b, dtype=int)
+    exact_steps = np.zeros(b, dtype=int)
+    exact = np.full(b, lu is None)  # the scenarios in exact mode
     messages = [""] * b
     active = np.arange(b)
-    for _ in range(MAX_NEWTON_ITER):
+    while True:
         active = active[~(norm[active] <= NEWTON_TOL)]
+        exact[active[chord_steps[active] >= MAX_NEWTON_ITER]] = True
+        active = active[exact_steps[active] < MAX_NEWTON_ITER]
         if not active.size:
             break
-        v = vmag[active] * np.exp(1j * theta[active])
-        du, singular = _newton_steps(_pf_jacobian(net, v), -f_val[active])
+        rhs = -f_val[active]
+        du = np.empty_like(rhs)
+        chord = ~exact[active]
+        if chord.any():
+            du[chord] = scipy.linalg.lu_solve(lu, rhs[chord].T,
+                                              check_finite=False).T
+        singular = np.zeros(active.size, dtype=bool)
+        if not chord.all():
+            rows = active[~chord]
+            v = vmag[rows] * np.exp(1j * theta[rows])
+            du[~chord], singular[~chord] = _newton_steps(
+                _pf_jacobian(net, v), rhs[~chord])
         for i in active[singular]:
             messages[i] = ("singular power-flow system "
                            f"(mismatch {norm[i]:.3e})")
-        du, active = du[~singular], active[~singular]
+        du, active, chord = du[~singular], active[~singular], chord[~singular]
         alpha = 1.0
         searching = np.ones(active.size, dtype=bool)
         for halving in range(MAX_STEP_HALVINGS + 1):
@@ -286,22 +313,25 @@ def _newton(net, p_set, q_set, vmag, theta):
             theta_new, vmag_new = theta_new[positive], vmag_new[positive]
             f_new = mismatch(rows, vmag_new, theta_new)
             norm_new = np.abs(f_new).max(axis=1, initial=0.0)
-            take = ((norm_new < norm[rows]) if halving < MAX_STEP_HALVINGS
-                    else np.ones(rows.size, dtype=bool))
+            take = norm_new < norm[rows]
+            if halving == MAX_STEP_HALVINGS:
+                take |= exact[rows]
             rows = rows[take]
             theta[rows], vmag[rows] = theta_new[take], vmag_new[take]
             f_val[rows], norm[rows] = f_new[take], norm_new[take]
             searching[np.flatnonzero(searching)[positive][take]] = False
             alpha *= 0.5
-        for i in active[searching]:
+        for i in active[searching & ~chord]:
             messages[i] = f"step rejected at mismatch {norm[i]:.3e}"
-        active = active[~searching]
-        iterations[active] += 1
+        exact[active[searching]] = True
+        chord_steps[active[~searching & chord]] += 1
+        exact_steps[active[~searching & ~chord]] += 1
+        active = active[~searching | chord]
     for i in np.flatnonzero(~(norm <= NEWTON_TOL)):
         if not messages[i]:
             messages[i] = (f"no convergence in {MAX_NEWTON_ITER} iterations "
                            f"(mismatch {norm[i]:.3e})")
-    return iterations, norm, messages
+    return chord_steps, exact_steps, norm, messages
 
 
 def _start_point(case, v_set2, theta0, vmag0):
@@ -327,8 +357,8 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
     five times whenever the mismatch norm grows or a magnitude would leave
     the positive domain; non-convergence is reported on the returned
     state, never raised.  AcEvaluator runs the same kernel on blocks of
-    scenarios.  net is the case's _Network when the caller holds one
-    (built here otherwise).
+    scenarios, in chord mode.  net is the case's _Network when the caller
+    holds one (built here otherwise).
     """
     net = _network(case) if net is None else net
     n = case.n_bus
@@ -341,7 +371,7 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
         raise ValueError("squared voltage setpoints must be positive")
     vmag, theta = _start_point(case, v_set2, theta0, vmag0)
     vmag, theta = vmag[None], theta[None]
-    (iterations,), (norm,), (message,) = _newton(
+    _, (iterations,), (norm,), (message,) = _newton(
         net, p_set[None], q_set[None], vmag, theta)
     return _make_state(net, vmag[0], theta[0], bool(norm <= NEWTON_TOL),
                        int(iterations), float(norm), message)
@@ -574,7 +604,8 @@ class _Sensitivity:
     the bus and row state partials, du_x (the state shift per unit of each
     machine's dispatch; slack machines: zero) and the error response.  The
     last re-projected point of the loop, whose state alone is read, is
-    never factored.  rows may be None where only loss_balance is read.
+    never factored.  rows may be None where only lu or loss_balance is
+    read.
     """
 
     def __init__(self, case, fleet, rows, state, net=None):
@@ -854,10 +885,14 @@ class AcEvaluator:
     row set are checked (only the monitored flows are built); a response
     that fails to solve scores as a joint violation under the synthetic
     'newton_failure' row.  The scenarios go through the Newton kernel in
-    blocks, each scenario with the rules pf_solve applies to one; the
-    block size follows from the bus count and NEWTON_BLOCK_BYTES.  After
-    each check, iterations holds every scenario's Newton iteration count
-    and failed the indices of the scenarios whose response did not solve.
+    blocks sized from the bus count and NEWTON_BLOCK_BYTES, by chord
+    Newton on the one factorization of the nominal Jacobian (the start of
+    every scenario): a scenario whose chord iteration stalls or reaches
+    its cap continues with exact Newton from where it stands, under the
+    rules pf_solve applies, so no scenario that exact Newton solves scores
+    as a failure.  After each check, chord_iterations and exact_iterations
+    hold every scenario's step counts in the two modes, and failed the
+    indices of the scenarios whose response did not solve.
     """
 
     def __init__(self, case, fleet, dispatch, *, include_slack_rows=False):
@@ -872,19 +907,23 @@ class AcEvaluator:
             "nominal power flow for evaluation")
         self._start = _start_point(case, self.state.v, self.state.theta,
                                    np.sqrt(self.state.v))
+        self._lu = _Sensitivity(case, fleet, None, self.state, self._net).lu
         self.row_names = self.rows.signed_names + ("newton_failure",)
-        self.iterations = np.zeros(0, dtype=int)
+        self.chord_iterations = np.zeros(0, dtype=int)
+        self.exact_iterations = np.zeros(0, dtype=int)
         self.failed = np.zeros(0, dtype=int)
 
     def _respond(self, xi):
         """Newton responses to the error rows of xi, solved as one block:
-        (iterations, final mismatch norms, magnitudes, angles)."""
+        (chord steps, exact steps, final mismatch norms, magnitudes,
+        angles)."""
         p_set, q_set = _response_setpoints(self.case, self.fleet,
                                            self.state, xi)
         vmag = np.tile(self._start[0], (xi.shape[0], 1))
         theta = np.tile(self._start[1], (xi.shape[0], 1))
-        iterations, norm, _ = _newton(self._net, p_set, q_set, vmag, theta)
-        return iterations, norm, vmag, theta
+        chord, exact, norm, _ = _newton(self._net, p_set, q_set, vmag, theta,
+                                        self._lu)
+        return chord, exact, norm, vmag, theta
 
     def check(self, dispatch, xi):
         """(joint violation mask over scenarios, per-row violation rates)
@@ -895,11 +934,13 @@ class AcEvaluator:
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         rows = self.rows
         violated = np.zeros((xi.shape[0], len(self.row_names)), dtype=bool)
-        iterations = np.zeros(xi.shape[0], dtype=int)
+        chord = np.zeros(xi.shape[0], dtype=int)
+        exact = np.zeros(xi.shape[0], dtype=int)
         step = _block_size(self.case.n_bus)
         for lo in range(0, xi.shape[0], step):
             block = slice(lo, lo + step)
-            its, norm, vmag, theta = self._respond(xi[block])
+            chord[block], exact[block], norm, vmag, theta = self._respond(
+                xi[block])
             solved = norm <= NEWTON_TOL
             values = rows.values(
                 self.case, self.fleet,
@@ -908,8 +949,6 @@ class AcEvaluator:
             margins = rows.rhs - rows.signs * values[:, rows.q_idx]
             violated[block, :-1] = (margins < -ROW_TOL) & solved[:, None]
             violated[block, -1] = ~solved
-            iterations[block] = its
-        self.iterations = iterations
+        self.chord_iterations, self.exact_iterations = chord, exact
         self.failed = np.flatnonzero(violated[:, -1])
         return violated.any(axis=1), violated.mean(axis=0)
-

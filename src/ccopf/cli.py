@@ -533,7 +533,7 @@ class _AcModel:
         evaluator = AcEvaluator(self.case, self.fleet, dispatch,
                                 include_slack_rows=self.include_slack_rows)
         report = violation_frequency(dispatch, test, evaluator)
-        _log_newton_failures(evaluator)
+        _log_newton_work(evaluator)
         return report
 
     def summarize(self, sol, result):
@@ -606,11 +606,16 @@ def _run_digest(model, sets, **parts):
         include_slack_rows=model.include_slack_rows, **parts)
 
 
-def _log_newton_failures(evaluator):
-    """Name the test scenarios whose AC response did not solve, if any."""
+def _log_newton_work(evaluator):
+    """Log the Newton work of an AC scoring: its chord and exact step
+    totals at DEBUG, and the test scenarios whose response did not solve,
+    if any."""
+    chord, exact = evaluator.chord_iterations, evaluator.exact_iterations
+    log.debug("scored %d test scenarios: %d chord and %d exact Newton "
+              "iterations", chord.size, chord.sum(), exact.sum())
     if evaluator.failed.size:
         log.info("Newton failed on %d of %d test scenarios (indices %s)",
-                 evaluator.failed.size, evaluator.iterations.size,
+                 evaluator.failed.size, chord.size,
                  " ".join(str(j) for j in evaluator.failed))
 
 

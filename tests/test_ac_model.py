@@ -6,10 +6,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ccopf import ac_model
 from ccopf.ambiguity import AmbiguityParams
 from ccopf.ac_model import (
+    MAX_NEWTON_ITER,
     NEWTON_TOL,
     AcEvaluator,
     AcState,
@@ -816,13 +820,12 @@ def ac14(ac14_inputs):
 
 
 def batch_of_one_check(evaluator, dispatch, xi):
-    """The scalar scoring loop: respond, read the rows, compare bounds."""
+    """The exact scalar scoring loop: respond, read the rows, compare
+    bounds."""
     violated = np.zeros((xi.shape[0], len(evaluator.row_names)), dtype=bool)
-    iterations = np.zeros(xi.shape[0], dtype=int)
     for j, xi_j in enumerate(xi):
         responded = respond(evaluator.case, evaluator.fleet, evaluator.state,
                             xi_j)
-        iterations[j] = responded.iterations
         if not responded.solved:
             violated[j, -1] = True
             continue
@@ -831,7 +834,7 @@ def batch_of_one_check(evaluator, dispatch, xi):
         rows = evaluator.rows
         margins = rows.rhs - rows.signs * values[rows.q_idx]
         violated[j, :-1] = margins < -ROW_TOL
-    return violated.any(axis=1), violated.mean(axis=0), iterations
+    return violated.any(axis=1), violated.mean(axis=0)
 
 
 def assert_block_matches_batch_of_one(evaluator, xi, block_result):
@@ -847,6 +850,35 @@ def assert_block_matches_batch_of_one(evaluator, xi, block_result):
         np.testing.assert_allclose(ell[j], alone.ell, rtol=0, atol=1e-12)
 
 
+def newton_block(evaluator, xi, lu=None):
+    """The Newton kernel on the error rows of xi from the evaluator's
+    start: exact Newton without lu, chord Newton on lu with it.  (chord
+    steps, exact steps, final norms, messages, magnitudes, angles)."""
+    p_set, q_set = ac_model._response_setpoints(
+        evaluator.case, evaluator.fleet, evaluator.state, xi)
+    vmag = np.tile(evaluator._start[0], (xi.shape[0], 1))
+    theta = np.tile(evaluator._start[1], (xi.shape[0], 1))
+    chord, exact, norm, messages = ac_model._newton(
+        evaluator._net, p_set, q_set, vmag, theta, lu)
+    return chord, exact, norm, messages, vmag, theta
+
+
+def exact_respond(evaluator, xi):
+    """The exact kernel on a block: (iterations, final norms, magnitudes,
+    angles)."""
+    chord, iterations, norm, _, vmag, theta = newton_block(evaluator, xi)
+    assert not chord.any()
+    return iterations, norm, vmag, theta
+
+
+def chord_counts_alone(evaluator, xi):
+    """(chord steps, exact steps) of the evaluator's kernel run on each
+    error row of xi as a batch of one."""
+    counts = [evaluator._respond(xi_j[None])[:2] for xi_j in xi]
+    return (np.concatenate([c for c, _ in counts]),
+            np.concatenate([e for _, e in counts]))
+
+
 class TestBatchedNewton:
     def test_ac14_blocks_equal_batch_of_one(self, ac14):
         _, _, _, evaluator, xi = ac14
@@ -854,27 +886,45 @@ class TestBatchedNewton:
         for lo in range(0, xi.shape[0], step):
             block = xi[lo:lo + step]
             assert_block_matches_batch_of_one(evaluator, block,
-                                              evaluator._respond(block))
+                                              exact_respond(evaluator, block))
 
     def test_larger_block_gives_the_same_results(self, ac14):
         _, _, _, evaluator, xi = ac14
         assert_block_matches_batch_of_one(evaluator, xi[:300],
-                                          evaluator._respond(xi[:300]))
+                                          exact_respond(evaluator, xi[:300]))
+        # The chord kernel too: one block of 300 steps each scenario as a
+        # batch of one does.
+        chord, exact, norm, vmag, theta = evaluator._respond(xi[:300])
+        np.testing.assert_array_equal(
+            (chord, exact), chord_counts_alone(evaluator, xi[:300]))
+        for j in range(300):
+            _, _, norm_j, vmag_j, theta_j = evaluator._respond(xi[j:j + 1])
+            assert (norm[j] <= NEWTON_TOL) == (norm_j[0] <= NEWTON_TOL)
+            np.testing.assert_allclose(vmag[j], vmag_j[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(theta[j], theta_j[0], rtol=0,
+                                       atol=1e-12)
 
     def test_failing_scenario_leaves_neighbours_unchanged(self, ac14):
         _, _, _, evaluator, xi = ac14
         clean = xi[:20]
         mixed = np.vstack([clean[:10], [[50.0, 50.0]], clean[10:]])
-        iterations, norm, vmag, theta = evaluator._respond(mixed)
-        assert norm[10] > NEWTON_TOL
         keep = np.arange(21) != 10
-        ref_its, ref_norm, ref_vmag, ref_theta = evaluator._respond(clean)
+        iterations, norm, vmag, theta = exact_respond(evaluator, mixed)
+        assert norm[10] > NEWTON_TOL
+        ref_its, ref_norm, ref_vmag, ref_theta = exact_respond(evaluator,
+                                                               clean)
         np.testing.assert_array_equal(iterations[keep], ref_its)
         np.testing.assert_array_equal(norm[keep], ref_norm)
         np.testing.assert_array_equal(vmag[keep], ref_vmag)
         np.testing.assert_array_equal(theta[keep], ref_theta)
         assert_block_matches_batch_of_one(
             evaluator, mixed, (iterations, norm, vmag, theta))
+        # Under chord the failing scenario falls back to exact Newton, and
+        # its neighbours stay bit for bit as they are without it.
+        chord_mixed = evaluator._respond(mixed)
+        assert chord_mixed[2][10] > NEWTON_TOL and chord_mixed[1][10] > 0
+        for got, ref in zip(chord_mixed, evaluator._respond(clean)):
+            np.testing.assert_array_equal(got[keep], ref)
 
     # case14q rates no branch; rated at 0.6 p.u., the block scorer reads
     # the 40 flow rows too, and some of them are violated.
@@ -887,13 +937,17 @@ class TestBatchedNewton:
                 dispatch)
         step = ac_model._block_size(case.n_bus)
         count = {"one": 1, "block": step}.get(size, 2 * step + 7)
+        # The verdicts are the exact scalar loop's; the step counts are
+        # the chord kernel's on each scenario alone.
         joint, per_row = evaluator.check(dispatch, xi[:count])
-        ref_joint, ref_rows, ref_its = batch_of_one_check(
+        ref_joint, ref_rows = batch_of_one_check(
             evaluator, dispatch, xi[:count])
         np.testing.assert_array_equal(joint, ref_joint)
         np.testing.assert_array_equal(per_row, ref_rows)
-        np.testing.assert_array_equal(evaluator.iterations, ref_its)
-        assert evaluator.iterations.shape == (count,)
+        chord, exact = chord_counts_alone(evaluator, xi[:count])
+        np.testing.assert_array_equal(evaluator.chord_iterations, chord)
+        np.testing.assert_array_equal(evaluator.exact_iterations, exact)
+        assert evaluator.chord_iterations.shape == (count,)
         flow = np.char.startswith(evaluator.row_names, "flow")
         assert flow.sum() == (40 if size == "rated" else 0)
         if size == "rated":
@@ -935,7 +989,7 @@ class TestBatchedNewton:
                                                         monkeypatch):
         _, _, _, evaluator, xi = ac14
         block = xi[:6]
-        expected = evaluator._respond(block)
+        expected = exact_respond(evaluator, block)
         real_solve = np.linalg.solve
         single_calls = []
 
@@ -949,7 +1003,7 @@ class TestBatchedNewton:
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        iterations, norm, vmag, theta = evaluator._respond(block)
+        iterations, norm, vmag, theta = exact_respond(evaluator, block)
         monkeypatch.undo()
         assert iterations[1] == 0 and norm[1] > NEWTON_TOL
         np.testing.assert_array_equal(vmag[1], evaluator._start[0])
@@ -959,6 +1013,36 @@ class TestBatchedNewton:
                                    atol=1e-12)
         np.testing.assert_allclose(theta[keep], expected[3][keep], rtol=0,
                                    atol=1e-12)
+
+    def test_singular_jacobian_in_the_exact_continuation(self, ac14,
+                                                         monkeypatch):
+        # Chord steps solve with the nominal factorization; only a
+        # scenario that falls back to exact Newton meets a Jacobian of its
+        # own.  Every one of those singular: [50, 50] stops there, with
+        # the message, and scores as newton_failure; its neighbours never
+        # leave chord and stay bit for bit as they are.
+        _, _, dispatch, evaluator, xi = ac14
+        block = np.vstack([xi[:2], [[50.0, 50.0]], xi[2:5]])
+        expected = newton_block(evaluator, block, evaluator._lu)
+
+        def solve(a, b):
+            raise np.linalg.LinAlgError("injected: singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        chord, exact, norm, messages, vmag, theta = newton_block(
+            evaluator, block, evaluator._lu)
+        joint, per_row = evaluator.check(dispatch, block)
+        monkeypatch.undo()
+        assert chord[2] > 0 and exact[2] == 0 and norm[2] > NEWTON_TOL
+        assert messages[2].startswith("singular power-flow system")
+        keep = np.arange(6) != 2
+        assert not expected[1][keep].any()
+        for got, ref in zip((chord, exact, norm, vmag, theta),
+                            (*expected[:3], *expected[4:])):
+            np.testing.assert_array_equal(got[keep], ref[keep])
+        assert [messages[j] for j in np.flatnonzero(keep)] == [""] * 5
+        np.testing.assert_array_equal(evaluator.failed, [2])
+        assert joint[2] and per_row[-1] == pytest.approx(1 / 6)
 
     def test_singular_jacobian_message(self, case14, monkeypatch):
         def solve(a, b):
@@ -984,23 +1068,167 @@ class TestBatchedNewton:
         assert joint[5] and per_row[-1] == pytest.approx(0.1)
         alone = respond(evaluator.case, evaluator.fleet, evaluator.state,
                         batch[5])
-        assert evaluator.iterations[5] == alone.iterations
+        assert not alone.solved
+        chord, exact = chord_counts_alone(evaluator, batch[5:6])
+        assert evaluator.chord_iterations[5] == chord[0]
+        assert evaluator.exact_iterations[5] == exact[0] > 0
         evaluator.check(dispatch, xi[:9])
         assert evaluator.failed.size == 0
 
     def test_failed_scenarios_are_logged_by_index(self, ac14, caplog):
         import logging
 
-        from ccopf.cli import _log_newton_failures
+        from ccopf.cli import _log_newton_work
 
         _, _, dispatch, evaluator, xi = ac14
         evaluator.check(dispatch, np.vstack([xi[:5], [[50.0, 50.0]]]))
         with caplog.at_level(logging.INFO, logger="ccopf"):
-            _log_newton_failures(evaluator)
+            _log_newton_work(evaluator)
         assert caplog.messages == [
             "Newton failed on 1 of 6 test scenarios (indices 5)"]
         caplog.clear()
         evaluator.check(dispatch, xi[:5])
         with caplog.at_level(logging.INFO, logger="ccopf"):
-            _log_newton_failures(evaluator)
+            _log_newton_work(evaluator)
         assert caplog.messages == []
+
+    def test_newton_work_is_logged_at_debug(self, ac14, caplog):
+        import logging
+
+        from ccopf.cli import _log_newton_work
+
+        _, _, dispatch, evaluator, xi = ac14
+        batch = np.vstack([xi[:5], [[50.0, 50.0]]])
+        evaluator.check(dispatch, batch)
+        chord, exact = chord_counts_alone(evaluator, batch)
+        assert chord.sum() > 0 and exact.sum() > 0
+        with caplog.at_level(logging.DEBUG, logger="ccopf"):
+            _log_newton_work(evaluator)
+        assert caplog.record_tuples == [
+            ("ccopf", logging.DEBUG,
+             f"scored 6 test scenarios: {chord.sum()} chord and "
+             f"{exact.sum()} exact Newton iterations"),
+            ("ccopf", logging.INFO,
+             "Newton failed on 1 of 6 test scenarios (indices 5)")]
+
+
+@pytest.fixture(scope="module")
+def ac14_scorers(ac14):
+    """The evaluator at the ac14 dispatch as configs/ac14.ini runs it
+    (False: no branch rated) and with every branch rated at 1.3 p.u.
+    (True)."""
+    case, fleet, dispatch, evaluator, _ = ac14
+    rated = AcEvaluator(replace(case, br_limit=np.full(case.n_branch, 1.3)),
+                        fleet, dispatch)
+    return {False: evaluator, True: rated}
+
+
+def row_margins(evaluator, xi, vmag, theta):
+    """Every signed row's margin (rhs minus value) at responded states, one
+    scenario per row."""
+    rows = evaluator.rows
+    values = rows.values(
+        evaluator.case, evaluator.fleet,
+        *ac_model._quantities(evaluator._net, vmag, theta, rows.flows),
+        evaluator.dispatch, xi)
+    return rows.rhs - rows.signs * values[:, rows.q_idx]
+
+
+class TestChordNewton:
+    # Chord and exact Newton stop at different points within NEWTON_TOL,
+    # so only a row whose margin lies within this band of -ROW_TOL may
+    # change its verdict.
+    BAND = 1e-8
+
+    # ac14's error distribution, drawn by seed and scaled up to 40 times
+    # to stress convergence: at 40 some scenarios reach the chord cap and
+    # some fail under both kernels.
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 4.0, 16.0, 40.0]),
+           rated=st.booleans())
+    def test_chord_matches_exact_newton_on_random_draws(
+            self, ac14_scorers, seed, scale, rated):
+        evaluator = ac14_scorers[rated]
+        spec = GaussianSpec(forecasts=evaluator.fleet.forecasts, zeta=0.05,
+                            rho=0.2)
+        xi = scale * sample(spec, 40, seed=seed).xi
+        _, _, norm, vmag, theta = evaluator._respond(xi)
+        _, ref_norm, ref_vmag, ref_theta = exact_respond(evaluator, xi)
+        solved = norm <= NEWTON_TOL
+        np.testing.assert_array_equal(solved, ref_norm <= NEWTON_TOL)
+        np.testing.assert_allclose(vmag[solved], ref_vmag[solved], rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_allclose(theta[solved], ref_theta[solved], rtol=0,
+                                   atol=1e-9)
+        ref_margins = row_margins(evaluator, xi, ref_vmag, ref_theta)
+        violated = ((row_margins(evaluator, xi, vmag, theta) < -ROW_TOL)
+                    & solved[:, None])
+        ref_violated = (ref_margins < -ROW_TOL) & solved[:, None]
+        band = np.abs(ref_margins + ROW_TOL) <= self.BAND
+        np.testing.assert_array_equal(violated[~band], ref_violated[~band])
+        joint, _ = evaluator.check(evaluator.dispatch, xi)
+        near = band.any(axis=1)
+        np.testing.assert_array_equal(
+            joint[~near], (ref_violated.any(axis=1) | ~solved)[~near])
+
+    @pytest.mark.parametrize("block_bytes",
+                             [1, ac_model.NEWTON_BLOCK_BYTES])
+    def test_block_size_changes_no_answer(self, ac14, block_bytes,
+                                          monkeypatch):
+        # One scenario per block and the default blocks (the last one
+        # short) score bit for bit as the whole test set in one block.
+        _, _, dispatch, evaluator, xi = ac14
+        monkeypatch.setattr(ac_model, "NEWTON_BLOCK_BYTES", 2**40)
+        joint, rates = evaluator.check(dispatch, xi)
+        counts = evaluator.chord_iterations, evaluator.exact_iterations
+        monkeypatch.setattr(ac_model, "NEWTON_BLOCK_BYTES", block_bytes)
+        other_joint, other_rates = evaluator.check(dispatch, xi)
+        assert np.array_equal(other_joint, joint)
+        assert other_rates.tobytes() == rates.tobytes()
+        np.testing.assert_array_equal(
+            (evaluator.chord_iterations, evaluator.exact_iterations), counts)
+
+    def test_stalled_chord_falls_back_to_exact_newton(self, ac14,
+                                                      monkeypatch):
+        # A stale factorization, of the Jacobian at a far-off voltage
+        # profile: its chord steps soon stop lowering the mismatch, and
+        # exact Newton solves every scenario from where it stands.
+        case, _, dispatch, evaluator, xi = ac14
+        far = 0.7 * np.exp(0.3j * np.arange(case.n_bus))
+        stale = scipy.linalg.lu_factor(
+            ac_model._pf_jacobian(evaluator._net, far))
+        chord, exact, norm, messages, vmag, theta = newton_block(
+            evaluator, xi[:20], stale)
+        _, _, ref_vmag, ref_theta = exact_respond(evaluator, xi[:20])
+        assert np.all(norm <= NEWTON_TOL) and messages == [""] * 20
+        np.testing.assert_allclose(vmag, ref_vmag, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-9)
+        assert np.all(exact > 0) and np.all(chord < MAX_NEWTON_ITER)
+        assert np.any(chord > 0)
+        monkeypatch.setattr(evaluator, "_lu", stale)
+        joint, per_row = evaluator.check(dispatch, xi[:20])
+        assert evaluator.failed.size == 0 and per_row[-1] == 0
+        np.testing.assert_array_equal(evaluator.chord_iterations, chord)
+        np.testing.assert_array_equal(evaluator.exact_iterations, exact)
+        ref_joint, ref_rows = batch_of_one_check(evaluator, dispatch,
+                                                 xi[:20])
+        np.testing.assert_array_equal(joint, ref_joint)
+        np.testing.assert_array_equal(per_row, ref_rows)
+
+    def test_chord_cap_hands_over_to_exact_newton(self, ac14):
+        # On three times the nominal Jacobian each chord step covers a
+        # third of the Newton step, so every scenario reaches the cap of
+        # MAX_NEWTON_ITER chord steps first; exact Newton then finishes.
+        case, _, _, evaluator, xi = ac14
+        lin = ac_model._Sensitivity(case, evaluator.fleet, None,
+                                    evaluator.state, evaluator._net)
+        slow = scipy.linalg.lu_factor(
+            3.0 * ac_model._pf_jacobian(evaluator._net, lin.v))
+        chord, exact, norm, messages, vmag, theta = newton_block(
+            evaluator, xi[:20], slow)
+        _, _, ref_vmag, ref_theta = exact_respond(evaluator, xi[:20])
+        assert np.all(norm <= NEWTON_TOL) and messages == [""] * 20
+        np.testing.assert_array_equal(chord, MAX_NEWTON_ITER)
+        assert np.all(exact > 0)
+        np.testing.assert_allclose(vmag, ref_vmag, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-9)

@@ -929,6 +929,22 @@ class TestEval:
         assert ("per_row", "newton_failure") in solved
         assert rates("ac14_eval.csv") == solved
 
+    def test_ac_newton_work_reaches_the_console_only(self, ac14_run):
+        # solve and eval print the chord and exact Newton totals of their
+        # scoring at DEBUG, which the INFO run log does not take.
+        workdir, solved = ac14_run
+        evaluated = run_cli(
+            ["eval", "--config", CONFIG_DIR / "ac14.ini",
+             "--set", "scenarios.test_s=100",
+             "--solution", "out/ac14_solution.csv"], cwd=workdir)
+        assert evaluated.returncode == 0, evaluated.stderr
+        line = re.compile(r"scored 100 test scenarios: [1-9]\d* chord and "
+                          r"\d+ exact Newton iterations")
+        for result in (solved, evaluated):
+            assert sum(bool(line.fullmatch(text))
+                       for text in result.stdout.splitlines()) == 1
+        assert "scored" not in (workdir / "out" / "ac14.log").read_text()
+
     def test_failed_nominal_power_flow_is_a_numerical_failure(self,
                                                               ac14_run,
                                                               tmp_path):
