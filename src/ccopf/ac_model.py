@@ -1,24 +1,24 @@
 """Nonlinear AC network machinery.
 
 Three layers, bottom up.  First, a polar Newton-Raphson power flow over
-the series-impedance branch model, written as one kernel over a block of
-scenarios with step control and stopping per scenario.  In exact Newton
-each scenario factors its own Jacobian at every step (stacked, one
-batched linear solve per iteration); pf_solve runs the kernel so on one
-scenario.  Out-of-sample scoring runs it in chord mode on blocks sized
-from the bus count and NEWTON_BLOCK_BYTES: every scenario starts at the
-nominal state and steps with the one factorization of the Jacobian there,
-and continues with exact Newton where its chord iteration stalls or
-reaches its cap.  Second, the monitored rows and their response
-sensitivities to forecast errors and to dispatch, by the implicit-function
-rule on the power-flow Jacobian.  Third, an alternating loop that
-linearizes the monitored quantities around the latest operating point,
-solves the scenario-selection program on those rows, and re-projects onto
-the power-flow manifold until the operating point settles.  AcRowSet,
-whose constructor chooses the monitored set, owns the row layout: how each
-kind of row is indexed, read, differentiated and signed; _Sensitivity is
-the one linearization at an operating point, computing each piece at most
-once; scoring builds only the monitored branch flows.
+the series-impedance branch model: one kernel over a block of scenarios,
+with step control and stopping per scenario and one method per call,
+exact Newton (each scenario factors its own Jacobian at every step) or
+chord Newton on one given factorization.  pf_solve runs exact Newton on
+one scenario.  Scoring runs chord on blocks sized from the bus count and
+NEWTON_BLOCK_BYTES, every scenario from the nominal state on the
+factorization of the Jacobian there, then exact Newton alone on each
+scenario that chord left unsolved.  Second, the monitored rows and their
+response sensitivities to forecast errors and to dispatch, by the
+implicit-function rule on the power-flow Jacobian.  Third, an alternating
+loop that linearizes the monitored quantities around the latest operating
+point, solves the scenario-selection program on those rows, and
+re-projects onto the power-flow manifold until the operating point
+settles.  AcRowSet, whose constructor chooses the monitored set, owns the
+row layout: how each kind of row is indexed, read, differentiated and
+signed; _Sensitivity is the one linearization at an operating point,
+computing each piece at most once; scoring builds only the monitored
+branch flows.
 
 Conventions: voltage magnitudes are carried squared (p.u.^2), matching the
 squared bounds of the bus-voltage rows; branch flows are directed active
@@ -50,8 +50,8 @@ from .scenario_mip import (
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 30
 MAX_STEP_HALVINGS = 5
-# Work-array budget of one block of the batched Newton kernel; the number
-# of scenarios per block follows from it and the bus count (_block_size).
+# Work-array budget of one scoring block; the number of scenarios per
+# block follows from it and the bus count (_block_size).
 NEWTON_BLOCK_BYTES = 2 * 2**20
 
 INNER_STEP_TOL = 1e-6
@@ -233,9 +233,10 @@ def _newton_steps(jac, rhs):
 
 
 def _block_size(n_bus):
-    """Scenarios per Newton block: about eight complex (n, n) work arrays
-    per scenario within NEWTON_BLOCK_BYTES."""
-    return max(1, NEWTON_BLOCK_BYTES // (8 * 16 * n_bus * n_bus))
+    """Scenarios per scoring block: a chord block holds (B, n) arrays
+    only, about sixteen complex rows per scenario, within
+    NEWTON_BLOCK_BYTES."""
+    return max(1, NEWTON_BLOCK_BYTES // (16 * 16 * n_bus))
 
 
 def _newton(net, p_set, q_set, vmag, theta, lu=None):
@@ -251,15 +252,14 @@ def _newton(net, p_set, q_set, vmag, theta, lu=None):
     every PQ magnitude stays positive).  Converged and stopped scenarios
     leave the active set.
 
-    lu, when given, is the LU factorization (scipy.linalg.lu_factor) of
-    the power-flow Jacobian at the block's common start.  Every scenario
-    then starts in chord mode: its steps solve with that one factorization,
-    under the same rules except that a chord step is never forced at the
-    last halving.  A scenario whose chord step survives no halving, or
-    that has taken MAX_NEWTON_ITER chord steps, continues with exact
-    Newton from where it stands, with the full rules and budget above.
-    Returns (chord steps, exact steps, final norms, messages), the counts
-    per scenario; a message is empty exactly when the scenario converged.
+    One method per call.  Without lu every step is exact Newton: each
+    scenario factors its own Jacobian (stacked, one batched solve per
+    step).  With lu, the LU factorization (scipy.linalg.lu_factor) of a
+    power-flow Jacobian, every step is a chord step: one triangular solve
+    on that factorization for the whole block, under the same rules except
+    that a step is never forced at the last halving.  Returns (steps,
+    final norms, messages), per scenario; a message is empty exactly when
+    the scenario converged.
     """
     ns, pq = net.ns, net.pq
     target = np.concatenate([p_set[:, ns], q_set[:, pq]], axis=1)
@@ -272,33 +272,24 @@ def _newton(net, p_set, q_set, vmag, theta, lu=None):
     b = vmag.shape[0]
     f_val = mismatch(np.arange(b), vmag, theta)
     norm = np.abs(f_val).max(axis=1, initial=0.0)
-    chord_steps = np.zeros(b, dtype=int)
-    exact_steps = np.zeros(b, dtype=int)
-    exact = np.full(b, lu is None)  # the scenarios in exact mode
+    steps = np.zeros(b, dtype=int)
     messages = [""] * b
     active = np.arange(b)
     while True:
-        active = active[~(norm[active] <= NEWTON_TOL)]
-        exact[active[chord_steps[active] >= MAX_NEWTON_ITER]] = True
-        active = active[exact_steps[active] < MAX_NEWTON_ITER]
+        active = active[~(norm[active] <= NEWTON_TOL)
+                        & (steps[active] < MAX_NEWTON_ITER)]
         if not active.size:
             break
         rhs = -f_val[active]
-        du = np.empty_like(rhs)
-        chord = ~exact[active]
-        if chord.any():
-            du[chord] = scipy.linalg.lu_solve(lu, rhs[chord].T,
-                                              check_finite=False).T
-        singular = np.zeros(active.size, dtype=bool)
-        if not chord.all():
-            rows = active[~chord]
-            v = vmag[rows] * np.exp(1j * theta[rows])
-            du[~chord], singular[~chord] = _newton_steps(
-                _pf_jacobian(net, v), rhs[~chord])
-        for i in active[singular]:
-            messages[i] = ("singular power-flow system "
-                           f"(mismatch {norm[i]:.3e})")
-        du, active, chord = du[~singular], active[~singular], chord[~singular]
+        if lu is None:
+            v = vmag[active] * np.exp(1j * theta[active])
+            du, singular = _newton_steps(_pf_jacobian(net, v), rhs)
+            for i in active[singular]:
+                messages[i] = ("singular power-flow system "
+                               f"(mismatch {norm[i]:.3e})")
+            du, active = du[~singular], active[~singular]
+        else:
+            du = scipy.linalg.lu_solve(lu, rhs.T, check_finite=False).T
         alpha = 1.0
         searching = np.ones(active.size, dtype=bool)
         for halving in range(MAX_STEP_HALVINGS + 1):
@@ -314,24 +305,22 @@ def _newton(net, p_set, q_set, vmag, theta, lu=None):
             f_new = mismatch(rows, vmag_new, theta_new)
             norm_new = np.abs(f_new).max(axis=1, initial=0.0)
             take = norm_new < norm[rows]
-            if halving == MAX_STEP_HALVINGS:
-                take |= exact[rows]
+            if halving == MAX_STEP_HALVINGS and lu is None:
+                take[:] = True
             rows = rows[take]
             theta[rows], vmag[rows] = theta_new[take], vmag_new[take]
             f_val[rows], norm[rows] = f_new[take], norm_new[take]
             searching[np.flatnonzero(searching)[positive][take]] = False
             alpha *= 0.5
-        for i in active[searching & ~chord]:
+        for i in active[searching]:
             messages[i] = f"step rejected at mismatch {norm[i]:.3e}"
-        exact[active[searching]] = True
-        chord_steps[active[~searching & chord]] += 1
-        exact_steps[active[~searching & ~chord]] += 1
-        active = active[~searching | chord]
+        steps[active[~searching]] += 1
+        active = active[~searching]
     for i in np.flatnonzero(~(norm <= NEWTON_TOL)):
         if not messages[i]:
             messages[i] = (f"no convergence in {MAX_NEWTON_ITER} iterations "
                            f"(mismatch {norm[i]:.3e})")
-    return chord_steps, exact_steps, norm, messages
+    return steps, norm, messages
 
 
 def _start_point(case, v_set2, theta0, vmag0):
@@ -347,7 +336,7 @@ def _start_point(case, v_set2, theta0, vmag0):
 
 def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
              net=None):
-    """Polar Newton-Raphson power flow: the Newton kernel on one scenario.
+    """Polar Newton-Raphson power flow: exact Newton on one scenario.
 
     p_set / q_set are target net bus injections; the active targets bind
     at every non-slack bus, the reactive ones at PQ buses.  v_set2 gives
@@ -356,8 +345,7 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
     one) unless warm-start vectors are supplied.  Steps are halved up to
     five times whenever the mismatch norm grows or a magnitude would leave
     the positive domain; non-convergence is reported on the returned
-    state, never raised.  AcEvaluator runs the same kernel on blocks of
-    scenarios, in chord mode.  net is the case's _Network when the caller
+    state, never raised.  net is the case's _Network when the caller
     holds one (built here otherwise).
     """
     net = _network(case) if net is None else net
@@ -371,7 +359,7 @@ def pf_solve(case, p_set, q_set, *, v_set2=None, theta0=None, vmag0=None,
         raise ValueError("squared voltage setpoints must be positive")
     vmag, theta = _start_point(case, v_set2, theta0, vmag0)
     vmag, theta = vmag[None], theta[None]
-    _, (iterations,), (norm,), (message,) = _newton(
+    (iterations,), (norm,), (message,) = _newton(
         net, p_set[None], q_set[None], vmag, theta)
     return _make_state(net, vmag[0], theta[0], bool(norm <= NEWTON_TOL),
                        int(iterations), float(norm), message)
@@ -884,15 +872,16 @@ class AcEvaluator:
     the dispatch the evaluator is built at, and the signed rows of the
     row set are checked (only the monitored flows are built); a response
     that fails to solve scores as a joint violation under the synthetic
-    'newton_failure' row.  The scenarios go through the Newton kernel in
-    blocks sized from the bus count and NEWTON_BLOCK_BYTES, by chord
-    Newton on the one factorization of the nominal Jacobian (the start of
-    every scenario): a scenario whose chord iteration stalls or reaches
-    its cap continues with exact Newton from where it stands, under the
-    rules pf_solve applies, so no scenario that exact Newton solves scores
-    as a failure.  After each check, chord_iterations and exact_iterations
-    hold every scenario's step counts in the two modes, and failed the
-    indices of the scenarios whose response did not solve.
+    'newton_failure' row.  The scenarios go through chord Newton in
+    blocks sized from the bus count and NEWTON_BLOCK_BYTES, on the one
+    factorization of the nominal Jacobian (the start of every scenario).
+    Each scenario that chord leaves unsolved, because its step stalled or
+    it reached the cap, then runs exact Newton alone from where chord
+    stopped, under the rules and budget of pf_solve, so no scenario that
+    exact Newton solves scores as a failure.  After each check,
+    chord_iterations and exact_iterations hold every scenario's step
+    counts in the two methods, and failed the indices of the scenarios
+    whose response did not solve.
     """
 
     def __init__(self, case, fleet, dispatch, *, include_slack_rows=False):
@@ -914,24 +903,33 @@ class AcEvaluator:
         self.failed = np.zeros(0, dtype=int)
 
     def _respond(self, xi):
-        """Newton responses to the error rows of xi, solved as one block:
-        (chord steps, exact steps, final mismatch norms, magnitudes,
-        angles)."""
+        """Newton responses to the error rows of xi: chord Newton on the
+        block, then exact Newton on each scenario that chord left
+        unsolved.  (chord steps, exact steps, final mismatch norms,
+        magnitudes, angles)."""
         p_set, q_set = _response_setpoints(self.case, self.fleet,
                                            self.state, xi)
         vmag = np.tile(self._start[0], (xi.shape[0], 1))
         theta = np.tile(self._start[1], (xi.shape[0], 1))
-        chord, exact, norm, _ = _newton(self._net, p_set, q_set, vmag, theta,
-                                        self._lu)
+        chord, norm, _ = _newton(self._net, p_set, q_set, vmag, theta,
+                                 self._lu)
+        exact = np.zeros_like(chord)
+        for i in np.flatnonzero(~(norm <= NEWTON_TOL)):
+            one = slice(i, i + 1)  # views: the call advances them in place
+            exact[one], norm[one], _ = _newton(
+                self._net, p_set[one], q_set[one], vmag[one], theta[one])
         return chord, exact, norm, vmag, theta
 
     def check(self, dispatch, xi):
         """(joint violation mask over scenarios, per-row violation rates)
         of the dispatch the evaluator was built at."""
-        if not np.array_equal(dispatch, self.dispatch):
+        x = np.asarray(dispatch, dtype=float)
+        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        if not (np.isfinite(x).all() and np.isfinite(xi).all()):
+            raise ValueError("dispatch and scenarios must be finite")
+        if not np.array_equal(x, self.dispatch):
             raise ValueError("check needs the dispatch the evaluator was "
                              "built at")
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
         rows = self.rows
         violated = np.zeros((xi.shape[0], len(self.row_names)), dtype=bool)
         chord = np.zeros(xi.shape[0], dtype=int)

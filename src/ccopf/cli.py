@@ -7,7 +7,7 @@ scenario gen    draw a forecast-error scenario set and write it as CSV
 scenario stats  summarize a scenario CSV
 ambiguity eps   best violation probability for an enforced count (CSV mode
                 for ranges of k)
-ambiguity k     enforced count certified for an (epsilon, radius) pair
+ambiguity k     enforced count for an (epsilon, radius) KL ball
 ambiguity mink  smallest enforced count meeting a violation target
 solve dc|ac     solve one dispatch instance and score it out of sample
 sweep           solve a range of enforced counts, export CSV and SVG
@@ -784,7 +784,7 @@ def cmd_solve(args):
         log.info("case %s: %d buses, %d generators, %d branches",
                  case.name, case.n_bus, case.n_gen, case.n_branch)
         log.info("enforcing k = %d of S = %d scenarios "
-                 "(epsilon* = %.6g, certified margin %.6g)",
+                 "(epsilon* = %.6g, KL-ball margin %.6g)",
                  params.k, params.s, params.epsilon, params.bound)
         log.info("config digest %s", digest)
 
@@ -816,7 +816,7 @@ def cmd_solve(args):
             log.info("out-of-sample scoring failed: %s", exc)
             return EXIT_NUMERICAL
         log.info("cost %.6g; joint violation %.6g on %d test scenarios "
-                 "(certified epsilon* %.6g)", sol.objective,
+                 "(KL-ball level epsilon* %.6g)", sol.objective,
                  report.joint_violation_rate, test.s, params.epsilon)
 
         paths = [os.path.join(run.outdir, f"{run.prefix}_{name}.csv")
@@ -1049,7 +1049,7 @@ def build_parser():
     p_eps.add_argument("--csv", help="write the range table to this file")
     p_eps.set_defaults(func=cmd_ambiguity_eps)
     p_k = amb_sub.add_parser(
-        "k", help="enforced count certified for (epsilon, radius)")
+        "k", help="enforced count for an (epsilon, radius) KL ball")
     p_k.add_argument("--eps", type=float, required=True,
                      help="violation probability")
     p_k.add_argument("--radius", type=float, required=True,

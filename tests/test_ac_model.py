@@ -1,6 +1,7 @@
 """Nonlinear network machinery: Newton flow, quadratic cross-checks,
 response sensitivities, and the alternating dispatch/selection loop."""
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -852,23 +853,35 @@ def assert_block_matches_batch_of_one(evaluator, xi, block_result):
 
 def newton_block(evaluator, xi, lu=None):
     """The Newton kernel on the error rows of xi from the evaluator's
-    start: exact Newton without lu, chord Newton on lu with it.  (chord
-    steps, exact steps, final norms, messages, magnitudes, angles)."""
+    start: exact Newton without lu, chord Newton on lu with it.  (steps,
+    final norms, messages, magnitudes, angles)."""
     p_set, q_set = ac_model._response_setpoints(
         evaluator.case, evaluator.fleet, evaluator.state, xi)
     vmag = np.tile(evaluator._start[0], (xi.shape[0], 1))
     theta = np.tile(evaluator._start[1], (xi.shape[0], 1))
-    chord, exact, norm, messages = ac_model._newton(
+    steps, norm, messages = ac_model._newton(
         evaluator._net, p_set, q_set, vmag, theta, lu)
-    return chord, exact, norm, messages, vmag, theta
+    return steps, norm, messages, vmag, theta
 
 
 def exact_respond(evaluator, xi):
     """The exact kernel on a block: (iterations, final norms, magnitudes,
     angles)."""
-    chord, iterations, norm, _, vmag, theta = newton_block(evaluator, xi)
-    assert not chord.any()
+    iterations, norm, _, vmag, theta = newton_block(evaluator, xi)
     return iterations, norm, vmag, theta
+
+
+def far_factorization(evaluator):
+    """LU of the power-flow Jacobian at a far-off voltage profile."""
+    far = 0.7 * np.exp(0.3j * np.arange(evaluator.case.n_bus))
+    return scipy.linalg.lu_factor(ac_model._pf_jacobian(evaluator._net, far))
+
+
+def with_factorization(evaluator, lu):
+    """A shallow copy of the evaluator whose chord steps solve with lu."""
+    stale = copy.copy(evaluator)
+    stale._lu = lu
+    return stale
 
 
 def chord_counts_alone(evaluator, xi):
@@ -973,8 +986,9 @@ class TestBatchedNewton:
             return out
 
         monkeypatch.setattr(ac_model, "_branch_power", counted)
-        evaluator.check(dispatch, xi[:300])
-        assert len(built) > 1 and sum(b for b, _ in built) == 300
+        count = ac_model._block_size(case.n_bus) + 100  # two blocks
+        evaluator.check(dispatch, xi[:count])
+        assert len(built) == 2 and sum(b for b, _ in built) == count
         assert {f for _, f in built} == {evaluator.rows.flows.size}
         assert evaluator.rows.flows.size == (40 if rated else 0)
 
@@ -1017,30 +1031,27 @@ class TestBatchedNewton:
     def test_singular_jacobian_in_the_exact_continuation(self, ac14,
                                                          monkeypatch):
         # Chord steps solve with the nominal factorization; only a
-        # scenario that falls back to exact Newton meets a Jacobian of its
-        # own.  Every one of those singular: [50, 50] stops there, with
-        # the message, and scores as newton_failure; its neighbours never
-        # leave chord and stay bit for bit as they are.
+        # scenario that chord leaves unsolved goes on to exact Newton and
+        # meets a Jacobian of its own.  Every one of those singular:
+        # [50, 50] stops there and scores as newton_failure; its
+        # neighbours never leave chord and stay bit for bit as they are.
         _, _, dispatch, evaluator, xi = ac14
         block = np.vstack([xi[:2], [[50.0, 50.0]], xi[2:5]])
-        expected = newton_block(evaluator, block, evaluator._lu)
+        expected = evaluator._respond(block)
 
         def solve(a, b):
             raise np.linalg.LinAlgError("injected: singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        chord, exact, norm, messages, vmag, theta = newton_block(
-            evaluator, block, evaluator._lu)
+        chord, exact, norm, vmag, theta = evaluator._respond(block)
         joint, per_row = evaluator.check(dispatch, block)
         monkeypatch.undo()
         assert chord[2] > 0 and exact[2] == 0 and norm[2] > NEWTON_TOL
-        assert messages[2].startswith("singular power-flow system")
+        assert expected[1][2] > 0
         keep = np.arange(6) != 2
         assert not expected[1][keep].any()
-        for got, ref in zip((chord, exact, norm, vmag, theta),
-                            (*expected[:3], *expected[4:])):
+        for got, ref in zip((chord, exact, norm, vmag, theta), expected):
             np.testing.assert_array_equal(got[keep], ref[keep])
-        assert [messages[j] for j in np.flatnonzero(keep)] == [""] * 5
         np.testing.assert_array_equal(evaluator.failed, [2])
         assert joint[2] and per_row[-1] == pytest.approx(1 / 6)
 
@@ -1056,8 +1067,9 @@ class TestBatchedNewton:
         assert state.message.startswith("singular power-flow system")
 
     def test_block_size_follows_bus_count(self):
+        # About sixteen complex (B, n) rows per scenario: 585 on case14.
         assert ac_model._block_size(14) == (
-            ac_model.NEWTON_BLOCK_BYTES // (8 * 16 * 14 * 14))
+            ac_model.NEWTON_BLOCK_BYTES // (16 * 16 * 14)) == 585
         assert 1 <= ac_model._block_size(10_000) <= ac_model._block_size(14)
 
     def test_failed_scenarios_are_recorded(self, ac14):
@@ -1188,28 +1200,27 @@ class TestChordNewton:
         np.testing.assert_array_equal(
             (evaluator.chord_iterations, evaluator.exact_iterations), counts)
 
-    def test_stalled_chord_falls_back_to_exact_newton(self, ac14,
-                                                      monkeypatch):
+    def test_stalled_chord_falls_back_to_exact_newton(self, ac14):
         # A stale factorization, of the Jacobian at a far-off voltage
         # profile: its chord steps soon stop lowering the mismatch, and
-        # exact Newton solves every scenario from where it stands.
-        case, _, dispatch, evaluator, xi = ac14
-        far = 0.7 * np.exp(0.3j * np.arange(case.n_bus))
-        stale = scipy.linalg.lu_factor(
-            ac_model._pf_jacobian(evaluator._net, far))
-        chord, exact, norm, messages, vmag, theta = newton_block(
-            evaluator, xi[:20], stale)
+        # exact Newton solves every scenario from where chord stopped.
+        _, _, dispatch, evaluator, xi = ac14
+        stale = with_factorization(evaluator, far_factorization(evaluator))
+        steps, _, messages, _, _ = newton_block(evaluator, xi[:20],
+                                                stale._lu)
+        assert all(m.startswith("step rejected") for m in messages)
+        chord, exact, norm, vmag, theta = stale._respond(xi[:20])
+        np.testing.assert_array_equal(chord, steps)
         _, _, ref_vmag, ref_theta = exact_respond(evaluator, xi[:20])
-        assert np.all(norm <= NEWTON_TOL) and messages == [""] * 20
+        assert np.all(norm <= NEWTON_TOL)
         np.testing.assert_allclose(vmag, ref_vmag, rtol=0, atol=1e-9)
         np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-9)
         assert np.all(exact > 0) and np.all(chord < MAX_NEWTON_ITER)
         assert np.any(chord > 0)
-        monkeypatch.setattr(evaluator, "_lu", stale)
-        joint, per_row = evaluator.check(dispatch, xi[:20])
-        assert evaluator.failed.size == 0 and per_row[-1] == 0
-        np.testing.assert_array_equal(evaluator.chord_iterations, chord)
-        np.testing.assert_array_equal(evaluator.exact_iterations, exact)
+        joint, per_row = stale.check(dispatch, xi[:20])
+        assert stale.failed.size == 0 and per_row[-1] == 0
+        np.testing.assert_array_equal(stale.chord_iterations, chord)
+        np.testing.assert_array_equal(stale.exact_iterations, exact)
         ref_joint, ref_rows = batch_of_one_check(evaluator, dispatch,
                                                  xi[:20])
         np.testing.assert_array_equal(joint, ref_joint)
@@ -1222,13 +1233,69 @@ class TestChordNewton:
         case, _, _, evaluator, xi = ac14
         lin = ac_model._Sensitivity(case, evaluator.fleet, None,
                                     evaluator.state, evaluator._net)
-        slow = scipy.linalg.lu_factor(
-            3.0 * ac_model._pf_jacobian(evaluator._net, lin.v))
-        chord, exact, norm, messages, vmag, theta = newton_block(
-            evaluator, xi[:20], slow)
+        slow = with_factorization(evaluator, scipy.linalg.lu_factor(
+            3.0 * ac_model._pf_jacobian(evaluator._net, lin.v)))
+        _, _, messages, _, _ = newton_block(evaluator, xi[:20], slow._lu)
+        assert all(m.startswith("no convergence") for m in messages)
+        chord, exact, norm, vmag, theta = slow._respond(xi[:20])
         _, _, ref_vmag, ref_theta = exact_respond(evaluator, xi[:20])
-        assert np.all(norm <= NEWTON_TOL) and messages == [""] * 20
+        assert np.all(norm <= NEWTON_TOL)
         np.testing.assert_array_equal(chord, MAX_NEWTON_ITER)
         assert np.all(exact > 0)
         np.testing.assert_allclose(vmag, ref_vmag, rtol=0, atol=1e-9)
         np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-9)
+
+    def test_one_at_a_time_continuation_equals_a_batched_one(self, ac14):
+        # On the far-off factorization most scenarios fall back.  Exact
+        # Newton run on each of them alone, from where chord stopped,
+        # gives the bytes of one batched exact call from those endpoints.
+        _, _, _, evaluator, xi = ac14
+        stale = with_factorization(evaluator, far_factorization(evaluator))
+        block = np.vstack([xi[:40], 16.0 * xi[40:60]])
+        chord, norm, _, vmag, theta = newton_block(evaluator, block,
+                                                   stale._lu)
+        rest = np.flatnonzero(~(norm <= NEWTON_TOL))
+        assert rest.size >= 50
+        p_set, q_set = ac_model._response_setpoints(
+            evaluator.case, evaluator.fleet, evaluator.state, block[rest])
+        rest_vmag, rest_theta = vmag[rest], theta[rest]
+        exact = np.zeros_like(chord)
+        exact[rest], norm[rest], _ = ac_model._newton(
+            evaluator._net, p_set, q_set, rest_vmag, rest_theta)
+        vmag[rest], theta[rest] = rest_vmag, rest_theta
+        got = stale._respond(block)
+        for g, ref in zip(got, (chord, exact, norm, vmag, theta)):
+            assert g.tobytes() == ref.tobytes()
+
+    # Stale factorizations whose chord steps are no longer than Newton's
+    # steps at the start: the Jacobian at the nominal profile shifted by
+    # up to 0.08 (p.u. magnitudes, rad angles), or the nominal Jacobian
+    # scaled by 1 to 10.  Ten draws per example, scaled as above.
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 4.0, 16.0, 40.0]),
+           kind=st.sampled_from(["profile", "scaled"]),
+           size=st.floats(0.0, 1.0))
+    def test_fallback_matches_exact_newton_on_stale_factorizations(
+            self, ac14, seed, scale, kind, size):
+        _, fleet, _, evaluator, _ = ac14
+        vmag, theta = evaluator._start
+        if kind == "profile":
+            shift = 0.08 * size * np.random.default_rng(seed).uniform(
+                -1.0, 1.0, (2, vmag.size))
+            jac = ac_model._pf_jacobian(
+                evaluator._net,
+                vmag * (1.0 + shift[0]) * np.exp(1j * (theta + shift[1])))
+        else:
+            jac = (1.0 + 9.0 * size) * ac_model._pf_jacobian(
+                evaluator._net, vmag * np.exp(1j * theta))
+        stale = with_factorization(evaluator, scipy.linalg.lu_factor(jac))
+        spec = GaussianSpec(forecasts=fleet.forecasts, zeta=0.05, rho=0.2)
+        xi = scale * sample(spec, 10, seed=seed).xi
+        _, _, norm, vmag, theta = stale._respond(xi)
+        _, ref_norm, ref_vmag, ref_theta = exact_respond(evaluator, xi)
+        solved = norm <= NEWTON_TOL
+        np.testing.assert_array_equal(solved, ref_norm <= NEWTON_TOL)
+        np.testing.assert_allclose(vmag[solved], ref_vmag[solved], rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_allclose(theta[solved], ref_theta[solved], rtol=0,
+                                   atol=1e-9)

@@ -19,7 +19,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from ccopf import evaluation
+from ccopf import ac_model, evaluation
+from ccopf.ac_model import AcEvaluator
 from ccopf.case_io import build_fleet, parse_matpower, to_network
 from ccopf.cli import _network_model, _resolve_run, sweep_k
 from ccopf.dc_model import (
@@ -102,6 +103,28 @@ class TestViolationFrequency:
         cc = assemble_cc_system(case14_tutorial, fleet14_tutorial)
         report = violation_frequency(ro.x_star, train, DcEvaluator(cc))
         assert report.joint_violation_rate == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("model", ["dc", "ac"])
+    def test_non_finite_scenarios_are_rejected(
+            self, case14_ac, fleet14_ac, model, bad, monkeypatch):
+        # The AC scorer raises before any Newton work, as the DC one does,
+        # rather than scoring the row as a newton_failure violation.
+        dispatch = np.full(5, 0.438)
+        if model == "dc":
+            evaluator = DcEvaluator(assemble_cc_system(case14_ac, fleet14_ac))
+        else:
+            evaluator = AcEvaluator(case14_ac, fleet14_ac, dispatch)
+
+            def newton(*args, **kwargs):
+                raise AssertionError("Newton ran on non-finite input")
+
+            monkeypatch.setattr(ac_model, "_newton", newton)
+        test = ScenarioSet(xi=np.array([[0.0, 0.0], [bad, 0.0], [0.0, 0.01]]),
+                           seed=0, spec_digest="")
+        with pytest.raises(ValueError,
+                           match="dispatch and scenarios must be finite"):
+            violation_frequency(dispatch, test, evaluator)
 
     def test_report_invariants_guard_inconsistency(self):
         from ccopf.evaluation import EvalReport
