@@ -1,14 +1,14 @@
 """Nonlinear AC network machinery.
 
 Three layers, bottom up.  First, a polar Newton-Raphson power flow over
-the series-impedance branch model: one kernel over a block of scenarios,
-with step control and stopping per scenario and one method per call,
-exact Newton (each scenario factors its own Jacobian at every step) or
-chord Newton on one given factorization.  pf_solve runs exact Newton on
-one scenario.  Scoring runs chord on blocks sized from the bus count and
+the series-impedance branch model: one kernel with step control and
+stopping per scenario and one method per call, exact Newton on one
+scenario (its Jacobian factored at every step) or chord Newton on a block
+of scenarios and one given factorization.  pf_solve runs exact Newton.
+Scoring runs chord on blocks sized from the bus count and
 NEWTON_BLOCK_BYTES, every scenario from the nominal state on the
-factorization of the Jacobian there, then exact Newton alone on each
-scenario that chord left unsolved.  Second, the monitored rows and their
+factorization of the Jacobian there, then exact Newton on each scenario
+that chord left unsolved.  Second, the monitored rows and their
 response sensitivities to forecast errors and to dispatch, by the
 implicit-function rule on the power-flow Jacobian.  Third, an alternating
 loop that linearizes the monitored quantities around the latest operating
@@ -129,7 +129,8 @@ def _network(case):
 
 # _ybus_times, _injections, _branch_power, _quantities, _ds_bus and
 # _pf_jacobian take one operating point as (n,) vectors or a block of them
-# as (B, n) rows, with the same arithmetic per row either way.
+# as (B, n) rows, with the same arithmetic per row either way.  Exact
+# Newton builds its Jacobian from a block of one row.
 
 
 def _ybus_times(net, v):
@@ -212,26 +213,6 @@ def _pf_jacobian(net, v):
     return np.concatenate([top, bottom], axis=-2)
 
 
-def _newton_steps(jac, rhs):
-    """Solve a stack of Newton systems; also flags the singular ones.
-
-    One batched solve; if any matrix is singular it raises for the whole
-    stack, so the stack is solved again one matrix at a time and only the
-    singular ones are flagged (their steps stay zero).
-    """
-    singular = np.zeros(len(jac), dtype=bool)
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0], singular
-    except np.linalg.LinAlgError:
-        du = np.zeros_like(rhs)
-        for i, (a, b) in enumerate(zip(jac, rhs)):
-            try:
-                du[i] = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        return du, singular
-
-
 def _block_size(n_bus):
     """Scenarios per scoring block: a chord block holds (B, n) arrays
     only, about sixteen complex rows per scenario, within
@@ -246,16 +227,16 @@ def _newton(net, p_set, q_set, vmag, theta, lu=None):
     start points with pinned magnitudes and the slack angle already set,
     and are advanced in place.  Each scenario follows the same rules as if
     it were solved alone: it stops when its mismatch inf-norm is at most
-    NEWTON_TOL, after MAX_NEWTON_ITER steps, on a singular Jacobian, or
-    when no step length survives MAX_STEP_HALVINGS halvings (a step is
-    taken when the norm falls, or at the last halving, and only while
-    every PQ magnitude stays positive).  Converged and stopped scenarios
-    leave the active set.
+    NEWTON_TOL, after MAX_NEWTON_ITER steps, or when no step length
+    survives MAX_STEP_HALVINGS halvings (a step is taken when the norm
+    falls, or at the last halving, and only while every PQ magnitude stays
+    positive).  Converged and stopped scenarios leave the active set.
 
-    One method per call.  Without lu every step is exact Newton: each
-    scenario factors its own Jacobian (stacked, one batched solve per
-    step).  With lu, the LU factorization (scipy.linalg.lu_factor) of a
-    power-flow Jacobian, every step is a chord step: one triangular solve
+    One method per call.  Without lu every step is exact Newton on the
+    Jacobian at the current point, which also stops on a singular
+    Jacobian; the block must hold exactly one scenario (ValueError
+    otherwise).  With lu, the LU factorization (scipy.linalg.lu_factor) of
+    a power-flow Jacobian, every step is a chord step: one triangular solve
     on that factorization for the whole block, under the same rules except
     that a step is never forced at the last halving.  Returns (steps,
     final norms, messages), per scenario; a message is empty exactly when
@@ -270,6 +251,8 @@ def _newton(net, p_set, q_set, vmag, theta, lu=None):
                                axis=1) - target[rows])
 
     b = vmag.shape[0]
+    if lu is None and b != 1:
+        raise ValueError("exact Newton takes one scenario")
     f_val = mismatch(np.arange(b), vmag, theta)
     norm = np.abs(f_val).max(axis=1, initial=0.0)
     steps = np.zeros(b, dtype=int)
@@ -282,12 +265,14 @@ def _newton(net, p_set, q_set, vmag, theta, lu=None):
             break
         rhs = -f_val[active]
         if lu is None:
-            v = vmag[active] * np.exp(1j * theta[active])
-            du, singular = _newton_steps(_pf_jacobian(net, v), rhs)
-            for i in active[singular]:
-                messages[i] = ("singular power-flow system "
-                               f"(mismatch {norm[i]:.3e})")
-            du, active = du[~singular], active[~singular]
+            v = vmag * np.exp(1j * theta)
+            try:
+                du = np.linalg.solve(_pf_jacobian(net, v),
+                                     rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                messages[0] = ("singular power-flow system "
+                               f"(mismatch {norm[0]:.3e})")
+                break
         else:
             du = scipy.linalg.lu_solve(lu, rhs.T, check_finite=False).T
         alpha = 1.0

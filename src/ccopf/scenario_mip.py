@@ -818,7 +818,11 @@ def solve_selection(problem, options=None):
     message; at k = S the one QP is the all-enforced one, and its
     failure is named that way.  options.rel_gap closes a node whose bound
     is within that fraction of the incumbent, and the solution's gap is
-    then the gap the search proved (zero for the exact search).  The
+    then the gap the search proved (zero for the exact search).
+    options.node_limit counts node QPs: the search stops before the node
+    QP past the limit, so a node re-queued after its QP is still branched
+    on, and a limit of at least the exact search's node count changes
+    nothing.  The
     solution's iterations sums the active-set iterations of the qp_count
     QPs (the greedy incumbent's trials count in neither).
 
@@ -895,13 +899,13 @@ def solve_selection(problem, options=None):
             # Best-bound order: every remaining node is at least as bad.
             fathomed = min(fathomed, bound)
             break
-        if options.node_limit is not None and nodes >= options.node_limit:
-            push(bound, enforced, relaxed, result)  # keep it in the gap
-            limit_hit = True
-            break
 
         undecided = ~(enforced | relaxed)
         if result is None:
+            if options.node_limit is not None and nodes >= options.node_limit:
+                push(bound, enforced, relaxed, result)  # keep it in the gap
+                limit_hit = True
+                break
             nodes += 1
             result = solve_node(enforced, relaxed)
             if result.status == INFEASIBLE:

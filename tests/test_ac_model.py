@@ -853,8 +853,8 @@ def assert_block_matches_batch_of_one(evaluator, xi, block_result):
 
 def newton_block(evaluator, xi, lu=None):
     """The Newton kernel on the error rows of xi from the evaluator's
-    start: exact Newton without lu, chord Newton on lu with it.  (steps,
-    final norms, messages, magnitudes, angles)."""
+    start: exact Newton without lu (on one row), chord Newton on lu with
+    it.  (steps, final norms, messages, magnitudes, angles)."""
     p_set, q_set = ac_model._response_setpoints(
         evaluator.case, evaluator.fleet, evaluator.state, xi)
     vmag = np.tile(evaluator._start[0], (xi.shape[0], 1))
@@ -865,10 +865,12 @@ def newton_block(evaluator, xi, lu=None):
 
 
 def exact_respond(evaluator, xi):
-    """The exact kernel on a block: (iterations, final norms, magnitudes,
-    angles)."""
-    iterations, norm, _, vmag, theta = newton_block(evaluator, xi)
-    return iterations, norm, vmag, theta
+    """Exact Newton on each error row of xi alone, as pf_solve runs it:
+    (iterations, final norms, magnitudes, angles), one row per
+    scenario."""
+    runs = [newton_block(evaluator, xi[j:j + 1]) for j in range(len(xi))]
+    return tuple(np.concatenate([run[i] for run in runs])
+                 for i in (0, 1, 3, 4))
 
 
 def far_factorization(evaluator):
@@ -893,20 +895,24 @@ def chord_counts_alone(evaluator, xi):
 
 
 class TestBatchedNewton:
-    def test_ac14_blocks_equal_batch_of_one(self, ac14):
+    def test_exact_reference_is_pf_solve(self, ac14):
+        # The tests' exact reference, exact Newton on each scenario from
+        # the evaluator's start, is the power flow that respond runs.
         _, _, _, evaluator, xi = ac14
-        step = ac_model._block_size(evaluator.case.n_bus)
-        for lo in range(0, xi.shape[0], step):
-            block = xi[lo:lo + step]
-            assert_block_matches_batch_of_one(evaluator, block,
-                                              exact_respond(evaluator, block))
+        assert_block_matches_batch_of_one(evaluator, xi,
+                                          exact_respond(evaluator, xi))
+
+    def test_exact_newton_takes_one_scenario(self, ac14):
+        _, _, _, evaluator, xi = ac14
+        with pytest.raises(ValueError, match="exact Newton takes one"):
+            newton_block(evaluator, xi[:2])
+        steps, norm, _, _, _ = newton_block(evaluator, xi[:2], evaluator._lu)
+        assert steps.shape == norm.shape == (2,)
 
     def test_larger_block_gives_the_same_results(self, ac14):
+        # One chord block of 300 steps each scenario as a batch of one
+        # does.
         _, _, _, evaluator, xi = ac14
-        assert_block_matches_batch_of_one(evaluator, xi[:300],
-                                          exact_respond(evaluator, xi[:300]))
-        # The chord kernel too: one block of 300 steps each scenario as a
-        # batch of one does.
         chord, exact, norm, vmag, theta = evaluator._respond(xi[:300])
         np.testing.assert_array_equal(
             (chord, exact), chord_counts_alone(evaluator, xi[:300]))
@@ -918,22 +924,13 @@ class TestBatchedNewton:
                                        atol=1e-12)
 
     def test_failing_scenario_leaves_neighbours_unchanged(self, ac14):
+        # The failing scenario falls back from chord to exact Newton, and
+        # its neighbours in the chord block stay bit for bit as they are
+        # without it.
         _, _, _, evaluator, xi = ac14
         clean = xi[:20]
         mixed = np.vstack([clean[:10], [[50.0, 50.0]], clean[10:]])
         keep = np.arange(21) != 10
-        iterations, norm, vmag, theta = exact_respond(evaluator, mixed)
-        assert norm[10] > NEWTON_TOL
-        ref_its, ref_norm, ref_vmag, ref_theta = exact_respond(evaluator,
-                                                               clean)
-        np.testing.assert_array_equal(iterations[keep], ref_its)
-        np.testing.assert_array_equal(norm[keep], ref_norm)
-        np.testing.assert_array_equal(vmag[keep], ref_vmag)
-        np.testing.assert_array_equal(theta[keep], ref_theta)
-        assert_block_matches_batch_of_one(
-            evaluator, mixed, (iterations, norm, vmag, theta))
-        # Under chord the failing scenario falls back to exact Newton, and
-        # its neighbours stay bit for bit as they are without it.
         chord_mixed = evaluator._respond(mixed)
         assert chord_mixed[2][10] > NEWTON_TOL and chord_mixed[1][10] > 0
         for got, ref in zip(chord_mixed, evaluator._respond(clean)):
@@ -998,35 +995,6 @@ class TestBatchedNewton:
             evaluator.check(dispatch + 1e-3, xi[:1])
         joint, _ = evaluator.check(dispatch.copy(), xi[:1])
         assert joint.shape == (1,)
-
-    def test_singular_jacobian_stops_only_that_scenario(self, ac14,
-                                                        monkeypatch):
-        _, _, _, evaluator, xi = ac14
-        block = xi[:6]
-        expected = exact_respond(evaluator, block)
-        real_solve = np.linalg.solve
-        single_calls = []
-
-        def solve(a, b):
-            if a.ndim == 3 and a.shape[0] > 1:
-                raise np.linalg.LinAlgError("injected: stack has a singular "
-                                            "matrix")
-            single_calls.append(a.shape)
-            if len(single_calls) == 2:  # scenario 1 on the first step
-                raise np.linalg.LinAlgError("injected: singular matrix")
-            return real_solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        iterations, norm, vmag, theta = exact_respond(evaluator, block)
-        monkeypatch.undo()
-        assert iterations[1] == 0 and norm[1] > NEWTON_TOL
-        np.testing.assert_array_equal(vmag[1], evaluator._start[0])
-        keep = np.arange(6) != 1
-        np.testing.assert_array_equal(iterations[keep], expected[0][keep])
-        np.testing.assert_allclose(vmag[keep], expected[2][keep], rtol=0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(theta[keep], expected[3][keep], rtol=0,
-                                   atol=1e-12)
 
     def test_singular_jacobian_in_the_exact_continuation(self, ac14,
                                                          monkeypatch):
@@ -1244,28 +1212,6 @@ class TestChordNewton:
         assert np.all(exact > 0)
         np.testing.assert_allclose(vmag, ref_vmag, rtol=0, atol=1e-9)
         np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-9)
-
-    def test_one_at_a_time_continuation_equals_a_batched_one(self, ac14):
-        # On the far-off factorization most scenarios fall back.  Exact
-        # Newton run on each of them alone, from where chord stopped,
-        # gives the bytes of one batched exact call from those endpoints.
-        _, _, _, evaluator, xi = ac14
-        stale = with_factorization(evaluator, far_factorization(evaluator))
-        block = np.vstack([xi[:40], 16.0 * xi[40:60]])
-        chord, norm, _, vmag, theta = newton_block(evaluator, block,
-                                                   stale._lu)
-        rest = np.flatnonzero(~(norm <= NEWTON_TOL))
-        assert rest.size >= 50
-        p_set, q_set = ac_model._response_setpoints(
-            evaluator.case, evaluator.fleet, evaluator.state, block[rest])
-        rest_vmag, rest_theta = vmag[rest], theta[rest]
-        exact = np.zeros_like(chord)
-        exact[rest], norm[rest], _ = ac_model._newton(
-            evaluator._net, p_set, q_set, rest_vmag, rest_theta)
-        vmag[rest], theta[rest] = rest_vmag, rest_theta
-        got = stale._respond(block)
-        for g, ref in zip(got, (chord, exact, norm, vmag, theta)):
-            assert g.tobytes() == ref.tobytes()
 
     # Stale factorizations whose chord steps are no longer than Newton's
     # steps at the start: the Jacobian at the nominal profile shifted by

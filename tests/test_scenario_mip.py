@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ccopf.cli import _build_spec, _choose_params, _resolve_run
 from ccopf.dc_model import (
@@ -870,6 +872,44 @@ class TestSolveSelection:
         sol = solve_selection(problem, SolverOptions(node_limit=exact.nodes))
         assert (sol.status, sol.gap) == (OPTIMAL, 0.0)
         assert sol.objective == exact.objective
+
+    def test_node_limit_counts_node_qps(self):
+        # The exact tree takes 5 node QPs, and one of its nodes is
+        # re-queued after its QP and branched on when popped again.  That
+        # pop solves no QP, so a limit of 5 lets the search finish.
+        problem = random_selection_problem(np.random.default_rng(71),
+                                           s_max=12)
+        exact = solve_selection(problem)
+        assert (exact.status, exact.nodes) == (OPTIMAL, 5)
+        sol = solve_selection(problem, SolverOptions(node_limit=5))
+        assert (sol.status, sol.nodes, sol.gap) == (OPTIMAL, 5, 0.0)
+        assert sol.objective == exact.objective
+        sol = solve_selection(problem, SolverOptions(node_limit=4))
+        assert (sol.status, sol.nodes) == (GAP_LIMIT, 4)
+
+    @given(seed=st.integers(0, 2**32 - 1), s_max=st.sampled_from([12, 20]),
+           share=st.floats(0.0, 1.0))
+    def test_node_limit_keeps_the_exact_answer(self, seed, s_max, share):
+        # A limit of at most the exact search's node count: the search
+        # solves no more node QPs than the limit, an OPTIMAL answer is the
+        # exact one, and a GAP_LIMIT answer's proved bound holds the
+        # optimum.
+        problem = random_selection_problem(np.random.default_rng(seed),
+                                           s_max=s_max)
+        exact = solve_selection(problem)
+        assume(exact.status == OPTIMAL)
+        limit = min(exact.nodes, int(share * (exact.nodes + 1)))
+        sol = solve_selection(problem, SolverOptions(node_limit=limit))
+        assert sol.nodes <= limit
+        if limit == exact.nodes:
+            assert sol.status == OPTIMAL
+        if sol.status == OPTIMAL:
+            assert sol.objective == exact.objective
+        else:
+            assert (sol.status, sol.nodes) == (GAP_LIMIT, limit)
+            if sol.x_star is not None:
+                scale = max(1.0, abs(sol.objective))
+                assert sol.objective - sol.gap * scale <= exact.objective
 
     def test_unbounded_decided_node_names_the_node(self):
         # min -x1 with x2 <= 1 in the base and x2 <= b_j per scenario:
