@@ -14,8 +14,9 @@ implicit-function rule on the power-flow Jacobian.  Third, an alternating
 loop that linearizes the monitored quantities around the latest operating
 point, solves the scenario-selection program on those rows, and
 re-projects onto the power-flow manifold until the operating point
-settles.  AcRowSet, whose constructor chooses the monitored set, owns the
-row layout: how each kind of row is indexed, read, differentiated and
+settles; every QP of the loop minimizes the dispatch cost itself.
+AcRowSet, whose constructor chooses the monitored set, owns the row
+layout: how each kind of row is indexed, read, differentiated and
 signed; _Sensitivity is the one linearization at an operating point,
 computing each piece at most once; scoring builds only the monitored
 branch flows.
@@ -40,7 +41,6 @@ from .dc_model import CcSystem, make_cost
 from .scenario_mip import (
     OPTIMAL,
     ROW_TOL,
-    QuadraticCost,
     SolverOptions,
     build_selection_from_ccopf,
     qp_solve,
@@ -58,7 +58,6 @@ INNER_STEP_TOL = 1e-6
 MAX_INNER_PASSES = 20
 OUTER_TOL = 1e-4
 MAX_OUTER_ITER = 10
-PROXIMAL_WEIGHT = 1e-6
 
 
 class NewtonError(RuntimeError):
@@ -712,8 +711,9 @@ def loss_balance_equality(case, fleet, state, dispatch):
 class FixedPointResult:
     """Converged operating point, final selection, and the distance trail.
 
-    obj_history holds the selection objective after each outer iteration,
-    aligned with d_history.
+    obj_history holds the selection objective, the dispatch cost of the
+    selection's optimum, after each outer iteration, aligned with
+    d_history.
     """
 
     state: AcState
@@ -729,15 +729,6 @@ def _initial_dispatch(case, fleet):
     return np.clip(x, case.p_min, case.p_max)
 
 
-def _proximal_cost(cost, center):
-    n = cost.n
-    return QuadraticCost(
-        h=cost.h + 2.0 * PROXIMAL_WEIGHT * np.eye(n),
-        g=cost.g - 2.0 * PROXIMAL_WEIGHT * center,
-        c0=cost.c0 + PROXIMAL_WEIGHT * float(center @ center),
-    )
-
-
 def _inner_slp(cost, lin, x_start, frozen_j, *, xi=None, k=None,
                options=None):
     """Linearize, solve, re-project until the dispatch settles.
@@ -746,7 +737,8 @@ def _inner_slp(cost, lin, x_start, frozen_j, *, xi=None, k=None,
     linearizes on the current one and takes the next at the re-projected
     point.  With xi=None this is the deterministic stage (single QP per
     pass); otherwise the selection program runs per pass with frozen_j as
-    the error sensitivities.  Returns (dispatch, its _Sensitivity,
+    the error sensitivities.  Both stages minimize cost, the dispatch
+    cost, on the linearized rows.  Returns (dispatch, its _Sensitivity,
     selection-or-None).
     """
     x_cur = np.asarray(x_start, float)
@@ -754,9 +746,8 @@ def _inner_slp(cost, lin, x_start, frozen_j, *, xi=None, k=None,
     for _ in range(MAX_INNER_PASSES):
         cc = lin.cc_system(x_cur, frozen_j)
         equalities = lin.loss_balance(x_cur)
-        prox = _proximal_cost(cost, x_cur)
         if xi is None:
-            result = qp_solve(prox, cc.nominal_system(equalities))
+            result = qp_solve(cost, cc.nominal_system(equalities))
             if result.status != OPTIMAL:
                 row = cc.conflict_row(result)
                 hint = "" if row is None else f" (most conflicted row: {row})"
@@ -764,7 +755,7 @@ def _inner_slp(cost, lin, x_start, frozen_j, *, xi=None, k=None,
                     f"deterministic stage: {result.status}{hint}")
             x_new = result.x
         else:
-            problem = build_selection_from_ccopf(cc, xi, prox, k,
+            problem = build_selection_from_ccopf(cc, xi, cost, k,
                                                  equalities=equalities)
             sel = solve_selection(problem, options)
             if sel.status != OPTIMAL:
@@ -800,10 +791,10 @@ def fixed_point_solve(case, fleet, scenarios, params, options=None, *,
                       include_slack_rows=False):
     """Alternate between error-sensitivity freezing and selection solves.
 
-    Stage zero solves the deterministic problem (no scenario blocks); each
+    Stage zero minimizes the dispatch cost without scenario blocks; each
     outer iteration then freezes the error sensitivities at the incumbent
-    operating point, solves the k-of-S selection program (inner
-    linearization loop included), and measures the distance between
+    operating point, solves the k-of-S selection program on the same cost
+    (inner linearization loop included), and measures the distance between
     consecutive operating points over the controlled subvector.  The
     frozen sensitivities and the first inner pass share one linearization.
     Stops when the distance falls to OUTER_TOL; raises FixedPointError,

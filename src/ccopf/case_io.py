@@ -169,11 +169,15 @@ def _parse_matrix(lines, start_idx, name):
         )
     for piece, no in buf:
         try:
-            rows.append([float(tok) for tok in piece.split()])
+            row = [float(tok) for tok in piece.split()]
         except ValueError as exc:
             raise CaseFormatError(
                 f"line {no}: bad numeric token in matrix '{name}': {exc}"
             ) from None
+        if not all(map(math.isfinite, row)):
+            raise CaseFormatError(
+                f"line {no}: non-finite entry in matrix '{name}'")
+        rows.append(row)
     if not rows:
         raise CaseFormatError(f"matrix '{name}' is empty")
     width = len(rows[0])
@@ -228,6 +232,9 @@ def parse_matpower(text):
                     raise CaseFormatError(
                         f"line {i + 1}: baseMVA is not numeric: {value!r}"
                     ) from None
+                if not math.isfinite(base_mva):
+                    raise CaseFormatError(
+                        f"line {i + 1}: baseMVA is not finite: {value!r}")
             elif field != "version":
                 warnings.warn(f"ignoring unused case field '{field}'")
             i += 1
@@ -291,8 +298,9 @@ def to_network(raw, *, default_line_limit=math.inf, cost_override=None):
     $/MW^2, $/MW, $ for each in-service generator.
     """
     base = raw.base_mva
-    if base <= 0:
-        raise CaseFormatError(f"baseMVA must be positive, got {base}")
+    if not 0 < base < math.inf:
+        raise CaseFormatError(
+            f"baseMVA must be positive and finite, got {base}")
 
     bus = raw.bus
     kinds = bus[:, 1].astype(int)

@@ -170,22 +170,21 @@ class QpSubproblemResult:
 
 
 def _kkt_residual(h, g, system, x, lam, mu):
+    """The largest violation of the KKT conditions; NaN if any part is."""
     stat = h @ x + g
     if lam.size:
         stat = stat + system.a_ineq.T @ lam
     if mu.size:
         stat = stat + system.a_eq.T @ mu
-    r = float(np.max(np.abs(stat), initial=0.0))
+    parts = [np.abs(stat)]
     if system.a_ineq.size:
         resid = system.a_ineq @ x - system.b_ineq
-        r = max(r, float(np.max(resid, initial=0.0)))
-        r = max(r, float(np.max(np.abs(lam * resid), initial=0.0)))
+        parts += [resid, np.abs(lam * resid)]
     if lam.size:
-        r = max(r, float(np.max(-lam, initial=0.0)))
+        parts.append(-lam)
     if system.a_eq.size:
-        r = max(r, float(np.max(np.abs(system.a_eq @ x - system.b_eq),
-                                initial=0.0)))
-    return r
+        parts.append(np.abs(system.a_eq @ x - system.b_eq))
+    return float(np.max(np.concatenate(parts), initial=0.0))
 
 
 def _phase1_point(system, eq_rows, max_iter):
@@ -302,7 +301,7 @@ def qp_solve(cost, system, *, warm_start=None):
         mu = np.zeros(a_eq.shape[0])
         mu[eq_rows] = y[:n_eq]
         residual = _kkt_residual(h, g, system, x, lam, mu)
-        if residual > _KKT_TOL:
+        if not residual <= _KKT_TOL:  # NaN fails too
             return QpSubproblemResult(
                 status=NUMERICAL_FAILURE,
                 message=f"KKT residual {residual:.3e} of the "

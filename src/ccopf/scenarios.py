@@ -36,10 +36,11 @@ class GaussianSpec:
 
     def __post_init__(self):
         p = np.atleast_1d(np.asarray(self.forecasts, dtype=float))
-        if p.ndim != 1 or p.size == 0 or np.any(p <= 0):
-            raise ValueError("forecasts must be a nonempty positive vector")
-        if not self.zeta > 0:
-            raise ValueError("zeta must be positive")
+        if p.ndim != 1 or p.size == 0 or not np.all((p > 0) & (p < np.inf)):
+            raise ValueError(
+                "forecasts must be a nonempty positive finite vector")
+        if not 0 < self.zeta < np.inf:
+            raise ValueError("zeta must be positive and finite")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         low = (-p if self.clip_low is None
@@ -154,7 +155,11 @@ def save_csv(sset, path, labels=None):
 
 
 def load_csv(path, spec=None):
-    """Read a scenario CSV back; validate clip bounds when a spec is given."""
+    """Read a scenario CSV back; validate clip bounds when a spec is given.
+
+    Lines starting with # are comments; the first other line holds the
+    column labels, and every line after it is one scenario.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     seed = 0
@@ -175,7 +180,13 @@ def load_csv(path, spec=None):
         cells = text.split(",")
         if not header_seen:
             header_seen = True  # column-label row
-            continue
+            try:
+                list(map(float, cells))
+            except ValueError:
+                continue
+            raise ValueError(
+                f"{path}: row {line_no} holds numbers, not column labels; "
+                "a scenario CSV starts with a label row")
         parsed = []
         for col, cell in enumerate(cells):
             try:

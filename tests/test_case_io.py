@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,30 @@ class TestParse:
         with pytest.raises(CaseFormatError, match="line"):
             parse_matpower(text)
 
+    @pytest.mark.parametrize("old, new, line, matrix", [
+        ("\t2\t1\t50\t", "\t2\t1\tnan\t", 6, "bus"),
+        ("\t1\t100\t1\t200\t", "\t1\t100\t1\tinf\t", 9, "gen"),
+        ("0.01\t0.1", "0.01\t-Infinity", 12, "branch"),
+        ("0.02\t15\t5", "NaN\t15\t5", 15, "gencost"),
+    ], ids=["bus", "gen", "branch", "gencost"])
+    def test_non_finite_entry_names_line_and_matrix(self, old, new, line,
+                                                    matrix):
+        # float() takes these tokens, and NaN passes every range check
+        # after parsing, so the parser rejects them by name.
+        assert TWO_BUS.count(old) == 1
+        with pytest.raises(CaseFormatError,
+                           match=rf"^line {line}: non-finite entry in "
+                                 rf"matrix '{matrix}'$"):
+            parse_matpower(TWO_BUS.replace(old, new))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_base_mva_names_line(self, value):
+        text = TWO_BUS.replace("mpc.baseMVA = 100;",
+                               f"mpc.baseMVA = {value};")
+        with pytest.raises(CaseFormatError,
+                           match=r"^line 3: baseMVA is not finite"):
+            parse_matpower(text)
+
     def test_unknown_bus_reference(self):
         text = TWO_BUS.replace(
             "\t1\t2\t0.01", "\t1\t7\t0.01"
@@ -107,6 +132,12 @@ class TestToNetwork:
         pu_cost = (case.cost_c2[0] * pu**2 + case.cost_c1[0] * pu
                    + case.cost_c0[0])
         assert abs(mw_cost - pu_cost) < 1e-9
+
+    @pytest.mark.parametrize("base", [0.0, math.nan, math.inf])
+    def test_bad_base_mva_rejected(self, base):
+        raw = replace(parse_matpower(TWO_BUS), base_mva=base)
+        with pytest.raises(CaseFormatError, match="baseMVA must be positive"):
+            to_network(raw)
 
     def test_two_slack_buses_rejected(self):
         text = TWO_BUS.replace("\t2\t1\t50", "\t2\t3\t50")

@@ -230,6 +230,13 @@ class TestInputErrors:
         (["ambiguity", "k", "--eps", 0.1, "--radius", -1.0, "--s", 100], ()),
         (["ambiguity", "k", "--eps", "nan", "--radius", 0.1, "--s", 100], ()),
         (["scenario", "stats", "missing.csv"], ()),
+        # A non-finite forecast or zeta gives a covariance that is not PSD.
+        (["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", "nan",
+          0.2, "--zeta", 0.05, "--rho", 0.2], ()),
+        (["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", "inf",
+          0.2, "--zeta", 0.05, "--rho", 0.2], ()),
+        (["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", 0.2,
+          0.2, "--zeta", "inf", "--rho", 0.2], ()),
         # An output file whose path inside output.dir is a directory.
         (["scenario", "gen", "--s", 5, "--seed", 1, "--forecasts", 0.2,
           "--zeta", 0.05, "--rho", 0.2, "--out", "sub"], ("out/sub",)),
@@ -244,6 +251,7 @@ class TestInputErrors:
     ], ids=["gen-s0", "gen-rho", "eps-k0", "eps-k-range-descending",
             "eps-csv-unwritable", "k-eps0", "k-radius-nan",
             "k-radius-negative", "k-eps-nan", "stats-missing",
+            "gen-forecast-nan", "gen-forecast-inf", "gen-zeta-inf",
             "gen-out-is-a-dir", "solve-log-is-a-dir", "sweep-log-is-a-dir",
             "sweep-k-values-descending", "eval-report-is-a-dir"])
     def test_bad_input_is_an_error_line(self, tmp_path, args, made):
@@ -253,9 +261,51 @@ class TestInputErrors:
         result = run_cli(args, cwd=tmp_path)
         assert result.returncode == 1
         # The error line is last: loading case14 warns first.
-        assert result.stderr.splitlines()[-1].startswith("error:")
+        lines = result.stderr.splitlines()
+        assert lines[-1].startswith("error:")
+        assert sum(line.startswith("error:") for line in lines) == 1
         assert "Traceback" not in result.stderr
         assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+    @pytest.mark.parametrize("args", [
+        ["case", "info", "--case", "bad.m"],
+        ["solve", "dc", "-c", CONFIG_DIR / "sweep14.ini",
+         "--set", "case.path=bad.m", "--set", "solve.k=190"],
+    ], ids=["case-info", "solve-dc"])
+    def test_non_finite_case_entry_is_an_error_line(self, tmp_path, args):
+        # case14 with bus 4's load read as NaN: unchecked, case info prints
+        # a NaN total load and the DC search on it does not end.
+        text = Path(packaged_case_path("case14")).read_text()
+        text, count = re.subn(r"(?m)^(\s+4\s+1\s+)47\.8(\s)", r"\g<1>nan\2",
+                              text)
+        assert count == 1
+        (tmp_path / "bad.m").write_text(text)
+        before = sorted(tmp_path.rglob("*"))
+        result = run_cli(args, cwd=tmp_path)
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == [
+            lines[-1]]
+        assert lines[-1].endswith(
+            "line 28: non-finite entry in matrix 'bus'")
+        assert "Traceback" not in result.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_scenario_csv_without_labels_is_an_error_line(self, tmp_path):
+        # Three scenarios and no label row: read as the labels, the first
+        # scenario would be lost, and the run would go on with S = 2.
+        (tmp_path / "train.csv").write_text("0.01,0.02\n0.03,-0.01\n0,0\n")
+        result = run_cli(
+            ["solve", "dc", "-c", CONFIG_DIR / "tutorial.ini",
+             "--set", "scenarios.train_csv=train.csv",
+             "--set", "scenarios.test_s=10"],
+            cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == (
+            "error: config key scenarios.train_csv: train.csv: row 1 holds "
+            "numbers, not column labels; a scenario CSV starts with a label "
+            "row")
+        assert "Traceback" not in result.stderr
 
 
 # Text that every key of _KEYS but output.dir must reject (any text names a
@@ -645,6 +695,24 @@ class TestSolveAc:
         assert ("alternating solve failed: starting-point power flow: "
                 "no convergence" in log_text)
         assert not (tmp_path / "out" / "ac14_solution.csv").exists()
+
+    def test_case300s_linearization_loop_says_why_it_stops(self, tmp_path):
+        # The deterministic stage on case300s does not settle: the
+        # linearized rows move between passes, and every pass steps the
+        # dispatch by 2-4 p.u.  The run ends as a numerical failure that
+        # names the loop, and writes only its log.
+        result = run_cli(
+            ["solve", "ac", "--config", CONFIG_DIR / "sweep300.ini",
+             "--set", "solve.model=ac", "--set", "scenarios.train_s=40",
+             "--set", "solve.k=38", "--set", "scenarios.test_s=500"],
+            cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+        log_text = (tmp_path / "out" / "sweep300.log").read_text()
+        assert ("alternating solve failed: linearization loop still moving "
+                "after 20 passes (last step " in log_text)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [
+            "sweep300.log"]
 
     def test_rated_branches_are_monitored(self, tmp_path):
         # Every branch rated at 2 p.u.: the 34 machine and voltage rows,

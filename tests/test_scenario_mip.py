@@ -322,6 +322,20 @@ class TestQpSolve:
         assert capped.iterations == 12 + 600
         assert "iteration cap 600" in capped.message
 
+    @pytest.mark.parametrize("system", [
+        LinearSystem.make(a_eq=[[1.0, 1.0]], b_eq=[np.nan]),
+        LinearSystem.make(a_ineq=[[1.0, 0.0]], b_ineq=[np.nan],
+                          a_eq=[[1.0, 1.0]], b_eq=[1.0]),
+    ], ids=["nan-equality", "nan-inequality"])
+    def test_nan_data_fails_the_kkt_gate(self, system):
+        # A NaN residual fails no "residual > tol" test, and Python's max
+        # drops a NaN that is not its first argument: without both checks
+        # the first system is OPTIMAL at [nan, nan], and the second at
+        # [0.5, 0.5] with its NaN row ignored.
+        result = qp_solve(QuadraticCost(h=np.eye(2), g=np.zeros(2)), system)
+        assert result.status == NUMERICAL_FAILURE
+        assert result.x is None
+
     def test_unbounded_lp(self):
         cost = QuadraticCost(h=np.zeros((1, 1)), g=np.array([1.0]))
         system = LinearSystem.make(a_ineq=[[1.0]], b_ineq=[5.0])  # x <= 5

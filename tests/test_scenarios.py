@@ -65,6 +65,14 @@ class TestCovariance:
             GaussianSpec(forecasts=np.array([0.2]), zeta=0.1, rho=1.0)
         with pytest.raises(ValueError, match="positive"):
             GaussianSpec(forecasts=np.array([0.2, -0.1]), zeta=0.1, rho=0.2)
+        # Neither "p <= 0" nor "zeta > 0" rejects these; the covariance
+        # built from them is not PSD.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianSpec(forecasts=np.array([bad, 0.2]), zeta=0.1,
+                             rho=0.2)
+            with pytest.raises(ValueError, match="finite"):
+                GaussianSpec(forecasts=np.array([0.2]), zeta=bad, rho=0.2)
 
 
 class TestSample:
@@ -153,6 +161,14 @@ class TestCsv:
         path.write_text("a,b\n0.1,0.2\n0.0,nan\n")
         with pytest.raises(ValueError, match=r"non-finite.*row 3, column 2"):
             load_csv(path, spec=GaussianSpec(**PAPER_14))
+
+    def test_missing_label_row_named(self, tmp_path):
+        # Read as labels, the first of the three scenarios would be lost.
+        path = tmp_path / "bare.csv"
+        path.write_text("# seed=1\n0.1,0.2\n0.3,0.1\n0.0,0.0\n")
+        with pytest.raises(ValueError, match=r"row 2 holds numbers, not "
+                                             r"column labels"):
+            load_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
