@@ -720,6 +720,26 @@ class SelectionProblem:
         lam = np.where(rhs.min(axis=0) < self.base.b_ineq, lam, 0.0)
         return np.bincount(owner, weights=lam, minlength=self.n_scenarios)
 
+    def branching_scenario(self, x, duals, violation):
+        """The scenario that a node with optimum x and row multipliers
+        duals branches on; violation holds each Undecided scenario's
+        largest row violation at x, and -inf for a decided one.
+
+        Of the scenarios violated by more than ROW_TOL, the one whose
+        score sum_i duals_i (a_i x - b_ji)_+ over the rows with positive
+        multipliers is largest wins: the first-order rise of the node
+        bound when it is enforced, a dual estimate of strong branching.
+        When every score is 0 or there are no duals, the largest
+        violation wins instead.  Ties go to the lowest index.
+        """
+        if duals is not None:
+            tight = np.flatnonzero(duals > 0.0)
+            excess = np.maximum(self.a[tight] @ x - self.b[:, tight], 0.0)
+            score = np.where(violation > ROW_TOL, excess @ duals[tight], 0.0)
+            if score.max() > 0.0:
+                return int(np.argmax(score))
+        return int(np.argmax(violation))
+
     def _all_enforced(self):
         """The read-only qp_solve result of node_system(all scenarios),
         solved cold once per shared holder."""
@@ -806,9 +826,12 @@ def solve_selection(problem, options=None):
     solved lazily when popped, re-queued if the refined bound is no longer
     best.  A node whose relaxation already satisfies enough Undecided
     blocks to reach k yields an incumbent and is fathomed by optimality.
-    Branching takes the Undecided scenario with the largest violation at
-    the node solution (lowest index on ties); children enforce or relax
-    it.  Every node system loosens the all-enforced one, so every node QP
+    Branching takes the violated Undecided scenario j with the largest
+    score sum_i lambda_i (a_i x - b_ji)_+ over the rows whose node-QP
+    multiplier lambda_i is positive, or the largest violation when every
+    score is 0 or the QP returned no multipliers, ties to the lowest
+    index (SelectionProblem.branching_scenario); children enforce or
+    relax it.  Every node system loosens the all-enforced one, so every node QP
     warm-starts from the all-enforced optimum and moves it to the node's
     RHS; qp_solve alone recovers when that path gives up, and one node is
     one QP.  A node QP that ends in NUMERICAL_FAILURE ends the search,
@@ -937,7 +960,8 @@ def solve_selection(problem, options=None):
                         1.0, abs(incumbent[0])):
                     incumbent = (result.value, result.x, enforced | satisfied)
                 continue  # fathomed by optimality at this node
-            branch = np.argmax(viol)  # ties: argmax takes the first
+            branch = problem.branching_scenario(result.x, result.duals_ineq,
+                                                viol)
         elif undecided.any():
             # Unbounded node relaxation: no point to branch on; take the
             # lowest-index undecided scenario.

@@ -678,6 +678,55 @@ class TestSelectionProblem:
                                      lam), expected)
 
 
+class TestBranchingScenario:
+    """The branch choice at the node optimum x = (1, 1) of three rows, x1,
+    x2 and x1 + x2, whose values there are 1, 1 and 2."""
+
+    def branch(self, b, duals, decided=()):
+        a = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        problem = SelectionProblem(
+            cost=QuadraticCost(h=np.eye(2), g=np.zeros(2)),
+            base=LinearSystem.make(a_ineq=a, b_ineq=np.full(3, 10.0)),
+            b=b, k=1)
+        x = np.ones(2)
+        worst = (problem.a @ x - problem.b).max(axis=1)
+        violation = np.where(mask(len(b), decided), -np.inf, worst)
+        return problem.branching_scenario(
+            x, None if duals is None else np.asarray(duals, dtype=float),
+            violation)
+
+    # Scores under the multipliers (2, 0, 1): 1.0, 0 and 1.3; scenario 1
+    # violates only the row without a multiplier, by the most.
+    SCORED = [[0.5, 10.0, 10.0], [10.0, -5.0, 10.0], [0.7, 10.0, 1.3]]
+
+    def test_largest_score_wins(self):
+        assert self.branch(self.SCORED, [2.0, 0.0, 1.0]) == 2
+
+    def test_score_tie_goes_to_the_lowest_index(self):
+        # Scores 0.2, 1.0, 1.0 and 0; scenario 3 has the largest violation.
+        b = [[0.9, 10.0, 10.0], [10.0, 10.0, 1.0], [0.75, 10.0, 1.5],
+             [10.0, -5.0, 10.0]]
+        assert self.branch(b, [2.0, 0.0, 1.0]) == 1
+
+    @pytest.mark.parametrize("duals", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    def test_all_zero_scores_take_the_largest_violation(self, duals):
+        # No violated scenario breaks row 0: every score is 0.
+        b = [[10.0, 0.5, 10.0], [10.0, -2.0, 10.0], [10.0, 10.0, 1.5]]
+        assert self.branch(b, duals) == 1
+
+    def test_no_duals_take_the_largest_violation(self):
+        assert self.branch(self.SCORED, None) == 1
+
+    @pytest.mark.parametrize("duals", [[1e9, 0.0, 1.0], None])
+    def test_satisfied_or_decided_scenarios_are_never_picked(self, duals):
+        # Scenario 0 is decided and scores 1e9; scenario 1 is within
+        # ROW_TOL of its row 0 and scores about 50; scenarios 2 and 3 are
+        # violated on row 2 by 0.5 and 0.25.
+        b = [[0.0, 10.0, 10.0], [1.0 - 5e-8, 10.0, 10.0],
+             [10.0, 10.0, 1.5], [10.0, 10.0, 1.75]]
+        assert self.branch(b, duals, decided=[0]) == 2
+
+
 class TestMergedRowSet:
     """build_selection_from_ccopf's base rows are the shared rows, so a
     node system is one row set a x <= min(base bound, enforced bound).
@@ -817,6 +866,20 @@ class TestSolveSelection:
                                                   abs=1e-9), f"trial {trial}"
             solved += 1
         assert solved >= 10  # the generator must mostly produce feasible runs
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_problems_match_subset_enumeration(self, seed):
+        # The trees the branching rule grows end at the exact answer: the
+        # status and optimum of enumerating every k-subset.
+        problem = random_selection_problem(np.random.default_rng(seed),
+                                           s_max=9)
+        sol = solve_selection(problem)
+        oracle = selection_oracle(problem)
+        if oracle is None:
+            assert sol.status == INFEASIBLE
+        else:
+            assert sol.status == OPTIMAL
+            assert sol.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
 
     def test_infeasible_base_detected(self):
         # x <= 0 and x >= 1 always hold (the scenario repeats them), and
@@ -1126,8 +1189,8 @@ class TestSearchPins:
         ("sweep14", 190, 1, 2, [8, 20, 41, 77, 86, 95, 127, 169, 185, 188]),
         ("sweep14", 198, 1, 2, [95, 185]),
         ("sweep14", 200, 0, 1, []),
-        ("sweep300", 297, 21, 22, [93, 105, 270]),
-        ("sweep300", 294, 63, 64, [74, 93, 105, 248, 249, 270]),
+        ("sweep300", 297, 9, 10, [93, 105, 270]),
+        ("sweep300", 294, 43, 44, [74, 93, 105, 248, 249, 270]),
         ("sweep300", 291, 57, 58,
          [55, 74, 93, 105, 119, 146, 248, 249, 270]),
     ])
@@ -1138,7 +1201,7 @@ class TestSearchPins:
         assert np.flatnonzero(sol.z_star).tolist() == relaxed
 
     @pytest.mark.parametrize("limit, gap", [
-        (0, np.inf), (1, 5.754e-4), (5, 5.107e-4)])
+        (0, np.inf), (1, 5.754e-4), (5, 5.217e-4)])
     def test_node_limit_stops_at_the_greedy_cost(self, limit, gap):
         # The exact search at k = 291 takes 57 nodes to 518738.97.
         sol = solve_selection(config_problem("sweep300", 291),
@@ -1231,9 +1294,9 @@ class TestParametricWarmStart:
 
     def test_warm_nodes_take_few_iterations_on_sweep300(self, monkeypatch):
         # Every QP after the all-enforced anchor starts from the anchor's
-        # optimum.  A cold solve takes about 48 iterations per node; the
-        # path changes about 2 working rows.
-        problem = config_problem("sweep300", 297)
+        # optimum.  At k = 294 (44 QPs) a cold solve takes about 65
+        # iterations per node; the path changes about 3 working rows.
+        problem = config_problem("sweep300", 294)
         anchor = qp_solve(problem.cost, problem.node_system(
             np.ones(problem.n_scenarios, dtype=bool)))
 
