@@ -852,8 +852,9 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
     Rows are dicts keyed by evaluation.CSV_COLUMNS, in ascending epsilon*
     (descending k), and digest is that of the sweep's resolved inputs;
     cmd_sweep writes both with write_sweep_csv and write_sweep_svg.  Each
-    row also holds its solution's nodes, qp_count, iterations, relaxed
-    training scenarios (ascending) and message, which cmd_sweep logs.
+    row also holds its solution's candidates, nodes, qp_count, iterations,
+    relaxed training scenarios (ascending) and message, which cmd_sweep
+    logs.
     ro_set chooses the normalization baseline: by default the training set
     itself; pass a larger independent set to normalize against the sampled
     robust proxy; its size, seed and spec digest then enter the digest.
@@ -875,14 +876,15 @@ def sweep_k(net, training_set, test_set, k_values, *, ro_set=None,
         row = {"k": k, "epsilon_star": params.epsilon,
                "bound": params.bound, "cost": np.nan, "cost_vs_ro": np.nan,
                "joint_violation": np.nan, "time_s": 0.0, "status": "",
-               "nodes": None, "qp_count": None, "iterations": None,
-               "relaxed": None, "message": ""}
+               "candidates": None, "nodes": None, "qp_count": None,
+               "iterations": None, "relaxed": None, "message": ""}
         try:
             start = time.perf_counter()
             sol, _ = net.solve(training_set, k)
             elapsed = time.perf_counter() - start
-            row.update(nodes=sol.nodes, qp_count=sol.qp_count,
-                       iterations=sol.iterations, message=sol.message,
+            row.update(candidates=sol.candidates, nodes=sol.nodes,
+                       qp_count=sol.qp_count, iterations=sol.iterations,
+                       message=sol.message,
                        relaxed=() if sol.z_star is None else tuple(
                            np.flatnonzero(sol.z_star).tolist()))
             if sol.status == OPTIMAL:
@@ -929,7 +931,8 @@ def cmd_sweep(args):
         errors = 0
         for row in rows:
             search = "" if row["nodes"] is None else (
-                f" nodes={row['nodes']} qps={row['qp_count']} "
+                f" candidates={row['candidates']} nodes={row['nodes']} "
+                f"qps={row['qp_count']} "
                 f"iterations={row['iterations']} "
                 f"relaxed={','.join(map(str, row['relaxed']))}")
             if row["status"] == OPTIMAL:

@@ -196,8 +196,8 @@ def ro_baseline(case, fleet, training_set, *, cc=None):
     return SelectionSolution(
         x_star=result.x, z_star=np.zeros(s, dtype=int),
         objective=result.value, status=OPTIMAL, nodes=0, qp_count=1,
-        iterations=result.iterations, gap=0.0, duals_ineq=result.duals_ineq,
-        duals_eq=result.duals_eq)
+        candidates=s, iterations=result.iterations, gap=0.0,
+        duals_ineq=result.duals_ineq, duals_eq=result.duals_eq)
 
 
 def config_digest(**parts):

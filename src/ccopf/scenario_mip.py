@@ -52,6 +52,7 @@ walk the path once.  Shared results are read-only.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import heapq
 import itertools
@@ -135,10 +136,6 @@ class LinearSystem:
         if ai.shape[1] != ae.shape[1]:
             raise ValueError("inconsistent variable counts")
         return cls(ai, bi, ae, be)
-
-    @property
-    def n(self):
-        return self.a_ineq.shape[1] if self.a_ineq.size else self.a_eq.shape[1]
 
 
 @dataclass
@@ -628,6 +625,24 @@ def _digest(*arrays):
     return digest.digest()
 
 
+@dataclass(frozen=True)
+class _Screen:
+    """The order-statistic screen of a SelectionProblem: the candidate
+    scenarios (ascending) and their RHS block, and the implied ones
+    (ascending)."""
+
+    candidates: np.ndarray
+    b: np.ndarray
+    implied: np.ndarray
+
+
+def _least_row(rows, ids):
+    """Per column, the least entry of rows and the id of the row holding
+    it, the first row on ties."""
+    at = np.argmin(rows, axis=0)
+    return rows[at, np.arange(rows.shape[1])], ids[at]
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionProblem:
     """k-of-S selection instance whose scenarios shift only the RHS.
@@ -638,6 +653,21 @@ class SelectionProblem:
     only shifts the right-hand side.  Any set of enforced blocks therefore
     collapses, with the base, into the single row set
     a x <= min(base bound, row-wise minimum of their b[j]).
+
+    Most scenarios cannot matter to the search (Luedtke, Ahmed and
+    Nemhauser, Math. Prog. 122, 2010).  Let q_i be the (S - k + 1)-th
+    smallest capped RHS min(base bound, b_ji) of row i over all
+    scenarios.  A completion enforces at least k scenarios, so the least
+    capped RHS among them is at most q_i, and every dispatch it admits
+    has a_i x <= q_i; so does every node system (see node_system).  A
+    scenario whose capped RHS is strictly above q_i on every row is
+    implied: it holds wherever a completion or a node optimum does, so it
+    never binds a node row, never owns a weight and is never branched
+    on.  The screen is computed once per problem, and the readers of the
+    search take the rest, the candidates, from their own (C, m) block
+    of b.  The inequality is strict because a scenario whose RHS equals
+    q_i can be the one that sets a node's order statistic.  Every method
+    still returns for any masks what it would on the full matrix.
 
     _shared holds the k-independent work.  build_selection_from_ccopf
     hands one holder to every problem on the same data; a problem
@@ -676,6 +706,50 @@ class SelectionProblem:
         """The scenario blocks as (A_j, b_j) pairs."""
         return tuple((self.a, b_j) for b_j in self.b)
 
+    @functools.cached_property
+    def _screen(self):
+        """The order-statistic screen (see the class docstring), computed
+        on first use, so that a problem at k = S never computes it."""
+        r = self.n_scenarios - self.k
+        beta = self.base.b_ineq
+        # Capping commutes with an order statistic, so q is the (r+1)-th
+        # smallest capped RHS.  min(beta_i, b_ji) > q_i on every row when
+        # b_ji > q_i there and beta > q everywhere.
+        q = np.minimum(np.partition(self.b, r, axis=0)[r], beta)
+        implied = (self.b > q).all(axis=1) & bool((beta > q).all())
+        candidates, implied = np.flatnonzero(~implied), np.flatnonzero(implied)
+        return _Screen(candidates, self.b[candidates], implied)
+
+    @functools.cached_property
+    def _implied_least(self):
+        """_least_row over every implied scenario, for the masks that hold
+        them all, as the greedy path's do; computed on first use."""
+        implied = self._screen.implied
+        return _least_row(self.b[implied], implied)
+
+    def _least(self, mask):
+        """Per row, the least RHS over the scenarios in mask and the
+        scenario attaining it, lowest index on ties; None for an empty
+        mask.  The candidates' part comes from their block, and the
+        implied scenarios' from _implied_least when mask holds them all."""
+        screen = self._screen
+        parts = []
+        inside = mask[screen.candidates]
+        if inside.any():
+            parts.append(_least_row(screen.b[inside],
+                                    screen.candidates[inside]))
+        inside = mask[screen.implied]
+        if inside.all() and inside.size:
+            parts.append(self._implied_least)
+        elif inside.any():
+            ids = screen.implied[inside]
+            parts.append(_least_row(self.b[ids], ids))
+        if len(parts) < 2:
+            return parts[0] if parts else None
+        (least, owner), (other, other_owner) = parts
+        take = (other < least) | ((other == least) & (other_owner < owner))
+        return np.where(take, other, least), np.where(take, other_owner, owner)
+
     def node_system(self, enforced, relaxed=None):
         """Constraint system bounding a branch-and-bound node from below.
 
@@ -687,15 +761,37 @@ class SelectionProblem:
         completion discards at most r undecided blocks, so at least one of
         the r+1 tightest per row survives.  The system stays a relaxation
         of every completion while being far tighter than the enforced
-        rows alone, and it has the base's rows, whatever the node.
+        rows alone, and it has the base's rows, whatever the node.  A
+        relaxed mask holds at most S - k scenarios.
+
+        Each such row is at most the screen's q_i: of the S - k + 1
+        scenarios with the least RHS on row i, at most |relaxed| are
+        relaxed, so one is enforced or r + 1 are undecided.  An implied
+        scenario is strictly above q_i, so wherever it would enter the
+        (r+1)-th smallest over U, the enforced minimum already sets the
+        row; the order statistic reads the undecided candidates only, and
+        the answer is the full matrix's, for any masks.  With every
+        scenario enforced (the all-enforced anchor, and the one QP at
+        k = S) the row minimum of b needs no screen.
         """
-        b_min = self.b[enforced].min(axis=0) if enforced.any() else None
         if relaxed is not None:
-            undecided = ~(enforced | relaxed)
             budget = self.n_scenarios - self.k - int(relaxed.sum())
-            if undecided.sum() > budget:
-                stat = np.partition(self.b[undecided], budget, axis=0)[budget]
-                b_min = stat if b_min is None else np.minimum(b_min, stat)
+            if budget < 0:
+                raise ValueError(f"relaxed holds {int(relaxed.sum())} "
+                                 f"scenarios, more than S - k = "
+                                 f"{self.n_scenarios - self.k}")
+        if enforced.all():
+            b_min = self.b.min(axis=0)
+        else:
+            least = self._least(enforced)
+            b_min = None if least is None else least[0]
+            if relaxed is not None:
+                screen = self._screen
+                undecided = ~(enforced | relaxed)[screen.candidates]
+                if undecided.sum() > budget:
+                    stat = np.partition(screen.b[undecided], budget,
+                                        axis=0)[budget]
+                    b_min = stat if b_min is None else np.minimum(b_min, stat)
         base = self.base
         if b_min is None:
             return base
@@ -715,29 +811,34 @@ class SelectionProblem:
         if not enforced.any():
             return np.zeros(self.n_scenarios)
         lam = np.maximum(np.asarray(row_weights, dtype=float), 0.0)
-        rhs = self.b[enforced]
-        owner = np.flatnonzero(enforced)[np.argmin(rhs, axis=0)]
-        lam = np.where(rhs.min(axis=0) < self.base.b_ineq, lam, 0.0)
+        least, owner = self._least(enforced)
+        lam = np.where(least < self.base.b_ineq, lam, 0.0)
         return np.bincount(owner, weights=lam, minlength=self.n_scenarios)
 
     def branching_scenario(self, x, duals, violation):
         """The scenario that a node with optimum x and row multipliers
-        duals branches on; violation holds each Undecided scenario's
-        largest row violation at x, and -inf for a decided one.
+        duals branches on; violation holds each Undecided candidate's
+        largest row violation at x, and -inf for a decided or implied
+        one.
 
         Of the scenarios violated by more than ROW_TOL, the one whose
         score sum_i duals_i (a_i x - b_ji)_+ over the rows with positive
         multipliers is largest wins: the first-order rise of the node
         bound when it is enforced, a dual estimate of strong branching.
         When every score is 0 or there are no duals, the largest
-        violation wins instead.  Ties go to the lowest index.
+        violation wins instead.  Ties go to the lowest index.  Only the
+        violated scenarios' entries of b are read, and each score is a
+        sum over its own row, so it does not depend on which other
+        scenarios are scored.
         """
-        if duals is not None:
+        violated = np.flatnonzero(violation > ROW_TOL)
+        if duals is not None and violated.size:
             tight = np.flatnonzero(duals > 0.0)
-            excess = np.maximum(self.a[tight] @ x - self.b[:, tight], 0.0)
-            score = np.where(violation > ROW_TOL, excess @ duals[tight], 0.0)
+            excess = np.maximum(
+                self.a[tight] @ x - self.b[np.ix_(violated, tight)], 0.0)
+            score = (excess * duals[tight]).sum(axis=1)
             if score.max() > 0.0:
-                return int(np.argmax(score))
+                return int(violated[np.argmax(score)])
         return int(np.argmax(violation))
 
     def _all_enforced(self):
@@ -772,6 +873,7 @@ class SelectionSolution:
     status: str
     nodes: int = 0
     qp_count: int = 0
+    candidates: int = 0  # scenarios the screen left to the search
     iterations: int = 0  # active-set iterations of the qp_count QPs
     gap: float = np.nan
     duals_ineq: np.ndarray | None = None
@@ -826,6 +928,12 @@ def solve_selection(problem, options=None):
     solved lazily when popped, re-queued if the refined bound is no longer
     best.  A node whose relaxation already satisfies enough Undecided
     blocks to reach k yields an incumbent and is fathomed by optimality.
+    The search scans only the candidate scenarios of the problem's
+    screen (see SelectionProblem) for violations: an implied scenario is
+    strictly looser than every node row on every row, so it holds at
+    every node optimum, counts as satisfied while Undecided and is never
+    branched on.  The solution's candidates counts them (S at k = S,
+    where the one QP needs no screen).
     Branching takes the violated Undecided scenario j with the largest
     score sum_i lambda_i (a_i x - b_ji)_+ over the rows whose node-QP
     multiplier lambda_i is positive, or the largest violation when every
@@ -866,7 +974,7 @@ def solve_selection(problem, options=None):
             x_star=x, z_star=None if kept is None else (~kept).astype(int),
             objective=value, status=status, nodes=nodes, qp_count=qp_count,
             iterations=iterations, gap=gap, duals_ineq=duals[0],
-            duals_eq=duals[1], message=message)
+            duals_eq=duals[1], message=message, candidates=candidates)
 
     def failed_at(result, enforced, relaxed):
         """The search ends with the status of the node QP just solved,
@@ -888,6 +996,7 @@ def solve_selection(problem, options=None):
     all_enforced = problem._all_enforced()
     # shared or not, the all-enforced QP is this search's first QP
     qp_count, iterations = 1, all_enforced.iterations
+    candidates = s
     if k == s:
         if all_enforced.status != OPTIMAL:
             return finish(all_enforced.status, message=(
@@ -897,6 +1006,8 @@ def solve_selection(problem, options=None):
                       0.0, (all_enforced.duals_ineq, all_enforced.duals_eq))
     if all_enforced.status == OPTIMAL:
         anchor = all_enforced
+    screen = problem._screen
+    candidates = screen.candidates.size
     incumbent = None  # (value, x, kept mask)
     warm = greedy_incumbent(problem)
     if warm is not None:
@@ -950,10 +1061,12 @@ def solve_selection(problem, options=None):
                 bound = -np.inf
 
         if result.status == OPTIMAL:
-            # Largest row violation per scenario, -inf outside Undecided.
-            worst = (problem.a @ result.x - problem.b).max(axis=1,
-                                                           initial=-np.inf)
-            viol = np.where(undecided, worst, -np.inf)
+            # Largest row violation per Undecided candidate, -inf for the
+            # rest: an implied scenario holds at every node optimum.
+            viol = np.full(s, -np.inf)
+            viol[screen.candidates] = (problem.a @ result.x - screen.b).max(
+                axis=1, initial=-np.inf)
+            viol[~undecided] = -np.inf
             satisfied = undecided & (viol <= ROW_TOL)
             if enforced.sum() + satisfied.sum() >= k:
                 if incumbent is None or result.value < incumbent[0] - 1e-12 * max(

@@ -56,6 +56,12 @@ def respond(case, fleet, state, xi):
                     theta0=state.theta, vmag0=np.sqrt(state.v))
 
 
+def variable_count(system):
+    """The number of variables of a scenario_mip.LinearSystem."""
+    a = system.a_ineq if system.a_ineq.size else system.a_eq
+    return a.shape[1]
+
+
 def row_values(cc, x, xi):
     """The row left-hand sides of a CcSystem at a dispatch and an error
     vector (or a batch of error vectors, one per row of xi)."""

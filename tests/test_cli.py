@@ -904,9 +904,9 @@ class TestSweep:
                                       "injected")
         assert rows[0]["message"] == ""
         assert (
-            "k=36 epsilon*=0.269267 status=ERROR:NewtonError nodes=1 qps=2 "
-            "iterations=5 relaxed=10,19,29,35 reason=nominal power flow for "
-            "evaluation: injected"
+            "k=36 epsilon*=0.269267 status=ERROR:NewtonError candidates=17 "
+            "nodes=1 qps=2 iterations=5 relaxed=10,19,29,35 reason=nominal "
+            "power flow for evaluation: injected"
         ) in (out / "ac14.log").read_text().splitlines()
 
     def test_failed_robust_baseline_keeps_the_solved_rows(self, tmp_path):
@@ -925,8 +925,8 @@ class TestSweep:
         log_text = (tmp_path / "out" / "sweep14.log").read_text()
         assert "robust baseline failed: robust baseline infeasible" in log_text
         assert (
-            "k=200 epsilon*=0.0262734 status=INFEASIBLE nodes=0 qps=1 "
-            "iterations=10 relaxed= reason=all-enforced QP (|E| = 200, "
+            "k=200 epsilon*=0.0262734 status=INFEASIBLE candidates=200 nodes=0 "
+            "qps=1 iterations=10 relaxed= reason=all-enforced QP (|E| = 200, "
             "|R| = 0): constraints are inconsistent"
         ) in log_text.splitlines()
 

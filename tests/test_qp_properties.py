@@ -27,6 +27,7 @@ from ccopf.scenario_mip import (
     QuadraticCost,
     qp_solve,
 )
+from conftest import variable_count
 
 TOL = 1e-7
 
@@ -108,7 +109,7 @@ def test_lp_through_the_active_set_engine_matches_highs(form, data):
     # recession LP decides that, because HiGHS's presolve can call an
     # unbounded LP infeasible (status 2) when it has a zero row.
     system = data.draw(feasible_systems(boxed=data.draw(st.booleans())))
-    n = system.n
+    n = variable_count(system)
     g = _ints(data.draw, (n,))
     if form == "direct":
         res = qp_solve(QuadraticCost(h=np.zeros((n, n)), g=g), system)
@@ -139,7 +140,7 @@ def test_lp_through_the_active_set_engine_matches_highs(form, data):
 @given(st.data())
 def test_positive_definite_qp_meets_kkt(data):
     system = data.draw(feasible_systems(boxed=False))
-    n = system.n
+    n = variable_count(system)
     h = psd_hessian(data.draw, n, n) + np.eye(n)
     cost = QuadraticCost(h=h, g=_ints(data.draw, (n,)))
     assert_kkt(cost, system, qp_solve(cost, system))
@@ -148,7 +149,7 @@ def test_positive_definite_qp_meets_kkt(data):
 @given(st.data())
 def test_positive_semidefinite_qp_meets_kkt(data):
     system = data.draw(feasible_systems())
-    n = system.n
+    n = variable_count(system)
     rank = data.draw(st.integers(1, n))
     cost = QuadraticCost(h=psd_hessian(data.draw, n, rank),
                          g=_ints(data.draw, (n,)))
@@ -161,7 +162,7 @@ def test_zero_curvature_direction_is_bounded_or_unbounded(data):
     # stopped by a row (OPTIMAL, KKT holds) or reported UNBOUNDED, and the
     # recession LP says which.
     system = data.draw(feasible_systems(boxed=False))
-    n = system.n
+    n = variable_count(system)
     curved = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     cost = QuadraticCost(h=np.diag(np.array(curved, dtype=float)),
                          g=_ints(data.draw, (n,)))
@@ -178,7 +179,7 @@ def infeasible_systems(draw):
     -a x <= -c - 1 (a may be zero), some zero rows that hold, and the rows
     in a drawn order."""
     system = draw(feasible_systems(boxed=draw(st.booleans())))
-    n = system.n
+    n = variable_count(system)
     a = _ints(draw, (1, n))
     c = float(draw(st.integers(-5, 5)))
     zeros = draw(st.integers(0, 2))
@@ -230,7 +231,7 @@ def test_infeasible_system_has_a_farkas_certificate(data):
     # phase-1 projection does; either comes from a blocking row that
     # depends on the working set.
     system = data.draw(infeasible_systems())
-    n = system.n
+    n = variable_count(system)
     h = np.eye(n) if data.draw(st.booleans()) else np.zeros((n, n))
     assert_farkas(system,
                   qp_solve(QuadraticCost(h=h, g=_ints(data.draw, (n,))),
@@ -266,7 +267,7 @@ def test_infeasible_system_takes_no_phase_1(data):
     # point of an empty set, so it stops at a blocking row that depends
     # on the working set, and its certificate decides without phase 1.
     system = data.draw(infeasible_systems())
-    n = system.n
+    n = variable_count(system)
     cost = QuadraticCost(h=psd_hessian(data.draw, n, n) + np.eye(n),
                          g=_ints(data.draw, (n,)))
     with counted_phase1() as phase1:
@@ -282,7 +283,7 @@ def test_free_start_reaches_the_phase_1_optimum(data):
     # leaves the run from phase 1's point.  Both are KKT-certified, with
     # one value.
     system = data.draw(feasible_systems(boxed=data.draw(st.booleans())))
-    n = system.n
+    n = variable_count(system)
     cost = QuadraticCost(h=psd_hessian(data.draw, n, n) + np.eye(n),
                          g=_ints(data.draw, (n,)))
     free = qp_solve(cost, system)
@@ -302,7 +303,7 @@ def test_warm_start_after_loosening_matches_a_cold_solve(data):
     psd = data.draw(st.booleans())
     system = data.draw(feasible_systems(
         boxed=psd or data.draw(st.booleans())))
-    n = system.n
+    n = variable_count(system)
     if psd:
         h = psd_hessian(data.draw, n, data.draw(st.integers(1, n)))
     else:

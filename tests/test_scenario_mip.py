@@ -30,6 +30,7 @@ from ccopf.scenario_mip import (
     INFEASIBLE,
     NUMERICAL_FAILURE,
     OPTIMAL,
+    ROW_TOL,
     UNBOUNDED,
     LinearSystem,
     QpSubproblemResult,
@@ -817,6 +818,132 @@ class TestMergedRowSet:
             problem.scenario_weights(mask(12, enforced), lam), expected)
 
 
+def screened_problem(seed, draw):
+    """A random_selection_problem draw (at most 9 scenarios), as drawn
+    ("plain": its box rows sit on the base bound in every scenario, so the
+    screen implies none); with those rows lowered by a random amount per
+    entry and each scenario's RHS then raised by its own random amount,
+    so that some scenarios are loose on every row ("varied"); or varied
+    and then rounded to a 0.5 grid, which makes many RHS entries tie
+    ("grid")."""
+    rng = np.random.default_rng(seed)
+    problem = random_selection_problem(rng, s_max=9)
+    b = problem.b.copy()
+    if draw != "plain":
+        s, box = b.shape[0], 2 * problem.cost.n
+        b[:, :box] -= rng.uniform(0.0, 2.0, size=(s, box))
+        b += rng.exponential(1.0, size=(s, 1))
+    if draw == "grid":
+        b = np.round(b * 2.0) / 2.0
+    return SelectionProblem(cost=problem.cost, base=problem.base, b=b,
+                            k=problem.k), rng
+
+
+def full_node_system(problem, enforced, relaxed=None):
+    """SelectionProblem.node_system on the whole RHS matrix."""
+    b = problem.b
+    b_min = b[enforced].min(axis=0) if enforced.any() else None
+    if relaxed is not None:
+        undecided = ~(enforced | relaxed)
+        budget = problem.n_scenarios - problem.k - int(relaxed.sum())
+        if undecided.sum() > budget:
+            stat = np.partition(b[undecided], budget, axis=0)[budget]
+            b_min = stat if b_min is None else np.minimum(b_min, stat)
+    if b_min is None:
+        return problem.base.b_ineq
+    return np.minimum(problem.base.b_ineq, b_min)
+
+
+def full_scenario_weights(problem, enforced, row_weights):
+    """SelectionProblem.scenario_weights on the whole RHS matrix."""
+    if not enforced.any():
+        return np.zeros(problem.n_scenarios)
+    lam = np.maximum(row_weights, 0.0)
+    rhs = problem.b[enforced]
+    owner = np.flatnonzero(enforced)[np.argmin(rhs, axis=0)]
+    lam = np.where(rhs.min(axis=0) < problem.base.b_ineq, lam, 0.0)
+    return np.bincount(owner, weights=lam, minlength=problem.n_scenarios)
+
+
+def full_branching_scenario(problem, x, duals, violation):
+    """SelectionProblem.branching_scenario, scoring every scenario."""
+    tight = np.flatnonzero(duals > 0.0)
+    excess = np.maximum(problem.a[tight] @ x - problem.b[:, tight], 0.0)
+    score = np.where(violation > ROW_TOL,
+                     (excess * duals[tight]).sum(axis=1), 0.0)
+    if score.max() > 0.0:
+        return int(np.argmax(score))
+    return int(np.argmax(violation))
+
+
+class TestImpliedScreen:
+    """The order-statistic screen changes what the search reads, never
+    what it computes: every method equals its full-matrix reference for
+    any masks, and the implied scenarios hold at the optimum."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           draw=st.sampled_from(["plain", "varied", "grid"]))
+    def test_screen_is_exact(self, seed, draw):
+        problem, rng = screened_problem(seed, draw)
+        s, k = problem.n_scenarios, problem.k
+        screen = problem._screen
+        implied = screen.implied
+        if draw == "plain":
+            assert implied.size == 0
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([screen.candidates, implied])),
+            np.arange(s))
+        np.testing.assert_array_equal(screen.b, problem.b[screen.candidates])
+        m, n = problem.a.shape
+        # Masks as a search makes them (implied scenarios undecided),
+        # and any others, implied scenarios enforced or relaxed included.
+        for trial in range(6):
+            label = rng.integers(0, 3, size=s)  # 0 undecided, 1 E, 2 R
+            if trial == 0:
+                label[implied] = 0
+            relaxed_at = np.flatnonzero(label == 2)
+            label[relaxed_at[s - k:]] = 0  # at most S - k relaxed
+            enforced, relaxed = label == 1, label == 2
+            np.testing.assert_array_equal(
+                problem.node_system(enforced, relaxed).b_ineq,
+                full_node_system(problem, enforced, relaxed))
+            np.testing.assert_array_equal(
+                problem.node_system(enforced).b_ineq,
+                full_node_system(problem, enforced))
+            lam = np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7)
+            np.testing.assert_array_equal(
+                problem.scenario_weights(enforced, lam),
+                full_scenario_weights(problem, enforced, lam))
+            x = rng.normal(scale=2.0, size=n)
+            worst = (problem.a @ x - problem.b).max(axis=1)
+            violation = np.where(enforced | relaxed, -np.inf, worst)
+            assert problem.branching_scenario(x, lam, violation) == \
+                full_branching_scenario(problem, x, lam, violation)
+
+        sol = solve_selection(problem)
+        oracle = selection_oracle(problem)
+        if oracle is None:
+            assert sol.status == INFEASIBLE
+            return
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+        assert sol.candidates == (s if k == s else screen.candidates.size)
+        if implied.size:
+            held = problem.a @ sol.x_star - problem.b[implied]
+            assert held.max() <= ROW_TOL
+
+    def test_draws_imply_scenarios(self):
+        # The property test's varied draws do exercise the screen.
+        implied = [screened_problem(seed, draw)[0]._screen.implied.size
+                   for seed in range(40) for draw in ("varied", "grid")]
+        assert sum(size > 0 for size in implied) >= 30
+
+    def test_too_many_relaxed_scenarios_are_rejected(self):
+        problem = make_threshold_problem([1.0, 5.0, 9.0], k=2)
+        with pytest.raises(ValueError, match="more than S - k = 1"):
+            problem.node_system(mask(3, []), mask(3, [0, 1]))
+
+
 class TestSolveSelection:
     def test_threshold_toy(self):
         problem = make_threshold_problem([1.0, 5.0, 9.0], k=2)
@@ -859,7 +986,7 @@ class TestSolveSelection:
             sol = solve_selection(problem)
             oracle = selection_oracle(problem)
             if oracle is None:
-                assert sol.status in (INFEASIBLE, GAP_LIMIT)
+                assert sol.status == INFEASIBLE
                 continue
             assert sol.status == OPTIMAL, f"trial {trial}"
             assert sol.objective == pytest.approx(oracle, rel=1e-7,
