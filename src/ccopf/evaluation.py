@@ -49,6 +49,10 @@ SCREEN_ALLOWANCE = 1e-9
 # scenarios on case300s) may be mapped and page-faulted afresh on every
 # call, depending on what the process allocated before.
 SCORE_BLOCK_BYTES = 2**16
+# _box reads a batch as rows of about this many elements: long enough for
+# numpy's contiguous reduction loops, short enough that the one row of
+# partial extremes they leave costs little to reduce.
+_BOX_FOLD_WIDTH = 256
 
 CSV_COLUMNS = ("k", "epsilon_star", "bound", "cost", "cost_vs_ro",
                "joint_violation", "time_s", "status")
@@ -87,6 +91,10 @@ class DcEvaluator:
     testing every row, up to last-bit rounding of the row products: the
     dense test's own rounding depends on the shape of the BLAS call, so a
     margin within a few ulps of -ROW_TOL may be classified either way.
+    That product is the only layout-dependent step.  The box's min and
+    max, the joint ORs and the per-row counts are exact, so they are
+    taken along contiguous memory (_box; each block's violations are
+    transposed to one row per live row) without changing a bit.
     """
 
     def __init__(self, cc):
@@ -108,8 +116,10 @@ class DcEvaluator:
         step = max(1, SCORE_BLOCK_BYTES // (8 * max(1, live.size)))
         for lo in range(0, xi.shape[0], step):
             violated = rhs - (base + xi[lo:lo + step] @ sens_t) < -ROW_TOL
-            joint[lo:lo + step] = violated.any(axis=1)
-            counts += violated.sum(axis=0)
+            # One row per live row, so both reductions run along memory.
+            violated = violated.T.copy()
+            joint[lo:lo + step] = np.logical_or.reduce(violated, axis=0)
+            counts += np.count_nonzero(violated, axis=1)
         rates = np.zeros(cc.n_rows)
         rates[live] = counts / xi.shape[0]
         return joint, rates
@@ -120,7 +130,7 @@ class DcEvaluator:
         rhs - base - sup is not above allowance - ROW_TOL.  base holds the
         rows' values at xi = 0."""
         cc = self.cc
-        lo, hi = xi.min(axis=0), xi.max(axis=0)
+        lo, hi = _box(xi)
         sup = np.maximum(cc.sens * hi, cc.sens * lo).sum(axis=1)
         reach = np.abs(cc.sens) @ np.maximum(-lo, hi)
         # The dense margin rhs - (base + xi @ sens') and the worst-case
@@ -133,6 +143,26 @@ class DcEvaluator:
         allowance = SCREEN_ALLOWANCE * (1.0 + np.abs(cc.rhs) + np.abs(base)
                                         + reach)
         return np.flatnonzero(~(cc.rhs - base - sup > allowance - ROW_TOL))
+
+
+def _box(xi):
+    """The columnwise minimum and maximum of the 2-D batch xi.
+
+    Reduced along axis 0, a batch of a few columns runs numpy's inner loop
+    over a few elements per scenario.  So the leading scenarios are read r
+    at a time as rows of about _BOX_FOLD_WIDTH elements (a view of a
+    C-contiguous batch), reduced along those rows, and the r partial
+    extremes are reduced with the remaining scenarios.  Min and max are
+    exact, so the box holds the values xi.min(axis=0) and xi.max(axis=0)
+    would.
+    """
+    s, n = xi.shape
+    r = max(1, min(s, _BOX_FOLD_WIDTH // n))
+    head = s - s % r
+    folded, rest = xi[:head].reshape(-1, r * n), xi[head:]
+    return [reduce(np.vstack([reduce(folded, axis=0).reshape(r, n), rest]),
+                   axis=0)
+            for reduce in (np.minimum.reduce, np.maximum.reduce)]
 
 
 def violation_frequency(solution, test_set, model):

@@ -166,22 +166,27 @@ class QpSubproblemResult:
     rhs: np.ndarray | None = None  # OPTIMAL: the b_ineq it solves
 
 
-def _kkt_residual(h, g, system, x, lam, mu):
-    """The largest violation of the KKT conditions; NaN if any part is."""
+def _kkt_residuals(h, g, system, x, lam, mu):
+    """The largest violations of the KKT conditions as a pair: over the
+    parts that scale with the cost and the multipliers (stationarity,
+    complementarity, dual feasibility), and over primal feasibility,
+    which does not; NaN if any part is."""
     stat = h @ x + g
     if lam.size:
         stat = stat + system.a_ineq.T @ lam
     if mu.size:
         stat = stat + system.a_eq.T @ mu
-    parts = [np.abs(stat)]
+    scaled, unscaled = [np.abs(stat)], [np.zeros(0)]
     if system.a_ineq.size:
         resid = system.a_ineq @ x - system.b_ineq
-        parts += [resid, np.abs(lam * resid)]
+        scaled.append(np.abs(lam * resid))
+        unscaled.append(resid)
     if lam.size:
-        parts.append(-lam)
+        scaled.append(-lam)
     if system.a_eq.size:
-        parts.append(np.abs(system.a_eq @ x - system.b_eq))
-    return float(np.max(np.concatenate(parts), initial=0.0))
+        unscaled.append(np.abs(system.a_eq @ x - system.b_eq))
+    return tuple(np.max(np.concatenate(parts), initial=0.0)
+                 for parts in (scaled, unscaled))
 
 
 def _phase1_point(system, eq_rows, max_iter):
@@ -297,20 +302,21 @@ def qp_solve(cost, system, *, warm_start=None):
         lam[working] = np.maximum(y[n_eq:], 0.0)
         mu = np.zeros(a_eq.shape[0])
         mu[eq_rows] = y[:n_eq]
-        residual = _kkt_residual(h, g, system, x, lam, mu)
+        # np.maximum, unlike Python's max, keeps a NaN in either place.
+        scaled, unscaled = _kkt_residuals(h, g, system, x, lam, mu)
+        residual = np.maximum(scaled, unscaled)
         if not residual <= _KKT_TOL:  # NaN fails too
             return QpSubproblemResult(
                 status=NUMERICAL_FAILURE,
                 message=f"KKT residual {residual:.3e} of the "
                         f"normalized problem exceeds {_KKT_TOL:g}",
                 iterations=iterations)
-        kkt = _kkt_residual(h * scale, g * scale, system, x,
-                            lam * scale, mu * scale)
         return QpSubproblemResult(
             status=OPTIMAL, x=x,
             value=float(0.5 * x @ (h * scale) @ x + (g * scale) @ x + c0),
             duals_ineq=lam * scale, duals_eq=mu * scale,
-            kkt_residual=kkt, iterations=iterations,
+            kkt_residual=float(np.maximum(scale * scaled, unscaled)),
+            iterations=iterations,
             working=tuple(working), rhs=b_ineq)
 
     def ended(found, it, max_iter, spent):
@@ -671,14 +677,15 @@ class SelectionProblem:
 
     _shared holds the k-independent work.  build_selection_from_ccopf
     hands one holder to every problem on the same data; a problem
-    constructed directly gets a new, empty one and shares nothing.
+    constructed directly, or by dataclasses.replace, gets a new, empty one
+    and shares nothing, since its cost, base or b may differ.
     """
 
     cost: QuadraticCost
     base: LinearSystem
     b: np.ndarray
     k: int
-    _shared: _Shared = field(default_factory=_Shared, repr=False)
+    _shared: _Shared = field(default_factory=_Shared, init=False, repr=False)
 
     def __post_init__(self):
         m, n = self.base.a_ineq.shape
@@ -1123,5 +1130,7 @@ def build_selection_from_ccopf(cc, xi, cost, k, *, equalities):
     b = base.b_ineq - (cc.sens @ xi[:, :, None])[..., 0]
     key = _digest(cc.base_lin, cc.base_const, cc.sens, cc.rhs, xi,
                   cost.h, cost.g, cost.c0, *equalities)
-    shared = _SHARED.setdefault(cc, {}).setdefault(key, _Shared())
-    return SelectionProblem(cost=cost, base=base, b=b, k=k, _shared=shared)
+    problem = SelectionProblem(cost=cost, base=base, b=b, k=k)
+    object.__setattr__(problem, "_shared",
+                       _SHARED.setdefault(cc, {}).setdefault(key, _Shared()))
+    return problem

@@ -12,6 +12,7 @@ bundled configs and on small random row systems.
 
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,16 +253,21 @@ class TestRowScreen:
         assert np.array_equal(other_joint, joint)
         assert other_rates.tobytes() == rates.tobytes()
 
-    @given(screened_batches())
-    def test_screen_matches_dense_rows(self, example):
+    @given(screened_batches(), st.integers(1, 8))
+    def test_screen_matches_dense_rows(self, example, per_block):
+        # Blocks of per_block scenarios: 1 is one scenario per block, 8
+        # the whole batch, and between them the last block may be short.
         cc, x, xi, shape = example
         evaluator = DcEvaluator(cc)
-        joint, rates = evaluator.check(x, xi)
+        live = evaluator.live_rows(cc.base_lin @ x + cc.base_const,
+                                   np.atleast_2d(xi))
+        block_bytes = 8 * max(1, live.size) * per_block
+        with mock.patch.object(evaluation, "SCORE_BLOCK_BYTES", block_bytes):
+            joint, rates = evaluator.check(x, xi)
         ref_joint, ref_rates = dense_check(cc, x, xi)
         assert np.array_equal(joint, ref_joint)
         assert np.array_equal(rates, ref_rates)
-        live = set(evaluator.live_rows(cc.base_lin @ x + cc.base_const,
-                                       np.atleast_2d(xi)))
+        live = set(live)
         n_rows = cc.n_rows
         assert n_rows - 2 in live  # on the threshold: evaluated
         assert n_rows - 1 not in live  # one float above: screened
@@ -270,6 +276,63 @@ class TestRowScreen:
             # sensitivity, so none of those is screened.
             reached = np.flatnonzero(cc.sens.max(axis=1) >= 1e-3)
             assert live.issuperset(reached.tolist())
+
+    @given(st.integers(1, 700), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_box_is_the_columnwise_extremes(self, s, n, seed):
+        # Batches from a single scenario to several folds plus a remainder,
+        # with one far scenario anywhere: the box's bits are those of the
+        # plain reductions.
+        rng = np.random.default_rng(seed)
+        xi = rng.normal(size=(s, n))
+        xi[rng.integers(s)] *= 1e6
+        lo, hi = evaluation._box(xi)
+        assert lo.tobytes() == xi.min(axis=0).tobytes()
+        assert hi.tobytes() == xi.max(axis=0).tobytes()
+
+    @staticmethod
+    def line_system(rhs):
+        """Rows r0: x + xi <= rhs[0] and r1: -x - xi <= rhs[1]."""
+        return CcSystem(row_names=("r0", "r1"),
+                        base_lin=np.array([[1.0], [-1.0]]),
+                        base_const=np.zeros(2),
+                        sens=np.array([[1.0], [-1.0]]),
+                        rhs=np.asarray(rhs, dtype=float))
+
+    def assert_dense(self, cc, x, xi):
+        joint, rates = DcEvaluator(cc).check(x, xi)
+        ref_joint, ref_rates = dense_check(cc, x, xi)
+        assert joint.tobytes() == ref_joint.tobytes()
+        assert rates.tobytes() == ref_rates.tobytes()
+        return joint, rates
+
+    def test_every_row_screened(self):
+        cc = self.line_system([10.0, 10.0])
+        x, xi = np.array([0.5]), np.linspace(-1.0, 1.0, 7)[:, None]
+        assert DcEvaluator(cc).live_rows(cc.base_lin @ x, xi).size == 0
+        joint, rates = self.assert_dense(cc, x, xi)
+        assert joint.shape == (7,) and not joint.any()
+        assert rates.tolist() == [0.0, 0.0]
+
+    def test_one_live_row_over_uneven_blocks(self, monkeypatch):
+        # r0 is live and r1 screened; blocks of 3 scenarios, the last
+        # one of 1.
+        cc = self.line_system([1.0, 10.0])
+        x, xi = np.array([0.5]), np.linspace(-1.0, 1.0, 10)[:, None]
+        live = DcEvaluator(cc).live_rows(cc.base_lin @ x, xi)
+        assert live.tolist() == [0]
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * 3)
+        joint, rates = self.assert_dense(cc, x, xi)
+        assert joint.tolist() == [False] * 7 + [True] * 3
+        assert rates.tolist() == [0.3, 0.0]
+
+    def test_one_scenario_as_a_vector(self):
+        cc = self.line_system([1.0, 10.0])
+        x = np.array([0.5])
+        for xi, violated in ((np.array([0.75]), True),
+                             (np.array([0.25]), False)):
+            joint, rates = self.assert_dense(cc, x, xi)
+            assert joint.tolist() == [violated]
+            assert rates.tolist() == [float(violated), 0.0]
 
     def test_non_finite_inputs_rejected(self, case14, fleet14):
         evaluator = DcEvaluator(assemble_cc_system(case14, fleet14))

@@ -1244,9 +1244,29 @@ class TestSolveSelection:
         # Dual weight concentrates on the binding x >= 9 block, so greedy
         # relaxes it and lands on the true optimum directly.
         assert value == pytest.approx(5.0, abs=1e-8)
-        failed = QpSubproblemResult(status=NUMERICAL_FAILURE)
-        assert greedy_incumbent(replace(
-            problem, _shared=_Shared(all_enforced=failed))) is None
+        # A holder whose all-enforced QP failed gives no incumbent.
+        stalled = replace(problem)
+        object.__setattr__(stalled, "_shared", _Shared(
+            all_enforced=QpSubproblemResult(status=NUMERICAL_FAILURE)))
+        assert greedy_incumbent(stalled) is None
+
+    @pytest.mark.parametrize("k", [5, 2])
+    def test_a_replaced_problem_starts_a_new_holder(self, k):
+        # Solving the first copy fills its holder: the all-enforced QP,
+        # and at k < S the greedy path.  A copy with tighter bounds must
+        # not read them (it would return the first copy's optimum).
+        problem = random_selection_problem(np.random.default_rng(3),
+                                           s_max=9)
+        assert problem.n_scenarios == 5
+        first = solve_selection(replace(problem, k=k))
+        tighter = solve_selection(replace(problem, k=k, b=problem.b - 2.0))
+        new = solve_selection(SelectionProblem(
+            problem.cost, problem.base, problem.b - 2.0, k))
+        assert tighter.status == new.status == OPTIMAL
+        assert tighter.objective == new.objective > first.objective + 0.5
+        assert tighter.x_star.tobytes() == new.x_star.tobytes()
+        if k == 5:
+            assert tighter.objective == pytest.approx(1.9430529, abs=1e-6)
 
 
 class TestBuildFromChanceRows:
